@@ -612,7 +612,8 @@ def bonacci_root(k: int) -> AlgebraicNumber:
     if k < 2:
         raise AlgebraicError("k must be at least 2")
     if k not in _BONACCI_CACHE:
-        _BONACCI_CACHE[k] = algebraic_from_poly([-1] * k + [1], 1, 2)
+        # irreducible (A. Brauer, Math. Nachr. 1951), so nothing to factor
+        _BONACCI_CACHE[k] = AlgebraicNumber((-1,) * k + (1,), Fraction(1), Fraction(2))
     return _BONACCI_CACHE[k]
 
 

@@ -17,7 +17,6 @@ from typing import Optional
 from .algebraic import (
     AlgebraicNumber,
     FieldElement,
-    algebraic_from_poly,
     bonacci_root,
 )
 from .certificates import Certificate, bracket, exact_check
@@ -256,7 +255,8 @@ def two_orbit_base() -> AlgebraicNumber:
     The expansion of 1 there is eventually periodic with the whole
     trajectory outside the overlap region, so the two-orbit property of
     the reciprocal is certifiable."""
-    return algebraic_from_poly([1, -2, -1, 1], Fraction(3, 2), Fraction(19, 10))
+    # a reducible cubic has a rational root, and neither 1 nor -1 is one
+    return AlgebraicNumber((1, -2, -1, 1), Fraction(3, 2), Fraction(19, 10))
 
 
 def _exhibit_branch_pair(

@@ -66,14 +66,15 @@ def _outward(lo: Fraction, hi: Fraction, grid: int) -> tuple[str, str]:
 def bracket(x, eps: Fraction = Fraction(1, 10**30)) -> tuple[str, str]:
     """Rational enclosure of an exact quantity, as strings.
 
-    Endpoints are rounded outward onto a fixed denominator grid so that
-    certificates stay readable even when the exact values carry hundreds
-    of digits."""
+    Endpoints are rounded outward onto a denominator grid of at least
+    10^40, and finer when eps is, so that certificates stay readable even
+    when the exact values carry hundreds of digits."""
+    grid = max(10**40, Fraction(eps).denominator)
     if isinstance(x, FieldElement):
         lo, hi = refine(x, eps)
-        return _outward(Fraction(lo), Fraction(hi), 10**40)
+        return _outward(Fraction(lo), Fraction(hi), grid)
     f = Fraction(x)
-    return _outward(f, f, 10**40)
+    return _outward(f, f, grid)
 
 
 def exact_check(label: str, relation: str, lhs, rhs) -> IntervalCheck:

@@ -6,10 +6,6 @@ of rational bounds, never as a bare float.
 
 Exit codes: 0 for a definite or certified answer, 2 for an honest
 "could not decide", 1 for unusable input.
-
-The only environment knob is QSLICE_WORKERS, an upper bound on worker
-processes for batch enumeration. The current implementation is single
-process, so any positive value is accepted and treated as a cap.
 """
 
 from __future__ import annotations
@@ -17,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -92,19 +87,6 @@ def parse_height(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"cannot parse height {text!r}: {e}")
-
-
-def worker_count() -> int:
-    raw = os.environ.get("QSLICE_WORKERS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"QSLICE_WORKERS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError("QSLICE_WORKERS must be positive")
-    return n
 
 
 def _interval(x, eps: Fraction = Fraction(1, 10**18)) -> list[str]:
@@ -473,21 +455,18 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="cross-check against the geometric box oracle (exponential in depth)",
     )
-    s.add_argument("--json", action="store_true", default=True, help="JSON output (default)")
     s.set_defaults(fn=_cmd_slice)
 
     s = sub.add_parser("orbit-tree", help="expand the branch tree at a height")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--depth", type=int, default=12)
-    s.add_argument("--json", action="store_true", default=True)
     s.set_defaults(fn=_cmd_orbit_tree)
 
     s = sub.add_parser("thickness", help="enumerate the gaps of a fractal set family")
     s.add_argument("--q", required=True)
     s.add_argument("--set", required=True, help="aq, sk:<k>, or scaled-sk:<k>")
     s.add_argument("--level", type=int, default=40)
-    s.add_argument("--json", action="store_true", default=True)
     s.set_defaults(fn=_cmd_thickness)
 
     s = sub.add_parser(
@@ -496,7 +475,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--q", required=True)
     s.add_argument("--depth", type=int, default=48)
     s.add_argument("--level", type=int, default=40)
-    s.add_argument("--json", action="store_true", default=True)
     s.set_defaults(fn=_cmd_certify_slice3)
 
     s = sub.add_parser("bonacci", help="orbit counts at multinacci bases")
@@ -506,7 +484,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
     s.add_argument("--q")
     s.add_argument("--depth", type=int)
-    s.add_argument("--json", action="store_true", default=True)
     s.set_defaults(fn=_cmd_bonacci)
 
     s = sub.add_parser("dimension", help="dimension bounds for slices")
@@ -516,7 +493,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--levels", type=int)
     s.add_argument("--grid", type=int, default=256)
     s.add_argument("--max-len", type=int, default=48)
-    s.add_argument("--json", action="store_true", default=True)
     s.set_defaults(fn=_cmd_dimension)
 
     s = sub.add_parser("render", help="draw the carrier as SVG")
@@ -535,7 +511,6 @@ def _build_parser() -> _Parser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        worker_count()
         args = parser.parse_args(argv)
         return args.fn(args)
     except InputError as e:

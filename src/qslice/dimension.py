@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .algebraic import AlgebraicNumber, FieldElement
 from .dynamics import (
-    ExpansionSystem,
     PointLike,
     apply_word,
     ternary_branch_system,
@@ -244,14 +241,16 @@ def box_dimension_estimate(
     With with_residual=True returns (slope, rms residual of the fit)."""
     if len(counts) != len(depths):
         raise DimensionError("counts and depths must align")
-    if len(counts) < 2:
-        raise TooFewDepths("need at least two depths to fit a slope")
-    d = np.asarray(depths, dtype=float)
-    y = np.log(np.asarray(counts, dtype=float))
-    a = np.vstack([d, np.ones_like(d)]).T
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    slope = float(sol[0] / math.log(3.0))
+    if len(set(depths)) < 2:
+        raise TooFewDepths("need at least two distinct depths to fit a slope")
+    n = len(depths)
+    mean_depth = Fraction(sum(depths), n)
+    c = [d - mean_depth for d in depths]  # exact, so sum(c) == 0: no intercept
+    y = [math.log(k) for k in counts]
+    b = math.fsum(ci * yi for ci, yi in zip(c, y)) / float(sum(ci * ci for ci in c))
+    slope = b / math.log(3.0)
     if not with_residual:
         return slope
-    rms = float(np.sqrt(np.mean((a @ sol - y) ** 2)))
+    y_mean = math.fsum(y) / n
+    rms = math.sqrt(math.fsum((yi - y_mean - b * ci) ** 2 for ci, yi in zip(c, y)) / n)
     return slope, rms

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .algebraic import (
@@ -141,8 +140,9 @@ def fixed_expansion_of_one(q: AlgebraicNumber, length: int) -> Word:
 
     A run of ones brings the residual into the hull, then double digits are
     consumed greedily in the fixed W2 order. The residual x_n satisfies
-    1 - sum_{i<=n} c_i q^-i = q^-n x_n with |x_n| <= h throughout the
-    double-digit phase.
+    1 - sum_{i<=n} c_i q^-i = q^-n x_n with |x_n| <= h at every pair
+    boundary of the double-digit phase (n = m, m + 2, ... for a prefix run
+    of length m); inside a pair only |x_n| <= q h + 1 holds.
     """
     g = q.gen()
     _, h = h_q_interval(q)
@@ -532,7 +532,7 @@ def _enumerate_aq_gaps(q: AlgebraicNumber, level: int, margin: int = 14) -> GapS
         finished.append(
             GapRecord(rec.level, rec.left, rec.right, rec.size, best, rec.meta)
         )
-    finished.sort(key=lambda r: (-float(r.size[0]), float(r.left[0])))
+    finished.sort(key=lambda r: (-r.size[0], r.left[0]))
     return GapStructure(
         GapFamily.AqSet, 9, level, (hull_lo, hull_hi), tuple(finished)
     )
@@ -597,7 +597,7 @@ def _enumerate_sk_gaps(
                 r.meta,
             )
         )
-    out.sort(key=lambda r: (-float(r.size[0]), float(r.left[0])))
+    out.sort(key=lambda r: (-r.size[0], r.left[0]))
     fam = GapFamily.SkSet if scale == 1 and shift == 0 else GapFamily.ScaledShiftedSk
     return GapStructure(fam, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(out))
 

@@ -14,6 +14,7 @@ from qslice.algebraic import (
     NonSquareFree,
     Ordering,
     algebraic_from_poly,
+    bonacci_root,
     compare,
     compare_reals,
     refine,
@@ -61,6 +62,8 @@ def test_tribonacci_isolation():
 @pytest.mark.parametrize("k", range(2, 13))
 def test_multinacci_roots_against_mpmath(k):
     a = algebraic_from_poly(multinacci_poly(k), 1, 2)
+    # bonacci_root skips the factoring that built a: Brauer's irreducibility
+    assert bonacci_root(k) == a
     lo, hi = refine(a, Fraction(1, 10**35))
     oracle = _mp_root_in(multinacci_poly(k), 1, 2)
     slack = Fraction(1, 10**39)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qslice.algebraic import AlgebraicNumber, bonacci_root
+from qslice.algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root
 from qslice.bonacci import (
     C2Outcome,
     CertificationFailed,
@@ -125,6 +125,8 @@ def test_c2_tribonacci_pair_values():
 
 def test_c2_certified_at_planted_cubic():
     qs = two_orbit_base()
+    # built without factoring; sympy agrees the cubic is irreducible
+    assert qs == algebraic_from_poly([1, -2, -1, 1], Fraction(3, 2), Fraction(19, 10))
     g = qs.gen()
     # the defining cubic makes the third step close the two-cycle
     assert g**3 - g**2 - 2 * g + 1 == 0

@@ -33,6 +33,8 @@ def test_exact_check_builds_or_raises():
     assert c.holds()
     with pytest.raises(CertificateError):
         exact_check("golden-above-two", "lt", F(2), g)
+    # 10^-45 rounds to [0, 10^-40] at first; the retry's grid follows eps
+    assert exact_check("tiny", "lt", 0, F(1, 10**45)).rhs == (str(F(1, 10**45)),) * 2
 
 
 def test_bracket_rounds_outward():

@@ -1,5 +1,8 @@
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +41,7 @@ def test_parse_number_rejects_garbage():
 
 def test_slice_command_single_point(capsys):
     code, lines = invoke(
-        capsys, ["slice", "--q", "5/3", "--y", "3/8", "--depth", "24", "--json"]
+        capsys, ["slice", "--q", "5/3", "--y", "3/8", "--depth", "24"]
     )
     assert code == 0
     assert len(lines) == 1
@@ -290,15 +293,6 @@ def test_input_errors_exit_one(capsys):
     assert code == 1
 
 
-def test_worker_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("QSLICE_WORKERS", "not-a-number")
-    code, lines = invoke(capsys, ["slice", "--q", "5/3", "--y", "3/8", "--depth", "8"])
-    assert code == 1
-    monkeypatch.setenv("QSLICE_WORKERS", "4")
-    code, _ = invoke(capsys, ["slice", "--q", "5/3", "--y", "3/8", "--depth", "8"])
-    assert code == 0
-
-
 def test_sorted_keys(capsys):
     _, lines = invoke(
         capsys, ["orbit-tree", "--q", "3/2", "--y", "1/2", "--depth", "4"]
@@ -306,3 +300,21 @@ def test_sorted_keys(capsys):
     for line in lines:
         keys = list(json.loads(line).keys())
         assert keys == sorted(keys)
+
+
+def test_common_commands_load_neither_numpy_nor_sympy():
+    # sympy only factors a user's algebraic: literal; a fresh interpreter
+    # shows what these commands really import
+    runs = [
+        ["bonacci", "null", "--k", "3"],
+        ["thickness", "--q", "1999/1000", "--set", "aq", "--level", "12"],
+        ["dimension", "--q", "3/2", "--y", "1/6", "--method", "box", "--levels", "3"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); from qslice.cli import run\n"
+        f"assert [run(argv) for argv in {runs!r}] == [0, 0, 0]\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -123,8 +123,22 @@ def test_box_dimension_estimate_recovers_exact_slope():
     )
     with pytest.raises(TooFewDepths):
         box_dimension_estimate([10], [5])
+    with pytest.raises(TooFewDepths):
+        box_dimension_estimate([10, 12], [5, 5])
     with pytest.raises(DimensionError):
         box_dimension_estimate([1, 2], [1, 2, 3])
+
+
+def test_box_fit_bracket_encloses_the_true_slope():
+    import mpmath
+
+    from qslice.cli import _interval
+
+    lo, hi = _interval(box_dimension_estimate([33, 55, 87], [8, 9, 10]))
+    with mpmath.workdps(50):
+        # three equally spaced depths: the fitted slope is (y3 - y1) / 2
+        ref = (mpmath.log(87) - mpmath.log(33)) / (2 * mpmath.log(3))
+        assert mpmath.mpf(lo) <= ref <= mpmath.mpf(hi)
 
 
 def test_dimension_chain_is_consistent():

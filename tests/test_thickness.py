@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice.algebraic import AlgebraicNumber, bonacci_root
@@ -74,16 +74,20 @@ def test_fixed_expansion_frozen_prefix():
 
 @settings(max_examples=30, deadline=None)
 @given(mid_bases)
+@example(F(44, 23))  # odd prefix run: position 40 falls inside a pair
 def test_fixed_expansion_invariant(qf):
     q = AlgebraicNumber.from_rational(qf)
-    g = q.gen()
     n = 40
     c = fixed_expansion_of_one(q, n)
-    _, h = h_q_interval(q)
-    value = sum((F(ci) * (1 / qf) ** (i + 1) for i, ci in enumerate(c.symbols)), F(0))
-    defect = (1 - value) * qf**n
-    assert abs(defect) <= h.as_fraction() if h.base.degree == 1 else -h <= defect <= h
+    h = h_q_interval(q)[1].as_fraction()
     m = prefix_run_length(q)
+
+    def defect(length):  # q^length times the residual after that many digits
+        value = sum(F(ci) / qf ** (i + 1) for i, ci in enumerate(c.symbols[:length]))
+        return (1 - value) * qf**length
+
+    assert abs(defect(m + 2 * ((n - m) // 2))) <= h  # at the last completed pair
+    assert abs(defect(n)) <= qf * h + 1
     assert c.symbols[:m] == (1,) * m
     for i in range(m, n - 1, 2):
         assert (c.symbols[i], c.symbols[i + 1]) in W2
@@ -149,6 +153,12 @@ def test_aq_gap_laws():
         sizes = {(rr.size[0].as_fraction(), rr.size[1].as_fraction()) for rr in rs}
         assert len(sizes) == 1
     assert thickness_lower_bound(gs) > g**-5
+
+
+@pytest.mark.parametrize("family, level", [(GapFamily.AqSet, 28), (GapFamily.SkSet, 10)])
+def test_gaps_sorted_by_exact_size(family, level):
+    sizes = [gap.size[0] for gap in enumerate_gaps(QBIG, family, level).gaps]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_scaled_family_is_affine_image():
