@@ -35,7 +35,7 @@ from .dimension import (
     dimension_lower_bound,
     estimate_M,
 )
-from .dynamics import InvalidBase, OrbitNode, enumerate_orbits, ternary_branch_system
+from .dynamics import InvalidBase, OrbitNode, enumerate_orbits, level_sizes, ternary_branch_system
 from .render import RenderError, RenderSpec, render_kq
 from .slices import (
     ClaimKind,
@@ -392,9 +392,7 @@ def _cmd_dimension(args) -> int:
     if levels < 2:
         raise InputError("box method needs at least two depths")
     depths = list(range(8, 8 + levels))
-    counts = [
-        enumerate_orbits(sys_, x0, d).alive_leaf_count() for d in depths
-    ]
+    counts = level_sizes(sys_, x0, depths[-1])[depths[0]:]
     slope, residual = box_dimension_estimate(counts, depths, with_residual=True)
     rec["box_counts"] = counts
     rec["box_estimate"] = _interval(slope)

@@ -22,7 +22,7 @@ from .algebraic import (
     bonacci_root,
     compare_reals,
 )
-from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict, tail, word
+from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict, tail
 
 PointLike = Union[FieldElement, Fraction, int]
 
@@ -100,10 +100,8 @@ class ExpansionSystem:
         p = self.lift(x)
         return [m.label for m in self.maps if m.contains(p)]
 
-    def in_switch_region(self, x: PointLike, strict: bool = False) -> bool:
+    def in_switch_region(self, x: PointLike) -> bool:
         p = self.lift(x)
-        if strict:
-            return self.switch_lo < p < self.switch_hi
         return self.switch_lo <= p <= self.switch_hi
 
 
@@ -200,6 +198,33 @@ def word_is_applicable(sys: ExpansionSystem, w: Word, x: PointLike) -> bool:
 # orbit trees
 # ---------------------------------------------------------------------------
 
+Level = list[tuple[tuple[int, ...], FieldElement]]  # (path, point), in path order
+
+
+def orbit_step(sys: ExpansionSystem, level: Level) -> tuple[Level, list[tuple[int, ...]]]:
+    """One breadth-first step: take every applicable branch of every entry,
+    children in label order so that the next level stays in path order.
+    Also returns the paths that forked (two or more applicable branches)."""
+    nxt: Level = []
+    forked: list[tuple[int, ...]] = []
+    for path, p in level:
+        labels = sys.applicable(p)
+        if len(labels) >= 2:
+            forked.append(path)
+        for lab in labels:
+            nxt.append((path + (lab,), sys.branch(lab)(p)))
+    return nxt, forked
+
+
+def level_sizes(sys: ExpansionSystem, x: PointLike, depth: int) -> list[int]:
+    """Number of applicable branch sequences of each length 0..depth from x."""
+    level: Level = [((), sys.lift(x))]
+    sizes = [1]
+    for _ in range(depth):
+        level, _ = orbit_step(sys, level)
+        sizes.append(len(level))
+    return sizes
+
 
 @dataclass
 class OrbitNode:
@@ -215,65 +240,48 @@ class OrbitTree:
     root: OrbitNode
     depth: int
 
+    def _alive_rooted_levels(self):
+        """Each depth's nodes whose ancestors are all alive, in path order."""
+        level = [self.root]
+        while level:
+            yield level
+            level = [c for node in level if node.alive for c in node.children]
+
     def alive_leaves(self) -> list[tuple[Word, FieldElement]]:
-        out: list[tuple[Word, FieldElement]] = []
-
-        def walk(node: OrbitNode):
-            if len(node.path) == self.depth:
-                if node.alive:
-                    out.append(
-                        (Word(self.system.digit_alphabet, node.path), node.point)
-                    )
-                return
-            for c in node.children:
-                walk(c)
-
-        walk(self.root)
-        return out
+        return [
+            (Word(self.system.digit_alphabet, n.path), n.point)
+            for level in self._alive_rooted_levels() for n in level
+            if n.alive and len(n.path) == self.depth
+        ]
 
     def alive_leaf_count(self) -> int:
         return len(self.alive_leaves())
 
     def dead_end_count(self) -> int:
-        n = 0
-
-        def walk(node: OrbitNode):
-            nonlocal n
-            if not node.alive:
-                n += 1
-                return  # children of dead nodes are all dead too
-            for c in node.children:
-                walk(c)
-
-        walk(self.root)
-        return n
+        # children of dead nodes are all dead too, so only the topmost count
+        return sum(not n.alive for level in self._alive_rooted_levels() for n in level)
 
 
 def enumerate_orbits(sys: ExpansionSystem, x: PointLike, depth: int) -> OrbitTree:
-    """The complete tree of applicable branch sequences from x.
+    """The complete tree of applicable branch sequences from x, grown breadth-first.
 
     A node is alive iff some continuation reaches the full depth; leaves at
     the full depth are alive, interior nodes with no applicable branch are
     dead ends.
     """
     root = OrbitNode(sys.lift(x), ())
-
-    def grow(node: OrbitNode) -> bool:
-        if len(node.path) == depth:
-            node.alive = True
-            return True
-        any_alive = False
-        for label in sys.applicable(node.point):
-            child = OrbitNode(
-                sys.branch(label)(node.point), node.path + (label,)
-            )
-            node.children.append(child)
-            if grow(child):
-                any_alive = True
-        node.alive = any_alive
-        return any_alive
-
-    grow(root)
+    levels = [[root]]
+    level: Level = [((), root.point)]
+    for _ in range(depth):
+        level, _ = orbit_step(sys, level)
+        parents = {node.path: node for node in levels[-1]}
+        nodes = [OrbitNode(point, path) for path, point in level]
+        for node in nodes:
+            parents[node.path[:-1]].children.append(node)
+        levels.append(nodes)
+    for nodes in reversed(levels):
+        for node in nodes:
+            node.alive = len(node.path) == depth or any(c.alive for c in node.children)
     return OrbitTree(sys, root, depth)
 
 

@@ -9,9 +9,9 @@ floats appear only in the final coordinate strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebraic import AlgebraicNumber, FieldElement, refine
 

@@ -16,7 +16,9 @@ from typing import Optional, Union
 
 from .algebraic import AlgebraicNumber, FieldElement
 from .dynamics import (
+    Level,
     PointLike,
+    orbit_step,
     ternary_branch_system,
     unique_orbit_check,
     UniqueOrbitResult,
@@ -135,18 +137,12 @@ def compute_slice(
     sys = ternary_branch_system(q)
     x0 = yv / (sys.q() - 1)
 
-    frontier: list[tuple[tuple[int, ...], FieldElement]] = [((), x0)]
+    frontier: Level = [((), x0)]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
-        nxt: list[tuple[tuple[int, ...], FieldElement]] = []
-        for path, p in frontier:
-            labels = sys.applicable(p)
-            if len(labels) >= 2:
-                events.append((step, path))
-            for lab in labels:
-                nxt.append((path + (lab,), sys.branch(lab)(p)))
-        frontier = nxt
+        frontier, forked = orbit_step(sys, frontier)
+        events.extend((step, path) for path in forked)
         if len(frontier) > max_cylinders:
             truncated = True
             break

@@ -31,6 +31,11 @@ from .certificates import (
 from .slices import SliceResult, compute_slice, ClaimKind
 from .words import Alphabet, Tail, Word, project_q, tail
 
+AQ_GAP_MARGIN = 14  # expansion digits of 1 computed past the aq gap level
+SK_GAP_CAP = 4096  # gap records kept from the breadth-first shift-set walk
+WITNESS_BUDGET = 1000  # three-orbit pair-search steps, doubled on each retry
+WITNESS_RETRIES = 5
+
 
 class ThicknessError(ValueError):
     pass
@@ -477,8 +482,8 @@ def _aq_value_bracket(
     return acc, acc + tail_bound
 
 
-def _enumerate_aq_gaps(q: AlgebraicNumber, level: int, margin: int = 14) -> GapStructure:
-    template = build_aq_prefixes(q, level, margin=margin)
+def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
+    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
     g = q.gen()
     free = template.free_below(level)
     records = []
@@ -544,7 +549,6 @@ def _enumerate_sk_gaps(
     level: int,
     scale: Optional[FieldElement] = None,
     shift: Optional[FieldElement] = None,
-    cap: int = 4096,
 ) -> GapStructure:
     ana = ShiftSetAnalysis(q, k)
     g = q.gen()
@@ -554,7 +558,7 @@ def _enumerate_sk_gaps(
 
     records = []
     frontier = [(_START, g.base.zero(), one, 0)]
-    while frontier and len(records) < cap:
+    while frontier and len(records) < SK_GAP_CAP:
         state, off, sc, d = frontier.pop(0)
         if d >= level:
             continue
@@ -607,7 +611,6 @@ def enumerate_gaps(
     family: GapFamily,
     level: int,
     k: int = 9,
-    cap: int = 4096,
 ) -> GapStructure:
     """Gaps of one of the three projected digit families, largest first.
 
@@ -617,9 +620,9 @@ def enumerate_gaps(
     if family == GapFamily.AqSet:
         return _enumerate_aq_gaps(q, level)
     if family == GapFamily.SkSet:
-        return _enumerate_sk_gaps(q, k, level, cap=cap)
+        return _enumerate_sk_gaps(q, k, level)
     g = q.gen()
-    return _enumerate_sk_gaps(q, k, level, scale=2 - g, shift=g.base.one(), cap=cap)
+    return _enumerate_sk_gaps(q, k, level, scale=2 - g, shift=g.base.one())
 
 
 def thickness_lower_bound(gs: GapStructure) -> FieldElement:
@@ -749,10 +752,7 @@ def _aq_node_bracket(template, chosen: dict, upto: int):
 
 
 def find_slice3_witness(
-    q: AlgebraicNumber,
-    depth: int = 48,
-    budget: int = 1000,
-    retries: int = 5,
+    q: AlgebraicNumber, depth: int = 48
 ) -> tuple[tuple[str, str], SliceResult]:
     """Locate a height whose slice shows exactly three expansion orbits.
 
@@ -774,12 +774,12 @@ def find_slice3_witness(
     free_all = template.free_positions
     target_width = g ** (-(depth + 12))
 
-    for attempt in range(retries):
+    for attempt in range(WITNESS_RETRIES):
         # depth-first over pairs (free-bit assignment, shift-set node),
         # keeping only pairs with overlapping value enclosures
         stack = [({}, 0, _START, g.base.zero(), one, 0)]
         steps = 0
-        allowance = budget * 2**attempt
+        allowance = WITNESS_BUDGET * 2**attempt
         found = None
         while stack:
             chosen, na, state, off, sc, nb = stack.pop()

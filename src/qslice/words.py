@@ -163,10 +163,6 @@ def tail(
     return Tail(alphabet, pre, per)
 
 
-def constant_tail(prefix: Word, value: int = 0) -> Tail:
-    return tail(prefix.symbols, (value,), prefix.alphabet)
-
-
 WordLike = Union[Word, Tail]
 
 

@@ -179,6 +179,13 @@ def test_orbit_tree_single_path():
     assert w.symbols == (0, 2) * 6
 
 
+def test_orbit_tree_deeper_than_recursion_limit():
+    sys = ternary_branch_system(Q53)
+    t = enumerate_orbits(sys, F(9, 16), 1000)
+    (w, _), = t.alive_leaves()
+    assert w.symbols == (0, 2) * 500
+
+
 def test_orbit_tree_boundary_split():
     sys = ternary_branch_system(Q53)
     t = enumerate_orbits(sys, F(3, 5), 3)

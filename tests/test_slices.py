@@ -1,12 +1,19 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice.algebraic import AlgebraicNumber, bonacci_root
-from qslice.dynamics import enumerate_orbits, ternary_branch_system
+from qslice.dynamics import (
+    enumerate_orbits,
+    level_sizes,
+    ternary_branch_system,
+    word_is_applicable,
+)
 from qslice.slices import (
     ClaimKind,
     SliceInputError,
@@ -121,6 +128,64 @@ def test_leaf_count_matches_orbit_tree():
         x0 = sys.lift(y) / (sys.q() - 1)
         tree = enumerate_orbits(sys, x0, depth)
         assert len(r.cylinders) == tree.alive_leaf_count()
+
+
+def _applicable_words(sys, x0, depth):
+    """Brute force: every word over the system's labels, of each length
+    0..depth, that apply_map can follow from x0, in lexicographic order."""
+    labels = [m.label for m in sys.maps]
+    return [
+        [
+            w
+            for w in itertools.product(labels, repeat=n)
+            if word_is_applicable(sys, Word(Alphabet.TERNARY, w), x0)
+        ]
+        for n in range(depth + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_bases, heights, st.integers(0, 5), st.integers(0, 64))
+@example(F(3, 2), F(1, 2), 0, 4096)
+@example(F(3, 2), F(1, 2), 4, 0)
+@example(F(3, 2), F(1, 2), 1, 1)
+@example(F(5, 3), F(1, 3), 5, 64)
+def test_walks_match_brute_force(qf, y, depth, max_cylinders):
+    q = AlgebraicNumber.from_rational(qf)
+    sys = ternary_branch_system(q)
+    x0 = sys.lift(y) / (sys.q() - 1)
+    words = _applicable_words(sys, x0, depth)
+    # the slice walk stops after the first step whose level exceeds the cap
+    over = [n for n in range(1, depth + 1) if len(words[n]) > max_cylinders]
+    stop = over[0] if over else depth
+    forks = [
+        (n, w)
+        for n in range(stop)
+        for w in words[n]
+        if sum(w + (lab,) in words[n + 1] for lab in (0, 1, 2)) >= 2
+    ]
+
+    r = compute_slice(q, y, depth, max_cylinders)
+    assert [c.symbols for c in r.cylinders] == words[stop]
+    assert r.truncated == bool(over)
+    assert list(r.branch_events) == forks
+
+    assert level_sizes(sys, x0, depth) == [len(ws) for ws in words]
+
+    # the three branches cover their hull, so the tree has no dead ends;
+    # dropping branch 0 leaves [0, 1/q) uncovered and makes some
+    for s in (sys, dataclasses.replace(sys, maps=sys.maps[1:])):
+        words = _applicable_words(s, x0, depth)
+        tree = enumerate_orbits(s, x0, depth)
+        assert [w.symbols for w, _ in tree.alive_leaves()] == words[depth]
+        alive = {w[:n] for w in words[depth] for n in range(depth + 1)}
+        dead = [
+            w
+            for n in range(depth)
+            for w in words[n]
+            if w not in alive and (n == 0 or w[:-1] in alive)
+        ]
+        assert tree.dead_end_count() == len(dead)
 
 
 def test_input_validation():
