@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -108,8 +109,6 @@ def _count_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
 
 
 def _primitive(coeffs: Iterable[int]) -> tuple[int, ...]:
-    from math import gcd
-
     cs = [int(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -124,6 +123,42 @@ def _primitive(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 
 def _irreducible_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Irreducible factors of a primitive square-free integer polynomial."""
+    if len(coeffs) > 4:
+        return _sympy_factors(coeffs)
+    # at degree <= 3, what remains after the rational roots is irreducible
+    factors = [(-r.numerator, r.denominator) for r in _rational_roots(coeffs)]
+    rest = tuple(Fraction(c) for c in coeffs)
+    for linear in factors:
+        rest, _ = _divmod(rest, linear)
+    if len(rest) > 1:
+        factors.append(_primitive(_common_denominator(rest)[0]))
+    return factors
+
+
+def _rational_roots(p: tuple[int, ...]) -> list[Fraction]:
+    """Rational roots of a square-free integer polynomial, found without
+    factoring integers. With leading coefficient c, y = c x turns p into a
+    monic integer polynomial whose rational roots are integers; Sturm counts
+    at half-integers, which are never its roots, isolate them."""
+    n, c = len(p) - 1, p[-1]
+    monic = tuple(Fraction(pi * c ** (n - 1 - i)) for i, pi in enumerate(p[:-1])) + (Fraction(1),)
+    chain = _sturm_chain(monic)
+    bound = 1 + max(abs(m) for m in monic[:-1])  # Cauchy: every root has |y| < bound
+    roots, todo = [], [(-bound, bound)]
+    while todo:
+        a, b = todo.pop()
+        if _sign_changes(chain, a - Fraction(1, 2)) == _sign_changes(chain, b + Fraction(1, 2)):
+            continue
+        if a < b:
+            m = (a + b) // 2
+            todo += [(a, m), (m + 1, b)]
+        elif _eval(monic, Fraction(a)) == 0:
+            roots.append(Fraction(a, c))
+    return roots
+
+
+def _sympy_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
     import sympy
 
     x = sympy.Symbol("x")
@@ -146,7 +181,7 @@ class AlgebraicNumber:
     interval. The interval only ever narrows, so sharing instances between
     computations is safe."""
 
-    __slots__ = ("min_poly", "_lo", "_hi", "_frac_poly", "_red_table", "_gen_inv")
+    __slots__ = ("min_poly", "_lo", "_hi", "_frac_poly", "_red_table")
 
     def __init__(self, min_poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.min_poly = min_poly
@@ -154,7 +189,6 @@ class AlgebraicNumber:
         self._hi = hi
         self._frac_poly = tuple(Fraction(c) for c in min_poly)
         self._red_table = None
-        self._gen_inv = None
 
     # -- construction ------------------------------------------------------
 
@@ -230,20 +264,19 @@ class AlgebraicNumber:
 
     # -- field scaffolding ---------------------------------------------------
 
-    def _reduction_table(self) -> list[tuple[Fraction, ...]]:
-        # x^(d+j) mod min_poly for j = 0..d-2
+    def _reduction_table(self) -> tuple[list[tuple[int, ...]], int]:
+        """Integer rows and one denominator: x^(d+j) mod min_poly is
+        rows[j] / den for j = 0..d-2."""
         if self._red_table is None:
-            d = self.degree
-            lead = self._frac_poly[-1]
-            base = tuple(-c / lead for c in self._frac_poly[:-1])
-            table = [base]
+            d, lead = self.degree, self.min_poly[-1]
+            # x^d = base / lead, and row j needs only lead^(j+1) of den, so
+            # the overflow of every row but the last is divisible by lead
+            base = tuple(-c for c in self.min_poly[:-1])
+            rows = [tuple(c * lead ** (d - 2) for c in base)]
             for _ in range(d - 2):
-                prev = table[-1]
-                shifted = [Fraction(0)] + list(prev)
-                overflow = shifted.pop()
-                row = tuple(c + overflow * b for c, b in zip(shifted, base))
-                table.append(row)
-            self._red_table = table
+                overflow = rows[-1][-1] // lead
+                rows.append(tuple(s + overflow * b for s, b in zip((0,) + rows[-1][:-1], base)))
+            self._red_table = rows, lead ** (d - 1)
         return self._red_table
 
     def element(self, coeffs: Sequence[Rational]) -> "FieldElement":
@@ -389,22 +422,24 @@ class FieldElement:
         d = self.base.degree
         if d == 1:
             return FieldElement(self.base, (self.coeffs[0] * o.coeffs[0],))
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (2 * d - 1)
+        # convolve integer numerators, reduce by the integer table, and
+        # divide by the product of the three denominators at the end
+        a, da = _common_denominator(self.coeffs)
+        b, db = _common_denominator(o.coeffs)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        table = self.base._reduction_table()
-        out = list(prod[:d])
+                    prod[i + j] += ai * bj
+        rows, tden = self.base._reduction_table()
+        out = [c * tden for c in prod[:d]]
         for j in range(d, 2 * d - 1):
             c = prod[j]
             if c:
-                row = table[j - d]
-                for k in range(d):
-                    out[k] += c * row[k]
-        return FieldElement(self.base, tuple(out))
+                for k, r in enumerate(rows[j - d]):
+                    out[k] += c * r
+        den = da * db * tden
+        return FieldElement(self.base, tuple(Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -466,8 +501,7 @@ class FieldElement:
         if self.base.degree == 1:
             return 1 if self.coeffs[0] > 0 else -1
         while True:
-            lo, hi = self.base.interval
-            vlo, vhi = _interval_eval(self.coeffs, lo, hi)
+            vlo, vhi, _ = _interval_eval(self.coeffs, *self.base.interval)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -522,10 +556,9 @@ class FieldElement:
             v = self.coeffs[0]
             return v, v
         while True:
-            lo, hi = self.base.interval
-            vlo, vhi = _interval_eval(self.coeffs, lo, hi)
-            if vhi - vlo <= eps:
-                return vlo, vhi
+            vlo, vhi, scale = _interval_eval(self.coeffs, *self.base.interval)
+            if (vhi - vlo) * eps.denominator <= eps.numerator * scale:
+                return Fraction(vlo, scale), Fraction(vhi, scale)
             self.base._bisect()
 
     def as_fraction(self) -> Fraction:
@@ -558,14 +591,30 @@ def _poly_sub(a, b):
     return _trim([x - y for x, y in zip(a, b)])
 
 
+def _common_denominator(fracs: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    den = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def _interval_eval(
     coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    vlo = vhi = Fraction(0)
-    for c in reversed(coeffs):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+) -> tuple[int, int, int]:
+    """Interval Horner enclosure of the polynomial over [lo, hi], in scaled
+    integers: the enclosure is [vlo / scale, vhi / scale] with scale > 0.
+
+    Each step takes the least and greatest of the four endpoint products,
+    so the result is exactly the rational interval Horner recurrence."""
+    nums, scale = _common_denominator(coeffs)
+    (l, h), den = _common_denominator((lo, hi))
+    vlo = vhi = 0
+    power = 1  # den ** steps; after a step, vlo and vhi carry scale * den ** (steps - 1)
+    for c in reversed(nums):
+        cands = (vlo * l, vlo * h, vhi * l, vhi * h)
+        c *= power
         vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+        power *= den
+    return vlo, vhi, scale * power // den
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .thickness import (
 )
 from .words import Tail, WordSyntaxError, format_word, parse_word
 
-MAX_TREE_DEPTH = 512  # JSON nesting for orbit-tree is one level per step
+MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
 
 
 class InputError(ValueError):

@@ -1,12 +1,15 @@
 """Exact arithmetic kernel: root isolation, field ops, comparisons."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qslice import algebraic
 from qslice.algebraic import (
+    AlgebraicError,
     AlgebraicNumber,
     MixedField,
     MultipleRoots,
@@ -194,3 +197,119 @@ def test_sign_of_zero_difference(tri_base):
 def test_float_approximation(tri_base):
     g = tri_base.gen()
     assert abs(float(g * g) - float(TRIBONACCI_40) ** 2) < 1e-12
+
+
+# -- integer kernels against the rational recurrences they replaced ----------
+
+
+def _reference_interval_eval(coeffs, lo, hi):
+    vlo = vhi = Fraction(0)
+    for c in reversed(coeffs):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def _reference_mul(base, a, b):
+    # schoolbook product, then long division by the minimal polynomial
+    d = base.degree
+    p = [Fraction(c) for c in base.min_poly]
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        f = prod[k] / p[-1]
+        for i, c in enumerate(p):
+            prod[k - d + i] -= f * c
+    return tuple(prod[:d])
+
+
+mixed_fracs = st.fractions(min_value=-50, max_value=50, max_denominator=60) | st.just(Fraction(0))
+
+KERNEL_BASES = {
+    "tribonacci": ((-1, -1, -1, 1), 1, 2),
+    "two-orbit cubic": ((1, -2, -1, 1), Fraction(3, 2), Fraction(19, 10)),
+    "non-monic quadratic": ((-3, 0, 2), 1, 2),
+    "non-monic cubic": ((-2, -3, 0, 3), 1, 2),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(mixed_fracs, min_size=1, max_size=6), lo=mixed_fracs,
+       width=st.sampled_from([Fraction(0)]) | mixed_fracs.map(abs))
+@example(coeffs=[Fraction(1, 3), Fraction(0), Fraction(-5, 7), Fraction(2)],
+         lo=Fraction(3, 2), width=Fraction(2, 5))
+@example(coeffs=[Fraction(-1), Fraction(1, 6), Fraction(0)], lo=Fraction(-19, 10), width=Fraction(1, 3))
+@example(coeffs=[Fraction(7, 4), Fraction(-2, 9)], lo=Fraction(-3, 7), width=Fraction(0))
+def test_interval_kernel_matches_rational_recurrence(coeffs, lo, width):
+    vlo, vhi, scale = algebraic._interval_eval(coeffs, lo, lo + width)
+    assert scale > 0
+    assert (Fraction(vlo, scale), Fraction(vhi, scale)) == _reference_interval_eval(coeffs, lo, lo + width)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_BASES)), data=st.data())
+def test_mul_kernel_matches_rational_reduction(name, data):
+    poly, lo, hi = KERNEL_BASES[name]
+    base = algebraic_from_poly(poly, lo, hi)
+    vec = st.lists(mixed_fracs, min_size=base.degree, max_size=base.degree)
+    a, b = data.draw(vec), data.draw(vec)
+    prod = base.element(a) * base.element(b)
+    assert prod.coeffs == _reference_mul(base, a, b)
+    # sign and enclosure drive the same bisections as the rational route
+    ref_base = algebraic_from_poly(poly, lo, hi)
+    eps = Fraction(1, 10**6)
+    while True:
+        rlo, rhi = _reference_interval_eval(prod.coeffs, *ref_base.interval)
+        if rhi - rlo <= eps:
+            break
+        ref_base._bisect()
+    assert prod.to_interval(eps) == (rlo, rhi)
+    assert base.interval == ref_base.interval
+    expected = 0 if prod.is_zero() else 1 if rlo > 0 else -1 if rhi < 0 else None
+    if expected is not None:
+        assert prod.sign() == expected
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def low_degree_products(draw):
+    coef = st.integers(-12, 12) | st.integers(-(10**30), 10**30)
+    lead = coef.filter(bool)
+    degree = draw(st.integers(1, 3))
+    p = [1]
+    while len(p) - 1 < degree:
+        k = draw(st.integers(1, degree - len(p) + 1))
+        p = _poly_product(p, draw(st.lists(coef, min_size=k, max_size=k)) + [draw(lead)])
+    return p
+
+
+def _from_poly_outcome(p, lo, hi):
+    try:
+        a = algebraic_from_poly(p, lo, hi)
+    except AlgebraicError as e:
+        return type(e)
+    return a.min_poly, a.interval
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=low_degree_products(), lo=st.integers(-4, 4), width=st.integers(1, 8))
+@example(p=[-(10**40 + 3) * 7, 0, 0, 7 * (10**40 + 1)], lo=0, width=2)
+@example(p=[6, -2, -3, 1], lo=1, width=1)
+@example(p=_poly_product([-3, 7], [1, -2, 5]), lo=0, width=1)
+def test_low_degree_factoring_matches_sympy(p, lo, width):
+    # degree <= 3 factors by a rational-root test; sympy is the reference
+    with mock.patch.object(algebraic, "_irreducible_factors", algebraic._sympy_factors):
+        expected = _from_poly_outcome(p, lo, lo + width)
+    assert _from_poly_outcome(p, lo, lo + width) == expected
+    if expected is not NonSquareFree:
+        prim = algebraic._primitive(p)
+        assert sorted(algebraic._irreducible_factors(prim)) == sorted(algebraic._sympy_factors(prim))

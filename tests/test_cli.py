@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qslice.cli import parse_number, run
+from qslice.cli import MAX_TREE_DEPTH, parse_number, run
 from qslice.algebraic import bonacci_root, compare_reals, Ordering
 
 
@@ -293,6 +293,18 @@ def test_input_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_orbit_tree_at_depth_cap(capsys):
+    # one alive path (0, 2)* at q=5/3, y=3/8 nests the record to the full
+    # depth; both the output and json.loads of it must fit the stack
+    code, lines = invoke(
+        capsys, ["orbit-tree", "--q", "5/3", "--y", "3/8", "--depth", str(MAX_TREE_DEPTH)]
+    )
+    assert code == 0
+    head, tree = records(lines)
+    assert head["alive"] == 1
+    assert _leaf_count(tree, MAX_TREE_DEPTH) == 1
+
+
 def test_sorted_keys(capsys):
     _, lines = invoke(
         capsys, ["orbit-tree", "--q", "3/2", "--y", "1/2", "--depth", "4"]
@@ -303,17 +315,18 @@ def test_sorted_keys(capsys):
 
 
 def test_common_commands_load_neither_numpy_nor_sympy():
-    # sympy only factors a user's algebraic: literal; a fresh interpreter
+    # sympy only factors an algebraic: literal of degree >= 4; a fresh interpreter
     # shows what these commands really import
     runs = [
         ["bonacci", "null", "--k", "3"],
         ["thickness", "--q", "1999/1000", "--set", "aq", "--level", "12"],
         ["dimension", "--q", "3/2", "--y", "1/6", "--method", "box", "--levels", "3"],
+        ["bonacci", "c2", "--q", "algebraic:1,-2,-1,1:3/2:19/10"],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         f"import sys; sys.path.insert(0, {src!r}); from qslice.cli import run\n"
-        f"assert [run(argv) for argv in {runs!r}] == [0, 0, 0]\n"
+        f"assert [run(argv) for argv in {runs!r}] == [0, 0, 0, 0]\n"
         "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
