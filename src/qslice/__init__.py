@@ -61,7 +61,6 @@ from .slices import (
     ClaimKind,
     SliceInputError,
     SliceResult,
-    classify_cardinality,
     compute_slice,
     eval_okamoto,
     geometric_slice_oracle,

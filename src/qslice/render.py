@@ -81,6 +81,9 @@ def _check_overlays(spec: RenderSpec) -> None:
     for x, y in spec.markers:
         if not (0 <= x <= 1 and 0 <= y <= 1):
             raise RenderError("markers must lie in the unit square")
+    for lo, hi in spec.bands:
+        if not 0 <= lo <= hi <= 1:
+            raise RenderError("bands must satisfy 0 <= lo <= hi <= 1")
 
 
 def render_kq(q, spec: RenderSpec = RenderSpec()) -> str:

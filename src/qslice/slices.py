@@ -179,12 +179,6 @@ def compute_slice(
     )
 
 
-def classify_cardinality(
-    q: AlgebraicNumber, y: PointLike, depth: int, max_cylinders: int = 4096
-) -> CardinalityClaim:
-    return compute_slice(q, y, depth, max_cylinders).claim
-
-
 # ---------------------------------------------------------------------------
 # geometric oracle: pure box descent, no dynamics
 # ---------------------------------------------------------------------------

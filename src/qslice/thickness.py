@@ -275,6 +275,7 @@ class ShiftSetAnalysis:
         self._ecl: dict = {}
         self._ecr: dict = {}
         self._maxgap: dict = {}
+        self._template: dict = {}
 
     # -- automaton ----------------------------------------------------------
 
@@ -345,8 +346,7 @@ class ShiftSetAnalysis:
     def _depths_from(self, root) -> dict:
         depth = {root: 0}
         queue = [root]
-        while queue:
-            s = queue.pop(0)
+        for s in queue:
             for _, t in self.successors(s):
                 if t not in depth:
                     depth[t] = depth[s] + 1
@@ -406,23 +406,40 @@ class ShiftSetAnalysis:
         memo[key] = min(cands)
         return memo[key]
 
-    def thickness_bound(self) -> tuple[FieldElement, dict]:
-        """Certified lower bound for the thickness of the projection.
+    def gap_template(self, state) -> Optional[tuple[FieldElement, ...]]:
+        """The state's own gap at unit scale, or None when it has none:
+        (left end, right end, size, bridge lower bound). The copy of the
+        state's set at offset off and scale sc has this gap mapped by
+        x -> off + sc * x, so every gap of the projection is such a copy.
 
-        For each per-state gap the flanking bridges are measured inside the
-        adjacent child copies only; any real bridge is at least as long.
+        The flanking bridges are measured inside the adjacent child copies
+        only; any real bridge is at least as long.
         """
-        g = self.g
+        if state not in self._template:
+            gap = self.own_gap(state)
+            template = None
+            if gap is not None:
+                g = self.g
+                (_, s0), (_, s1) = self.successors(state)
+                bridge_l = self._clearance(s0, gap * g, False) / g
+                bridge_r = self._clearance(s1, gap * g, True) / g
+                left, right = self.vmax(s0) / g, (1 + self.vmin(s1)) / g
+                template = (left, right, gap, min(bridge_l, bridge_r))
+            self._template[state] = template
+        return self._template[state]
+
+    def thickness_bound(self) -> tuple[FieldElement, dict]:
+        """Certified lower bound for the thickness of the projection: the
+        least bridge-to-gap ratio of the per-state gaps, which every scaled
+        copy shares."""
         best = None
         details = {}
         for s in self.states():
-            gap = self.own_gap(s)
-            if gap is None:
+            template = self.gap_template(s)
+            if template is None:
                 continue
-            (_, s0), (_, s1) = self.successors(s)
-            bridge_l = self._clearance(s0, gap * g, False) / g
-            bridge_r = self._clearance(s1, gap * g, True) / g
-            ratio = min(bridge_l, bridge_r) / gap
+            _, _, gap, bridge = template
+            ratio = bridge / gap
             details[str(s)] = bracket(ratio)
             if best is None or ratio < best:
                 best = ratio
@@ -484,9 +501,8 @@ def _aq_value_bracket(
 
 def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
     template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
-    g = q.gen()
     free = template.free_below(level)
-    records = []
+    spans = []  # (level, left, right, meta) of each gap
     for idx, pos in enumerate(free):
         earlier = free[:idx]
         for mask in range(2 ** len(earlier)):
@@ -500,110 +516,82 @@ def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
             high[pos] = 1
             left = _aq_value_bracket(template, low, pos + 1, 1)
             right = _aq_value_bracket(template, high, pos + 1, 0)
-            size = (right[0] - left[1], right[1] - left[0])
-            records.append(
-                GapRecord(
-                    level=pos + 2,
-                    left=left,
-                    right=right,
-                    size=size,
-                    bridge_lb=g.base.zero(),  # filled in below
-                    meta={"free_position": pos, "mask": mask},
-                )
-            )
+            spans.append((pos + 2, left, right, {"free_position": pos, "mask": mask}))
     hull_lo = _aq_value_bracket(template, {}, 0, 0)
     hull_hi = _aq_value_bracket(template, {}, 0, 1)
 
     # bridges: distance to the nearest gap of at least equal size, or to the
     # hull end; a gap's level orders its size, smaller level = larger gap
-    records.sort(key=lambda r: r.left[0])
-    finished = []
-    for i, rec in enumerate(records):
+    spans.sort(key=lambda sp: sp[1][0])
+    records = []
+    for i, (lev, left, right, meta) in enumerate(spans):
         best = None
         for j in range(i - 1, -1, -1):
-            if records[j].level <= rec.level:
-                cand = rec.left[0] - records[j].right[1]
-                best = cand if best is None else min(best, cand)
+            if spans[j][0] <= lev:
+                best = left[0] - spans[j][2][1]
                 break
-        cand = rec.left[0] - hull_lo[1]
+        cand = left[0] - hull_lo[1]
         best = cand if best is None else min(best, cand)
-        for j in range(i + 1, len(records)):
-            if records[j].level <= rec.level:
-                cand = records[j].left[0] - rec.right[1]
-                best = min(best, cand)
+        for j in range(i + 1, len(spans)):
+            if spans[j][0] <= lev:
+                best = min(best, spans[j][1][0] - right[1])
                 break
         else:
-            best = min(best, hull_hi[0] - rec.right[1])
-        finished.append(
-            GapRecord(rec.level, rec.left, rec.right, rec.size, best, rec.meta)
-        )
-    finished.sort(key=lambda r: (-r.size[0], r.left[0]))
+            best = min(best, hull_hi[0] - right[1])
+        size = (right[0] - left[1], right[1] - left[0])
+        records.append(GapRecord(lev, left, right, size, best, meta))
+    records.sort(key=lambda r: (-r.size[0], r.left[0]))
     return GapStructure(
-        GapFamily.AqSet, 9, level, (hull_lo, hull_hi), tuple(finished)
+        GapFamily.AqSet, 9, level, (hull_lo, hull_hi), tuple(records)
     )
 
 
 def _enumerate_sk_gaps(
-    q: AlgebraicNumber,
-    k: int,
-    level: int,
-    scale: Optional[FieldElement] = None,
-    shift: Optional[FieldElement] = None,
+    ana: ShiftSetAnalysis, family: GapFamily, level: int
 ) -> GapStructure:
-    ana = ShiftSetAnalysis(q, k)
-    g = q.gen()
-    one = g.base.one()
-    scale = one if scale is None else scale
-    shift = g.base.zero() if shift is None else shift
+    """Breadth-first walk of the follower-state automaton to the given
+    level. A node (state, off, sc) is the copy of the state's set under
+    x -> off + sc * x, and its gap is the state's template under the same
+    map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x."""
+    g = ana.g
+    if family == GapFamily.SkSet:
+        shift, scale = g.base.zero(), g.base.one()
+    else:
+        shift, scale = g.base.one(), 2 - g
+    ginv = 1 / g
 
     records = []
-    frontier = [(_START, g.base.zero(), one, 0)]
-    while frontier and len(records) < SK_GAP_CAP:
-        state, off, sc, d = frontier.pop(0)
+    frontier = [(_START, shift, scale, 0)]
+    for state, off, sc, d in frontier:
+        if len(records) >= SK_GAP_CAP:
+            break
         if d >= level:
             continue
-        moves = ana.successors(state)
-        gap = ana.own_gap(state)
-        if gap is not None and len(moves) == 2:
-            (_, s0), (_, s1) = moves
-            gl = off + sc * (ana.vmax(s0) / g)
-            gr = off + sc * ((1 + ana.vmin(s1)) / g)
-            bridge_l = sc * (ana._clearance(s0, gap * g, False) / g)
-            bridge_r = sc * (ana._clearance(s1, gap * g, True) / g)
+        template = ana.gap_template(state)
+        if template is not None:
+            left, right, gap, bridge = template
+            left, right = off + sc * left, off + sc * right
             size = sc * gap
             records.append(
                 GapRecord(
                     level=d,
-                    left=(gl, gl),
-                    right=(gr, gr),
+                    left=(left, left),
+                    right=(right, right),
                     size=(size, size),
-                    bridge_lb=min(bridge_l, bridge_r),
+                    bridge_lb=sc * bridge,
                     meta={"state": str(state)},
                 )
             )
-        for dig, child in moves:
-            frontier.append((child, off + sc * (dig / g), sc / g, d + 1))
+        child_sc = sc * ginv
+        for dig, child in ana.successors(state):
+            frontier.append((child, off + child_sc if dig else off, child_sc, d + 1))
 
+    records.sort(key=lambda r: (-r.size[0], r.left[0]))
     hull_lo = shift + scale * ana.vmin(_START)
     hull_hi = shift + scale * ana.vmax(_START)
-    out = []
-    for r in records:
-        left = shift + scale * r.left[0]
-        right = shift + scale * r.right[0]
-        size = scale * r.size[0]
-        out.append(
-            GapRecord(
-                r.level,
-                (left, left),
-                (right, right),
-                (size, size),
-                scale * r.bridge_lb,
-                r.meta,
-            )
-        )
-    out.sort(key=lambda r: (-r.size[0], r.left[0]))
-    fam = GapFamily.SkSet if scale == 1 and shift == 0 else GapFamily.ScaledShiftedSk
-    return GapStructure(fam, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(out))
+    return GapStructure(
+        family, ana.k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(records)
+    )
 
 
 def enumerate_gaps(
@@ -619,10 +607,7 @@ def enumerate_gaps(
     """
     if family == GapFamily.AqSet:
         return _enumerate_aq_gaps(q, level)
-    if family == GapFamily.SkSet:
-        return _enumerate_sk_gaps(q, k, level)
-    g = q.gen()
-    return _enumerate_sk_gaps(q, k, level, scale=2 - g, shift=g.base.one())
+    return _enumerate_sk_gaps(ShiftSetAnalysis(q, k), family, level)
 
 
 def thickness_lower_bound(gs: GapStructure) -> FieldElement:
@@ -708,7 +693,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
 
     ana = ShiftSetAnalysis(q, 9)
     tau_s, tau_detail = ana.thickness_bound()
-    scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 12)
+    scaled = _enumerate_sk_gaps(ana, GapFamily.ScaledShiftedSk, 12)
     try:
         checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
         checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))

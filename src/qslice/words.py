@@ -61,16 +61,6 @@ class Word:
     def __mul__(self, n: int) -> "Word":
         return Word(self.alphabet, self.symbols * n)
 
-    def startswith(self, prefix: "Word") -> bool:
-        return self.symbols[: len(prefix)] == prefix.symbols
-
-    def is_prefix_of(self, other: "Word") -> bool:
-        return other.startswith(self)
-
-    def comparable(self, other: "Word") -> bool:
-        """True iff one word is a prefix of the other."""
-        return self.is_prefix_of(other) or other.is_prefix_of(self)
-
     def __repr__(self) -> str:
         return f"Word({self.alphabet.name}, {''.join(map(str, self.symbols))!r})"
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qslice.algebraic import bonacci_root
+from qslice.cli import run
 from qslice.render import RenderError, RenderSpec, graph_polyline, render_kq
 
 Q53 = Fraction(5, 3)
@@ -92,3 +93,13 @@ def test_overlays_must_stay_in_unit_square():
         render_kq(Q53, RenderSpec(iterations=1, slice_height=Fraction(5, 4)))
     with pytest.raises(RenderError):
         render_kq(Q53, RenderSpec(iterations=1, markers=((Fraction(2), Fraction(1, 2)),)))
+    for band in ((Fraction(1, 2), Fraction(1, 4)), (Fraction(2), Fraction(3)), (Fraction(-1, 4), 0)):
+        with pytest.raises(RenderError):
+            render_kq(Q53, RenderSpec(iterations=1, bands=(band,)))
+
+
+def test_cli_rejects_band_outside_unit_interval(capsys):
+    argv = ["render", "--q", "3/2", "--iterations", "1", "--svg", "-"]
+    assert run(argv + ["--band", "1/2:1/4", "--band", "2:3"]) == 1
+    assert "bands" in capsys.readouterr().out
+    assert run(argv + ["--band", "0:1", "--band", "1/2:1/2"]) == 0

@@ -4,13 +4,19 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from qslice import thickness
 from qslice.algebraic import AlgebraicNumber, bonacci_root
-from qslice.certificates import check, from_json, to_json, verify
+from qslice.certificates import bracket, check, from_json, to_json, verify
 from qslice.slices import ClaimKind
 from qslice.thickness import (
+    _START,
+    SK_GAP_CAP,
     BaseTooSmall,
     GapFamily,
+    GapRecord,
+    GapStructure,
     ShiftSetAnalysis,
+    ThicknessError,
     W2,
     build_aq_prefixes,
     enumerate_gaps,
@@ -199,3 +205,125 @@ def test_find_slice3_witness_shallow():
     assert len(res.cylinders) == 3
     assert [w.symbols[0] for w in res.cylinders] == [0, 1, 2]
     assert res.branch_events == ((0, ()),)
+
+
+def reference_sk_gaps(q, k, level, scale=None, shift=None):
+    """The shift-set gap walk that divides by q at every node and rescales
+    every record afterwards: the reference for the template walk."""
+    ana = ShiftSetAnalysis(q, k)
+    g = q.gen()
+    one = g.base.one()
+    scale = one if scale is None else scale
+    shift = g.base.zero() if shift is None else shift
+
+    records = []
+    frontier = [(_START, g.base.zero(), one, 0)]
+    while frontier and len(records) < SK_GAP_CAP:
+        state, off, sc, d = frontier.pop(0)
+        if d >= level:
+            continue
+        moves = ana.successors(state)
+        gap = ana.own_gap(state)
+        if gap is not None and len(moves) == 2:
+            (_, s0), (_, s1) = moves
+            gl = off + sc * (ana.vmax(s0) / g)
+            gr = off + sc * ((1 + ana.vmin(s1)) / g)
+            bridge_l = sc * (ana._clearance(s0, gap * g, False) / g)
+            bridge_r = sc * (ana._clearance(s1, gap * g, True) / g)
+            size = sc * gap
+            records.append(
+                GapRecord(
+                    level=d,
+                    left=(gl, gl),
+                    right=(gr, gr),
+                    size=(size, size),
+                    bridge_lb=min(bridge_l, bridge_r),
+                    meta={"state": str(state)},
+                )
+            )
+        for dig, child in moves:
+            frontier.append((child, off + sc * (dig / g), sc / g, d + 1))
+
+    hull_lo = shift + scale * ana.vmin(_START)
+    hull_hi = shift + scale * ana.vmax(_START)
+    out = []
+    for r in records:
+        left = shift + scale * r.left[0]
+        right = shift + scale * r.right[0]
+        size = scale * r.size[0]
+        out.append(
+            GapRecord(
+                r.level,
+                (left, left),
+                (right, right),
+                (size, size),
+                scale * r.bridge_lb,
+                r.meta,
+            )
+        )
+    out.sort(key=lambda r: (-r.size[0], r.left[0]))
+    fam = GapFamily.SkSet if scale == 1 and shift == 0 else GapFamily.ScaledShiftedSk
+    return GapStructure(fam, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(out))
+
+
+def reference_ratios(q, k):
+    """Per-state bridge-to-gap ratios from the clearance formulas directly."""
+    ana = ShiftSetAnalysis(q, k)
+    g = q.gen()
+    ratios = {}
+    for s in ana.states():
+        gap = ana.own_gap(s)
+        if gap is not None:
+            (_, s0), (_, s1) = ana.successors(s)
+            bridge_l = ana._clearance(s0, gap * g, False) / g
+            bridge_r = ana._clearance(s1, gap * g, True) / g
+            ratios[str(s)] = min(bridge_l, bridge_r) / gap
+    return ratios
+
+
+SK_CASES = [
+    (AlgebraicNumber.from_rational(qf), k, levels)
+    for qf in (F(1999, 1000), F(19, 10))
+    for k in (3, 4, 9)
+    for levels in ((0, 1, 2, 5, 8),)
+] + [(bonacci_root(10), k, (0, 3, 6)) for k in (3, 4, 9)]
+
+
+@pytest.mark.parametrize("q, k, levels", SK_CASES)
+def test_sk_walk_matches_reference(q, k, levels):
+    g = q.gen()
+    for level in levels:
+        plain = enumerate_gaps(q, GapFamily.SkSet, level, k=k)
+        assert plain == reference_sk_gaps(q, k, level)
+        scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, level, k=k)
+        assert scaled == reference_sk_gaps(q, k, level, scale=2 - g, shift=g.base.one())
+
+
+@pytest.mark.parametrize("q, k", [(q, k) for q, k, _ in SK_CASES])
+def test_thickness_bound_matches_reference_ratios(q, k):
+    ratios = reference_ratios(q, k)
+    if not ratios:  # the child copies overlap at every state
+        with pytest.raises(ThicknessError):
+            ShiftSetAnalysis(q, k).thickness_bound()
+        return
+    tau, details = ShiftSetAnalysis(q, k).thickness_bound()
+    assert tau == min(ratios.values())
+    assert details.keys() == ratios.keys()
+    for s, ratio in ratios.items():
+        lo, hi = details[s]
+        assert F(lo) <= ratio <= F(hi)
+        if q.is_rational:
+            assert details[s] == bracket(ratio)
+
+
+def test_newhouse_builds_one_shift_analysis(monkeypatch):
+    built = []
+
+    class Counted(ShiftSetAnalysis):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(thickness, "ShiftSetAnalysis", Counted)
+    newhouse_certify(QBIG, level=14)
+    assert len(built) == 1
