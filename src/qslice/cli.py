@@ -5,7 +5,8 @@ byte-reproducible. Every inexact numeric quantity is reported as a pair
 of rational bounds, never as a bare float.
 
 Exit codes: 0 for a definite or certified answer, 2 for an honest
-"could not decide", 1 for unusable input.
+"could not decide", 1 for unusable input, 3 for a fault of the program
+itself (reported on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -82,11 +84,22 @@ def parse_number(text: str) -> AlgebraicNumber:
         raise InputError(f"cannot parse number {text!r}: {e}")
 
 
-def parse_height(text: str) -> Fraction:
+def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"cannot parse height {text!r}: {e}")
+        raise InputError(f"cannot parse {what} {text!r}: {e}")
+
+
+def parse_height(text: str) -> Fraction:
+    return _parse_fraction(text, "height")
+
+
+def _parse_pair(text: str, sep: str, what: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise InputError(f"bad {what} {text!r}: expected two numbers joined by {sep!r}")
+    return _parse_fraction(parts[0], what), _parse_fraction(parts[1], what)
 
 
 def _interval(x, eps: Fraction = Fraction(1, 10**18)) -> list[str]:
@@ -403,28 +416,23 @@ def _cmd_dimension(args) -> int:
 
 def _cmd_render(args) -> int:
     q = parse_number(args.q)
-    markers = []
-    for m in args.marker or []:
-        xs, ys = m.split(",")
-        markers.append((Fraction(xs), Fraction(ys)))
-    bands = []
-    for b in args.band or []:
-        ls, hs = b.split(":")
-        bands.append((Fraction(ls), Fraction(hs)))
     spec = RenderSpec(
         width=args.width,
         height=args.height,
         iterations=args.iterations,
-        slice_height=Fraction(args.slice_height) if args.slice_height else None,
-        markers=tuple(markers),
-        bands=tuple(bands),
+        slice_height=parse_height(args.slice_height) if args.slice_height else None,
+        markers=tuple(_parse_pair(m, ",", "marker") for m in args.marker or []),
+        bands=tuple(_parse_pair(b, ":", "band") for b in args.band or []),
     )
     svg = render_kq(q, spec)
     if args.svg == "-":
         sys.stdout.write(svg)
         return 0
-    with open(args.svg, "w") as f:
-        f.write(svg)
+    try:
+        with open(args.svg, "w") as f:
+            f.write(svg)
+    except OSError as e:
+        raise InputError(f"cannot write {args.svg!r}: {e.strerror}")
     _emit({"command": "render", "svg": args.svg, "bytes": len(svg)})
     return 0
 
@@ -439,6 +447,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int_from(least: int):
+    """argparse type of the integer options: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
+_NONNEGATIVE = _int_from(0)
+_POSITIVE = _int_from(1)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="qslice", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -446,8 +473,8 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("slice", help="enumerate the expansion orbits at a height")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
-    s.add_argument("--depth", type=int, default=48)
-    s.add_argument("--max-cylinders", type=int, default=4096)
+    s.add_argument("--depth", type=_NONNEGATIVE, default=48)
+    s.add_argument("--max-cylinders", type=_POSITIVE, default=4096)
     s.add_argument(
         "--oracle",
         action="store_true",
@@ -458,47 +485,47 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("orbit-tree", help="expand the branch tree at a height")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
-    s.add_argument("--depth", type=int, default=12)
+    s.add_argument("--depth", type=_NONNEGATIVE, default=12)
     s.set_defaults(fn=_cmd_orbit_tree)
 
     s = sub.add_parser("thickness", help="enumerate the gaps of a fractal set family")
     s.add_argument("--q", required=True)
     s.add_argument("--set", required=True, help="aq, sk:<k>, or scaled-sk:<k>")
-    s.add_argument("--level", type=int, default=40)
+    s.add_argument("--level", type=_NONNEGATIVE, default=40)
     s.set_defaults(fn=_cmd_thickness)
 
     s = sub.add_parser(
         "certify-slice3", help="locate and certify a three-orbit height"
     )
     s.add_argument("--q", required=True)
-    s.add_argument("--depth", type=int, default=48)
-    s.add_argument("--level", type=int, default=40)
+    s.add_argument("--depth", type=_NONNEGATIVE, default=48)
+    s.add_argument("--level", type=_NONNEGATIVE, default=40)
     s.set_defaults(fn=_cmd_certify_slice3)
 
     s = sub.add_parser("bonacci", help="orbit counts at multinacci bases")
     s.add_argument("mode", choices=["verify", "null", "c2"])
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--m", type=int, default=1)
+    s.add_argument("--k", type=_int_from(2), default=3)
+    s.add_argument("--m", type=_NONNEGATIVE, default=1)
     s.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
     s.add_argument("--q")
-    s.add_argument("--depth", type=int)
+    s.add_argument("--depth", type=_POSITIVE)
     s.set_defaults(fn=_cmd_bonacci)
 
     s = sub.add_parser("dimension", help="dimension bounds for slices")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--method", choices=["mass", "box"], default="mass")
-    s.add_argument("--levels", type=int)
-    s.add_argument("--grid", type=int, default=256)
-    s.add_argument("--max-len", type=int, default=48)
+    s.add_argument("--levels", type=_NONNEGATIVE)
+    s.add_argument("--grid", type=_int_from(3), default=256)
+    s.add_argument("--max-len", type=_POSITIVE, default=48)
     s.set_defaults(fn=_cmd_dimension)
 
     s = sub.add_parser("render", help="draw the carrier as SVG")
     s.add_argument("--q", required=True)
-    s.add_argument("--iterations", type=int, default=7)
+    s.add_argument("--iterations", type=_NONNEGATIVE, default=7)
     s.add_argument("--svg", required=True, help="file path, or - for stdout")
-    s.add_argument("--width", type=int, default=640)
-    s.add_argument("--height", type=int, default=640)
+    s.add_argument("--width", type=_POSITIVE, default=640)
+    s.add_argument("--height", type=_POSITIVE, default=640)
     s.add_argument("--slice-height")
     s.add_argument("--marker", action="append", help="x,y (repeatable)")
     s.add_argument("--band", action="append", help="lo:hi (repeatable)")
@@ -511,15 +538,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except InputError as e:
+    except (InputError, SliceInputError, WordSyntaxError, InvalidBase, RenderError) as e:
         _emit({"error": str(e)})
         return 1
     except (BonacciError, DimensionError, ThicknessError) as e:
         _emit({"error": str(e)})
         return 2
-    except (SliceInputError, WordSyntaxError, InvalidBase, RenderError, ValueError) as e:
-        _emit({"error": str(e)})
-        return 1
+    except Exception:
+        # anything else is a fault of the program, never of its input
+        print("qslice: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def main() -> None:

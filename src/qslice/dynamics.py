@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from math import lcm
+from typing import Callable, Optional, Union
 
 from .algebraic import (
     AlgebraicNumber,
@@ -214,6 +215,102 @@ def orbit_step(sys: ExpansionSystem, level: Level) -> tuple[Level, list[tuple[in
         for lab in labels:
             nxt.append((path + (lab,), sys.branch(lab)(p)))
     return nxt, forked
+
+
+@dataclass(frozen=True)
+class Frontier:
+    """The last level of a breadth-first walk: its paths in path order, the
+    (step, path) of every fork on the way, and whether the walk stopped
+    early. points() builds the level's points, in the same order, only
+    when asked: the rational walk never needs them itself."""
+
+    paths: list[tuple[int, ...]]
+    events: list[tuple[int, tuple[int, ...]]]
+    truncated: bool
+    points: Callable[[], list[FieldElement]]
+
+
+def frontier_walk(
+    sys: ExpansionSystem, x: PointLike, depth: int, max_cylinders: int
+) -> Frontier:
+    """Walk every applicable branch sequence from x for depth steps, as
+    repeated orbit_step calls would. The walk stops, truncated, after the
+    first step whose level holds more than max_cylinders paths.
+
+    At rational bases the walk runs on integers; elsewhere it is the
+    orbit_step loop itself."""
+    p = sys.lift(x)
+    if sys.base.is_rational:
+        return _integer_walk(sys, p.as_fraction(), depth, max_cylinders)
+    level: Level = [((), p)]
+    events: list[tuple[int, tuple[int, ...]]] = []
+    truncated = False
+    for step in range(depth):
+        level, forked = orbit_step(sys, level)
+        events.extend((step, path) for path in forked)
+        if len(level) > max_cylinders:
+            truncated = True
+            break
+    return Frontier(
+        [path for path, _ in level], events, truncated, lambda: [pt for _, pt in level]
+    )
+
+
+def _first_above(lo: Fraction, closed: bool, den: int) -> int:
+    """Least integer n with n/den > lo, or >= lo when closed."""
+    t = lo.numerator * den
+    return -(-t // lo.denominator) if closed else t // lo.denominator + 1
+
+
+def _last_below(hi: Fraction, closed: bool, den: int) -> int:
+    """Greatest integer n with n/den < hi, or <= hi when closed."""
+    t = hi.numerator * den
+    return t // hi.denominator if closed else -(-t // hi.denominator) - 1
+
+
+def _integer_walk(
+    sys: ExpansionSystem, x: Fraction, depth: int, max_cylinders: int
+) -> Frontier:
+    """frontier_walk at a rational base. A level's points are integers n
+    over one denominator den(x)*L^step, where L is the least common
+    denominator of the branch slopes and offsets; a branch s*x + o sends
+    n/D to ((s*L)*n + (o*L)*D) / (D*L). Each domain end is scaled by D and
+    rounded inward once per level, so applicability is two integer
+    comparisons."""
+    coeffs = [(m.slope.as_fraction(), m.offset.as_fraction()) for m in sys.maps]
+    scale = lcm(*(c.denominator for pair in coeffs for c in pair))
+    table = [
+        (m.label, int(s * scale), int(o * scale), m.lo.as_fraction(), m.lo_closed,
+         m.hi.as_fraction(), m.hi_closed)
+        for m, (s, o) in zip(sys.maps, coeffs)
+    ]
+    level = [((), x.numerator)]
+    den = x.denominator
+    events: list[tuple[int, tuple[int, ...]]] = []
+    truncated = False
+    for step in range(depth):
+        branches = [
+            (lab, s, o * den, _first_above(lo, lc, den), _last_below(hi, hc, den))
+            for lab, s, o, lo, lc, hi, hc in table
+        ]
+        nxt = []
+        for path, n in level:
+            size = len(nxt)
+            for lab, s, od, first, last in branches:
+                if first <= n <= last:
+                    nxt.append((path + (lab,), s * n + od))
+            if len(nxt) - size >= 2:
+                events.append((step, path))
+        level = nxt
+        den *= scale
+        if len(level) > max_cylinders:
+            truncated = True
+            break
+    base = sys.base
+    return Frontier(
+        [path for path, _ in level], events, truncated,
+        lambda: [base.rational(Fraction(n, den)) for _, n in level],
+    )
 
 
 def level_sizes(sys: ExpansionSystem, x: PointLike, depth: int) -> list[int]:

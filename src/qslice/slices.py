@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .algebraic import AlgebraicNumber, FieldElement
 from .dynamics import (
-    Level,
     PointLike,
-    orbit_step,
+    frontier_walk,
     ternary_branch_system,
     unique_orbit_check,
     UniqueOrbitResult,
@@ -135,35 +135,26 @@ def compute_slice(
     """
     yv = _lift_unit_value(q, y)
     sys = ternary_branch_system(q)
-    x0 = yv / (sys.q() - 1)
+    walk = frontier_walk(sys, yv / (sys.q() - 1), depth, max_cylinders)
+    events = tuple(walk.events)
 
-    frontier: Level = [((), x0)]
-    events: list[tuple[int, tuple[int, ...]]] = []
-    truncated = False
-    for step in range(depth):
-        frontier, forked = orbit_step(sys, frontier)
-        events.extend((step, path) for path in forked)
-        if len(frontier) > max_cylinders:
-            truncated = True
-            break
-
-    cylinders = tuple(Word(Alphabet.TERNARY, path) for path, _ in frontier)
+    cylinders = tuple(Word(Alphabet.TERNARY, path) for path in walk.paths)
     witness = _doubling_witness(events)
 
     if witness is not None:
         claim = uncountable_pattern(witness)
         return SliceResult(
-            q, yv, depth, cylinders, claim, tuple(events), truncated
+            q, yv, depth, cylinders, claim, events, walk.truncated
         )
-    if truncated:
+    if walk.truncated:
         return SliceResult(
-            q, yv, depth, cylinders, unknown_cardinality(), tuple(events), True
+            q, yv, depth, cylinders, unknown_cardinality(), events, True
         )
 
-    n = len(frontier)
+    n = len(cylinders)
     groups = _adjacency_groups(list(cylinders))
     probes = tuple(
-        unique_orbit_check(q, point, depth) for _, point in frontier
+        unique_orbit_check(q, point, depth) for point in walk.points()
     )
     branched = any(
         r.status == UniqueOrbitStatus.BranchFoundAt for r in probes
@@ -175,7 +166,7 @@ def compute_slice(
     else:
         claim = exactly(n, certified=False)
     return SliceResult(
-        q, yv, depth, cylinders, claim, tuple(events), False, probes
+        q, yv, depth, cylinders, claim, events, False, probes
     )
 
 
@@ -203,6 +194,8 @@ def geometric_slice_oracle(
     flip_scale = 2 * inv - 1  # slope magnitude of the middle contraction
     # vertical parts as (slope, offset); the middle one reverses orientation
     parts = ((inv, g.base.zero()), (-flip_scale, inv), (inv, 1 - inv))
+    if q.is_rational:
+        return _integer_boxes(parts, yv.as_fraction(), depth)
 
     # a word's box height range is the composed map applied to [0, 1], so
     # appending a digit composes on the inside: slope and offset update by
@@ -217,6 +210,31 @@ def geometric_slice_oracle(
                 ca, cb = a * s, a * o + b
                 lo, hi = (cb, ca + cb) if ca > 0 else (ca + cb, cb)
                 if lo <= yv <= hi:
+                    nxt.append((path + (lab,), ca, cb))
+        frontier = nxt
+    return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+
+
+def _integer_boxes(parts, y: Fraction, depth: int) -> set[Word]:
+    """The box descent at a rational base q = a/b, where every vertical
+    part is an integer pair over a. A word of length n keeps its slope and
+    offset as numerators over a^n, so the test lo <= y <= hi reads
+    lo*den(y) <= num(y)*a^n <= hi*den(y)."""
+    fracs = [(s.as_fraction(), o.as_fraction()) for s, o in parts]
+    a = lcm(*(c.denominator for pair in fracs for c in pair))
+    steps = list(enumerate((int(s * a), int(o * a)) for s, o in fracs))
+    yd = y.denominator
+    ya = y.numerator
+    frontier = [((), 1, 0)]
+    for _ in range(depth):
+        ya *= a
+        nxt = []
+        for path, sl, off in frontier:
+            off *= a
+            for lab, (s, o) in steps:
+                ca, cb = sl * s, sl * o + off
+                lo, hi = (cb, ca + cb) if ca > 0 else (ca + cb, cb)
+                if lo * yd <= ya <= hi * yd:
                     nxt.append((path + (lab,), ca, cb))
         frontier = nxt
     return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}

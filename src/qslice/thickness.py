@@ -10,8 +10,10 @@ certifying nonempty intersection and, downstream, a three-point slice.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .algebraic import (
@@ -192,6 +194,30 @@ class AqTemplate:
 
     def count(self, k: int) -> int:
         return 2 ** len(self.free_below(k))
+
+    @cached_property
+    def value_terms(
+        self,
+    ) -> tuple[FieldElement, tuple[FieldElement, ...], tuple[FieldElement, ...], FieldElement]:
+        """The exact parts of a value that every assignment shares: the sum
+        of the fixed one-bits, each position's weight q^-(pos+1), the total
+        weight of the free positions from each free index on, and a bound
+        on the digits past the stored template."""
+        g = self.base.gen()
+        ginv = 1 / g
+        powers = [g.base.one()]
+        for _ in self.bits:
+            powers.append(powers[-1] * ginv)
+        weights = powers[1:]
+        fixed = g.base.zero()
+        for w, bit in zip(weights, self.bits):
+            if bit == 1:
+                fixed = fixed + w
+        suffix = [g.base.zero()]
+        for pos in reversed(self.free_positions):
+            suffix.append(suffix[-1] + weights[pos])
+        tail_bound = powers[-1] / (g - 1)
+        return fixed, tuple(weights), tuple(reversed(suffix)), tail_bound
 
     def prefixes(self, k: int) -> list[Word]:
         """All admissible length-k prefixes, in increasing value order of
@@ -483,19 +509,14 @@ def _aq_value_bracket(
 ) -> tuple[FieldElement, FieldElement]:
     """Enclosure of sup (fill=1) or inf (fill=0) of values with the given
     bits through position upto-1 and extremal free bits beyond."""
-    q = template.base
-    g = q.gen()
-    ginv = 1 / g
-    depth = len(template.bits)
-    acc = g.base.zero()
-    for pos in range(depth - 1, -1, -1):
-        bit = template.bits[pos]
-        if bit is None:
-            bit = assignment.get(pos, fill) if pos < upto else fill
-        acc = acc * ginv + bit
-    acc = acc * ginv
+    fixed, weights, free_suffix, tail_bound = template.value_terms
+    free = template.free_positions
+    cut = bisect_left(free, upto)
+    acc = fixed + free_suffix[cut] if fill else fixed
+    for pos in free[:cut]:
+        if assignment.get(pos, fill):
+            acc = acc + weights[pos]
     # digits past the stored template can contribute at most a full tail
-    tail_bound = ginv**depth / (g - 1)
     return acc, acc + tail_bound
 
 

@@ -38,8 +38,7 @@ class Word:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        allowed = set(self.alphabet.symbols)
-        if any(s not in allowed for s in self.symbols):
+        if not set(self.symbols).issubset(self.alphabet.symbols):
             raise WordSyntaxError(f"symbols outside {self.alphabet.name} alphabet")
 
     def __len__(self) -> int:

@@ -293,6 +293,58 @@ def test_input_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit-tree", "--q", "5/3", "--y", "1/2", "--depth", "-2"],
+        ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "-2"],
+        ["slice", "--q", "5/3", "--y", "1/2", "--depth", "-3"],
+        ["slice", "--q", "5/3", "--y", "1/2", "--max-cylinders", "0"],
+        ["certify-slice3", "--q", "1999/1000", "--depth", "-5"],
+        ["bonacci", "null", "--k", "3", "--depth", "-4"],
+        ["bonacci", "verify", "--k", "1"],
+        ["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"],
+        ["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"],
+        ["render", "--q", "5/3", "--svg", "-", "--width", "0"],
+    ],
+)
+def test_out_of_range_sizes_exit_one(capsys, argv):
+    code, lines = invoke(capsys, argv)
+    assert code == 1
+    assert "must be at least" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--marker", "1/4"], ["--marker", "a,b"], ["--band", "x"], ["--slice-height", "zz"]],
+)
+def test_malformed_render_specs_exit_one(capsys, extra):
+    code, lines = invoke(capsys, ["render", "--q", "5/3", "--svg", "-", "--iterations", "1"] + extra)
+    assert code == 1
+    assert "error" in json.loads(lines[0])
+
+
+def test_unwritable_svg_path_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "pic.svg"
+    code, lines = invoke(capsys, ["render", "--q", "5/3", "--iterations", "1", "--svg", str(target)])
+    assert code == 1
+    assert "cannot write" in json.loads(lines[0])["error"]
+
+
+def test_internal_faults_exit_three(capsys, monkeypatch):
+    # with no applicable branch anywhere, the leaf probe finds its point
+    # escaped: a fault of the program, not of the input
+    from qslice.dynamics import ExpansionSystem
+
+    monkeypatch.setattr(ExpansionSystem, "applicable", lambda self, x: [])
+    code = run(["slice", "--q", "5/3", "--y", "3/8", "--depth", "4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal error" in captured.err
+    assert "point escaped the expansion interval" in captured.err
+
+
 def test_orbit_tree_at_depth_cap(capsys):
     # one alive path (0, 2)* at q=5/3, y=3/8 nests the record to the full
     # depth; both the output and json.loads of it must fit the stack

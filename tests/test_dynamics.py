@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslice.algebraic import AlgebraicNumber, bonacci_root
@@ -15,7 +15,9 @@ from qslice.dynamics import (
     apply_word,
     d_map,
     enumerate_orbits,
+    frontier_walk,
     merged_branch_system,
+    orbit_step,
     signed_digit_system,
     tail_is_orbit,
     ternary_branch_system,
@@ -190,6 +192,56 @@ def test_orbit_tree_boundary_split():
     sys = ternary_branch_system(Q53)
     t = enumerate_orbits(sys, F(3, 5), 3)
     assert len(t.root.children) == 2
+
+
+# -- the integer frontier walk at rational bases ---------------------------------
+
+
+def _reference_walk(sys, x, depth, max_cylinders):
+    """The orbit_step loop on field elements: paths, fork events, truncated
+    flag and points, with the walk's truncation rule."""
+    level = [((), sys.lift(x))]
+    events = []
+    for step in range(depth):
+        level, forked = orbit_step(sys, level)
+        events.extend((step, path) for path in forked)
+        if len(level) > max_cylinders:
+            return level, events, True
+    return level, events, False
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.fractions(min_value=F(11, 10), max_value=F(19, 10), max_denominator=60),
+    y=st.fractions(min_value=0, max_value=1, max_denominator=64),
+    depth=st.integers(0, 12),
+    max_cylinders=st.integers(1, 400),
+    system=st.sampled_from(["ternary", "merged", "signed"]),
+)
+# heights on domain ends: y = 1 sits on the closed top of branch 2 at every
+# step, y = 1/q on the closed right end of branch 1, y = 0 on a closed left end
+@example(F(5, 3), F(1, 1), 12, 400, "ternary")
+@example(F(5, 3), F(3, 5), 12, 400, "ternary")
+@example(F(7, 4), F(0, 1), 12, 400, "ternary")
+@example(F(3, 2), F(1, 2), 12, 3, "ternary")
+@example(F(6, 5), F(1, 3), 12, 400, "ternary")
+@example(F(5, 3), F(1, 1), 12, 400, "signed")
+def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders, system):
+    base = AlgebraicNumber.from_rational(q)
+    make = {
+        "ternary": ternary_branch_system,
+        "merged": merged_branch_system,
+        "signed": signed_digit_system,
+    }[system]
+    sys = make(base)
+    # the signed system's hull is symmetric about 0
+    x = (2 * y - 1 if system == "signed" else y) / (q - 1)
+    level, events, truncated = _reference_walk(sys, x, depth, max_cylinders)
+    walk = frontier_walk(sys, x, depth, max_cylinders)
+    assert walk.paths == [path for path, _ in level]
+    assert walk.events == events
+    assert walk.truncated == truncated
+    assert walk.points() == [p for _, p in level]
 
 
 # -- conjugacy with the vertical inverse maps (test-only construction) ----------

@@ -1,14 +1,18 @@
 import dataclasses
 import itertools
 import random
+import types
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from qslice.algebraic import AlgebraicNumber, bonacci_root
+from qslice import slices
+from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
 from qslice.dynamics import (
+    UniqueOrbitResult,
+    UniqueOrbitStatus,
     enumerate_orbits,
     level_sizes,
     ternary_branch_system,
@@ -97,6 +101,92 @@ def test_oracle_reflection_symmetry(qf, y):
     left = geometric_slice_oracle(q, y, 5)
     right = geometric_slice_oracle(q, 1 - y, 5)
     assert right == {reflect(w) for w in left}
+
+
+def _field_boxes(q, y, depth):
+    """The box descent on field elements, as the oracle runs it at
+    algebraic bases: the reference for its integer descent."""
+    g = q.gen()
+    inv = 1 / g
+    parts = ((inv, g.base.zero()), (1 - 2 * inv, inv), (inv, 1 - inv))
+    frontier = [((), g.base.one(), g.base.zero())]
+    for _ in range(depth):
+        nxt = []
+        for path, a, b in frontier:
+            for lab, (s, o) in enumerate(parts):
+                ca, cb = a * s, a * o + b
+                lo, hi = (cb, ca + cb) if ca > 0 else (ca + cb, cb)
+                if lo <= y <= hi:
+                    nxt.append((path + (lab,), ca, cb))
+        frontier = nxt
+    return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=F(11, 10), max_value=F(19, 10), max_denominator=60),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    st.integers(0, 8),
+)
+@example(F(5, 3), F(3, 5), 8)  # a box corner on the line
+@example(F(5, 3), F(1, 1), 8)
+@example(F(7, 4), F(0, 1), 8)
+def test_integer_oracle_matches_field_descent(qf, y, depth):
+    q = AlgebraicNumber.from_rational(qf)
+    assert geometric_slice_oracle(q, y, depth) == _field_boxes(q, y, depth)
+
+
+def test_oracle_uses_nothing_from_dynamics():
+    # the cross-check is only independent while the oracle, and every
+    # slices helper it calls, reads no name that comes from the dynamics
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from names(const)
+
+    seen, todo = set(), [slices.geometric_slice_oracle]
+    while todo:
+        fn = todo.pop()
+        for name in set(names(fn.__code__)) - seen:
+            seen.add(name)
+            obj = getattr(slices, name, None)
+            assert getattr(obj, "__module__", None) != "qslice.dynamics", name
+            if isinstance(obj, types.FunctionType) and obj.__module__ == slices.__name__:
+                todo.append(obj)
+    assert "_integer_boxes" in seen
+
+
+FIELD_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+    "__truediv__", "__rtruediv__", "__pow__", "inverse", "sign",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def test_rational_kernels_do_no_field_arithmetic_per_node(monkeypatch):
+    count = [0]
+    for name in FIELD_OPS:
+        def counted(*args, _op=FieldElement.__dict__[name]):
+            count[0] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(FieldElement, name, counted)
+    # the leaf probes stay on field elements and walk depth steps each
+    monkeypatch.setattr(
+        slices, "unique_orbit_check",
+        lambda q, x, depth: UniqueOrbitResult(UniqueOrbitStatus.UnknownAtDepth),
+    )
+    q = AlgebraicNumber.from_rational(F(5, 3))
+
+    def measured(fn, depth):
+        count[0] = 0
+        out = fn(q, F(1, 3), depth)
+        return count[0], len(getattr(out, "cylinders", out))
+
+    for fn in (compute_slice, geometric_slice_oracle):
+        (ops4, size4), (ops12, size12) = measured(fn, 4), measured(fn, 12)
+        assert size12 > size4 and ops12 == ops4, fn.__name__
 
 
 def test_uncountable_pattern_small_base():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -327,3 +328,31 @@ def test_newhouse_builds_one_shift_analysis(monkeypatch):
     monkeypatch.setattr(thickness, "ShiftSetAnalysis", Counted)
     newhouse_certify(QBIG, level=14)
     assert len(built) == 1
+
+
+def reference_aq_bracket(template, assignment, upto, fill):
+    """Horner over every template bit, as the bracket was first computed."""
+    g = template.base.gen()
+    ginv = 1 / g
+    acc = g.base.zero()
+    for pos in range(len(template.bits) - 1, -1, -1):
+        bit = template.bits[pos]
+        if bit is None:
+            bit = assignment.get(pos, fill) if pos < upto else fill
+        acc = acc * ginv + bit
+    acc = acc * ginv
+    return acc, acc + ginv ** len(template.bits) / (g - 1)
+
+
+@pytest.mark.parametrize("q, k", [(QBIG, 30), (bonacci_root(10), 24)])
+def test_aq_bracket_matches_horner_reference(q, k):
+    template = build_aq_prefixes(q, k, margin=14)
+    free = template.free_positions
+    rng = random.Random(k)
+    for _ in range(12):
+        upto = rng.randint(0, len(template.bits))
+        # assignments may name positions past upto; those must be ignored
+        assignment = {p: rng.randint(0, 1) for p in free if rng.random() < 0.7}
+        for fill in (0, 1):
+            got = thickness._aq_value_bracket(template, assignment, upto, fill)
+            assert got == reference_aq_bracket(template, assignment, upto, fill)
