@@ -42,7 +42,7 @@ print("tree leaves:", len(tree.leaves()), "invariant violations:", tree.validate
 # box counting over the same orbit tree
 sys = ternary_branch_system(q)
 depths = list(range(8, 15))
-counts = [enumerate_orbits(sys, pair.branch_point, d).alive_leaf_count() for d in depths]
+counts = enumerate_orbits(sys, pair.branch_point, depths[-1]).sizes[depths[0]:]
 print("leaf counts:", counts)
 print("box-count slope:", round(box_dimension_estimate(counts, depths), 4))
 

@@ -5,7 +5,7 @@ The branching expansion dynamics
 A height y of the unit square corresponds to the point x = y/(q-1) of the
 expansion interval [0, 1/(q-1)]. Three affine branches act on that
 interval; where their domains overlap the dynamics forks, and each
-infinite non-stuck itinerary is one digit expansion of x.
+infinite itinerary is one digit expansion of x.
 """
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from fractions import Fraction
 from qslice import (
     AlgebraicNumber,
     enumerate_orbits,
-    format_word,
     ternary_branch_system,
     unique_orbit_check,
 )
@@ -28,13 +27,13 @@ print("switch region: [%s, %s]" % (sys.switch_lo, sys.switch_hi))
 for x in (Fraction(0), Fraction(7, 10), Fraction(1), Fraction(2)):
     print("applicable at", x, "->", sys.applicable(x))
 
-# the full orbit tree of a point, exact to depth 8
-tree = enumerate_orbits(sys, Fraction(1, 3), 8)
-leaves = tree.alive_leaves()
-print("alive orbits at depth 8:", len(leaves))
-print("dead ends pruned:", tree.dead_end_count())
-for w, endpoint in leaves[:5]:
-    print(" ", format_word(w), "->", endpoint)
+# every branch sequence of a point, exact to depth 8; the branches cover
+# the interval and map it into itself, so no sequence ever gets stuck
+walk = enumerate_orbits(sys, Fraction(1, 3), 8)
+print("orbits at depth 8:", len(walk.paths))
+print("orbits at each depth:", walk.sizes)
+for path, endpoint in list(zip(walk.paths, walk.points()))[:5]:
+    print(" ", "".join(map(str, path)), "->", endpoint)
 
 # a uniqueness probe: does the orbit of x ever fork?
 res = unique_orbit_check(q, Fraction(1, 3), 24)

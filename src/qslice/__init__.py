@@ -41,16 +41,12 @@ from .words import (
 from .dynamics import (
     BranchMap,
     ExpansionSystem,
+    Frontier,
     InvalidBase,
-    OrbitNode,
-    OrbitTree,
     UniqueOrbitResult,
     UniqueOrbitStatus,
     apply_word,
-    d_map,
     enumerate_orbits,
-    merged_branch_system,
-    signed_digit_system,
     tail_is_orbit,
     ternary_branch_system,
     unique_orbit_check,
@@ -62,10 +58,8 @@ from .slices import (
     SliceInputError,
     SliceResult,
     compute_slice,
-    eval_okamoto,
     geometric_slice_oracle,
     slice_matches_oracle,
-    ternary_digits,
 )
 from .certificates import (
     Certificate,
@@ -99,7 +93,6 @@ from .bonacci import (
     C2Report,
     CertificationFailed,
     c2_probe,
-    funnel_check,
     null_infinite_probe,
     periodic_expansions_of_one,
     two_orbit_base,

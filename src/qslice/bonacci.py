@@ -98,19 +98,18 @@ def verify_odd_cardinality(
     if depth is None:
         depth = k * (m + 2) + 18
     sys = ternary_branch_system(q)
-    tree = enumerate_orbits(sys, x, depth)
-    leaves = tree.alive_leaves()
+    walk = enumerate_orbits(sys, x, depth)
     expected = 2 * m + 1
-    if len(leaves) != expected:
+    if len(walk.paths) != expected:
         raise CertificationFailed(
-            f"expected {expected} surviving branches, found {len(leaves)}", depth
+            f"expected {expected} surviving branches, found {len(walk.paths)}", depth
         )
     routes = []
-    for w, point in leaves:
+    for path, point in zip(walk.paths, walk.points()):
         probe = unique_orbit_check(q, point, 2 * depth)
         if probe.status != UniqueOrbitStatus.UniqueCertified:
             raise CertificationFailed(
-                f"branch {w.symbols[:8]} not certified unique", depth
+                f"branch {path[:8]} not certified unique", depth
             )
         routes.append(probe.route)
 
@@ -153,33 +152,6 @@ def verify_odd_cardinality(
     )
 
 
-@dataclass(frozen=True)
-class FunnelReport:
-    applies: bool
-    reason: str
-
-
-def funnel_check(q: AlgebraicNumber, n: int, alpha: Tail) -> FunnelReport:
-    """A run of n >= 2 leading ones forces the unit-subtracting branch,
-    peeling one digit; a single leading one gives no such guarantee."""
-    if alpha.alphabet != Alphabet.BINARY:
-        raise BonacciError("continuation must be binary")
-    if n < 2:
-        return FunnelReport(
-            False, "a single leading one can sit inside the overlap region"
-        )
-    sys = ternary_branch_system(q)
-    t_full = tail((1,) * n + alpha.preperiod, alpha.period, Alphabet.BINARY)
-    t_next = tail((1,) * (n - 1) + alpha.preperiod, alpha.period, Alphabet.BINARY)
-    x = project_q(q, t_full)
-    labels = sys.applicable(x)
-    if labels != [2]:
-        return FunnelReport(False, f"branches {labels} apply, not the funnel alone")
-    if apply_map(sys, 2, x) != project_q(q, t_next):
-        return FunnelReport(False, "image does not match the shortened run")
-    return FunnelReport(True, "forced branch peels exactly one leading one")
-
-
 def null_infinite_probe(k: int, depth: int = 30) -> Certificate:
     """Certify the countably infinite orbit family at the reciprocal base
     point: each pass around the length-k loop offers one exit to the fixed
@@ -203,12 +175,11 @@ def null_infinite_probe(k: int, depth: int = 30) -> Certificate:
         z = apply_map(sys, 2, z)
     checks.append(exact_check("loop-returns", "le", abs_diff(z, x), 0))
 
-    tree = enumerate_orbits(sys, x, depth)
+    found = len(enumerate_orbits(sys, x, depth).paths)
     expected = (depth - 1) // k + 2
-    if tree.alive_leaf_count() != expected:
+    if found != expected:
         raise CertificationFailed(
-            f"expected {expected} branches at depth {depth}, "
-            f"found {tree.alive_leaf_count()}",
+            f"expected {expected} branches at depth {depth}, found {found}",
             depth,
         )
     return Certificate(

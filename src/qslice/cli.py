@@ -17,6 +17,8 @@ import math
 import sys
 import traceback
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root, refine
@@ -37,7 +39,7 @@ from .dimension import (
     dimension_lower_bound,
     estimate_M,
 )
-from .dynamics import InvalidBase, OrbitNode, enumerate_orbits, level_sizes, ternary_branch_system
+from .dynamics import InvalidBase, check_base, enumerate_orbits, ternary_branch_system
 from .render import RenderError, RenderSpec, render_kq
 from .slices import (
     ClaimKind,
@@ -64,24 +66,28 @@ class InputError(ValueError):
 
 
 def parse_number(text: str) -> AlgebraicNumber:
-    """Number literals: "3/2", "1.8", "bonacci:3", or
+    """The base of every --q: "3/2", "1.8", "bonacci:3", or
     "algebraic:c0,c1,...,cn:lo:hi" for the root of a polynomial given by
-    ascending coefficients, isolated in [lo, hi]."""
+    ascending coefficients, isolated in [lo, hi]. It must lie strictly
+    between 1 and 2."""
     text = text.strip()
     try:
         if text.startswith("bonacci:"):
-            return bonacci_root(int(text.split(":", 1)[1]))
-        if text.startswith("algebraic:"):
+            q = bonacci_root(int(text.split(":", 1)[1]))
+        elif text.startswith("algebraic:"):
             parts = text.split(":")
             if len(parts) != 4:
                 raise InputError(f"bad algebraic literal: {text!r}")
             coeffs = [Fraction(c) for c in parts[1].split(",")]
-            return algebraic_from_poly(coeffs, Fraction(parts[2]), Fraction(parts[3]))
-        return AlgebraicNumber.from_rational(Fraction(text))
+            q = algebraic_from_poly(coeffs, Fraction(parts[2]), Fraction(parts[3]))
+        else:
+            q = AlgebraicNumber.from_rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as e:
         if isinstance(e, InputError):
             raise
         raise InputError(f"cannot parse number {text!r}: {e}")
+    check_base(q)
+    return q
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -176,12 +182,20 @@ def _cmd_slice(args) -> int:
     return 2
 
 
-def _node_record(node: OrbitNode) -> dict:
-    return {
-        "label": node.path[-1] if node.path else None,
-        "point_interval": _interval(node.point),
-        "children": [_node_record(c) for c in node.children if c.alive],
+def _node_record(sys_, path: tuple[int, ...], point, leaves: list[tuple[int, ...]]) -> dict:
+    """The subtree at path, given the walk's paths below it in path order.
+    Each child's point is its parent's point under one branch."""
+    rec = {
+        "label": path[-1] if path else None,
+        "point_interval": _interval(point),
+        "children": [],
     }
+    d = len(path)
+    if d < len(leaves[0]):
+        for label, group in groupby(leaves, key=itemgetter(d)):
+            child = sys_.branch(label)(point)
+            rec["children"].append(_node_record(sys_, path + (label,), child, list(group)))
+    return rec
 
 
 def _cmd_orbit_tree(args) -> int:
@@ -191,18 +205,20 @@ def _cmd_orbit_tree(args) -> int:
         raise InputError(f"depth capped at {MAX_TREE_DEPTH} for tree output")
     sys_ = ternary_branch_system(q)
     x0 = _expansion_point(sys_, y)
-    tree = enumerate_orbits(sys_, x0, args.depth)
+    walk = enumerate_orbits(sys_, x0, args.depth)
     _emit(
         {
             "command": "orbit-tree",
             "q": _interval(q),
             "y": _interval(y),
             "depth": args.depth,
-            "alive": tree.alive_leaf_count(),
-            "dead_ends": tree.dead_end_count(),
+            "alive": len(walk.paths),
+            # the branch domains cover the expansion interval and each branch
+            # maps into it, so every node has a child: no path ends early
+            "dead_ends": 0,
         }
     )
-    _emit(_node_record(tree.root))
+    _emit(_node_record(sys_, (), x0, walk.paths))
     return 0
 
 
@@ -210,10 +226,12 @@ def _parse_set(text: str) -> tuple[GapFamily, Optional[int]]:
     t = text.strip().lower()
     if t == "aq":
         return GapFamily.AqSet, None
-    if t.startswith("sk:"):
-        return GapFamily.SkSet, int(t.split(":", 1)[1])
-    if t.startswith("scaled-sk:"):
-        return GapFamily.ScaledShiftedSk, int(t.split(":", 1)[1])
+    for prefix, family in (("sk:", GapFamily.SkSet), ("scaled-sk:", GapFamily.ScaledShiftedSk)):
+        if t.startswith(prefix):
+            k = int(t[len(prefix):])
+            if k < 2:
+                raise InputError(f"run bound must be at least 2, got {k}")
+            return family, k
     raise InputError(
         f"unknown set {text!r}; expected aq, sk:<k>, or scaled-sk:<k>"
     )
@@ -405,7 +423,7 @@ def _cmd_dimension(args) -> int:
     if levels < 2:
         raise InputError("box method needs at least two depths")
     depths = list(range(8, 8 + levels))
-    counts = level_sizes(sys_, x0, depths[-1])[depths[0]:]
+    counts = enumerate_orbits(sys_, x0, depths[-1]).sizes[depths[0]:]
     slope, residual = box_dimension_estimate(counts, depths, with_residual=True)
     rec["box_counts"] = counts
     rec["box_estimate"] = _interval(slope)

@@ -2,18 +2,18 @@
 
 A point can carry several digit expansions in a non-integer base because
 inverse branches of x -> qx (mod digits) have overlapping domains. This
-module builds the branch systems exactly, enumerates orbit trees, walks
-single orbits with cycle detection, and certifies uniqueness either by exact
-periodicity outside the overlap region or by membership of a known expansion
-in a run-limited shift.
+module builds the branch system exactly, walks every branch sequence of a
+point breadth-first, walks single orbits with cycle detection, and
+certifies uniqueness either by exact periodicity outside the overlap region
+or by membership of a known expansion in a run-limited shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Optional, Union
 
 from .algebraic import (
@@ -23,7 +23,7 @@ from .algebraic import (
     bonacci_root,
     compare_reals,
 )
-from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict, tail
+from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict
 
 PointLike = Union[FieldElement, Fraction, int]
 
@@ -76,7 +76,6 @@ class ExpansionSystem:
     maps: tuple[BranchMap, ...]
     hull_lo: FieldElement
     hull_hi: FieldElement
-    digit_alphabet: Alphabet
     # smallest interval containing every point with >= 2 applicable branches
     switch_lo: FieldElement
     switch_hi: FieldElement
@@ -106,7 +105,8 @@ class ExpansionSystem:
         return self.switch_lo <= p <= self.switch_hi
 
 
-def _check_base(q: AlgebraicNumber) -> None:
+def check_base(q: AlgebraicNumber) -> None:
+    """Raise InvalidBase unless 1 < q < 2."""
     one = AlgebraicNumber.from_rational(1)
     two = AlgebraicNumber.from_rational(2)
     if compare_reals(q, one) != Ordering.Greater or compare_reals(q, two) != Ordering.Less:
@@ -118,9 +118,11 @@ def ternary_branch_system(q: AlgebraicNumber) -> ExpansionSystem:
 
     Labels 0 and 2 scale by q (minus a unit for 2); label 1 is the
     orientation-reversing middle branch defined only on the switch region
-    (1/q, 1/(q(q-1))], which is where expansions become ambiguous.
+    (1/q, 1/(q(q-1))], which is where expansions become ambiguous. The
+    domains cover [0, 1/(q-1)] and each branch maps its domain into it, so
+    every branch sequence from a point of the hull can be continued.
     """
-    _check_base(q)
+    check_base(q)
     g = q.gen()
     one = g.base.one()
     zero = g.base.zero()
@@ -131,45 +133,7 @@ def ternary_branch_system(q: AlgebraicNumber) -> ExpansionSystem:
         1, -g / (2 - g), top + 1 / (2 - g), 1 / g, merge, False, True
     )
     f2 = BranchMap(2, g, -one, 1 / g, top, True, True)
-    return ExpansionSystem(
-        q, (f0, f1, f2), zero, top, Alphabet.TERNARY, 1 / g, merge
-    )
-
-
-def merged_branch_system(q: AlgebraicNumber) -> ExpansionSystem:
-    """Two branches labelled by binary digits, both with closed domains.
-
-    Compared to the ternary system the middle branch is dropped and the
-    outer two domains are closed; orbit counts here lower-bound the ternary
-    ones and agree on uniqueness.
-    """
-    _check_base(q)
-    g = q.gen()
-    one = g.base.one()
-    zero = g.base.zero()
-    top = 1 / (g - 1)
-    merge = 1 / (g * (g - 1))
-    f0 = BranchMap(0, g, zero, zero, merge, True, True)
-    f1 = BranchMap(1, g, -one, 1 / g, top, True, True)
-    return ExpansionSystem(q, (f0, f1), zero, top, Alphabet.BINARY, 1 / g, merge)
-
-
-def signed_digit_system(q: AlgebraicNumber) -> ExpansionSystem:
-    """Three branches for signed digits {-1, 0, 1} on the symmetric interval
-    [-1/(q-1), 1/(q-1)], all domains closed."""
-    _check_base(q)
-    g = q.gen()
-    one = g.base.one()
-    zero = g.base.zero()
-    top = 1 / (g - 1)
-    merge = 1 / (g * (g - 1))
-    edge = (2 - g) / (g * (g - 1))
-    fm = BranchMap(-1, g, one, -top, edge, True, True)
-    f0 = BranchMap(0, g, zero, -merge, merge, True, True)
-    f1 = BranchMap(1, g, -one, -edge, top, True, True)
-    return ExpansionSystem(
-        q, (fm, f0, f1), -top, top, Alphabet.SIGNED, -merge, merge
-    )
+    return ExpansionSystem(q, (f0, f1, f2), zero, top, 1 / g, merge)
 
 
 def apply_map(sys: ExpansionSystem, label: int, x: PointLike) -> FieldElement:
@@ -196,7 +160,7 @@ def word_is_applicable(sys: ExpansionSystem, w: Word, x: PointLike) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# orbit trees
+# the breadth-first orbit walk
 # ---------------------------------------------------------------------------
 
 Level = list[tuple[tuple[int, ...], FieldElement]]  # (path, point), in path order
@@ -220,39 +184,45 @@ def orbit_step(sys: ExpansionSystem, level: Level) -> tuple[Level, list[tuple[in
 @dataclass(frozen=True)
 class Frontier:
     """The last level of a breadth-first walk: its paths in path order, the
-    (step, path) of every fork on the way, and whether the walk stopped
-    early. points() builds the level's points, in the same order, only
-    when asked: the rational walk never needs them itself."""
+    number of paths at each depth walked, the (step, path) of every fork on
+    the way, and whether the walk stopped early. points() builds the level's
+    points, in the same order, only when asked: the rational walk never
+    needs them itself."""
 
     paths: list[tuple[int, ...]]
+    sizes: list[int]
     events: list[tuple[int, tuple[int, ...]]]
     truncated: bool
     points: Callable[[], list[FieldElement]]
 
 
-def frontier_walk(
-    sys: ExpansionSystem, x: PointLike, depth: int, max_cylinders: int
+def enumerate_orbits(
+    sys: ExpansionSystem, x: PointLike, depth: int, max_cylinders: Optional[int] = None
 ) -> Frontier:
     """Walk every applicable branch sequence from x for depth steps, as
-    repeated orbit_step calls would. The walk stops, truncated, after the
-    first step whose level holds more than max_cylinders paths.
+    repeated orbit_step calls would. Given max_cylinders, the walk stops,
+    truncated, after the first step whose level holds more paths than that.
 
     At rational bases the walk runs on integers; elsewhere it is the
     orbit_step loop itself."""
     p = sys.lift(x)
+    cap = inf if max_cylinders is None else max_cylinders
     if sys.base.is_rational:
-        return _integer_walk(sys, p.as_fraction(), depth, max_cylinders)
+        return _integer_walk(sys, p.as_fraction(), depth, cap)
     level: Level = [((), p)]
+    sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
         level, forked = orbit_step(sys, level)
         events.extend((step, path) for path in forked)
-        if len(level) > max_cylinders:
+        sizes.append(len(level))
+        if len(level) > cap:
             truncated = True
             break
     return Frontier(
-        [path for path, _ in level], events, truncated, lambda: [pt for _, pt in level]
+        [path for path, _ in level], sizes, events, truncated,
+        lambda: [pt for _, pt in level],
     )
 
 
@@ -269,9 +239,9 @@ def _last_below(hi: Fraction, closed: bool, den: int) -> int:
 
 
 def _integer_walk(
-    sys: ExpansionSystem, x: Fraction, depth: int, max_cylinders: int
+    sys: ExpansionSystem, x: Fraction, depth: int, cap: float
 ) -> Frontier:
-    """frontier_walk at a rational base. A level's points are integers n
+    """enumerate_orbits at a rational base. A level's points are integers n
     over one denominator den(x)*L^step, where L is the least common
     denominator of the branch slopes and offsets; a branch s*x + o sends
     n/D to ((s*L)*n + (o*L)*D) / (D*L). Each domain end is scaled by D and
@@ -286,6 +256,7 @@ def _integer_walk(
     ]
     level = [((), x.numerator)]
     den = x.denominator
+    sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
@@ -303,83 +274,15 @@ def _integer_walk(
                 events.append((step, path))
         level = nxt
         den *= scale
-        if len(level) > max_cylinders:
+        sizes.append(len(level))
+        if len(level) > cap:
             truncated = True
             break
     base = sys.base
     return Frontier(
-        [path for path, _ in level], events, truncated,
+        [path for path, _ in level], sizes, events, truncated,
         lambda: [base.rational(Fraction(n, den)) for _, n in level],
     )
-
-
-def level_sizes(sys: ExpansionSystem, x: PointLike, depth: int) -> list[int]:
-    """Number of applicable branch sequences of each length 0..depth from x."""
-    level: Level = [((), sys.lift(x))]
-    sizes = [1]
-    for _ in range(depth):
-        level, _ = orbit_step(sys, level)
-        sizes.append(len(level))
-    return sizes
-
-
-@dataclass
-class OrbitNode:
-    point: FieldElement
-    path: tuple[int, ...]
-    children: list["OrbitNode"] = field(default_factory=list)
-    alive: bool = False
-
-
-@dataclass
-class OrbitTree:
-    system: ExpansionSystem
-    root: OrbitNode
-    depth: int
-
-    def _alive_rooted_levels(self):
-        """Each depth's nodes whose ancestors are all alive, in path order."""
-        level = [self.root]
-        while level:
-            yield level
-            level = [c for node in level if node.alive for c in node.children]
-
-    def alive_leaves(self) -> list[tuple[Word, FieldElement]]:
-        return [
-            (Word(self.system.digit_alphabet, n.path), n.point)
-            for level in self._alive_rooted_levels() for n in level
-            if n.alive and len(n.path) == self.depth
-        ]
-
-    def alive_leaf_count(self) -> int:
-        return len(self.alive_leaves())
-
-    def dead_end_count(self) -> int:
-        # children of dead nodes are all dead too, so only the topmost count
-        return sum(not n.alive for level in self._alive_rooted_levels() for n in level)
-
-
-def enumerate_orbits(sys: ExpansionSystem, x: PointLike, depth: int) -> OrbitTree:
-    """The complete tree of applicable branch sequences from x, grown breadth-first.
-
-    A node is alive iff some continuation reaches the full depth; leaves at
-    the full depth are alive, interior nodes with no applicable branch are
-    dead ends.
-    """
-    root = OrbitNode(sys.lift(x), ())
-    levels = [[root]]
-    level: Level = [((), root.point)]
-    for _ in range(depth):
-        level, _ = orbit_step(sys, level)
-        parents = {node.path: node for node in levels[-1]}
-        nodes = [OrbitNode(point, path) for path, point in level]
-        for node in nodes:
-            parents[node.path[:-1]].children.append(node)
-        levels.append(nodes)
-    for nodes in reversed(levels):
-        for node in nodes:
-            node.alive = len(node.path) == depth or any(c.alive for c in node.children)
-    return OrbitTree(sys, root, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +380,6 @@ def unique_orbit_check(
     return UniqueOrbitResult(
         UniqueOrbitStatus.UnknownAtDepth,
         digits=Word(Alphabet.TERNARY, tuple(digits)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# binary -> ternary path transport
-# ---------------------------------------------------------------------------
-
-
-def d_map(t: Tail) -> Tail:
-    """Transport a binary branch path of the merged system to a ternary
-    branch path: digits double, except that a suffix 0 1^inf becomes 1 0^inf
-    (the doubled form would violate the half-open middle domain)."""
-    if t.alphabet is not Alphabet.BINARY:
-        raise ValueError("d_map acts on binary words")
-    if t.period == (1,) and t.preperiod:
-        # canonical form guarantees the preperiod ends in 0 here
-        head = tuple(2 * s for s in t.preperiod[:-1])
-        return tail(head + (1,), (0,), Alphabet.TERNARY)
-    return tail(
-        tuple(2 * s for s in t.preperiod),
-        tuple(2 * s for s in t.period),
-        Alphabet.TERNARY,
     )
 
 

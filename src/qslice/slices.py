@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
 from .algebraic import AlgebraicNumber, FieldElement
 from .dynamics import (
     PointLike,
-    frontier_walk,
+    enumerate_orbits,
     ternary_branch_system,
     unique_orbit_check,
     UniqueOrbitResult,
@@ -135,7 +135,7 @@ def compute_slice(
     """
     yv = _lift_unit_value(q, y)
     sys = ternary_branch_system(q)
-    walk = frontier_walk(sys, yv / (sys.q() - 1), depth, max_cylinders)
+    walk = enumerate_orbits(sys, yv / (sys.q() - 1), depth, max_cylinders)
     events = tuple(walk.events)
 
     cylinders = tuple(Word(Alphabet.TERNARY, path) for path in walk.paths)
@@ -252,58 +252,3 @@ def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:
         if succ is None or succ not in alive:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation of the graph
-# ---------------------------------------------------------------------------
-
-
-def ternary_digits(x: Union[Fraction, FieldElement], n: int) -> Word:
-    """First n digits of the canonical ternary expansion (the one that never
-    ends in all twos, except at x = 1)."""
-    digits = []
-    for _ in range(n):
-        if x == 1:
-            digits.append(2)
-            continue
-        x = x * 3
-        d = 0
-        if x >= 2:
-            d = 2
-        elif x >= 1:
-            d = 1
-        digits.append(d)
-        x = x - d
-    return Word(Alphabet.TERNARY, tuple(digits))
-
-
-def eval_okamoto(
-    q: AlgebraicNumber, x: Union[Fraction, FieldElement, int], depth: int
-) -> tuple[FieldElement, FieldElement]:
-    """Exact enclosure of the graph value above x, following the canonical
-    ternary digits of x. Width contracts at least like
-    max(1/q, 2/q - 1)^depth."""
-    g = q.gen()
-    if isinstance(x, FieldElement):
-        xv = x
-    else:
-        xv = g.base.rational(Fraction(x))
-    if not (0 <= xv and xv <= 1):
-        raise SliceInputError("abscissa must lie in [0, 1]")
-    digits = ternary_digits(xv, depth)
-
-    inv = 1 / g
-    flip_scale = 2 * inv - 1
-    lo, hi = g.base.zero(), g.base.one()
-    for d in reversed(digits.symbols):
-        if d == 0:
-            lo, hi = lo * inv, hi * inv
-        elif d == 1:
-            lo, hi = (
-                flip_scale * (1 - hi) + (1 - inv),
-                flip_scale * (1 - lo) + (1 - inv),
-            )
-        else:
-            lo, hi = lo * inv + (1 - inv), hi * inv + (1 - inv)
-    return lo, hi

@@ -8,7 +8,6 @@ from qslice.bonacci import (
     CertificationFailed,
     DeltaNotInSTilde,
     c2_probe,
-    funnel_check,
     null_infinite_probe,
     periodic_expansions_of_one,
     two_orbit_base,
@@ -59,26 +58,6 @@ def test_odd_cardinality_json_round_trip():
     assert again.checks == cert.checks
     assert again.data["count"] == 3
     assert verify(again) == []
-
-
-def test_funnel_applies_for_long_runs():
-    q3 = bonacci_root(3)
-    alt = tail((), (0, 1))
-    assert funnel_check(q3, 2, alt).applies
-    assert funnel_check(q3, 5, alt).applies
-
-
-def test_funnel_refuses_single_one():
-    r = funnel_check(bonacci_root(3), 1, tail((), (0, 1)))
-    assert not r.applies
-    assert "overlap" in r.reason
-
-
-def test_funnel_detects_competing_branches():
-    # at a small base two leading ones still sit where several maps apply
-    r = funnel_check(AlgebraicNumber.from_rational(Fraction(3, 2)), 2, tail((), (0,)))
-    assert not r.applies
-    assert "branches" in r.reason
 
 
 def test_null_infinite_probe_structure():

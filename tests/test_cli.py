@@ -293,25 +293,39 @@ def test_input_errors_exit_one(capsys):
     assert code == 1
 
 
+_OUT_OF_RANGE = [
+    (["orbit-tree", "--q", "5/3", "--y", "1/2", "--depth", "-2"], "must be at least"),
+    (["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "-2"], "must be at least"),
+    (["slice", "--q", "5/3", "--y", "1/2", "--depth", "-3"], "must be at least"),
+    (["slice", "--q", "5/3", "--y", "1/2", "--max-cylinders", "0"], "must be at least"),
+    (["certify-slice3", "--q", "1999/1000", "--depth", "-5"], "must be at least"),
+    (["bonacci", "null", "--k", "3", "--depth", "-4"], "must be at least"),
+    (["bonacci", "verify", "--k", "1"], "must be at least"),
+    (["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"], "must be at least"),
+    (["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"], "must be at least"),
+    (["render", "--q", "5/3", "--svg", "-", "--width", "0"], "must be at least"),
+    # the base of every subcommand must lie in (1, 2)
+    (["thickness", "--q", "3", "--set", "sk:9", "--level", "3"], "strictly between 1 and 2"),
+    (["thickness", "--q", "1", "--set", "sk:3"], "strictly between 1 and 2"),
+    (["thickness", "--q", "1/2", "--set", "sk:9"], "strictly between 1 and 2"),
+    (["thickness", "--q", "3", "--set", "aq"], "strictly between 1 and 2"),
+    (["certify-slice3", "--q", "3"], "strictly between 1 and 2"),
+    (["dimension", "--q", "3", "--y", "1/3"], "strictly between 1 and 2"),
+    (["bonacci", "c2", "--q", "2"], "strictly between 1 and 2"),
+    # run-limited shifts need a run bound of at least 2
+    (["thickness", "--q", "1999/1000", "--set", "sk:1"], "run bound must be at least 2"),
+    (["thickness", "--q", "1999/1000", "--set", "sk:-2"], "run bound must be at least 2"),
+    (["thickness", "--q", "1999/1000", "--set", "scaled-sk:1"], "run bound must be at least 2"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["orbit-tree", "--q", "5/3", "--y", "1/2", "--depth", "-2"],
-        ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "-2"],
-        ["slice", "--q", "5/3", "--y", "1/2", "--depth", "-3"],
-        ["slice", "--q", "5/3", "--y", "1/2", "--max-cylinders", "0"],
-        ["certify-slice3", "--q", "1999/1000", "--depth", "-5"],
-        ["bonacci", "null", "--k", "3", "--depth", "-4"],
-        ["bonacci", "verify", "--k", "1"],
-        ["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"],
-        ["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"],
-        ["render", "--q", "5/3", "--svg", "-", "--width", "0"],
-    ],
+    "argv, message", _OUT_OF_RANGE, ids=[f"argv{i}" for i in range(len(_OUT_OF_RANGE))]
 )
-def test_out_of_range_sizes_exit_one(capsys, argv):
+def test_out_of_range_sizes_exit_one(capsys, argv, message):
     code, lines = invoke(capsys, argv)
     assert code == 1
-    assert "must be at least" in json.loads(lines[0])["error"]
+    assert message in json.loads(lines[0])["error"]
 
 
 @pytest.mark.parametrize(

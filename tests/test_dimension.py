@@ -146,7 +146,7 @@ def test_dimension_chain_is_consistent():
     sys = ternary_branch_system(Q32)
     x0 = sys.lift(Fraction(1, 3))
     depths = list(range(8, 15))
-    counts = [enumerate_orbits(sys, x0, d).alive_leaf_count() for d in depths]
+    counts = enumerate_orbits(sys, x0, depths[-1]).sizes[depths[0]:]
     assert all(b > a for a, b in zip(counts, counts[1:]))
     est = box_dimension_estimate(counts, depths)
     assert dimension_lower_bound(M) <= est + 0.05

@@ -1,4 +1,4 @@
-"""Branch systems: domains, orbit trees, uniqueness certification, transport."""
+"""Branch systems: domains, the orbit walk, uniqueness certification."""
 
 from fractions import Fraction
 
@@ -13,12 +13,8 @@ from qslice.dynamics import (
     UniqueOrbitStatus,
     apply_map,
     apply_word,
-    d_map,
     enumerate_orbits,
-    frontier_walk,
-    merged_branch_system,
     orbit_step,
-    signed_digit_system,
     tail_is_orbit,
     ternary_branch_system,
     unique_orbit_check,
@@ -87,25 +83,6 @@ def test_apply_map_values_and_domain_errors():
     assert e.value.endpoint == "lo"
 
 
-def test_merged_system_domains_are_closed():
-    sys = merged_branch_system(Q53)
-    f0, f1 = sys.maps
-    assert f0.hi.as_fraction() == F(9, 10) and f0.hi_closed
-    assert f1.lo.as_fraction() == F(3, 5) and f1.lo_closed
-    assert sys.applicable(F(9, 10)) == [0, 1]
-
-
-def test_signed_system_domains():
-    sys = signed_digit_system(Q53)
-    fm, f0, f1 = sys.maps
-    assert fm.lo.as_fraction() == F(-3, 2)
-    assert fm.hi.as_fraction() == F(3, 10)  # (2-q)/(q(q-1))
-    assert (f0.lo.as_fraction(), f0.hi.as_fraction()) == (F(-9, 10), F(9, 10))
-    assert fm.hi == -f1.lo
-    assert apply_map(sys, -1, F(-1, 2)).as_fraction() == F(1, 6)
-    assert apply_map(sys, 1, 1).as_fraction() == F(2, 3)
-
-
 # -- single-orbit walks --------------------------------------------------------
 
 
@@ -158,40 +135,37 @@ def test_golden_boundary_point_branches():
     assert res.branch_step == 0
 
 
-# -- orbit trees -----------------------------------------------------------------
+# -- the orbit walk ----------------------------------------------------------------
 
 
 def test_orbit_tree_structure():
     q = AlgebraicNumber.from_rational(F(3, 2))
     sys = ternary_branch_system(q)
-    t = enumerate_orbits(sys, 1, 4)
-    assert t.root.alive
-    assert len(t.root.children) == 3
-    leaves = t.alive_leaves()
-    assert len(leaves) >= 2
-    for w, p in leaves:
-        assert apply_word(sys, w, 1) == p
+    walk = enumerate_orbits(sys, 1, 4)
+    assert {path[0] for path in walk.paths} == {0, 1, 2}
+    assert len(walk.paths) >= 2
+    assert walk.sizes[0] == 1 and walk.sizes[-1] == len(walk.paths)
+    for path, p in zip(walk.paths, walk.points()):
+        assert apply_word(sys, word(path, Alphabet.TERNARY), 1) == p
 
 
 def test_orbit_tree_single_path():
     sys = ternary_branch_system(Q53)
-    t = enumerate_orbits(sys, F(9, 16), 12)
-    assert t.alive_leaf_count() == 1
-    (w, _), = t.alive_leaves()
-    assert w.symbols == (0, 2) * 6
+    walk = enumerate_orbits(sys, F(9, 16), 12)
+    assert walk.paths == [(0, 2) * 6]
+    assert walk.sizes == [1] * 13
 
 
 def test_orbit_tree_deeper_than_recursion_limit():
     sys = ternary_branch_system(Q53)
-    t = enumerate_orbits(sys, F(9, 16), 1000)
-    (w, _), = t.alive_leaves()
-    assert w.symbols == (0, 2) * 500
+    walk = enumerate_orbits(sys, F(9, 16), 1000)
+    assert walk.paths == [(0, 2) * 500]
 
 
 def test_orbit_tree_boundary_split():
     sys = ternary_branch_system(Q53)
-    t = enumerate_orbits(sys, F(3, 5), 3)
-    assert len(t.root.children) == 2
+    walk = enumerate_orbits(sys, F(3, 5), 3)
+    assert {path[0] for path in walk.paths} == {0, 2}
 
 
 # -- the integer frontier walk at rational bases ---------------------------------
@@ -216,28 +190,19 @@ def _reference_walk(sys, x, depth, max_cylinders):
     y=st.fractions(min_value=0, max_value=1, max_denominator=64),
     depth=st.integers(0, 12),
     max_cylinders=st.integers(1, 400),
-    system=st.sampled_from(["ternary", "merged", "signed"]),
 )
 # heights on domain ends: y = 1 sits on the closed top of branch 2 at every
 # step, y = 1/q on the closed right end of branch 1, y = 0 on a closed left end
-@example(F(5, 3), F(1, 1), 12, 400, "ternary")
-@example(F(5, 3), F(3, 5), 12, 400, "ternary")
-@example(F(7, 4), F(0, 1), 12, 400, "ternary")
-@example(F(3, 2), F(1, 2), 12, 3, "ternary")
-@example(F(6, 5), F(1, 3), 12, 400, "ternary")
-@example(F(5, 3), F(1, 1), 12, 400, "signed")
-def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders, system):
-    base = AlgebraicNumber.from_rational(q)
-    make = {
-        "ternary": ternary_branch_system,
-        "merged": merged_branch_system,
-        "signed": signed_digit_system,
-    }[system]
-    sys = make(base)
-    # the signed system's hull is symmetric about 0
-    x = (2 * y - 1 if system == "signed" else y) / (q - 1)
+@example(F(5, 3), F(1, 1), 12, 400)
+@example(F(5, 3), F(3, 5), 12, 400)
+@example(F(7, 4), F(0, 1), 12, 400)
+@example(F(3, 2), F(1, 2), 12, 3)
+@example(F(6, 5), F(1, 3), 12, 400)
+def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders):
+    sys = ternary_branch_system(AlgebraicNumber.from_rational(q))
+    x = y / (q - 1)
     level, events, truncated = _reference_walk(sys, x, depth, max_cylinders)
-    walk = frontier_walk(sys, x, depth, max_cylinders)
+    walk = enumerate_orbits(sys, x, depth, max_cylinders)
     assert walk.paths == [path for path, _ in level]
     assert walk.events == events
     assert walk.truncated == truncated
@@ -269,36 +234,6 @@ def test_vertical_conjugacy(q, ynum):
         if in_dom:
             got = apply_map(sys, i, Fraction(x)).as_fraction()
             assert got == fn(y) / (q - 1)
-
-
-# -- binary -> ternary transport --------------------------------------------------
-
-
-def test_d_map_examples():
-    assert d_map(tail([0, 1], [0])) == tail([0, 2], [0])
-    assert d_map(tail([0], [1])) == tail([1], [0], Alphabet.TERNARY)
-    assert d_map(tail([1, 0], [1])) == tail([2, 1], [0])
-    assert d_map(tail([], [1])) == tail([], [2])
-    assert d_map(tail([], [1, 0])) == tail([], [2, 0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(q=rational_bases)
-def test_d_map_transports_valid_orbits(q):
-    base = AlgebraicNumber.from_rational(q)
-    tern = ternary_branch_system(base)
-    merged = merged_branch_system(base)
-
-    t = tail([], [1, 0])
-    x = project_q(base, t)
-    assert tail_is_orbit(merged, t, x)
-    assert tail_is_orbit(tern, d_map(t), x)
-
-    t = tail([0], [1])  # the suffix case: 01^inf -> 10^inf, not 02^inf
-    x = project_q(base, t)
-    assert tail_is_orbit(merged, t, x)
-    assert tail_is_orbit(tern, d_map(t), x)
-    assert not tail_is_orbit(tern, tail([0], [2]), x)
 
 
 def test_tail_is_orbit_exactness():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import types
@@ -14,7 +13,6 @@ from qslice.dynamics import (
     UniqueOrbitResult,
     UniqueOrbitStatus,
     enumerate_orbits,
-    level_sizes,
     ternary_branch_system,
     word_is_applicable,
 )
@@ -22,10 +20,8 @@ from qslice.slices import (
     ClaimKind,
     SliceInputError,
     compute_slice,
-    eval_okamoto,
     geometric_slice_oracle,
     slice_matches_oracle,
-    ternary_digits,
 )
 from qslice.words import Alphabet, Word, reflect, tail, word_successor
 
@@ -216,8 +212,8 @@ def test_leaf_count_matches_orbit_tree():
         r = compute_slice(q, y, depth)
         sys = ternary_branch_system(q)
         x0 = sys.lift(y) / (sys.q() - 1)
-        tree = enumerate_orbits(sys, x0, depth)
-        assert len(r.cylinders) == tree.alive_leaf_count()
+        walk = enumerate_orbits(sys, x0, depth)
+        assert [c.symbols for c in r.cylinders] == walk.paths
 
 
 def _applicable_words(sys, x0, depth):
@@ -260,22 +256,15 @@ def test_walks_match_brute_force(qf, y, depth, max_cylinders):
     assert r.truncated == bool(over)
     assert list(r.branch_events) == forks
 
-    assert level_sizes(sys, x0, depth) == [len(ws) for ws in words]
+    walk = enumerate_orbits(sys, x0, depth)
+    assert walk.sizes == [len(ws) for ws in words]
+    assert walk.paths == words[depth]
 
-    # the three branches cover their hull, so the tree has no dead ends;
-    # dropping branch 0 leaves [0, 1/q) uncovered and makes some
-    for s in (sys, dataclasses.replace(sys, maps=sys.maps[1:])):
-        words = _applicable_words(s, x0, depth)
-        tree = enumerate_orbits(s, x0, depth)
-        assert [w.symbols for w, _ in tree.alive_leaves()] == words[depth]
-        alive = {w[:n] for w in words[depth] for n in range(depth + 1)}
-        dead = [
-            w
-            for n in range(depth)
-            for w in words[n]
-            if w not in alive and (n == 0 or w[:-1] in alive)
-        ]
-        assert tree.dead_end_count() == len(dead)
+    # the three branches cover their hull and map it into itself, so every
+    # applicable word shorter than the depth has an applicable extension
+    for n in range(depth):
+        extended = {w[:n] for w in words[n + 1]}
+        assert all(w in extended for w in words[n])
 
 
 def test_input_validation():
@@ -283,52 +272,5 @@ def test_input_validation():
         compute_slice(Q53, F(3, 2), 4)
     with pytest.raises(SliceInputError):
         compute_slice(Q53, bonacci_root(3).gen() - 1, 4)
-    with pytest.raises(SliceInputError):
-        eval_okamoto(Q53, F(7, 5), 4)
 
 
-def test_ternary_digit_examples():
-    assert ternary_digits(F(1, 3), 5).symbols == (1, 0, 0, 0, 0)
-    assert ternary_digits(F(2, 3), 5).symbols == (2, 0, 0, 0, 0)
-    assert ternary_digits(F(1), 4).symbols == (2, 2, 2, 2)
-    assert ternary_digits(F(1, 4), 8).symbols == (0, 2, 0, 2, 0, 2, 0, 2)
-    assert ternary_digits(F(5, 9), 4).symbols == (1, 2, 0, 0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=0, max_value=1, max_denominator=200))
-def test_ternary_digits_bracket_the_point(x):
-    w = ternary_digits(x, 8)
-    lo = sum(F(d, 3 ** (i + 1)) for i, d in enumerate(w.symbols))
-    assert lo <= x <= lo + F(1, 3**8)
-    # a triadic point below 1 is hit exactly, with no carried tail of twos
-    if x < 1 and (x * 3**8).denominator == 1:
-        assert lo == x
-
-
-def test_eval_okamoto_known_values():
-    lo, hi = eval_okamoto(Q53, F(1, 3), 20)
-    assert lo <= F(3, 5) <= hi
-    assert hi - lo <= F(3, 5) ** 20
-    # the point above 1/4 sits at 1/(q+1)
-    lo, hi = eval_okamoto(Q53, F(1, 4), 20)
-    assert lo <= F(3, 8) <= hi
-    for x, y in ((F(0), F(0)), (F(1), F(1))):
-        lo, hi = eval_okamoto(Q53, x, 12)
-        assert lo <= y <= hi
-
-
-def test_eval_okamoto_nesting():
-    shallow = eval_okamoto(Q53, F(2, 7), 8)
-    deep = eval_okamoto(Q53, F(2, 7), 16)
-    assert shallow[0] <= deep[0] and deep[1] <= shallow[1]
-    assert deep[1] - deep[0] < shallow[1] - shallow[0]
-
-
-def test_eval_matches_slice():
-    # the enclosure at x = 1/4 pins y = 3/8, and the slice there recovers x
-    lo, hi = eval_okamoto(Q53, F(1, 4), 30)
-    assert lo <= F(3, 8) <= hi
-    r = compute_slice(Q53, F(3, 8), 12)
-    assert r.claim.n == 1
-    assert r.cylinders[0].symbols == ternary_digits(F(1, 4), 12).symbols
