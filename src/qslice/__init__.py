@@ -24,7 +24,6 @@ from .words import (
     Word,
     WordSyntaxError,
     avoids,
-    cylinder_interval,
     format_word,
     lex_consecutive,
     member,
@@ -85,6 +84,7 @@ from .thickness import (
     interleaving_check,
     newhouse_certify,
     prefix_run_length,
+    shift_set_extent,
     thickness_lower_bound,
 )
 from .bonacci import (

@@ -26,6 +26,7 @@ from .bonacci import (
     BonacciError,
     C2Outcome,
     CertificationFailed,
+    DeltaNotInSTilde,
     c2_probe,
     null_infinite_probe,
     verify_odd_cardinality,
@@ -59,6 +60,7 @@ from .thickness import (
 from .words import Tail, WordSyntaxError, format_word, parse_word
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
+MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
 
 
 class InputError(ValueError):
@@ -205,7 +207,12 @@ def _cmd_orbit_tree(args) -> int:
         raise InputError(f"depth capped at {MAX_TREE_DEPTH} for tree output")
     sys_ = ternary_branch_system(q)
     x0 = _expansion_point(sys_, y)
-    walk = enumerate_orbits(sys_, x0, args.depth)
+    walk = enumerate_orbits(sys_, x0, args.depth, max_cylinders=MAX_TREE_LEAVES)
+    if walk.truncated:
+        raise InputError(
+            f"tree capped at {MAX_TREE_LEAVES} leaves; depth {len(walk.sizes) - 1}"
+            f" has {walk.sizes[-1]}"
+        )
     _emit(
         {
             "command": "orbit-tree",
@@ -556,7 +563,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (InputError, SliceInputError, WordSyntaxError, InvalidBase, RenderError) as e:
+    except (
+        InputError, SliceInputError, WordSyntaxError, InvalidBase, RenderError, DeltaNotInSTilde
+    ) as e:
         _emit({"error": str(e)})
         return 1
     except (BonacciError, DimensionError, ThicknessError) as e:

@@ -169,12 +169,12 @@ class RTree:
                 if addr != wrd:
                     problems.append(f"{a.eps} vs {b.eps}: prefix order disagrees")
         for lvl in self.levels:
-            for i, a in enumerate(lvl):
-                for b in lvl[i + 1 :]:
-                    alo = project_ternary(a.word)
-                    blo = project_ternary(b.word)
-                    ahi = alo + Fraction(1, 3 ** len(a.word))
-                    bhi = blo + Fraction(1, 3 ** len(b.word))
+            spans = []  # each node's ternary cylinder [lo, lo + 3^-len)
+            for n in lvl:
+                lo = project_ternary(n.word)
+                spans.append((lo, lo + Fraction(1, 3 ** len(n.word))))
+            for i, (a, (alo, ahi)) in enumerate(zip(lvl, spans)):
+                for b, (blo, bhi) in zip(lvl[i + 1 :], spans[i + 1 :]):
                     if min(ahi, bhi) > max(alo, blo):
                         problems.append(
                             f"{a.eps} vs {b.eps}: ternary cylinders overlap"

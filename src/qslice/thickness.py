@@ -504,6 +504,30 @@ class GapStructure:
     gaps: tuple[GapRecord, ...]
 
 
+def _family_map(g: FieldElement, family: GapFamily) -> tuple[FieldElement, FieldElement]:
+    """Shift and scale of x -> shift + scale * x, the map that carries the
+    projection of the run-limited shift onto a shift-set family."""
+    if family == GapFamily.SkSet:
+        return g.base.zero(), g.base.one()
+    return g.base.one(), 2 - g
+
+
+def shift_set_extent(
+    ana: ShiftSetAnalysis, family: GapFamily
+) -> tuple[tuple[FieldElement, FieldElement], FieldElement]:
+    """Hull ends and largest gap of a shift-set family, read off the
+    analysis: the images of [vmin, vmax] of the start state and of
+    max_gap() under the family's map. At run bound 9 and any level above 9
+    these are the gap walk's hull and gaps[0].size exactly: every state
+    first occurs by depth 9, breadth-first order meets all nodes of depth
+    <= 9 within 2^10 - 1 = 1023 nodes (below SK_GAP_CAP), and deeper copies
+    of a state's gap are smaller by powers of 1/q. The walk finds no gap
+    just when max_gap() is 0."""
+    shift, scale = _family_map(ana.g, family)
+    hull = (shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START))
+    return hull, scale * ana.max_gap()
+
+
 def _aq_value_bracket(
     template: AqTemplate, assignment: dict, upto: int, fill: int
 ) -> tuple[FieldElement, FieldElement]:
@@ -574,12 +598,8 @@ def _enumerate_sk_gaps(
     level. A node (state, off, sc) is the copy of the state's set under
     x -> off + sc * x, and its gap is the state's template under the same
     map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x."""
-    g = ana.g
-    if family == GapFamily.SkSet:
-        shift, scale = g.base.zero(), g.base.one()
-    else:
-        shift, scale = g.base.one(), 2 - g
-    ginv = 1 / g
+    shift, scale = _family_map(ana.g, family)
+    ginv = 1 / ana.g
 
     records = []
     frontier = [(_START, shift, scale, 0)]
@@ -649,30 +669,28 @@ def thickness_lower_bound(gs: GapStructure) -> FieldElement:
 
 
 def interleaving_check(
-    aq: GapStructure, scaled: GapStructure
+    aq: GapStructure,
+    scaled_hull: tuple[FieldElement, FieldElement],
+    scaled_gap: FieldElement,
 ) -> list[IntervalCheck]:
     """Neither set can hide in a gap of the other.
 
     The scaled shift set attains both of its hull endpoints, which bracket
     the branching family's hull; and the branching family's hull is wider
-    than the scaled set's largest gap, so it cannot sink into one.
+    than the scaled set's largest gap, so it cannot sink into one. A
+    largest gap of 0 means the scaled set has no gap to check against.
     """
     checks = []
     try:
         checks.append(
-            exact_check(
-                "hull-left-contained", "le", scaled.hull[0][1], aq.hull[0][0]
-            )
+            exact_check("hull-left-contained", "le", scaled_hull[0], aq.hull[0][0])
         )
         checks.append(
-            exact_check(
-                "hull-right-contained", "le", aq.hull[1][1], scaled.hull[1][0]
-            )
+            exact_check("hull-right-contained", "le", aq.hull[1][1], scaled_hull[1])
         )
-        big = scaled.gaps[0].size[1] if scaled.gaps else None
-        width = aq.hull[1][0] - aq.hull[0][1]
-        if big is not None:
-            checks.append(exact_check("hull-wider-than-gap", "lt", big, width))
+        if scaled_gap > 0:
+            width = aq.hull[1][0] - aq.hull[0][1]
+            checks.append(exact_check("hull-wider-than-gap", "lt", scaled_gap, width))
     except CertificateError as e:
         raise NotInterleaved(str(e)) from e
     return checks
@@ -714,7 +732,6 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
 
     ana = ShiftSetAnalysis(q, 9)
     tau_s, tau_detail = ana.thickness_bound()
-    scaled = _enumerate_sk_gaps(ana, GapFamily.ScaledShiftedSk, 12)
     try:
         checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
         checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
@@ -724,7 +741,8 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         )
     except CertificateError as e:
         raise ThicknessTooSmall(str(e)) from e
-    checks.extend(interleaving_check(aq, scaled))
+    scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
+    checks.extend(interleaving_check(aq, scaled_hull, scaled_gap))
 
     return Certificate(
         claim="thick-linked-intersection",
@@ -751,12 +769,6 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _aq_node_bracket(template, chosen: dict, upto: int):
-    lo = _aq_value_bracket(template, chosen, upto, 0)
-    hi = _aq_value_bracket(template, chosen, upto, 1)
-    return lo[0], hi[1]
-
-
 def find_slice3_witness(
     q: AlgebraicNumber, depth: int = 48
 ) -> tuple[tuple[str, str], SliceResult]:
@@ -769,12 +781,11 @@ def find_slice3_witness(
     g = q.gen()
     template = build_aq_prefixes(q, depth + 40, margin=16)
     ana = ShiftSetAnalysis(q, 9)
-    two_minus = 2 - g
-    one = g.base.one()
+    shift, scale = _family_map(g, GapFamily.ScaledShiftedSk)
 
     def b_bracket(state, off, sc):
-        lo = one + two_minus * (off + sc * ana.vmin(state))
-        hi = one + two_minus * (off + sc * ana.vmax(state))
+        lo = shift + scale * (off + sc * ana.vmin(state))
+        hi = shift + scale * (off + sc * ana.vmax(state))
         return lo, hi
 
     free_all = template.free_positions
@@ -783,7 +794,7 @@ def find_slice3_witness(
     for attempt in range(WITNESS_RETRIES):
         # depth-first over pairs (free-bit assignment, shift-set node),
         # keeping only pairs with overlapping value enclosures
-        stack = [({}, 0, _START, g.base.zero(), one, 0)]
+        stack = [({}, 0, _START, g.base.zero(), g.base.one(), 0)]
         steps = 0
         allowance = WITNESS_BUDGET * 2**attempt
         found = None
@@ -793,7 +804,8 @@ def find_slice3_witness(
             if steps > allowance:
                 break
             upto = free_all[na] + 1 if na < len(free_all) else len(template.bits)
-            alo, ahi = _aq_node_bracket(template, chosen, upto)
+            alo = _aq_value_bracket(template, chosen, upto, 0)[0]
+            ahi = _aq_value_bracket(template, chosen, upto, 1)[1]
             blo, bhi = b_bracket(state, off, sc)
             if max(alo, blo) > min(ahi, bhi):
                 continue

@@ -106,12 +106,6 @@ class Tail:
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, tuple(self.symbol_at(i) for i in range(n)))
 
-    def shift(self, n: int = 1) -> "Tail":
-        if n <= len(self.preperiod):
-            return tail(self.preperiod[n:], self.period, self.alphabet)
-        r = (n - len(self.preperiod)) % len(self.period)
-        return tail((), self.period[r:] + self.period[:r], self.alphabet)
-
     def ends_with_cycle(self, block: Word | tuple[int, ...]) -> bool:
         """True iff the word eventually repeats `block` forever."""
         syms = block.symbols if isinstance(block, Word) else tuple(block)
@@ -303,15 +297,9 @@ def project_ternary(t: WordLike) -> Fraction:
     return acc
 
 
-def _as_field(q: AlgebraicNumber | FieldElement) -> FieldElement:
-    if isinstance(q, AlgebraicNumber):
-        return q.gen()
-    return q
-
-
 def project_q(q: AlgebraicNumber | FieldElement, t: WordLike) -> FieldElement:
     """Value of a digit string in base q: sum of s_i q^(-i), exact."""
-    g = _as_field(q)
+    g = q.gen() if isinstance(q, AlgebraicNumber) else q
     ginv = g.inverse()
     if isinstance(t, Word):
         acc = g.base.zero()
@@ -327,18 +315,6 @@ def project_q(q: AlgebraicNumber | FieldElement, t: WordLike) -> FieldElement:
     for s in reversed(pre):
         acc = (acc + s) * ginv
     return acc
-
-
-def cylinder_interval(
-    q: AlgebraicNumber | FieldElement, w: Word
-) -> tuple[FieldElement, FieldElement]:
-    """Exact hull of the values of all infinite extensions of w in base q."""
-    g = _as_field(q)
-    lo = project_q(g, w)
-    span = g ** (-len(w)) / (g - 1)
-    dmin = min(w.alphabet.symbols)
-    dmax = max(w.alphabet.symbols)
-    return lo + span * dmin, lo + span * dmax
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from qslice.thickness import (
     fixed_expansion_of_one,
     interleaving_check,
     prefix_run_length,
+    shift_set_extent,
     thickness_lower_bound,
 )
 from qslice.words import (
@@ -125,8 +126,8 @@ def test_criterion_04_three_orbit_pipeline(aq_gaps_level40):
     tau_s, _ = ana.thickness_bound()
     assert tau_s > g**6
 
-    scaled = enumerate_gaps(QBIG, GapFamily.ScaledShiftedSk, 12)
-    assert all(c.holds() for c in interleaving_check(aq_gaps_level40, scaled))
+    hull, gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
+    assert all(c.holds() for c in interleaving_check(aq_gaps_level40, hull, gap))
 
     assert tau_aq * tau_s > 1
 

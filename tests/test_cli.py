@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qslice.cli import MAX_TREE_DEPTH, parse_number, run
+from qslice.cli import MAX_TREE_DEPTH, MAX_TREE_LEAVES, parse_number, run
 from qslice.algebraic import bonacci_root, compare_reals, Ordering
 
 
@@ -301,6 +301,9 @@ _OUT_OF_RANGE = [
     (["certify-slice3", "--q", "1999/1000", "--depth", "-5"], "must be at least"),
     (["bonacci", "null", "--k", "3", "--depth", "-4"], "must be at least"),
     (["bonacci", "verify", "--k", "1"], "must be at least"),
+    # a tail outside the uniformly run-limited shift, which is empty below k = 3
+    (["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "0(11)*"], "tail must avoid"),
+    (["bonacci", "verify", "--k", "2", "--m", "1"], "tail must avoid"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"], "must be at least"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"], "must be at least"),
     (["render", "--q", "5/3", "--svg", "-", "--width", "0"], "must be at least"),
@@ -369,6 +372,18 @@ def test_orbit_tree_at_depth_cap(capsys):
     head, tree = records(lines)
     assert head["alive"] == 1
     assert _leaf_count(tree, MAX_TREE_DEPTH) == 1
+
+
+def test_orbit_tree_leaf_cap(capsys):
+    # at q=3/2, y=1/2 the tree has 3445 leaves at depth 14 and 5735 at 15
+    argv = ["orbit-tree", "--q", "3/2", "--y", "1/2", "--depth"]
+    code, lines = invoke(capsys, argv + ["14"])
+    assert code == 0
+    assert records(lines)[0]["alive"] == 3445
+    code, lines = invoke(capsys, argv + ["15"])
+    assert code == 1
+    assert len(lines) == 1  # nothing of the tree is printed
+    assert f"{MAX_TREE_LEAVES} leaves" in json.loads(lines[0])["error"]
 
 
 def test_sorted_keys(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,18 @@ def test_r_tree_other_base():
     tree = build_r_tree(q, Fraction(1, 2), 4, m_bound=14)
     assert [len(l) for l in tree.levels] == [1, 2, 4, 8, 16]
     assert tree.validate() == []
+
+
+def test_r_tree_validate_reports_a_copied_word():
+    # a leaf that carries its sibling's word keeps its own value, so its
+    # ternary cylinder overlaps the sibling's and its value no longer matches
+    tree = build_r_tree(Q32, Fraction(1, 3), 3, m_bound=12)
+    leaves = list(tree.leaves())
+    leaves[0] = replace(leaves[0], word=leaves[1].word)
+    problems = replace(tree, levels=tree.levels[:-1] + (tuple(leaves),)).validate()
+    a, b = leaves[0].eps, leaves[1].eps
+    assert f"{a}: stored value does not match its word" in problems
+    assert f"{a} vs {b}: ternary cylinders overlap" in problems
 
 
 def test_r_tree_stalls_where_expansion_is_unique():

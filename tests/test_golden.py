@@ -32,6 +32,10 @@ GOLDEN = [
      "d211a04535a19d6b7fa831068d3d4bfada899e4e2eb79d15e9bb4a6a62e8d9e2"),
     ("slice --q 3/2 --y 1/2 --depth 12 --oracle", 0,
      "f362003340c046c1aa3931593eb1fcfb86a67bedb7a577164a171b880d1bb979"),
+    ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
+     "b2ecc19b218ee225d7cd7af5e4b796dbc43de7b09e91e5a5d19feeed4f76cebb"),
+    ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,
+     "6b4a4193bea98e2ae147483f65e7cba8bbee451ba79f6776254d367b086d0a31"),
 ]
 
 

@@ -27,6 +27,7 @@ from qslice.thickness import (
     interleaving_check,
     newhouse_certify,
     prefix_run_length,
+    shift_set_extent,
     shifted_partner,
     thickness_lower_bound,
     w2_cover_check,
@@ -183,9 +184,32 @@ def test_scaled_family_is_affine_image():
 
 def test_interleaving_holds():
     aq = enumerate_gaps(QBIG, GapFamily.AqSet, 28)
-    scaled = enumerate_gaps(QBIG, GapFamily.ScaledShiftedSk, 10)
-    checks = interleaving_check(aq, scaled)
+    hull, gap = shift_set_extent(ShiftSetAnalysis(QBIG, 9), GapFamily.ScaledShiftedSk)
+    checks = interleaving_check(aq, hull, gap)
+    assert len(checks) == 3
     assert all(c.holds() for c in checks)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [QBIG, AlgebraicNumber.from_rational(F(19, 10)), bonacci_root(10), bonacci_root(12)],
+    ids=["1999/1000", "19/10", "bonacci:10", "bonacci:12"],
+)
+def test_shift_set_extent_matches_gap_walk(q):
+    ana = ShiftSetAnalysis(q, 9)
+    (lo, hi), gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
+    walk = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 12)
+    assert walk.hull == ((lo, lo), (hi, hi))
+    assert gap == (2 - q.gen()) * ana.max_gap()
+    assert gap == (walk.gaps[0].size[1] if walk.gaps else 0)
+
+
+def test_newhouse_does_not_walk_the_shift_set(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the certificate walked the shift-set gaps")
+
+    monkeypatch.setattr(thickness, "_enumerate_sk_gaps", walk)
+    assert newhouse_certify(QBIG, level=12).claim == "thick-linked-intersection"
 
 
 def test_newhouse_certificate_round_trip():

@@ -11,7 +11,6 @@ from qslice.words import (
     Alphabet,
     WordSyntaxError,
     avoids,
-    cylinder_interval,
     format_word,
     lex_consecutive,
     member,
@@ -50,14 +49,6 @@ def test_canonical_form_is_sequence_invariant(pre, per):
     assert tail(pre + per, per) == t
     assert tail(pre, per * 2) == t
     assert tail(pre + per[:1], per[1:] + per[:1]) == t
-
-
-@settings(max_examples=100, deadline=None)
-@given(pre=bits, per=bits1, n=st.integers(0, 12))
-def test_shift_agrees_with_indexing(pre, per, n):
-    t = tail(pre, per)
-    s = t.shift(n)
-    assert all(s.symbol_at(i) == t.symbol_at(n + i) for i in range(20))
 
 
 def test_ends_with_cycle():
@@ -223,19 +214,3 @@ def test_project_q_against_series_oracle():
         approx = Fraction(int(mpmath.floor(total * mpmath.mpf(10) ** 30)), 10**30)
     slack = Fraction(1, 10**20)
     assert lo - slack <= approx <= hi + slack
-
-
-def test_cylinder_interval_binary():
-    q = AlgebraicNumber.from_rational(Fraction(3, 2))
-    lo, hi = cylinder_interval(q, word([1, 0]))
-    assert lo.as_fraction() == Fraction(2, 3)
-    assert hi.as_fraction() == Fraction(2, 3) + Fraction(8, 9)
-
-
-def test_cylinder_contains_projections():
-    q = AlgebraicNumber.from_rational(Fraction(9, 5))
-    w = word([1, 0, 1])
-    lo, hi = cylinder_interval(q, w)
-    for per in ([0], [1], [0, 1], [1, 1, 0]):
-        v = project_q(q, tail(w.symbols, per))
-        assert lo <= v <= hi
