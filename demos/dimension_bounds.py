@@ -44,7 +44,8 @@ sys = ternary_branch_system(q)
 depths = list(range(8, 15))
 counts = enumerate_orbits(sys, pair.branch_point, depths[-1]).sizes[depths[0]:]
 print("leaf counts:", counts)
-print("box-count slope:", round(box_dimension_estimate(counts, depths), 4))
+slope, _ = box_dimension_estimate(counts, depths)
+print("box-count slope:", round(slope, 4))
 
 # the affinity dimension of the full graph, for scale
 print("graph affinity dimension:", round(float(affinity_dimension(q)), 4))

@@ -16,6 +16,7 @@ from .algebraic import (
     algebraic_from_poly,
     bonacci_root,
     compare_reals,
+    enclose,
     refine,
 )
 from .words import (

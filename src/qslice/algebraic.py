@@ -239,7 +239,7 @@ class AlgebraicNumber:
         return self._lo, self._hi
 
     def __float__(self) -> float:
-        lo, hi = self.refine_to(Fraction(1, 10**20))
+        lo, hi = enclose(self, 10**20)
         return float((lo + hi) / 2)
 
     # -- identity ----------------------------------------------------------
@@ -567,7 +567,7 @@ class FieldElement:
         return self.coeffs[0]
 
     def __float__(self) -> float:
-        lo, hi = self.to_interval(Fraction(1, 10**20))
+        lo, hi = enclose(self, 10**20)
         return float((lo + hi) / 2)
 
     def __repr__(self) -> str:
@@ -650,6 +650,33 @@ def refine(a: "AlgebraicNumber | FieldElement", eps: Rational) -> tuple[Fraction
     if isinstance(a, AlgebraicNumber):
         return a.refine_to(eps)
     return a.to_interval(eps)
+
+
+def enclose(x: "AlgebraicNumber | FieldElement", grid: int) -> tuple[Fraction, Fraction]:
+    """The grid cell that holds x: (x, x) when x is rational, otherwise
+    [n / grid, (n + 1) / grid] with n = floor(x * grid).
+
+    The answer is a function of x and grid alone. However far earlier
+    comparisons have narrowed the shared base, the same call returns the
+    same cell, so printed bounds do not depend on what ran before.
+
+    x is rational exactly when its base has degree 1 or every coefficient
+    past the constant is 0: the minimal polynomial is irreducible, so
+    1, q, ..., q^(d-1) are linearly independent over the rationals.
+    Otherwise x * grid is irrational, hence never an integer, so x lies
+    strictly inside its cell; enclosures of halving width eventually fit in
+    that cell, and the loop ends."""
+    if isinstance(x, AlgebraicNumber):
+        x = x.gen()
+    if x.base.degree == 1 or not any(x.coeffs[1:]):
+        return x.coeffs[0], x.coeffs[0]
+    eps = Fraction(1, grid)
+    while True:
+        lo, hi = x.to_interval(eps)
+        n = lo.numerator * grid // lo.denominator
+        if hi.numerator * grid <= (n + 1) * hi.denominator:
+            return Fraction(n, grid), Fraction(n + 1, grid)
+        eps /= 2
 
 
 def bonacci_root(k: int) -> AlgebraicNumber:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import Optional
 
-from .algebraic import FieldElement, refine
+from .algebraic import FieldElement, enclose
 
 
 class CertificateError(ValueError):
@@ -66,15 +66,17 @@ def _outward(lo: Fraction, hi: Fraction, grid: int) -> tuple[str, str]:
 def bracket(x, eps: Fraction = Fraction(1, 10**30)) -> tuple[str, str]:
     """Rational enclosure of an exact quantity, as strings.
 
-    Endpoints are rounded outward onto a denominator grid of at least
-    10^40, and finer when eps is, so that certificates stay readable even
-    when the exact values carry hundreds of digits."""
+    The grid has denominator 10^40, or eps's denominator when that is
+    finer. An irrational value gets the grid cell that holds it; a rational
+    one is exact, rounded outward onto the grid when its denominator is
+    larger, so that certificates stay readable even when the exact values
+    carry hundreds of digits."""
     grid = max(10**40, Fraction(eps).denominator)
     if isinstance(x, FieldElement):
-        lo, hi = refine(x, eps)
-        return _outward(Fraction(lo), Fraction(hi), grid)
-    f = Fraction(x)
-    return _outward(f, f, grid)
+        lo, hi = enclose(x, grid)
+    else:
+        lo = hi = Fraction(x)
+    return _outward(lo, hi, grid)
 
 
 def exact_check(label: str, relation: str, lhs, rhs) -> IntervalCheck:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 import traceback
 from fractions import Fraction
@@ -21,7 +22,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root, refine
+from .algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root, enclose
 from .bonacci import (
     BonacciError,
     C2Outcome,
@@ -61,6 +62,7 @@ from .words import Tail, WordSyntaxError, format_word, parse_word
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
+MAX_BOX_PATHS = 65536  # box counting holds every path of its deepest level
 
 
 class InputError(ValueError):
@@ -110,8 +112,9 @@ def _parse_pair(text: str, sep: str, what: str) -> tuple[Fraction, Fraction]:
     return _parse_fraction(parts[0], what), _parse_fraction(parts[1], what)
 
 
-def _interval(x, eps: Fraction = Fraction(1, 10**18)) -> list[str]:
-    """Rational bound pair for any exact or floating quantity."""
+def _interval(x) -> list[str]:
+    """Rational bound pair for any exact or floating quantity: exact for a
+    rational, the 10^-18 grid cell that holds an irrational."""
     if isinstance(x, float):
         # pad by one grid unit so the pair encloses the true value, not
         # just the float that approximates it
@@ -120,12 +123,9 @@ def _interval(x, eps: Fraction = Fraction(1, 10**18)) -> list[str]:
             str(Fraction(math.floor(x * grid) - 1, grid)),
             str(Fraction(math.ceil(x * grid) + 1, grid)),
         ]
-    if isinstance(x, AlgebraicNumber):
-        lo, hi = x.refine_to(eps)
-        return [str(lo), str(hi)]
     if isinstance(x, (int, Fraction)):
         return [str(Fraction(x)), str(Fraction(x))]
-    lo, hi = refine(x, eps)
+    lo, hi = enclose(x, 10**18)
     return [str(lo), str(hi)]
 
 
@@ -430,8 +430,14 @@ def _cmd_dimension(args) -> int:
     if levels < 2:
         raise InputError("box method needs at least two depths")
     depths = list(range(8, 8 + levels))
-    counts = enumerate_orbits(sys_, x0, depths[-1]).sizes[depths[0]:]
-    slope, residual = box_dimension_estimate(counts, depths, with_residual=True)
+    walk = enumerate_orbits(sys_, x0, depths[-1], max_cylinders=MAX_BOX_PATHS)
+    if walk.truncated:
+        raise InputError(
+            f"box count capped at {MAX_BOX_PATHS} paths; depth {len(walk.sizes) - 1}"
+            f" has {walk.sizes[-1]}"
+        )
+    counts = walk.sizes[depths[0]:]
+    slope, residual = box_dimension_estimate(counts, depths)
     rec["box_counts"] = counts
     rec["box_estimate"] = _interval(slope)
     rec["residual"] = _interval(residual)
@@ -579,6 +585,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes the pipe early ends the process quietly, as
+        # it would end cat; that is not a fault of the program
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

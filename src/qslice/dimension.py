@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebraic import AlgebraicNumber, FieldElement
+from .algebraic import AlgebraicNumber, FieldElement, enclose
 from .dynamics import (
     PointLike,
     apply_word,
@@ -224,7 +224,7 @@ def affinity_dimension(q) -> float:
     """Dimension of the self-affine carrier, from the singular values of
     the three generating maps: 1 + log_3(4/q - 1)."""
     if isinstance(q, AlgebraicNumber):
-        lo, hi = q.refine_to(Fraction(1, 10**24))
+        lo, hi = enclose(q, 10**24)
         val = (lo + hi) / 2
     else:
         val = Fraction(q)
@@ -234,11 +234,10 @@ def affinity_dimension(q) -> float:
 
 
 def box_dimension_estimate(
-    counts: Sequence[int], depths: Sequence[int], with_residual: bool = False
-):
-    """Least-squares slope of log-counts against depth, in base-3 units.
-
-    With with_residual=True returns (slope, rms residual of the fit)."""
+    counts: Sequence[int], depths: Sequence[int]
+) -> tuple[float, float]:
+    """Least-squares slope of log-counts against depth, in base-3 units,
+    and the rms residual of the fit."""
     if len(counts) != len(depths):
         raise DimensionError("counts and depths must align")
     if len(set(depths)) < 2:
@@ -249,8 +248,6 @@ def box_dimension_estimate(
     y = [math.log(k) for k in counts]
     b = math.fsum(ci * yi for ci, yi in zip(c, y)) / float(sum(ci * ci for ci in c))
     slope = b / math.log(3.0)
-    if not with_residual:
-        return slope
     y_mean = math.fsum(y) / n
     rms = math.sqrt(math.fsum((yi - y_mean - b * ci) ** 2 for ci, yi in zip(c, y)) / n)
     return slope, rms

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, FieldElement, refine
+from .algebraic import AlgebraicNumber, FieldElement, enclose
 
 
 class RenderError(ValueError):
@@ -21,15 +21,15 @@ class RenderError(ValueError):
 
 
 MAX_ITERATIONS = 12
+MARGIN = 24  # pixels between the unit square and the picture's edge
+STROKE = "#1a3a6b"
+STROKE_WIDTH = 0.8
 
 
 def _as_fraction(q) -> Fraction:
-    if isinstance(q, AlgebraicNumber):
-        lo, hi = q.refine_to(Fraction(1, 10**24))
+    if isinstance(q, (AlgebraicNumber, FieldElement)):
+        lo, hi = enclose(q, 10**24)
         return (lo + hi) / 2
-    if isinstance(q, FieldElement):
-        lo, hi = refine(q, Fraction(1, 10**24))
-        return (Fraction(lo) + Fraction(hi)) / 2
     return Fraction(q)
 
 
@@ -63,12 +63,9 @@ class RenderSpec:
     width: int = 640
     height: int = 640
     iterations: int = 7
-    margin: int = 24
     slice_height: Optional[Fraction] = None
     markers: tuple[tuple[Fraction, Fraction], ...] = ()
     bands: tuple[tuple[Fraction, Fraction], ...] = ()
-    stroke: str = "#1a3a6b"
-    stroke_width: float = 0.8
 
 
 def _fmt(v: float) -> str:
@@ -91,7 +88,7 @@ def render_kq(q, spec: RenderSpec = RenderSpec()) -> str:
     a horizontal slice line, point markers, and shaded vertical bands."""
     _check_overlays(spec)
     pts = graph_polyline(q, spec.iterations)
-    w, h, m = spec.width, spec.height, spec.margin
+    w, h, m = spec.width, spec.height, MARGIN
     xspan = w - 2 * m
     yspan = h - 2 * m
 
@@ -119,8 +116,8 @@ def render_kq(q, spec: RenderSpec = RenderSpec()) -> str:
     )
     coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
     out.append(
-        f'<polyline points="{coords}" fill="none" stroke="{spec.stroke}" '
-        f'stroke-width="{spec.stroke_width}"/>'
+        f'<polyline points="{coords}" fill="none" stroke="{STROKE}" '
+        f'stroke-width="{STROKE_WIDTH}"/>'
     )
     if spec.slice_height is not None:
         yy = _fmt(py(Fraction(spec.slice_height)))

@@ -296,10 +296,12 @@ class ShiftSetAnalysis:
         self.q = q
         self.k = k
         self.g = q.gen()
+        self.ginv = 1 / self.g
         self._vmin: dict = {}
         self._vmax: dict = {}
         self._ecl: dict = {}
         self._ecr: dict = {}
+        self._own_gap: dict = {}
         self._maxgap: dict = {}
         self._template: dict = {}
 
@@ -320,14 +322,7 @@ class ShiftSetAnalysis:
         return tuple(sorted(moves))
 
     def states(self) -> list[tuple]:
-        seen = [_START]
-        i = 0
-        while i < len(seen):
-            for _, s in self.successors(seen[i]):
-                if s not in seen:
-                    seen.append(s)
-            i += 1
-        return seen
+        return list(self._depths_from(_START))
 
     # -- extremal tails -----------------------------------------------------
 
@@ -360,12 +355,16 @@ class ShiftSetAnalysis:
     def own_gap(self, state) -> Optional[FieldElement]:
         """Width of the split between the digit-0 and digit-1 child copies,
         None when the state is deterministic or the copies overlap."""
-        moves = self.successors(state)
-        if len(moves) < 2:
-            return None
-        (_, s0), (_, s1) = moves
-        gap = (1 + self.vmin(s1) - self.vmax(s0)) / self.g
-        return gap if gap > 0 else None
+        if state not in self._own_gap:
+            moves = self.successors(state)
+            gap = None
+            if len(moves) == 2:
+                (_, s0), (_, s1) = moves
+                gap = (1 + self.vmin(s1) - self.vmax(s0)) * self.ginv
+                if not gap > 0:
+                    gap = None
+            self._own_gap[state] = gap
+        return self._own_gap[state]
 
     # -- largest gap --------------------------------------------------------
 
@@ -387,7 +386,7 @@ class ShiftSetAnalysis:
             for s, d in self._depths_from(state).items():
                 gap = self.own_gap(s)
                 if gap is not None:
-                    cand = gap / self.g**d
+                    cand = gap * self.ginv**d
                     if cand > best:
                         best = cand
             self._maxgap[state] = best
@@ -408,27 +407,27 @@ class ShiftSetAnalysis:
             memo[key] = self.diam(state)
             return memo[key]
         moves = self.successors(state)
-        g = self.g
+        g, ginv = self.g, self.ginv
         if len(moves) == 1:
             _, child = moves[0]
-            memo[key] = self._clearance(child, theta * g, from_left) / g
+            memo[key] = self._clearance(child, theta * g, from_left) * ginv
             return memo[key]
         (_, s0), (_, s1) = moves
-        lo0 = self.vmin(s0) / g
-        hi0 = self.vmax(s0) / g
-        lo1 = (1 + self.vmin(s1)) / g
-        hi1 = (1 + self.vmax(s1)) / g
+        lo0 = self.vmin(s0) * ginv
+        hi0 = self.vmax(s0) * ginv
+        lo1 = (1 + self.vmin(s1)) * ginv
+        hi1 = (1 + self.vmax(s1)) * ginv
         gap = self.own_gap(state)
         if from_left:
-            cands = [self._clearance(s0, theta * g, True) / g]
+            cands = [self._clearance(s0, theta * g, True) * ginv]
             if gap is not None and gap >= theta:
                 cands.append(hi0 - lo0)
-            cands.append((lo1 - lo0) + self._clearance(s1, theta * g, True) / g)
+            cands.append((lo1 - lo0) + self._clearance(s1, theta * g, True) * ginv)
         else:
-            cands = [self._clearance(s1, theta * g, False) / g]
+            cands = [self._clearance(s1, theta * g, False) * ginv]
             if gap is not None and gap >= theta:
                 cands.append(hi1 - lo1)
-            cands.append((hi1 - hi0) + self._clearance(s0, theta * g, False) / g)
+            cands.append((hi1 - hi0) + self._clearance(s0, theta * g, False) * ginv)
         memo[key] = min(cands)
         return memo[key]
 
@@ -445,11 +444,11 @@ class ShiftSetAnalysis:
             gap = self.own_gap(state)
             template = None
             if gap is not None:
-                g = self.g
+                g, ginv = self.g, self.ginv
                 (_, s0), (_, s1) = self.successors(state)
-                bridge_l = self._clearance(s0, gap * g, False) / g
-                bridge_r = self._clearance(s1, gap * g, True) / g
-                left, right = self.vmax(s0) / g, (1 + self.vmin(s1)) / g
+                bridge_l = self._clearance(s0, gap * g, False) * ginv
+                bridge_r = self._clearance(s1, gap * g, True) * ginv
+                left, right = self.vmax(s0) * ginv, (1 + self.vmin(s1)) * ginv
                 template = (left, right, gap, min(bridge_l, bridge_r))
             self._template[state] = template
         return self._template[state]
@@ -599,7 +598,6 @@ def _enumerate_sk_gaps(
     x -> off + sc * x, and its gap is the state's template under the same
     map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x."""
     shift, scale = _family_map(ana.g, family)
-    ginv = 1 / ana.g
 
     records = []
     frontier = [(_START, shift, scale, 0)]
@@ -623,7 +621,7 @@ def _enumerate_sk_gaps(
                     meta={"state": str(state)},
                 )
             )
-        child_sc = sc * ginv
+        child_sc = sc * ana.ginv
         for dig, child in ana.successors(state):
             frontier.append((child, off + child_sc if dig else off, child_sc, d + 1))
 
@@ -653,14 +651,14 @@ def enumerate_gaps(
 
 def thickness_lower_bound(gs: GapStructure) -> FieldElement:
     """Worst bridge-to-gap ratio among the enumerated gaps."""
-    best = None
-    for r in gs.gaps:
-        ratio = r.bridge_lb / r.size[1]
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
+    if not gs.gaps:
         raise ThicknessError("no gaps enumerated")
-    return best
+    best = gs.gaps[0]
+    for r in gs.gaps[1:]:
+        # the sizes are positive, so the ratios compare without dividing
+        if r.bridge_lb * best.size[1] < best.bridge_lb * r.size[1]:
+            best = r
+    return best.bridge_lb / best.size[1]
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +817,10 @@ def find_slice3_witness(
                     nxt[pos] = bit
                     stack.append((nxt, na + 1, state, off, sc, nb))
             else:
+                child_sc = sc * ana.ginv
                 for dig, child in reversed(ana.successors(state)):
                     stack.append(
-                        (chosen, na, child, off + sc * (dig / g), sc / g, nb + 1)
+                        (chosen, na, child, off + child_sc if dig else off, child_sc, nb + 1)
                     )
         if found is None:
             target_width = target_width * g**2

@@ -290,7 +290,7 @@ def test_criterion_10_dimension_pipeline():
     sys_ = ternary_branch_system(q)
     depths = list(range(8, 17))
     counts = enumerate_orbits(sys_, b, depths[-1]).sizes[depths[0]:]
-    estimate = box_dimension_estimate(counts, depths)
+    estimate, _ = box_dimension_estimate(counts, depths)
     assert dimension_lower_bound(m_bound) <= estimate + 0.05
     _verdict(10, start, 120.0)
 

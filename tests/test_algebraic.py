@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: root isolation, field ops, comparisons."""
 
+import functools
 from fractions import Fraction
 from unittest import mock
 
@@ -20,6 +21,7 @@ from qslice.algebraic import (
     bonacci_root,
     compare,
     compare_reals,
+    enclose,
     refine,
 )
 
@@ -197,6 +199,46 @@ def test_sign_of_zero_difference(tri_base):
 def test_float_approximation(tri_base):
     g = tri_base.gen()
     assert abs(float(g * g) - float(TRIBONACCI_40) ** 2) < 1e-12
+
+
+ENCLOSE_BASES = {
+    **{f"bonacci:{k}": (tuple(multinacci_poly(k)), 1, 2) for k in range(2, 7)},
+    "two-orbit cubic": ((1, -2, -1, 1), Fraction(3, 2), Fraction(19, 10)),
+}
+
+
+@functools.cache
+def _refined_base(name):
+    base = algebraic_from_poly(*ENCLOSE_BASES[name])
+    base.refine_to(Fraction(1, 10**200))
+    return base
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(ENCLOSE_BASES)), grid=st.sampled_from([10, 10**18, 10**40]),
+       rational=st.booleans(), data=st.data())
+def test_enclose_is_the_grid_cell_of_the_value(name, grid, rational, data):
+    fresh, refined = algebraic_from_poly(*ENCLOSE_BASES[name]), _refined_base(name)
+    n = 1 if rational else fresh.degree
+    coeffs = data.draw(st.lists(small_fracs, min_size=n, max_size=n))
+    x = fresh.element(coeffs)
+    cell = enclose(x, grid)
+    # the answer does not depend on how far the base was refined before
+    assert enclose(refined.element(coeffs), grid) == cell
+    if not any(coeffs[1:]):
+        assert cell == (coeffs[0], coeffs[0])
+    else:
+        cell_lo, cell_hi = cell
+        assert cell_hi - cell_lo == Fraction(1, grid)
+        assert (cell_lo * grid).denominator == 1
+        assert x > cell_lo and x < cell_hi
+
+
+def test_enclose_of_a_number_is_that_of_its_generator():
+    q = algebraic_from_poly(multinacci_poly(4), 1, 2)
+    assert enclose(q, 10**18) == enclose(q.gen(), 10**18)
+    r = AlgebraicNumber.from_rational(Fraction(7, 5))
+    assert enclose(r, 10) == (Fraction(7, 5), Fraction(7, 5))
 
 
 # -- integer kernels against the rational recurrences they replaced ----------

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from qslice.algebraic import bonacci_root
+from qslice.thickness import newhouse_certify
 from qslice.certificates import (
     Certificate,
     CertificateError,
@@ -50,6 +51,12 @@ def test_bracket_contains_algebraic_value():
     lo, hi = bracket(g)
     assert F(lo) < F(hi)
     assert F(hi) - F(lo) < F(1, 10**29)
+
+
+def test_certificate_is_independent_of_earlier_calls():
+    # the first call refines the shared base; the second must not see it
+    first = to_json(newhouse_certify(bonacci_root(10), level=12))
+    assert to_json(newhouse_certify(bonacci_root(10), level=12)) == first
 
 
 def test_json_round_trip():

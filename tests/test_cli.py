@@ -1,12 +1,15 @@
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qslice.cli import MAX_TREE_DEPTH, MAX_TREE_LEAVES, parse_number, run
+from qslice.cli import MAX_BOX_PATHS, MAX_TREE_DEPTH, MAX_TREE_LEAVES, parse_number, run
 from qslice.algebraic import bonacci_root, compare_reals, Ordering
 
 
@@ -263,6 +266,14 @@ def test_outputs_are_byte_deterministic(capsys):
     assert first == second
 
 
+def test_outputs_do_not_depend_on_earlier_refinement(capsys):
+    argv = ["slice", "--q", "bonacci:3", "--y", "1/3", "--depth", "12"]
+    _, first = invoke(capsys, argv)
+    bonacci_root(3).refine_to(Fraction(1, 10**200))
+    _, second = invoke(capsys, argv)
+    assert first == second
+
+
 def test_no_bare_floats_in_output(capsys):
     for argv in (
         ["slice", "--q", "5/3", "--y", "3/8", "--depth", "12"],
@@ -384,6 +395,36 @@ def test_orbit_tree_leaf_cap(capsys):
     assert code == 1
     assert len(lines) == 1  # nothing of the tree is printed
     assert f"{MAX_TREE_LEAVES} leaves" in json.loads(lines[0])["error"]
+
+
+def test_box_count_path_cap(capsys):
+    # at q=3/2, y=1/3 depth 20 holds 44312 paths and depth 21 holds 73838
+    argv = ["dimension", "--q", "3/2", "--y", "1/3", "--method", "box", "--levels"]
+    code, lines = invoke(capsys, argv + ["13"])
+    assert code == 0
+    assert records(lines)[0]["box_counts"][-1] == 44312
+    code, lines = invoke(capsys, argv + ["14"])
+    assert code == 1
+    assert len(lines) == 1
+    assert f"{MAX_BOX_PATHS} paths; depth 21" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="platform has no SIGPIPE")
+def test_closed_stdout_ends_the_process_quietly():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "12"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qslice.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert b"internal error" not in err
 
 
 def test_sorted_keys(capsys):

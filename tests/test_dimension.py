@@ -131,7 +131,7 @@ def test_affinity_dimension_monotone_and_bounded():
 def test_box_dimension_estimate_recovers_exact_slope():
     depths = list(range(4, 12))
     counts = [2**d for d in depths]
-    assert box_dimension_estimate(counts, depths) == pytest.approx(
+    assert box_dimension_estimate(counts, depths)[0] == pytest.approx(
         math.log(2) / math.log(3)
     )
     with pytest.raises(TooFewDepths):
@@ -147,7 +147,7 @@ def test_box_fit_bracket_encloses_the_true_slope():
 
     from qslice.cli import _interval
 
-    lo, hi = _interval(box_dimension_estimate([33, 55, 87], [8, 9, 10]))
+    lo, hi = _interval(box_dimension_estimate([33, 55, 87], [8, 9, 10])[0])
     with mpmath.workdps(50):
         # three equally spaced depths: the fitted slope is (y3 - y1) / 2
         ref = (mpmath.log(87) - mpmath.log(33)) / (2 * mpmath.log(3))
@@ -161,5 +161,5 @@ def test_dimension_chain_is_consistent():
     depths = list(range(8, 15))
     counts = enumerate_orbits(sys, x0, depths[-1]).sizes[depths[0]:]
     assert all(b > a for a, b in zip(counts, counts[1:]))
-    est = box_dimension_estimate(counts, depths)
+    est, _ = box_dimension_estimate(counts, depths)
     assert dimension_lower_bound(M) <= est + 0.05
