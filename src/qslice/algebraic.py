@@ -62,6 +62,17 @@ def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+def _sign_at(p: Sequence[int], x: Fraction) -> int:
+    """The sign of an integer polynomial at x, read off the integer
+    den(x)^deg * p(x)."""
+    n, m = x.numerator, x.denominator
+    acc, scale = p[-1], 1
+    for c in reversed(p[:-1]):
+        scale *= m
+        acc = acc * n + c * scale
+    return (acc > 0) - (acc < 0)
+
+
 def _deriv(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * i for i, c in enumerate(p) if i > 0)
 
@@ -221,13 +232,12 @@ class AlgebraicNumber:
         if self._lo == self._hi:
             return
         mid = (self._lo + self._hi) / 2
-        v = _eval(self._frac_poly, mid)
+        v = _sign_at(self.min_poly, mid)
         if v == 0:
             # only reachable for degree-1 polynomials
             self._lo = self._hi = mid
             return
-        vlo = _eval(self._frac_poly, self._lo)
-        if (vlo > 0) != (v > 0):
+        if (_sign_at(self.min_poly, self._lo) > 0) != (v > 0):
             self._hi = mid
         else:
             self._lo = mid

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf, lcm
+from functools import cached_property
+from math import ceil, floor, gcd, inf, lcm
+from operator import mul
 from typing import Callable, Optional, Union
 
 from .algebraic import (
@@ -104,6 +106,11 @@ class ExpansionSystem:
         p = self.lift(x)
         return self.switch_lo <= p <= self.switch_hi
 
+    @cached_property
+    def _lattice(self) -> "_Lattice":
+        """The integer kernel of the orbit walks at degree >= 2."""
+        return _Lattice(self)
+
 
 def check_base(q: AlgebraicNumber) -> None:
     """Raise InvalidBase unless 1 < q < 2."""
@@ -126,14 +133,14 @@ def ternary_branch_system(q: AlgebraicNumber) -> ExpansionSystem:
     g = q.gen()
     one = g.base.one()
     zero = g.base.zero()
+    ginv = 1 / g
     top = 1 / (g - 1)
-    merge = 1 / (g * (g - 1))
+    c = 1 / (2 - g)
+    merge = ginv * top
     f0 = BranchMap(0, g, zero, zero, merge, True, False)
-    f1 = BranchMap(
-        1, -g / (2 - g), top + 1 / (2 - g), 1 / g, merge, False, True
-    )
-    f2 = BranchMap(2, g, -one, 1 / g, top, True, True)
-    return ExpansionSystem(q, (f0, f1, f2), zero, top, 1 / g, merge)
+    f1 = BranchMap(1, -g * c, top + c, ginv, merge, False, True)
+    f2 = BranchMap(2, g, -one, ginv, top, True, True)
+    return ExpansionSystem(q, (f0, f1, f2), zero, top, ginv, merge)
 
 
 def apply_map(sys: ExpansionSystem, label: int, x: PointLike) -> FieldElement:
@@ -203,27 +210,13 @@ def enumerate_orbits(
     repeated orbit_step calls would. Given max_cylinders, the walk stops,
     truncated, after the first step whose level holds more paths than that.
 
-    At rational bases the walk runs on integers; elsewhere it is the
-    orbit_step loop itself."""
+    At rational bases the walk runs on integers, elsewhere on the integer
+    vectors of the system's lattice kernel."""
     p = sys.lift(x)
     cap = inf if max_cylinders is None else max_cylinders
     if sys.base.is_rational:
         return _integer_walk(sys, p.as_fraction(), depth, cap)
-    level: Level = [((), p)]
-    sizes = [1]
-    events: list[tuple[int, tuple[int, ...]]] = []
-    truncated = False
-    for step in range(depth):
-        level, forked = orbit_step(sys, level)
-        events.extend((step, path) for path in forked)
-        sizes.append(len(level))
-        if len(level) > cap:
-            truncated = True
-            break
-    return Frontier(
-        [path for path, _ in level], sizes, events, truncated,
-        lambda: [pt for _, pt in level],
-    )
+    return _lattice_walk(sys, p, depth, cap)
 
 
 def _first_above(lo: Fraction, closed: bool, den: int) -> int:
@@ -282,6 +275,162 @@ def _integer_walk(
     return Frontier(
         [path for path, _ in level], sizes, events, truncated,
         lambda: [base.rational(Fraction(n, den)) for _, n in level],
+    )
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice kernel at algebraic bases
+# ---------------------------------------------------------------------------
+
+_BRACKET_BITS = 64
+
+
+class _Lattice:
+    """The branches of a system of degree d >= 2, acting on integer vectors.
+
+    A point is v / den with v an integer vector in the basis 1, q, ...,
+    q^(d-1). A branch s*x + o sends it to (M v + u*den) / (den*L), where
+    M is multiplication by s scaled by L, the least common denominator of
+    the branch matrices, and u = L*o is integral over any den that holds
+    the offsets' denominators, as every den here does. At Pisot-unit bases
+    L = 1 and den never grows.
+
+    Domain tests read integer brackets rounded outward from exact
+    enclosures: 2^64 q^j lies in [a_j, a_j + w], so 2^64 * den * x lies
+    within w * sum|v_j| of the dot product v.a, and each domain end e has
+    a bracket of 2^64 * den * e per den. A test the brackets leave open,
+    equality at an end included, is decided by FieldElement.sign on the
+    exact difference."""
+
+    def __init__(self, sys: ExpansionSystem):
+        base = sys.base
+        d = base.degree
+        # q > 1, so its isolating interval [lo, hi] is positive and q^j lies
+        # in [lo^j, hi^j]; at q < 2 these are 2^-64 wide
+        lo, hi = base.refine_to(Fraction(1, 1 << (_BRACKET_BITS + 2 * d)))
+        unit = 1 << _BRACKET_BITS
+        self.brackets = [floor(unit * lo**j) for j in range(d)]
+        self.spread = max(ceil(unit * hi**j) - a for j, a in enumerate(self.brackets))
+        matrices = {}  # slope coefficients -> (integer rows, denominator)
+        for m in sys.maps:
+            if m.slope.coeffs not in matrices:
+                matrices[m.slope.coeffs] = _multiplication_rows(m.slope)
+        self.base = base
+        self.scale = lcm(*(den for _, den in matrices.values()))
+        self.offset_den = lcm(*(c.denominator for m in sys.maps for c in m.offset.coeffs))
+        self.maps = []
+        for m in sys.maps:
+            rows, den = matrices[m.slope.coeffs]
+            times = self.scale // den
+            self.maps.append((
+                m.label,
+                [[c * times for c in row] for row in rows],
+                [int(c * self.offset_den) * self.scale for c in m.offset.coeffs],
+                self._end(m.lo, m.lo_closed),
+                self._end(m.hi, m.hi_closed),
+            ))
+        self._levels: dict[int, list] = {}
+
+    def _end(self, end: FieldElement, closed: bool) -> tuple:
+        """A domain end e with the centre and radius of its bracket: 2^64 e
+        lies within radius / den of centre / den."""
+        den = lcm(*(c.denominator for c in end.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in end.coeffs]
+        centre = sum(map(mul, nums, self.brackets))
+        return centre, self.spread * sum(map(abs, nums)), den, end, closed
+
+    def lift(self, p: FieldElement) -> tuple[list[int], int]:
+        den = lcm(self.offset_den, *(c.denominator for c in p.coeffs))
+        return [int(c * den) for c in p.coeffs], den
+
+    def point(self, v: list[int], den: int) -> FieldElement:
+        return self.base.element([Fraction(c, den) for c in v])
+
+    def _level(self, den: int) -> list:
+        """Each branch's matrix, its offset over den, and its domain ends
+        with the integer brackets of 2^64 * den * end."""
+        if den not in self._levels:
+            times = den // self.offset_den
+            self._levels[den] = [
+                (label, rows, [c * times for c in off], _scaled(lo, den), _scaled(hi, den))
+                for label, rows, off, lo, hi in self.maps
+            ]
+        return self._levels[den]
+
+    def children(self, v: list[int], den: int) -> list[tuple[int, list[int]]]:
+        """(label, image vector over den * scale) for every branch whose
+        domain holds v / den, in label order."""
+        centre = sum(map(mul, v, self.brackets))
+        radius = self.spread * sum(map(abs, v))
+        least, most = centre - radius, centre + radius
+        out = []
+        for label, rows, off, (lo_a, lo_b, lo, lo_closed), (hi_a, hi_b, hi, hi_closed) in self._level(den):
+            if (
+                (least > lo_b or (most >= lo_a and self._side(v, den, lo, lo_closed, 1)))
+                and (most < hi_a or (least <= hi_b and self._side(v, den, hi, hi_closed, -1)))
+            ):
+                out.append((label, [sum(map(mul, row, v)) + o for row, o in zip(rows, off)]))
+        return out
+
+    def _side(self, v: list[int], den: int, end: FieldElement, closed: bool, side: int) -> bool:
+        """Whether v / den lies strictly on the given side of end (1 above,
+        -1 below), or on end when closed: the exact fallback."""
+        s = (self.point(v, den) - end).sign()
+        return s == side or (closed and s == 0)
+
+
+def _scaled(end: tuple, den: int) -> tuple:
+    """The integer bracket of 2^64 * den * e for an end from _Lattice._end."""
+    centre, radius, end_den, value, closed = end
+    return (den * (centre - radius)) // end_den, -(-den * (centre + radius) // end_den), value, closed
+
+
+def _multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
+    """Multiplication by s in the basis 1, q, ..., q^(d-1): integer rows
+    over one denominator, in lowest terms. Column j + 1 is q times column
+    j, reduced by the minimal polynomial."""
+    poly = s.base.min_poly
+    lead = poly[-1]
+    den = lcm(*(c.denominator for c in s.coeffs))
+    col = [c.numerator * (den // c.denominator) for c in s.coeffs]
+    cols = [col]
+    for _ in range(len(col) - 1):
+        # q * (col / den') = (lead * shifted - top * poly) / (den' * lead)
+        col = [lead * a - col[-1] * p for a, p in zip([0] + col[:-1], poly)]
+        cols.append(col)
+    last = len(cols) - 1
+    cols = [[c * lead ** (last - j) for c in col] for j, col in enumerate(cols)]
+    den *= lead ** last
+    g = gcd(den, *(c for col in cols for c in col))
+    return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
+
+
+def _lattice_walk(
+    sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
+) -> Frontier:
+    """enumerate_orbits at a base of degree >= 2, on the lattice kernel."""
+    lattice = sys._lattice
+    v, den = lattice.lift(x)
+    level = [((), v)]
+    sizes = [1]
+    events: list[tuple[int, tuple[int, ...]]] = []
+    truncated = False
+    for step in range(depth):
+        nxt = []
+        for path, v in level:
+            kids = lattice.children(v, den)
+            if len(kids) >= 2:
+                events.append((step, path))
+            nxt.extend((path + (label,), w) for label, w in kids)
+        level = nxt
+        den *= lattice.scale
+        sizes.append(len(level))
+        if len(level) > cap:
+            truncated = True
+            break
+    return Frontier(
+        [path for path, _ in level], sizes, events, truncated,
+        lambda: [lattice.point(v, den) for _, v in level],
     )
 
 
@@ -352,20 +501,30 @@ def unique_orbit_check(
                 shift_k=k,
             )
 
-    seen: dict[FieldElement, int] = {}
+    if q.is_rational:
+        return _field_orbit(sys, p, depth)
+    return _lattice_orbit(sys, p, depth)
+
+
+def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:
+    """Walk one orbit from p while exactly one branch applies, keying the
+    points it visits by key(point) to find a cycle. children(point) lists
+    (label, image) for every branch that applies there."""
+    seen: dict = {}
     digits: list[int] = []
     for step in range(depth):
-        labels = sys.applicable(p)
-        if len(labels) == 0:
+        kids = children(p)
+        if len(kids) == 0:
             raise ValueError("point escaped the expansion interval")
-        if len(labels) > 1:
+        if len(kids) > 1:
             return UniqueOrbitResult(
                 UniqueOrbitStatus.BranchFoundAt,
                 branch_step=step,
                 digits=Word(Alphabet.TERNARY, tuple(digits)),
             )
-        if p in seen:
-            start = seen[p]
+        k = key(p)
+        if k in seen:
+            start = seen[k]
             return UniqueOrbitResult(
                 UniqueOrbitStatus.UniqueCertified,
                 digits=Word(Alphabet.TERNARY, tuple(digits)),
@@ -373,14 +532,41 @@ def unique_orbit_check(
                 cycle_length=step - start,
                 route="periodic-trajectory",
             )
-        seen[p] = step
-        digits.append(labels[0])
-        p = sys.branch(labels[0])(p)
+        seen[k] = step
+        label, p = kids[0]
+        digits.append(label)
 
     return UniqueOrbitResult(
         UniqueOrbitStatus.UnknownAtDepth,
         digits=Word(Alphabet.TERNARY, tuple(digits)),
     )
+
+
+def _field_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrbitResult:
+    """The single-orbit walk on field elements."""
+    return _single_orbit(
+        p,
+        lambda x: [(label, sys.branch(label)(x)) for label in sys.applicable(x)],
+        lambda x: x,
+        depth,
+    )
+
+
+def _lattice_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrbitResult:
+    """The single-orbit walk on the lattice kernel. A point is a (vector,
+    den) pair, keyed by its reduced form so that equal values meet."""
+    lattice = sys._lattice
+
+    def children(point):
+        v, den = point
+        return [(label, (w, den * lattice.scale)) for label, w in lattice.children(v, den)]
+
+    def key(point):
+        v, den = point
+        g = gcd(den, *v)
+        return tuple(c // g for c in v), den // g
+
+    return _single_orbit(lattice.lift(p), children, key, depth)
 
 
 def tail_is_orbit(sys: ExpansionSystem, t: Tail, x: PointLike) -> bool:

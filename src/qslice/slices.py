@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
+from operator import mul
 from typing import Optional
 
 from .algebraic import AlgebraicNumber, FieldElement
@@ -194,25 +195,12 @@ def geometric_slice_oracle(
     flip_scale = 2 * inv - 1  # slope magnitude of the middle contraction
     # vertical parts as (slope, offset); the middle one reverses orientation
     parts = ((inv, g.base.zero()), (-flip_scale, inv), (inv, 1 - inv))
-    if q.is_rational:
-        return _integer_boxes(parts, yv.as_fraction(), depth)
-
     # a word's box height range is the composed map applied to [0, 1], so
     # appending a digit composes on the inside: slope and offset update by
     # (a, b) . (s, o) = (a*s, a*o + b)
-    frontier: list[tuple[tuple[int, ...], FieldElement, FieldElement]] = [
-        ((), g.base.one(), g.base.zero())
-    ]
-    for _ in range(depth):
-        nxt = []
-        for path, a, b in frontier:
-            for lab, (s, o) in enumerate(parts):
-                ca, cb = a * s, a * o + b
-                lo, hi = (cb, ca + cb) if ca > 0 else (ca + cb, cb)
-                if lo <= yv <= hi:
-                    nxt.append((path + (lab,), ca, cb))
-        frontier = nxt
-    return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+    if q.is_rational:
+        return _integer_boxes(parts, yv.as_fraction(), depth)
+    return _lattice_boxes(parts, yv, depth)
 
 
 def _integer_boxes(parts, y: Fraction, depth: int) -> set[Word]:
@@ -238,6 +226,82 @@ def _integer_boxes(parts, y: Fraction, depth: int) -> set[Word]:
                     nxt.append((path + (lab,), ca, cb))
         frontier = nxt
     return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+
+
+_BOX_BITS = 64
+
+
+def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
+    """The box descent at a base q of degree d >= 2. A word's slope and
+    offset are integer vectors in the basis 1, q, ..., q^(d-1) over one
+    denominator den. Every nonzero part coefficient m acts by the integer
+    matrix of multiplication by m, scaled by L, the least common
+    denominator of those matrices, so a part (s, o) sends (a, b) over den
+    to (M_s a, M_o a + L b) over den * L. A slope's sign is the product of
+    its parts' signs. Each end of a box is compared with y by integer
+    brackets, and by FieldElement.sign where they overlap."""
+    base = y.base
+    basis = [base.element([0] * j + [1]) for j in range(base.degree)]
+    lows, width = _box_brackets(basis)
+    index: dict = {}  # coefficients of a nonzero part coefficient -> its place in columns
+    columns = []
+    for m in (c for part in parts for c in part):
+        if m and m.coeffs not in index:
+            index[m.coeffs] = len(columns)
+            columns.append([(m * e).coeffs for e in basis])
+    scale = lcm(*(c.denominator for cols in columns for col in cols for c in col))
+    matrices = [
+        [[int(col[i] * scale) for col in cols] for i in range(len(basis))] for cols in columns
+    ]
+    steps = [
+        (lab, index[s.coeffs], index.get(o.coeffs), s.sign()) for lab, (s, o) in enumerate(parts)
+    ]
+    y_den = lcm(*(c.denominator for c in y.coeffs))
+    y_nums = [c.numerator * (y_den // c.denominator) for c in y.coeffs]
+    y_centre = sum(map(mul, y_nums, lows))
+    y_radius = width * sum(map(abs, y_nums))
+
+    def versus_y(v: list[int]) -> int:
+        """The sign of v / den - y, at the current level's den."""
+        centre = sum(map(mul, v, lows))
+        radius = width * sum(map(abs, v))
+        if centre + radius < y_lo:
+            return -1
+        if centre - radius > y_hi:
+            return 1
+        return (base.element([Fraction(c, den) for c in v]) - y).sign()
+
+    zero = [0] * len(basis)
+    frontier = [((), [1] + zero[1:], zero, 1)]
+    den = 1
+    for _ in range(depth):
+        den *= scale
+        # the integer bracket of 2^64 * den * y
+        y_lo = den * (y_centre - y_radius) // y_den
+        y_hi = -(-den * (y_centre + y_radius) // y_den)
+        nxt = []
+        for path, a, b, sign in frontier:
+            images = [[sum(map(mul, row, a)) for row in rows] for rows in matrices]
+            b = [c * scale for c in b]
+            for lab, si, oi, s_sign in steps:
+                ca = images[si]
+                cb = b if oi is None else [u + w for u, w in zip(images[oi], b)]
+                top = [u + w for u, w in zip(ca, cb)]
+                csign = sign * s_sign
+                lo, hi = (cb, top) if csign > 0 else (top, cb)
+                if versus_y(lo) <= 0 and versus_y(hi) >= 0:
+                    nxt.append((path + (lab,), ca, cb, csign))
+        frontier = nxt
+    return {Word(Alphabet.TERNARY, path) for path, *_ in frontier}
+
+
+def _box_brackets(basis: list[FieldElement]) -> tuple[list[int], int]:
+    """Integers a_j and w with 2^64 q^j in [a_j, a_j + w], from exact
+    enclosures of the basis elements q^j."""
+    eps = Fraction(1, 1 << _BOX_BITS)
+    cells = [e.to_interval(eps) for e in basis]
+    lows = [floor(lo / eps) for lo, _ in cells]
+    return lows, max(ceil(hi / eps) - a for (_, hi), a in zip(cells, lows))
 
 
 def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:

@@ -30,6 +30,9 @@ class Alphabet(Enum):
         return self.value
 
 
+_SYMBOL_SETS = {a: frozenset(a.symbols) for a in Alphabet}
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite digit string over a fixed alphabet."""
@@ -38,7 +41,7 @@ class Word:
     symbols: tuple[int, ...]
 
     def __post_init__(self):
-        if not set(self.symbols).issubset(self.alphabet.symbols):
+        if not _SYMBOL_SETS[self.alphabet].issuperset(self.symbols):
             raise WordSyntaxError(f"symbols outside {self.alphabet.name} alphabet")
 
     def __len__(self) -> int:

@@ -314,6 +314,18 @@ def test_mul_kernel_matches_rational_reduction(name, data):
         assert prod.sign() == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(poly=st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(lambda p: p[-1] != 0),
+       x=mixed_fracs)
+@example(poly=[-1, -1, 1], x=Fraction(3, 2))
+@example(poly=[-2, 0, 1], x=Fraction(0))
+@example(poly=[1, -2, 1], x=Fraction(1))  # a root
+def test_sign_at_matches_rational_evaluation(poly, x):
+    # the integer sign that drives bisection, against Horner on fractions
+    value = algebraic._eval([Fraction(c) for c in poly], x)
+    assert algebraic._sign_at(poly, x) == (value > 0) - (value < 0)
+
+
 def _poly_product(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

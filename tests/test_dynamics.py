@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qslice.algebraic import AlgebraicNumber, bonacci_root
+from qslice.algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root
+from qslice import dynamics
+from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
     InvalidBase,
     OutOfDomain,
@@ -18,6 +20,7 @@ from qslice.dynamics import (
     tail_is_orbit,
     ternary_branch_system,
     unique_orbit_check,
+    _field_orbit,
 )
 from qslice.words import Alphabet, project_q, tail, word
 
@@ -207,6 +210,91 @@ def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders):
     assert walk.events == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]
+
+
+# -- the lattice kernel at algebraic bases ---------------------------------------
+
+ALGEBRAIC_BASES = {f"bonacci:{k}": (lambda k=k: bonacci_root(k)) for k in range(2, 11)}
+ALGEBRAIC_BASES["two-orbit"] = two_orbit_base
+# the domain ends 0, 1/q, 1/(q(q-1)) and 1/(q-1), where the exact fallback decides
+ENDS = ("hull_lo", "switch_lo", "switch_hi", "hull_hi")
+algebraic_labels = st.sampled_from(sorted(ALGEBRAIC_BASES))
+starts = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=64), st.sampled_from(ENDS))
+
+
+def _start(sys, start):
+    """A domain end by name, or the point of the height start."""
+    if isinstance(start, str):
+        return getattr(sys, start)
+    return sys.lift(start) / (sys.q() - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=algebraic_labels, start=starts, depth=st.integers(0, 16),
+       max_cylinders=st.integers(1, 300))
+@example("bonacci:3", "hull_lo", 16, 300)
+@example("bonacci:3", "switch_lo", 16, 300)
+@example("bonacci:5", "switch_hi", 16, 300)
+@example("two-orbit", "hull_hi", 16, 300)
+@example("bonacci:2", F(1, 2), 16, 3)  # truncates
+def test_lattice_walk_matches_field_walk(label, start, depth, max_cylinders):
+    sys = ternary_branch_system(ALGEBRAIC_BASES[label]())
+    x = _start(sys, start)
+    level, events, truncated = _reference_walk(sys, x, depth, max_cylinders)
+    walk = enumerate_orbits(sys, x, depth, max_cylinders)
+    paths = [path for path, _ in level]
+    assert walk.paths == paths
+    assert walk.events == events
+    assert walk.truncated == truncated
+    assert walk.points() == [p for _, p in level]
+    # every point has a branch, so each level is the set of prefixes of the last
+    assert walk.sizes == [len({path[:n] for path in paths}) for n in range(len(walk.sizes))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=algebraic_labels, start=starts, depth=st.integers(0, 24))
+@example("bonacci:3", "hull_lo", 24)
+@example("bonacci:4", "switch_lo", 24)
+@example("bonacci:6", "switch_hi", 24)
+@example("two-orbit", "hull_hi", 24)
+@example("bonacci:2", F(1, 2), 24)
+def test_lattice_probe_matches_field_orbit(label, start, depth):
+    q = ALGEBRAIC_BASES[label]()
+    sys = ternary_branch_system(q)
+    x = _start(sys, start)
+    assert unique_orbit_check(q, x, depth) == _field_orbit(sys, x, depth)
+
+
+@pytest.mark.parametrize("label", sorted(ALGEBRAIC_BASES))
+def test_coarse_brackets_defer_to_the_exact_fallback(label, monkeypatch):
+    # 2-bit brackets leave most domain tests open, so the walk and the
+    # probes rest on the exact fallback
+    monkeypatch.setattr(dynamics, "_BRACKET_BITS", 2)
+    q = ALGEBRAIC_BASES[label]()
+    sys = ternary_branch_system(q)
+    for start in ENDS + (F(1, 3), F(4, 7)):
+        x = _start(sys, start)
+        level, events, truncated = _reference_walk(sys, x, 8, 60)
+        walk = enumerate_orbits(sys, x, 8, 60)
+        assert (walk.paths, walk.events, walk.truncated) == ([p for p, _ in level], events, truncated)
+        assert unique_orbit_check(q, x, 16) == _field_orbit(sys, x, 16)
+
+
+def test_lattice_kernel_at_a_non_unit_base():
+    # 2x^2 - 2x - 1 is not monic, so the denominator grows at every step and
+    # the probes compare points in lowest terms
+    q = algebraic_from_poly([-1, -2, 2], 1, 2)
+    sys = ternary_branch_system(q)
+    assert sys._lattice.scale > 1
+    for start in ENDS + (F(1, 3), F(2, 5), F(7, 9)):
+        x = _start(sys, start)
+        level, events, truncated = _reference_walk(sys, x, 8, 200)
+        walk = enumerate_orbits(sys, x, 8, 200)
+        assert (walk.paths, walk.events, walk.truncated) == ([p for p, _ in level], events, truncated)
+        assert walk.points() == [p for _, p in level]
+        assert unique_orbit_check(q, x, 16) == _field_orbit(sys, x, 16)
+    # the fixed points 0 and 1/(q-1) close a cycle of length 1
+    assert unique_orbit_check(q, sys.hull_hi, 16).cycle_length == 1
 
 
 # -- conjugacy with the vertical inverse maps (test-only construction) ----------

@@ -31,6 +31,10 @@ GOLDEN = [
      "985c08bebca38ef15828b962123542e7f1ae2bf0e6171b8cd86812c7a2e8aef3"),
     ("slice --q 3/2 --y 1/2 --depth 12 --oracle", 0,
      "f362003340c046c1aa3931593eb1fcfb86a67bedb7a577164a171b880d1bb979"),
+    ("slice --q bonacci:4 --y 3/7 --depth 16 --oracle", 2,
+     "ffda259b1b0696f0c18f31549b006730bed47c4f909a59bb733cc4b1fbdafe98"),
+    ("slice --q algebraic:1,-2,-1,1:3/2:19/10 --y 2/5 --depth 16 --oracle", 0,
+     "31a6e32b4bb05c29bd73eb8875ef39a5809f1f7146522d0d6e85424c666aee57"),
     ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
      "bea2c530172d6bd308beb602b12645edd73b2701cd0202f848796818a68535a3"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,

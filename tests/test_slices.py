@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from qslice import slices
 from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
+from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
     UniqueOrbitResult,
     UniqueOrbitStatus,
@@ -132,6 +133,44 @@ def test_integer_oracle_matches_field_descent(qf, y, depth):
     assert geometric_slice_oracle(q, y, depth) == _field_boxes(q, y, depth)
 
 
+ALGEBRAIC_BASES = {f"bonacci:{k}": (lambda k=k: bonacci_root(k)) for k in range(2, 11)}
+ALGEBRAIC_BASES["two-orbit"] = two_orbit_base
+
+
+def _height(q, y):
+    """A height by value, or by name: the box corners 1/q and 1 - 1/q,
+    which lie in Q(q) only."""
+    inv = 1 / q.gen()
+    return {"1/q": inv, "1-1/q": 1 - inv}.get(y, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ALGEBRAIC_BASES)),
+    st.one_of(heights, st.sampled_from(["1/q", "1-1/q"])),
+    st.integers(0, 8),
+)
+@example("bonacci:3", "1/q", 8)  # box corners on the line
+@example("bonacci:7", "1-1/q", 8)
+@example("two-orbit", F(0, 1), 8)
+@example("bonacci:2", F(1, 1), 8)
+def test_lattice_oracle_matches_field_descent(label, y, depth):
+    q = ALGEBRAIC_BASES[label]()
+    yv = _height(q, y)
+    assert geometric_slice_oracle(q, yv, depth) == _field_boxes(q, yv, depth)
+
+
+@pytest.mark.parametrize("label", sorted(ALGEBRAIC_BASES))
+def test_coarse_box_brackets_defer_to_the_exact_fallback(label, monkeypatch):
+    # 2-bit brackets leave most box tests open, so the descent rests on
+    # the exact fallback
+    monkeypatch.setattr(slices, "_BOX_BITS", 2)
+    q = ALGEBRAIC_BASES[label]()
+    for y in ("1/q", F(1, 3), F(4, 7)):
+        yv = _height(q, y)
+        assert geometric_slice_oracle(q, yv, 6) == _field_boxes(q, yv, 6)
+
+
 def test_oracle_uses_nothing_from_dynamics():
     # the cross-check is only independent while the oracle, and every
     # slices helper it calls, reads no name that comes from the dynamics
@@ -151,6 +190,7 @@ def test_oracle_uses_nothing_from_dynamics():
             if isinstance(obj, types.FunctionType) and obj.__module__ == slices.__name__:
                 todo.append(obj)
     assert "_integer_boxes" in seen
+    assert "_lattice_boxes" in seen
 
 
 FIELD_OPS = (
