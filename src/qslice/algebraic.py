@@ -192,7 +192,9 @@ class AlgebraicNumber:
     interval. The interval only ever narrows, so sharing instances between
     computations is safe."""
 
-    __slots__ = ("min_poly", "_lo", "_hi", "_frac_poly", "_red_table")
+    # _branch_system: the ternary branch system at this base, built once on
+    # first use by dynamics.ternary_branch_system
+    __slots__ = ("min_poly", "_lo", "_hi", "_frac_poly", "_red_table", "_branch_system")
 
     def __init__(self, min_poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.min_poly = min_poly
@@ -200,6 +202,7 @@ class AlgebraicNumber:
         self._hi = hi
         self._frac_poly = tuple(Fraction(c) for c in min_poly)
         self._red_table = None
+        self._branch_system = None
 
     # -- construction ------------------------------------------------------
 
@@ -228,24 +231,31 @@ class AlgebraicNumber:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
-    def _bisect(self) -> None:
+    def _bisect(self, lo_positive: bool | None = None) -> None:
+        """Halve the interval. lo_positive says whether min_poly is positive
+        at lo; no halving changes that, so a caller that halves repeatedly
+        passes it rather than having it recomputed."""
         if self._lo == self._hi:
             return
+        if lo_positive is None:
+            lo_positive = _sign_at(self.min_poly, self._lo) > 0
         mid = (self._lo + self._hi) / 2
         v = _sign_at(self.min_poly, mid)
         if v == 0:
             # only reachable for degree-1 polynomials
             self._lo = self._hi = mid
             return
-        if (_sign_at(self.min_poly, self._lo) > 0) != (v > 0):
+        if lo_positive != (v > 0):
             self._hi = mid
         else:
             self._lo = mid
 
     def refine_to(self, eps: Rational) -> tuple[Fraction, Fraction]:
         eps = Fraction(eps)
-        while self._hi - self._lo > eps:
-            self._bisect()
+        if self._hi - self._lo > eps:
+            lo_positive = _sign_at(self.min_poly, self._lo) > 0
+            while self._hi - self._lo > eps:
+                self._bisect(lo_positive)
         return self._lo, self._hi
 
     def __float__(self) -> float:

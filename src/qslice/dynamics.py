@@ -128,7 +128,17 @@ def ternary_branch_system(q: AlgebraicNumber) -> ExpansionSystem:
     (1/q, 1/(q(q-1))], which is where expansions become ambiguous. The
     domains cover [0, 1/(q-1)] and each branch maps its domain into it, so
     every branch sequence from a point of the hull can be continued.
+
+    The system is built once per base object and kept on it, together with
+    its lattice kernel. It is keyed by identity, not by value: an equal base
+    built separately gets a system of its own.
     """
+    if q._branch_system is None:
+        q._branch_system = _build_ternary_system(q)
+    return q._branch_system
+
+
+def _build_ternary_system(q: AlgebraicNumber) -> ExpansionSystem:
     check_base(q)
     g = q.gen()
     one = g.base.one()
@@ -329,7 +339,6 @@ class _Lattice:
                 self._end(m.lo, m.lo_closed),
                 self._end(m.hi, m.hi_closed),
             ))
-        self._levels: dict[int, list] = {}
 
     def _end(self, end: FieldElement, closed: bool) -> tuple:
         """A domain end e with the centre and radius of its bracket: 2^64 e
@@ -339,40 +348,41 @@ class _Lattice:
         centre = sum(map(mul, nums, self.brackets))
         return centre, self.spread * sum(map(abs, nums)), den, end, closed
 
-    def lift(self, p: FieldElement) -> tuple[list[int], int]:
+    def lift(self, p: FieldElement) -> tuple[tuple[int, ...], int]:
         den = lcm(self.offset_den, *(c.denominator for c in p.coeffs))
-        return [int(c * den) for c in p.coeffs], den
+        return tuple(int(c * den) for c in p.coeffs), den
 
-    def point(self, v: list[int], den: int) -> FieldElement:
+    def point(self, v: tuple[int, ...], den: int) -> FieldElement:
         return self.base.element([Fraction(c, den) for c in v])
 
-    def _level(self, den: int) -> list:
+    def branches(self, den: int) -> list:
         """Each branch's matrix, its offset over den, and its domain ends
-        with the integer brackets of 2^64 * den * end."""
-        if den not in self._levels:
-            times = den // self.offset_den
-            self._levels[den] = [
-                (label, rows, [c * times for c in off], _scaled(lo, den), _scaled(hi, den))
-                for label, rows, off, lo, hi in self.maps
-            ]
-        return self._levels[den]
+        with the integer brackets of 2^64 * den * end. The kernel keeps no
+        table per den: a walk builds one for each den it meets."""
+        times = den // self.offset_den
+        return [
+            (label, rows, [c * times for c in off], _scaled(lo, den), _scaled(hi, den))
+            for label, rows, off, lo, hi in self.maps
+        ]
 
-    def children(self, v: list[int], den: int) -> list[tuple[int, list[int]]]:
+    def children(
+        self, v: tuple[int, ...], den: int, branches: list
+    ) -> list[tuple[int, tuple[int, ...]]]:
         """(label, image vector over den * scale) for every branch whose
-        domain holds v / den, in label order."""
+        domain holds v / den, in label order; branches is branches(den)."""
         centre = sum(map(mul, v, self.brackets))
         radius = self.spread * sum(map(abs, v))
         least, most = centre - radius, centre + radius
         out = []
-        for label, rows, off, (lo_a, lo_b, lo, lo_closed), (hi_a, hi_b, hi, hi_closed) in self._level(den):
+        for label, rows, off, (lo_a, lo_b, lo, lo_closed), (hi_a, hi_b, hi, hi_closed) in branches:
             if (
                 (least > lo_b or (most >= lo_a and self._side(v, den, lo, lo_closed, 1)))
                 and (most < hi_a or (least <= hi_b and self._side(v, den, hi, hi_closed, -1)))
             ):
-                out.append((label, [sum(map(mul, row, v)) + o for row, o in zip(rows, off)]))
+                out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
         return out
 
-    def _side(self, v: list[int], den: int, end: FieldElement, closed: bool, side: int) -> bool:
+    def _side(self, v: tuple[int, ...], den: int, end: FieldElement, closed: bool, side: int) -> bool:
         """Whether v / den lies strictly on the given side of end (1 above,
         -1 below), or on end when closed: the exact fallback."""
         s = (self.point(v, den) - end).sign()
@@ -408,9 +418,14 @@ def _multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
 def _lattice_walk(
     sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
-    """enumerate_orbits at a base of degree >= 2, on the lattice kernel."""
+    """enumerate_orbits at a base of degree >= 2, on the lattice kernel.
+    Every path that reaches a point shares one expansion of it: expanded
+    holds the children of each vector met over the current den. Where the
+    kernel's scale is 1, as at the Pisot units, den never changes and each
+    distinct point is expanded once per walk."""
     lattice = sys._lattice
     v, den = lattice.lift(x)
+    branches, expanded = lattice.branches(den), {}
     level = [((), v)]
     sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
@@ -418,12 +433,16 @@ def _lattice_walk(
     for step in range(depth):
         nxt = []
         for path, v in level:
-            kids = lattice.children(v, den)
+            kids = expanded.get(v)
+            if kids is None:
+                kids = expanded[v] = lattice.children(v, den, branches)
             if len(kids) >= 2:
                 events.append((step, path))
             nxt.extend((path + (label,), w) for label, w in kids)
         level = nxt
-        den *= lattice.scale
+        if lattice.scale != 1:
+            den *= lattice.scale
+            branches, expanded = lattice.branches(den), {}
         sizes.append(len(level))
         if len(level) > cap:
             truncated = True
@@ -556,10 +575,16 @@ def _lattice_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueO
     """The single-orbit walk on the lattice kernel. A point is a (vector,
     den) pair, keyed by its reduced form so that equal values meet."""
     lattice = sys._lattice
+    tables: dict = {}  # den -> lattice.branches(den), for the dens this orbit meets
 
     def children(point):
         v, den = point
-        return [(label, (w, den * lattice.scale)) for label, w in lattice.children(v, den)]
+        if den not in tables:
+            tables[den] = lattice.branches(den)
+        return [
+            (label, (w, den * lattice.scale))
+            for label, w in lattice.children(v, den, tables[den])
+        ]
 
     def key(point):
         v, den = point

@@ -136,7 +136,7 @@ def compute_slice(
     """
     yv = _lift_unit_value(q, y)
     sys = ternary_branch_system(q)
-    walk = enumerate_orbits(sys, yv / (sys.q() - 1), depth, max_cylinders)
+    walk = enumerate_orbits(sys, yv * sys.hull_hi, depth, max_cylinders)  # y / (q - 1)
     events = tuple(walk.events)
 
     cylinders = tuple(Word(Alphabet.TERNARY, path) for path in walk.paths)

@@ -268,9 +268,11 @@ def test_lattice_probe_matches_field_orbit(label, start, depth):
 @pytest.mark.parametrize("label", sorted(ALGEBRAIC_BASES))
 def test_coarse_brackets_defer_to_the_exact_fallback(label, monkeypatch):
     # 2-bit brackets leave most domain tests open, so the walk and the
-    # probes rest on the exact fallback
+    # probes rest on the exact fallback; a fresh base builds its own kernel
+    # under them and leaves the shared one alone
     monkeypatch.setattr(dynamics, "_BRACKET_BITS", 2)
-    q = ALGEBRAIC_BASES[label]()
+    shared = ALGEBRAIC_BASES[label]()
+    q = AlgebraicNumber(shared.min_poly, *shared.interval)
     sys = ternary_branch_system(q)
     for start in ENDS + (F(1, 3), F(4, 7)):
         x = _start(sys, start)
@@ -295,6 +297,59 @@ def test_lattice_kernel_at_a_non_unit_base():
         assert unique_orbit_check(q, x, 16) == _field_orbit(sys, x, 16)
     # the fixed points 0 and 1/(q-1) close a cycle of length 1
     assert unique_orbit_check(q, sys.hull_hi, 16).cycle_length == 1
+
+
+def test_one_system_and_kernel_per_base_object():
+    q = bonacci_root(3)
+    sys = ternary_branch_system(q)
+    assert ternary_branch_system(q) is sys
+    assert sys._lattice is sys._lattice
+    # an equal base built separately is a different object, with its own
+    # system, so no computation at one base inherits state from another
+    fresh = AlgebraicNumber(q.min_poly, *q.interval)
+    assert fresh == q
+    assert ternary_branch_system(fresh) is not sys
+    assert ternary_branch_system(fresh)._lattice is not sys._lattice
+
+
+def test_kernel_keeps_no_state_per_walk():
+    # the kernel lives as long as its base, here the process-wide
+    # bonacci_root(3), so a walk or probe must leave nothing behind on it
+    q = bonacci_root(3)
+    lattice = ternary_branch_system(q)._lattice
+
+    def retained():
+        return {k: len(v) if hasattr(v, "__len__") else v for k, v in vars(lattice).items()}
+
+    before = retained()
+    for m in range(2, 40):
+        x = _start(ternary_branch_system(q), F(1, m))
+        enumerate_orbits(ternary_branch_system(q), x, 10)
+        unique_orbit_check(q, x, 10)
+    assert retained() == before
+
+
+def test_walk_expands_each_distinct_point_once(monkeypatch):
+    calls = []
+    children = dynamics._Lattice.children
+
+    def counted(self, v, den, branches):
+        calls.append((v, den))
+        return children(self, v, den, branches)
+
+    monkeypatch.setattr(dynamics._Lattice, "children", counted)
+    sys = ternary_branch_system(bonacci_root(2))
+    x = _start(sys, F(1, 3))
+    depth = 24
+    walk = enumerate_orbits(sys, x, depth)
+    # the distinct points of levels 0 .. depth - 1, walked as a set on
+    # field elements
+    level, expanded = {sys.lift(x)}, set()
+    for _ in range(depth):
+        expanded |= level
+        level = {sys.branch(label)(p) for p in level for label in sys.applicable(p)}
+    assert walk.sizes[-1] > len(expanded)  # paths do meet
+    assert len(calls) == len(set(calls)) == len(expanded)
 
 
 # -- conjugacy with the vertical inverse maps (test-only construction) ----------

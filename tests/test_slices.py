@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from qslice import slices
+from qslice import dynamics, slices
 from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
 from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
@@ -213,9 +213,10 @@ def test_rational_kernels_do_no_field_arithmetic_per_node(monkeypatch):
         slices, "unique_orbit_check",
         lambda q, x, depth: UniqueOrbitResult(UniqueOrbitStatus.UnknownAtDepth),
     )
-    q = AlgebraicNumber.from_rational(F(5, 3))
 
     def measured(fn, depth):
+        # a fresh base each time, so that each call builds its own system
+        q = AlgebraicNumber.from_rational(F(5, 3))
         count[0] = 0
         out = fn(q, F(1, 3), depth)
         return count[0], len(getattr(out, "cylinders", out))
@@ -223,6 +224,29 @@ def test_rational_kernels_do_no_field_arithmetic_per_node(monkeypatch):
     for fn in (compute_slice, geometric_slice_oracle):
         (ops4, size4), (ops12, size12) = measured(fn, 4), measured(fn, 12)
         assert size12 > size4 and ops12 == ops4, fn.__name__
+
+
+def test_slice_builds_one_system_and_one_kernel(monkeypatch):
+    built = {"system": 0, "kernel": 0}
+    build_system = dynamics._build_ternary_system
+    build_kernel = dynamics._Lattice.__init__
+
+    def system(q):
+        built["system"] += 1
+        return build_system(q)
+
+    def kernel(self, sys):
+        built["kernel"] += 1
+        build_kernel(self, sys)
+
+    monkeypatch.setattr(dynamics, "_build_ternary_system", system)
+    monkeypatch.setattr(dynamics._Lattice, "__init__", kernel)
+    # a fresh base, so that no earlier test's system is reused
+    shared = bonacci_root(3)
+    q = AlgebraicNumber(shared.min_poly, *shared.interval)
+    r = compute_slice(q, F(2, 7), 24)
+    assert len(r.leaf_probes) == len(r.cylinders) > 1
+    assert built == {"system": 1, "kernel": 1}
 
 
 def test_uncountable_pattern_small_base():
