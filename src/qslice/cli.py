@@ -166,7 +166,7 @@ def _cmd_slice(args) -> int:
         "q": _interval(q),
         "y": _interval(y),
         "depth": res.depth,
-        "cylinders": [format_word(w) for w in res.cylinders],
+        "cylinders": ["".join(map(str, path)) for path in res.paths],
         "claim": _claim_record(res.claim),
         "branch_events": len(res.branch_events),
         "truncated": res.truncated,
@@ -297,7 +297,7 @@ def _cmd_certify_slice3(args) -> int:
             "witness_interval": list(height),
             "depth": res.depth,
             "claim": _claim_record(res.claim),
-            "cylinders": [format_word(w) for w in res.cylinders],
+            "cylinders": ["".join(map(str, path)) for path in res.paths],
             "intersection_verified": not failures,
             "failures": failures,
         }

@@ -107,6 +107,11 @@ class ExpansionSystem:
         return self.switch_lo <= p <= self.switch_hi
 
     @cached_property
+    def _rational(self) -> "_Rational":
+        """The integer kernel of the orbit walks at rational bases."""
+        return _Rational(self)
+
+    @cached_property
     def _lattice(self) -> "_Lattice":
         """The integer kernel of the orbit walks at degree >= 2."""
         return _Lattice(self)
@@ -225,7 +230,7 @@ def enumerate_orbits(
     p = sys.lift(x)
     cap = inf if max_cylinders is None else max_cylinders
     if sys.base.is_rational:
-        return _integer_walk(sys, p.as_fraction(), depth, cap)
+        return _integer_walk(sys, p, depth, cap)
     return _lattice_walk(sys, p, depth, cap)
 
 
@@ -241,32 +246,64 @@ def _last_below(hi: Fraction, closed: bool, den: int) -> int:
     return t // hi.denominator if closed else -(-t // hi.denominator) - 1
 
 
+class _Rational:
+    """The branches of a system at a rational base, acting on integers.
+
+    A point is n / den. With L the least common denominator of the branch
+    slopes and offsets, a branch s*x + o sends n / den to
+    ((s*L)*n + (o*L)*den) / (den*L). Each domain end is scaled by den and
+    rounded inward, so applicability is two integer comparisons."""
+
+    def __init__(self, sys: ExpansionSystem):
+        coeffs = [(m.slope.as_fraction(), m.offset.as_fraction()) for m in sys.maps]
+        self.base = sys.base
+        self.scale = lcm(*(c.denominator for pair in coeffs for c in pair))
+        self.maps = [
+            (m.label, int(s * self.scale), int(o * self.scale), m.lo.as_fraction(), m.lo_closed,
+             m.hi.as_fraction(), m.hi_closed)
+            for m, (s, o) in zip(sys.maps, coeffs)
+        ]
+
+    def lift(self, p: FieldElement) -> tuple[int, int]:
+        x = p.as_fraction()
+        return x.numerator, x.denominator
+
+    def point(self, n: int, den: int) -> FieldElement:
+        return self.base.rational(Fraction(n, den))
+
+    def branches(self, den: int) -> list:
+        """Each branch's slope, its offset over den, and the least and
+        greatest numerators over den that its domain holds."""
+        return [
+            (label, s, o * den, _first_above(lo, lo_closed, den), _last_below(hi, hi_closed, den))
+            for label, s, o, lo, lo_closed, hi, hi_closed in self.maps
+        ]
+
+    def children(self, n: int, den: int, branches: list) -> list[tuple[int, int]]:
+        """(label, image numerator over den * scale) for every branch whose
+        domain holds n / den, in label order; branches is branches(den)."""
+        return [(label, s * n + od) for label, s, od, first, last in branches if first <= n <= last]
+
+    @staticmethod
+    def key(n: int, den: int) -> tuple[int, int]:
+        g = gcd(n, den)
+        return n // g, den // g
+
+
 def _integer_walk(
-    sys: ExpansionSystem, x: Fraction, depth: int, cap: float
+    sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
-    """enumerate_orbits at a rational base. A level's points are integers n
-    over one denominator den(x)*L^step, where L is the least common
-    denominator of the branch slopes and offsets; a branch s*x + o sends
-    n/D to ((s*L)*n + (o*L)*D) / (D*L). Each domain end is scaled by D and
-    rounded inward once per level, so applicability is two integer
-    comparisons."""
-    coeffs = [(m.slope.as_fraction(), m.offset.as_fraction()) for m in sys.maps]
-    scale = lcm(*(c.denominator for pair in coeffs for c in pair))
-    table = [
-        (m.label, int(s * scale), int(o * scale), m.lo.as_fraction(), m.lo_closed,
-         m.hi.as_fraction(), m.hi_closed)
-        for m, (s, o) in zip(sys.maps, coeffs)
-    ]
-    level = [((), x.numerator)]
-    den = x.denominator
+    """enumerate_orbits at a rational base, on the rational kernel. A
+    level's points are integers over one denominator den(x)*L^step; the
+    applicability test of the kernel's children is inlined here."""
+    kernel = sys._rational
+    n, den = kernel.lift(x)
+    level = [((), n)]
     sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
-        branches = [
-            (lab, s, o * den, _first_above(lo, lc, den), _last_below(hi, hc, den))
-            for lab, s, o, lo, lc, hi, hc in table
-        ]
+        branches = kernel.branches(den)
         nxt = []
         for path, n in level:
             size = len(nxt)
@@ -276,15 +313,14 @@ def _integer_walk(
             if len(nxt) - size >= 2:
                 events.append((step, path))
         level = nxt
-        den *= scale
+        den *= kernel.scale
         sizes.append(len(level))
         if len(level) > cap:
             truncated = True
             break
-    base = sys.base
     return Frontier(
         [path for path, _ in level], sizes, events, truncated,
-        lambda: [base.rational(Fraction(n, den)) for _, n in level],
+        lambda: [kernel.point(n, den) for _, n in level],
     )
 
 
@@ -381,6 +417,11 @@ class _Lattice:
             ):
                 out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
         return out
+
+    @staticmethod
+    def key(v: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+        g = gcd(den, *v)
+        return tuple(c // g for c in v), den // g
 
     def _side(self, v: tuple[int, ...], den: int, end: FieldElement, closed: bool, side: int) -> bool:
         """Whether v / den lies strictly on the given side of end (1 above,
@@ -520,9 +561,7 @@ def unique_orbit_check(
                 shift_k=k,
             )
 
-    if q.is_rational:
-        return _field_orbit(sys, p, depth)
-    return _lattice_orbit(sys, p, depth)
+    return _kernel_orbit(sys._rational if q.is_rational else sys._lattice, p, depth)
 
 
 def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:
@@ -562,7 +601,8 @@ def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:
 
 
 def _field_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrbitResult:
-    """The single-orbit walk on field elements."""
+    """The single-orbit walk on field elements: the reference the kernel
+    walks are tested against."""
     return _single_orbit(
         p,
         lambda x: [(label, sys.branch(label)(x)) for label in sys.applicable(x)],
@@ -571,27 +611,22 @@ def _field_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrb
     )
 
 
-def _lattice_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrbitResult:
-    """The single-orbit walk on the lattice kernel. A point is a (vector,
-    den) pair, keyed by its reduced form so that equal values meet."""
-    lattice = sys._lattice
-    tables: dict = {}  # den -> lattice.branches(den), for the dens this orbit meets
+def _kernel_orbit(kernel, p: FieldElement, depth: int) -> UniqueOrbitResult:
+    """The single-orbit walk on an integer kernel, rational or lattice. A
+    point is a (numerators, den) pair, keyed by its reduced form so that
+    equal values meet."""
+    tables: dict = {}  # den -> kernel.branches(den), for the dens this orbit meets
 
     def children(point):
         v, den = point
         if den not in tables:
-            tables[den] = lattice.branches(den)
+            tables[den] = kernel.branches(den)
         return [
-            (label, (w, den * lattice.scale))
-            for label, w in lattice.children(v, den, tables[den])
+            (label, (w, den * kernel.scale))
+            for label, w in kernel.children(v, den, tables[den])
         ]
 
-    def key(point):
-        v, den = point
-        g = gcd(den, *v)
-        return tuple(c // g for c in v), den // g
-
-    return _single_orbit(lattice.lift(p), children, key, depth)
+    return _single_orbit(kernel.lift(p), children, lambda point: kernel.key(*point), depth)
 
 
 def tail_is_orbit(sys: ExpansionSystem, t: Tail, x: PointLike) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm
 from operator import mul
 from typing import Optional
@@ -25,7 +26,7 @@ from .dynamics import (
     UniqueOrbitResult,
     UniqueOrbitStatus,
 )
-from .words import Alphabet, Word, word_successor
+from .words import Alphabet, Word, successor
 
 
 class SliceInputError(ValueError):
@@ -76,14 +77,23 @@ def unknown_cardinality() -> CardinalityClaim:
 
 @dataclass(frozen=True)
 class SliceResult:
+    """One slice decision. paths holds the surviving ternary branch
+    sequences as digit tuples, in path order; it is the constructor field.
+    cylinders is the same sequences as ternary Words, built on first
+    access and kept: a decision itself never needs them."""
+
     base: AlgebraicNumber
     y: FieldElement
     depth: int
-    cylinders: tuple[Word, ...]
+    paths: tuple[tuple[int, ...], ...]
     claim: CardinalityClaim
     branch_events: tuple[tuple[int, tuple[int, ...]], ...]
     truncated: bool
     leaf_probes: tuple[UniqueOrbitResult, ...] = ()
+
+    @cached_property
+    def cylinders(self) -> tuple[Word, ...]:
+        return tuple(Word(Alphabet.TERNARY, p) for p in self.paths)
 
 
 def _lift_unit_value(q: AlgebraicNumber, y: PointLike) -> FieldElement:
@@ -110,16 +120,12 @@ def _doubling_witness(events) -> Optional[tuple]:
     return None
 
 
-def _adjacency_groups(words: list[Word]) -> int:
-    if not words:
+def _adjacency_groups(paths) -> int:
+    """The number of runs of numerically consecutive ternary paths."""
+    if not paths:
         return 0
-    ordered = sorted(words, key=lambda w: w.symbols)
-    groups = 1
-    for prev, cur in zip(ordered, ordered[1:]):
-        succ = word_successor(prev)
-        if succ is None or succ.symbols != cur.symbols:
-            groups += 1
-    return groups
+    ordered = sorted(paths)
+    return 1 + sum(successor(prev, 3) != cur for prev, cur in zip(ordered, ordered[1:]))
 
 
 def compute_slice(
@@ -139,21 +145,21 @@ def compute_slice(
     walk = enumerate_orbits(sys, yv * sys.hull_hi, depth, max_cylinders)  # y / (q - 1)
     events = tuple(walk.events)
 
-    cylinders = tuple(Word(Alphabet.TERNARY, path) for path in walk.paths)
+    paths = tuple(walk.paths)
     witness = _doubling_witness(events)
 
     if witness is not None:
         claim = uncountable_pattern(witness)
         return SliceResult(
-            q, yv, depth, cylinders, claim, events, walk.truncated
+            q, yv, depth, paths, claim, events, walk.truncated
         )
     if walk.truncated:
         return SliceResult(
-            q, yv, depth, cylinders, unknown_cardinality(), events, True
+            q, yv, depth, paths, unknown_cardinality(), events, True
         )
 
-    n = len(cylinders)
-    groups = _adjacency_groups(list(cylinders))
+    n = len(paths)
+    groups = _adjacency_groups(paths)
     probes = tuple(
         unique_orbit_check(q, point, depth) for point in walk.points()
     )
@@ -167,7 +173,7 @@ def compute_slice(
     else:
         claim = exactly(n, certified=False)
     return SliceResult(
-        q, yv, depth, cylinders, claim, events, False, probes
+        q, yv, depth, paths, claim, events, False, probes
     )
 
 
@@ -307,12 +313,18 @@ def _box_brackets(basis: list[FieldElement]) -> tuple[list[int], int]:
 def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:
     """The exact agreement law between the two routes: every surviving
     sequence has a box, and a box without a surviving sequence is the
-    doomed spelling of a corner whose successor spelling survives."""
-    alive = set(result.cylinders)
-    if not alive <= boxes:
-        return False
-    for w in boxes - alive:
-        succ = word_successor(w)
-        if succ is None or succ not in alive:
-            return False
-    return True
+    doomed spelling of a corner whose successor spelling survives.
+
+    boxes holds ternary words, as geometric_slice_oracle returns them, so
+    every surviving sequence has a box exactly when as many boxes as
+    sequences survive."""
+    alive = set(result.paths)
+    boxed = 0
+    for w in boxes:
+        if w.symbols in alive:
+            boxed += 1
+        else:
+            succ = successor(w.symbols, 3)
+            if succ is None or succ not in alive:
+                return False
+    return boxed == len(alive)

@@ -260,21 +260,23 @@ def lex_consecutive(a: Word, b: Word) -> bool:
     return vb == va + 1
 
 
+def successor(symbols: tuple[int, ...], radix: int) -> tuple[int, ...] | None:
+    """Next digit tuple of the same length in numeric order, digits 0 to
+    radix - 1; None on overflow."""
+    i = len(symbols) - 1
+    while i >= 0 and symbols[i] == radix - 1:
+        i -= 1
+    if i < 0:
+        return None
+    return symbols[:i] + (symbols[i] + 1,) + (0,) * (len(symbols) - 1 - i)
+
+
 def word_successor(w: Word) -> Word | None:
     """Next word of the same length in numeric order; None on overflow."""
-    base = len(w.alphabet.symbols)
     if w.alphabet is Alphabet.SIGNED:
         raise WordSyntaxError("successor not defined for signed words")
-    syms = list(w.symbols)
-    i = len(syms) - 1
-    while i >= 0:
-        if syms[i] < base - 1:
-            syms[i] += 1
-            for j in range(i + 1, len(syms)):
-                syms[j] = 0
-            return Word(w.alphabet, tuple(syms))
-        i -= 1
-    return None
+    succ = successor(w.symbols, len(w.alphabet.symbols))
+    return None if succ is None else Word(w.alphabet, succ)
 
 
 # ---------------------------------------------------------------------------

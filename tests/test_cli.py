@@ -360,11 +360,11 @@ def test_unwritable_svg_path_exits_one(tmp_path, capsys):
 
 
 def test_internal_faults_exit_three(capsys, monkeypatch):
-    # with no applicable branch anywhere, the leaf probe finds its point
-    # escaped: a fault of the program, not of the input
-    from qslice.dynamics import ExpansionSystem
+    # with no applicable branch in the rational kernel, the leaf probe finds
+    # its point escaped: a fault of the program, not of the input
+    from qslice.dynamics import _Rational
 
-    monkeypatch.setattr(ExpansionSystem, "applicable", lambda self, x: [])
+    monkeypatch.setattr(_Rational, "children", lambda self, n, den, branches: [])
     code = run(["slice", "--q", "5/3", "--y", "3/8", "--depth", "4"])
     captured = capsys.readouterr()
     assert code == 3

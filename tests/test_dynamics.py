@@ -265,6 +265,44 @@ def test_lattice_probe_matches_field_orbit(label, start, depth):
     assert unique_orbit_check(q, x, depth) == _field_orbit(sys, x, depth)
 
 
+@settings(max_examples=120, deadline=None)
+@given(q=st.fractions(min_value=F(21, 20), max_value=F(39, 20), max_denominator=60),
+       start=starts, depth=st.integers(0, 24))
+@example(F(5, 3), F(3, 8), 24)  # a certified 2-cycle
+@example(F(5, 3), "switch_lo", 24)
+@example(F(5, 3), "switch_hi", 24)
+@example(F(7, 4), "hull_hi", 24)
+@example(F(1999, 1000), F(1, 2), 24)  # wanders to the depth bound
+def test_rational_probe_matches_field_orbit(q, start, depth):
+    base = AlgebraicNumber.from_rational(q)
+    sys = ternary_branch_system(base)
+    x = _start(sys, start)
+    assert unique_orbit_check(base, x, depth) == _field_orbit(sys, x, depth)
+
+
+def _slice3_witness():
+    from qslice.thickness import find_slice3_witness
+
+    q = AlgebraicNumber.from_rational(F(1999, 1000))
+    res = find_slice3_witness(q, 48)[1]
+    return q, res.y, 48
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (AlgebraicNumber.from_rational(F(5, 3)), F(3, 8), 48),
+    lambda: (AlgebraicNumber.from_rational(F(3, 2)), F(1, 3), 10),
+    _slice3_witness,
+], ids=["slice-rational", "dimension", "certify-slice3"])
+def test_rational_probe_matches_field_orbit_at_leaf_points(case):
+    # the points the slice decisions of the corpus probe
+    q, y, depth = case()
+    sys = ternary_branch_system(q)
+    points = enumerate_orbits(sys, sys.lift(y) / (sys.q() - 1), depth).points()
+    assert points
+    for x in points:
+        assert unique_orbit_check(q, x, depth) == _field_orbit(sys, x, depth)
+
+
 @pytest.mark.parametrize("label", sorted(ALGEBRAIC_BASES))
 def test_coarse_brackets_defer_to_the_exact_fallback(label, monkeypatch):
     # 2-bit brackets leave most domain tests open, so the walk and the

@@ -11,10 +11,10 @@ from qslice import dynamics, slices
 from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
 from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
-    UniqueOrbitResult,
     UniqueOrbitStatus,
     enumerate_orbits,
     ternary_branch_system,
+    unique_orbit_check,
     word_is_applicable,
 )
 from qslice.slices import (
@@ -72,6 +72,13 @@ def test_corner_height_keeps_one_spelling():
     assert word_successor(doomed) in set(r.cylinders)
     assert word_successor(doomed).symbols == (1,) + (0,) * 9
     assert slice_matches_oracle(r, boxes)
+    # the law fails when a surviving sequence has no box, or when a box
+    # without one is not the doomed spelling of a surviving successor
+    top, stray = Word(Alphabet.TERNARY, (2,) * 10), Word(Alphabet.TERNARY, (0,) * 10)
+    assert {top, stray, word_successor(stray)}.isdisjoint(r.cylinders)
+    assert not slice_matches_oracle(r, boxes - {r.cylinders[0]})
+    assert not slice_matches_oracle(r, boxes | {top})
+    assert not slice_matches_oracle(r, boxes | {stray})
 
 
 def test_oracle_agreement_random_bases():
@@ -208,22 +215,55 @@ def test_rational_kernels_do_no_field_arithmetic_per_node(monkeypatch):
             return _op(*args)
 
         monkeypatch.setattr(FieldElement, name, counted)
-    # the leaf probes stay on field elements and walk depth steps each
-    monkeypatch.setattr(
-        slices, "unique_orbit_check",
-        lambda q, x, depth: UniqueOrbitResult(UniqueOrbitStatus.UnknownAtDepth),
-    )
 
-    def measured(fn, depth):
+    def measured(fn, q, y, depth):
         # a fresh base each time, so that each call builds its own system
-        q = AlgebraicNumber.from_rational(F(5, 3))
+        base = AlgebraicNumber.from_rational(q)
         count[0] = 0
-        out = fn(q, F(1, 3), depth)
-        return count[0], len(getattr(out, "cylinders", out))
+        out = fn(base, y, depth)
+        return count[0], out
 
-    for fn in (compute_slice, geometric_slice_oracle):
-        (ops4, size4), (ops12, size12) = measured(fn, 4), measured(fn, 12)
-        assert size12 > size4 and ops12 == ops4, fn.__name__
+    # at 7/4, y = 21/22 the leaf probes run at both depths, and at depth 12
+    # one of them walks every step without forking
+    for q, y in ((F(5, 3), F(1, 3)), (F(7, 4), F(21, 22))):
+        (ops4, res4), (ops12, res12) = measured(compute_slice, q, y, 4), measured(compute_slice, q, y, 12)
+        assert len(res12.paths) > len(res4.paths) and ops12 == ops4
+        (ops4, boxes4), (ops12, boxes12) = (
+            measured(geometric_slice_oracle, q, y, 4), measured(geometric_slice_oracle, q, y, 12)
+        )
+        assert len(boxes12) > len(boxes4) and ops12 == ops4
+    assert any(p.status == UniqueOrbitStatus.UnknownAtDepth for p in res12.leaf_probes)
+    (ops4, probe4), (ops30, probe30) = (
+        measured(unique_orbit_check, F(1999, 1000), F(1, 2), 4),
+        measured(unique_orbit_check, F(1999, 1000), F(1, 2), 30),
+    )
+    assert len(probe30.digits) == 30 and ops30 == ops4
+
+
+def test_decision_builds_no_word_per_cylinder(monkeypatch):
+    built = [0]
+    post_init = Word.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    # untruncated with 9 leaf probes, and truncated at 100 paths
+    for q, y, cap in ((F(5, 3), F(1, 20), 4096), (F(3, 2), F(1, 2), 100)):
+        base = AlgebraicNumber.from_rational(q)
+        boxes = geometric_slice_oracle(base, y, 12)
+        monkeypatch.setattr(Word, "__post_init__", counted)
+        built[0] = 0
+        res = compute_slice(base, y, 12, max_cylinders=cap)
+        agrees = slice_matches_oracle(res, boxes)
+        monkeypatch.undo()
+        # each leaf probe spells its digits once; the paths stay tuples
+        assert built[0] == len(res.leaf_probes)
+        assert "cylinders" not in vars(res)
+        assert agrees or res.truncated
+        assert res.cylinders == tuple(Word(Alphabet.TERNARY, p) for p in res.paths)
+        assert res.cylinders is res.cylinders
+    assert res.truncated and len(res.paths) > 100
 
 
 def test_slice_builds_one_system_and_one_kernel(monkeypatch):
