@@ -684,19 +684,19 @@ def enclose(x: "AlgebraicNumber | FieldElement", grid: int) -> tuple[Fraction, F
     past the constant is 0: the minimal polynomial is irreducible, so
     1, q, ..., q^(d-1) are linearly independent over the rationals.
     Otherwise x * grid is irrational, hence never an integer, so x lies
-    strictly inside its cell; enclosures of halving width eventually fit in
-    that cell, and the loop ends."""
+    strictly inside its cell. Its interval Horner enclosure narrows as the
+    base's interval is halved, so it eventually fits in that cell, and the
+    loop ends. The cell test runs on the enclosure's scaled integers."""
     if isinstance(x, AlgebraicNumber):
         x = x.gen()
     if x.base.degree == 1 or not any(x.coeffs[1:]):
         return x.coeffs[0], x.coeffs[0]
-    eps = Fraction(1, grid)
     while True:
-        lo, hi = x.to_interval(eps)
-        n = lo.numerator * grid // lo.denominator
-        if hi.numerator * grid <= (n + 1) * hi.denominator:
+        vlo, vhi, scale = _interval_eval(x.coeffs, *x.base.interval)
+        n = vlo * grid // scale
+        if vhi * grid <= (n + 1) * scale:
             return Fraction(n, grid), Fraction(n + 1, grid)
-        eps /= 2
+        x.base._bisect()
 
 
 def bonacci_root(k: int) -> AlgebraicNumber:

@@ -221,7 +221,8 @@ def _cmd_orbit_tree(args) -> int:
             "depth": args.depth,
             "alive": len(walk.paths),
             # the branch domains cover the expansion interval and each branch
-            # maps into it, so every node has a child: no path ends early
+            # maps into it, so every node has a child: the walk raises if a
+            # path ends early
             "dead_ends": 0,
         }
     )

@@ -226,7 +226,9 @@ def enumerate_orbits(
     truncated, after the first step whose level holds more paths than that.
 
     At rational bases the walk runs on integers, elsewhere on the integer
-    vectors of the system's lattice kernel."""
+    vectors of the system's lattice kernel. The branches cover the
+    expansion interval, so a point with no applicable branch is a fault of
+    the program: it raises ValueError, as the single-orbit walk does."""
     p = sys.lift(x)
     cap = inf if max_cylinders is None else max_cylinders
     if sys.base.is_rational:
@@ -310,8 +312,11 @@ def _integer_walk(
             for lab, s, od, first, last in branches:
                 if first <= n <= last:
                     nxt.append((path + (lab,), s * n + od))
-            if len(nxt) - size >= 2:
+            kids = len(nxt) - size
+            if kids >= 2:
                 events.append((step, path))
+            elif not kids:
+                raise ValueError("point escaped the expansion interval")
         level = nxt
         den *= kernel.scale
         sizes.append(len(level))
@@ -479,6 +484,8 @@ def _lattice_walk(
                 kids = expanded[v] = lattice.children(v, den, branches)
             if len(kids) >= 2:
                 events.append((step, path))
+            elif not kids:
+                raise ValueError("point escaped the expansion interval")
             nxt.extend((path + (label,), w) for label, w in kids)
         level = nxt
         if lattice.scale != 1:

@@ -10,7 +10,6 @@ certifying nonempty intersection and, downstream, a three-point slice.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -527,67 +526,49 @@ def shift_set_extent(
     return hull, scale * ana.max_gap()
 
 
-def _aq_value_bracket(
-    template: AqTemplate, assignment: dict, upto: int, fill: int
-) -> tuple[FieldElement, FieldElement]:
-    """Enclosure of sup (fill=1) or inf (fill=0) of values with the given
-    bits through position upto-1 and extremal free bits beyond."""
-    fixed, weights, free_suffix, tail_bound = template.value_terms
-    free = template.free_positions
-    cut = bisect_left(free, upto)
-    acc = fixed + free_suffix[cut] if fill else fixed
-    for pos in free[:cut]:
-        if assignment.get(pos, fill):
-            acc = acc + weights[pos]
-    # digits past the stored template can contribute at most a full tail
-    return acc, acc + tail_bound
-
-
 def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
-    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
-    free = template.free_below(level)
-    spans = []  # (level, left, right, meta) of each gap
-    for idx, pos in enumerate(free):
-        earlier = free[:idx]
-        for mask in range(2 ** len(earlier)):
-            assignment = {
-                p: (mask >> (len(earlier) - 1 - i)) & 1
-                for i, p in enumerate(earlier)
-            }
-            low = dict(assignment)
-            low[pos] = 0
-            high = dict(assignment)
-            high[pos] = 1
-            left = _aq_value_bracket(template, low, pos + 1, 1)
-            right = _aq_value_bracket(template, high, pos + 1, 0)
-            spans.append((pos + 2, left, right, {"free_position": pos, "mask": mask}))
-    hull_lo = _aq_value_bracket(template, {}, 0, 0)
-    hull_hi = _aq_value_bracket(template, {}, 0, 1)
+    """Gaps of the branching family to the given level, as translates of
+    one template per free position.
 
-    # bridges: distance to the nearest gap of at least equal size, or to the
-    # hull end; a gap's level orders its size, smaller level = larger gap
-    spans.sort(key=lambda sp: sp[1][0])
+    A gap opens at each free position p below the level, between the
+    values whose bit at p is 0 and those whose bit is 1, the earlier free
+    bits fixed. With F the sum of the fixed one-bits, A the weight of the
+    earlier free one-bits, w_p the weight of p, S the total weight of the
+    free positions after p and T the tail bound (AqTemplate.value_terms),
+    the bit-0 side is [F + A, F + A + S] and the bit-1 side is
+    [F + A + w_p, F + A + w_p + S], each end bracketed within T. So every
+    gap at p has level p + 2 and size w_p - S -+ T. The next gap of equal
+    or larger size on either side, or else the hull end, is bracketed
+    within T of the outer end of that side, so the bridge bound is S - T.
+    Free positions lie at least two apart and q exceeds the 9-bonacci root,
+    so each free weight exceeds twice the total weight after it by far more
+    than T. Hence the offsets A increase with the mask, read most
+    significant bit first, and a position's gaps are larger than any later
+    one's: the records come largest first, then left to right."""
+    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
+    fixed, weights, free_suffix, tail_bound = template.value_terms
     records = []
-    for i, (lev, left, right, meta) in enumerate(spans):
-        best = None
-        for j in range(i - 1, -1, -1):
-            if spans[j][0] <= lev:
-                best = left[0] - spans[j][2][1]
-                break
-        cand = left[0] - hull_lo[1]
-        best = cand if best is None else min(best, cand)
-        for j in range(i + 1, len(spans)):
-            if spans[j][0] <= lev:
-                best = min(best, spans[j][1][0] - right[1])
-                break
-        else:
-            best = min(best, hull_hi[0] - right[1])
-        size = (right[0] - left[1], right[1] - left[0])
-        records.append(GapRecord(lev, left, right, size, best, meta))
-    records.sort(key=lambda r: (-r.size[0], r.left[0]))
-    return GapStructure(
-        GapFamily.AqSet, 9, level, (hull_lo, hull_hi), tuple(records)
-    )
+    offsets = [fixed]  # F + A for each mask of the earlier free bits
+    for idx, pos in enumerate(template.free_below(level)):
+        w, s = weights[pos], free_suffix[idx + 1]
+        size = (w - s - tail_bound, w - s + tail_bound)
+        bridge = s - tail_bound
+        for mask, a in enumerate(offsets):
+            left, right = a + s, a + w
+            records.append(
+                GapRecord(
+                    pos + 2,
+                    (left, left + tail_bound),
+                    (right, right + tail_bound),
+                    size,
+                    bridge,
+                    {"free_position": pos, "mask": mask},
+                )
+            )
+        offsets = [b for a in offsets for b in (a, a + w)]
+    top = fixed + free_suffix[0]
+    hull = ((fixed, fixed + tail_bound), (top, top + tail_bound))
+    return GapStructure(GapFamily.AqSet, 9, level, hull, tuple(records))
 
 
 def _enumerate_sk_gaps(
@@ -786,24 +767,26 @@ def find_slice3_witness(
         hi = shift + scale * (off + sc * ana.vmax(state))
         return lo, hi
 
+    fixed, weights, free_suffix, tail_bound = template.value_terms
     free_all = template.free_positions
     target_width = g ** (-(depth + 12))
 
     for attempt in range(WITNESS_RETRIES):
         # depth-first over pairs (free-bit assignment, shift-set node),
-        # keeping only pairs with overlapping value enclosures
-        stack = [({}, 0, _START, g.base.zero(), g.base.one(), 0)]
+        # keeping only pairs with overlapping value enclosures; alo is the
+        # fixed part plus the weight of the free bits set to 1 so far, and
+        # the free positions not yet set can add at most their total weight
+        # plus the tail bound
+        stack = [(fixed, 0, _START, g.base.zero(), g.base.one(), 0)]
         steps = 0
         allowance = WITNESS_BUDGET * 2**attempt
         found = None
         while stack:
-            chosen, na, state, off, sc, nb = stack.pop()
+            alo, na, state, off, sc, nb = stack.pop()
             steps += 1
             if steps > allowance:
                 break
-            upto = free_all[na] + 1 if na < len(free_all) else len(template.bits)
-            alo = _aq_value_bracket(template, chosen, upto, 0)[0]
-            ahi = _aq_value_bracket(template, chosen, upto, 1)[1]
+            ahi = alo + free_suffix[na] + tail_bound
             blo, bhi = b_bracket(state, off, sc)
             if max(alo, blo) > min(ahi, bhi):
                 continue
@@ -811,16 +794,14 @@ def find_slice3_witness(
                 found = (max(alo, blo), min(ahi, bhi))
                 break
             if (na <= nb or nb >= 200) and na < len(free_all):
-                pos = free_all[na]
-                for bit in (1, 0):
-                    nxt = dict(chosen)
-                    nxt[pos] = bit
-                    stack.append((nxt, na + 1, state, off, sc, nb))
+                w = weights[free_all[na]]
+                stack.append((alo + w, na + 1, state, off, sc, nb))
+                stack.append((alo, na + 1, state, off, sc, nb))
             else:
                 child_sc = sc * ana.ginv
                 for dig, child in reversed(ana.successors(state)):
                     stack.append(
-                        (chosen, na, child, off + child_sc if dig else off, child_sc, nb + 1)
+                        (alo, na, child, off + child_sc if dig else off, child_sc, nb + 1)
                     )
         if found is None:
             target_width = target_width * g**2

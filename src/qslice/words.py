@@ -67,16 +67,17 @@ class Word:
         return f"Word({self.alphabet.name}, {''.join(map(str, self.symbols))!r})"
 
 
+def _smallest_alphabet(syms: tuple[int, ...]) -> Alphabet:
+    if any(s < 0 for s in syms):
+        return Alphabet.SIGNED
+    if any(s > 1 for s in syms):
+        return Alphabet.TERNARY
+    return Alphabet.BINARY
+
+
 def word(symbols: Iterable[int], alphabet: Alphabet | None = None) -> Word:
     syms = tuple(int(s) for s in symbols)
-    if alphabet is None:
-        if any(s < 0 for s in syms):
-            alphabet = Alphabet.SIGNED
-        elif any(s > 1 for s in syms):
-            alphabet = Alphabet.TERNARY
-        else:
-            alphabet = Alphabet.BINARY
-    return Word(alphabet, syms)
+    return Word(alphabet or _smallest_alphabet(syms), syms)
 
 
 def _minimal_period(per: tuple[int, ...]) -> tuple[int, ...]:
@@ -131,21 +132,13 @@ def tail(
     per = tuple(int(s) for s in period)
     if not per:
         raise WordSyntaxError("period must be nonempty")
-    if alphabet is None:
-        syms = pre + per
-        if any(s < 0 for s in syms):
-            alphabet = Alphabet.SIGNED
-        elif any(s > 1 for s in syms):
-            alphabet = Alphabet.TERNARY
-        else:
-            alphabet = Alphabet.BINARY
+    alphabet = alphabet or _smallest_alphabet(pre + per)
+    if not _SYMBOL_SETS[alphabet].issuperset(pre + per):
+        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
     per = _minimal_period(per)
     while pre and pre[-1] == per[-1]:
         per = per[-1:] + per[:-1]
         pre = pre[:-1]
-    allowed = set(alphabet.symbols)
-    if any(s not in allowed for s in pre + per):
-        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
     return Tail(alphabet, pre, per)
 
 
@@ -253,11 +246,7 @@ def lex_consecutive(a: Word, b: Word) -> bool:
     a = u 0 1^m and b = u 1 0^m for some (possibly empty) u."""
     if a.alphabet is not Alphabet.BINARY or b.alphabet is not Alphabet.BINARY:
         raise WordSyntaxError("lex_consecutive compares binary words")
-    if len(a) != len(b) or len(a) == 0:
-        return False
-    va = int("".join(map(str, a.symbols)), 2)
-    vb = int("".join(map(str, b.symbols)), 2)
-    return vb == va + 1
+    return successor(a.symbols, 2) == b.symbols
 
 
 def successor(symbols: tuple[int, ...], radix: int) -> tuple[int, ...] | None:
@@ -393,7 +382,7 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
     flat = [x for unit in items for x in unit]
     if star is not None:
         return tail(flat, star, alphabet)
-    return word(flat, alphabet) if alphabet else word(flat)
+    return word(flat, alphabet)
 
 
 def format_word(w: WordLike) -> str:

@@ -373,6 +373,29 @@ def test_internal_faults_exit_three(capsys, monkeypatch):
     assert "point escaped the expansion interval" in captured.err
 
 
+@pytest.mark.parametrize("cmd", ["slice", "orbit-tree"])
+@pytest.mark.parametrize("q, y", [("bonacci:3", "1/3"), ("5/3", "3/8")])
+def test_walk_dead_end_exits_three(capsys, monkeypatch, cmd, q, y):
+    # a point with no applicable branch in the breadth-first walk is a fault
+    # of the program, not an empty slice or a tree without leaves
+    from qslice.dynamics import _Lattice, _Rational
+
+    if q == "5/3":
+        # the rational walk tests the domains of branches(den) itself
+        branches = _Rational.branches
+        monkeypatch.setattr(
+            _Rational, "branches",
+            lambda self, den: [(lab, s, od, 1, 0) for lab, s, od, _, _ in branches(self, den)],
+        )
+    else:
+        monkeypatch.setattr(_Lattice, "children", lambda self, v, den, branches: [])
+    code = run([cmd, "--q", q, "--y", y, "--depth", "12"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "point escaped the expansion interval" in captured.err
+
+
 def test_orbit_tree_at_depth_cap(capsys):
     # one alive path (0, 2)* at q=5/3, y=3/8 nests the record to the full
     # depth; both the output and json.loads of it must fit the stack

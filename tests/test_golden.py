@@ -39,6 +39,10 @@ GOLDEN = [
      "bea2c530172d6bd308beb602b12645edd73b2701cd0202f848796818a68535a3"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,
      "6b4a4193bea98e2ae147483f65e7cba8bbee451ba79f6776254d367b086d0a31"),
+    ("certify-slice3 --q bonacci:12 --depth 30 --level 20", 0,
+     "37c5c297e9f5ea98b6f63749e03450c58a79cf5d7d57f2e12eb147ef81c23a6c"),
+    ("thickness --q bonacci:12 --set aq --level 30", 0,
+     "47f4e303127f3c4eddf3a6ba4e37f446ef6e833bbb1ab1cecdf93d0dd4d84801"),
 ]
 
 

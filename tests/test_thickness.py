@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -368,15 +367,61 @@ def reference_aq_bracket(template, assignment, upto, fill):
     return acc, acc + ginv ** len(template.bits) / (g - 1)
 
 
-@pytest.mark.parametrize("q, k", [(QBIG, 30), (bonacci_root(10), 24)])
-def test_aq_bracket_matches_horner_reference(q, k):
-    template = build_aq_prefixes(q, k, margin=14)
-    free = template.free_positions
-    rng = random.Random(k)
-    for _ in range(12):
-        upto = rng.randint(0, len(template.bits))
-        # assignments may name positions past upto; those must be ignored
-        assignment = {p: rng.randint(0, 1) for p in free if rng.random() < 0.7}
-        for fill in (0, 1):
-            got = thickness._aq_value_bracket(template, assignment, upto, fill)
-            assert got == reference_aq_bracket(template, assignment, upto, fill)
+def reference_aq_gaps(q, level):
+    """The branching family's gaps built one by one: each gap end from its
+    own Horner bracket, each bridge from a scan for the nearest gap of
+    equal or larger size, then sorted largest first."""
+    template = build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN)
+    free = template.free_below(level)
+    spans = []  # (level, left, right, meta) of each gap
+    for idx, pos in enumerate(free):
+        earlier = free[:idx]
+        for mask in range(2 ** len(earlier)):
+            assignment = {
+                p: (mask >> (len(earlier) - 1 - i)) & 1 for i, p in enumerate(earlier)
+            }
+            left = reference_aq_bracket(template, {**assignment, pos: 0}, pos + 1, 1)
+            right = reference_aq_bracket(template, {**assignment, pos: 1}, pos + 1, 0)
+            spans.append((pos + 2, left, right, {"free_position": pos, "mask": mask}))
+    hull_lo = reference_aq_bracket(template, {}, 0, 0)
+    hull_hi = reference_aq_bracket(template, {}, 0, 1)
+
+    # a gap's level orders its size: smaller level = larger gap
+    spans.sort(key=lambda sp: sp[1][0])
+    records = []
+    for i, (lev, left, right, meta) in enumerate(spans):
+        best = left[0] - hull_lo[1]
+        for j in range(i - 1, -1, -1):
+            if spans[j][0] <= lev:
+                best = min(best, left[0] - spans[j][2][1])
+                break
+        for j in range(i + 1, len(spans)):
+            if spans[j][0] <= lev:
+                best = min(best, spans[j][1][0] - right[1])
+                break
+        else:
+            best = min(best, hull_hi[0] - right[1])
+        size = (right[0] - left[1], right[1] - left[0])
+        records.append(GapRecord(lev, left, right, size, best, meta))
+    records.sort(key=lambda r: (-r.size[0], r.left[0]))
+    return (hull_lo, hull_hi), records
+
+
+@pytest.mark.parametrize(
+    "q, level",
+    [(QBIG, 14), (QBIG, 28), (QBIG, 40), (bonacci_root(10), 24)],
+    ids=["1999/1000-14", "1999/1000-28", "1999/1000-40", "bonacci:10-24"],
+)
+def test_aq_gaps_match_reference(q, level):
+    hull, records = reference_aq_gaps(q, level)
+    gs = enumerate_gaps(q, GapFamily.AqSet, level)
+    assert gs.hull == hull
+    assert list(gs.gaps) == records
+
+
+def test_aq_gaps_reference_below_nine_bonacci():
+    q = AlgebraicNumber.from_rational(F(19, 10))
+    with pytest.raises(BaseTooSmall):
+        reference_aq_gaps(q, 30)
+    with pytest.raises(BaseTooSmall):
+        enumerate_gaps(q, GapFamily.AqSet, 30)
