@@ -62,10 +62,9 @@ def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _sign_at(p: Sequence[int], x: Fraction) -> int:
-    """The sign of an integer polynomial at x, read off the integer
-    den(x)^deg * p(x)."""
-    n, m = x.numerator, x.denominator
+def _sign_at(p: Sequence[int], n: int, m: int) -> int:
+    """The sign of an integer polynomial at n / m, m > 0, read off the
+    integer m^deg * p(n / m)."""
     acc, scale = p[-1], 1
     for c in reversed(p[:-1]):
         scale *= m
@@ -231,31 +230,39 @@ class AlgebraicNumber:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
-    def _bisect(self, lo_positive: bool | None = None) -> None:
-        """Halve the interval. lo_positive says whether min_poly is positive
-        at lo; no halving changes that, so a caller that halves repeatedly
-        passes it rather than having it recomputed."""
+    def _bisect(self, times: int = 1) -> None:
+        """Halve the interval `times` times, or until a midpoint is a root.
+        The ends are held as integer numerators over one denominator, and
+        min_poly keeps its sign at lo through every halving, so that sign
+        is read once."""
         if self._lo == self._hi:
             return
-        if lo_positive is None:
-            lo_positive = _sign_at(self.min_poly, self._lo) > 0
-        mid = (self._lo + self._hi) / 2
-        v = _sign_at(self.min_poly, mid)
-        if v == 0:
-            # only reachable for degree-1 polynomials
-            self._lo = self._hi = mid
-            return
-        if lo_positive != (v > 0):
-            self._hi = mid
-        else:
-            self._lo = mid
+        poly = self.min_poly
+        (lo, hi), den = _common_denominator((self._lo, self._hi))
+        lo_positive = _sign_at(poly, lo, den) > 0
+        for _ in range(times):
+            mid, den = lo + hi, 2 * den
+            v = _sign_at(poly, mid, den)
+            if v == 0:
+                # only reachable for degree-1 polynomials
+                lo = hi = mid
+                break
+            if lo_positive != (v > 0):
+                lo, hi = 2 * lo, mid
+            else:
+                lo, hi = mid, 2 * hi
+        self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
 
     def refine_to(self, eps: Rational) -> tuple[Fraction, Fraction]:
         eps = Fraction(eps)
-        if self._hi - self._lo > eps:
-            lo_positive = _sign_at(self.min_poly, self._lo) > 0
-            while self._hi - self._lo > eps:
-                self._bisect(lo_positive)
+        width = self._hi - self._lo
+        if width > eps:
+            if eps <= 0:
+                raise ValueError("eps must be positive")
+            # each halving halves the width, so the least count k with
+            # width / 2^k <= eps is the bit length of ceil(width / eps) - 1
+            ratio = width / eps
+            self._bisect((-(-ratio.numerator // ratio.denominator) - 1).bit_length())
         return self._lo, self._hi
 
     def __float__(self) -> float:
@@ -466,25 +473,21 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        d = self.base.degree
-        if d == 1:
+        if self.base.degree == 1:
             return FieldElement(self.base, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x]: self * u = 1 mod min_poly
-        a = _trim(self.coeffs)
-        b = self.base._frac_poly
-        r0, r1 = b, a
-        s0, s1 = (), (Fraction(1),)
-        while len(r1) > 1:
-            q, r = _divmod(r0, r1)
-            r0, r1 = r1, r
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            s0, s1 = s1, s_new
-            if not r1:
-                raise AlgebraicError("element not invertible (modulus not irreducible?)")
-        c = r1[0]
-        u = tuple(x / c for x in s1)
-        u = (_trim(u) + (Fraction(0),) * d)[:d]
-        return FieldElement(self.base, tuple(u))
+        c0, c1 = self.coeffs[:2]
+        if c1 and not any(self.coeffs[2:]):
+            # c0 + c1 q = c1 (q - t) with t = -c0 / c1; synthetic division
+            # gives p(x) = (x - t) h(x) + p(t), so the inverse is
+            # -h(q) / (c1 p(t)), and p(t) != 0 as p is irreducible
+            poly = self.base.min_poly
+            t = -c0 / c1
+            h = [Fraction(poly[-1])]
+            for c in reversed(poly[1:-1]):
+                h.append(c + t * h[-1])
+            scale = -1 / (c1 * (poly[0] + t * h[-1]))
+            return FieldElement(self.base, tuple(c * scale for c in reversed(h)))
+        return FieldElement(self.base, _euclid_inverse(self.coeffs, self.base._frac_poly))
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -516,10 +519,10 @@ class FieldElement:
         return all(c == 0 for c in self.coeffs)
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
-        if self.base.degree == 1:
-            return 1 if self.coeffs[0] > 0 else -1
+        c = self.coeffs
+        if not any(c[1:]):
+            # a rational value: its constant term
+            return (c[0] > 0) - (c[0] < 0)
         while True:
             vlo, vhi, _ = _interval_eval(self.coeffs, *self.base.interval)
             if vlo > 0:
@@ -579,6 +582,9 @@ class FieldElement:
             vlo, vhi, scale = _interval_eval(self.coeffs, *self.base.interval)
             if (vhi - vlo) * eps.denominator <= eps.numerator * scale:
                 return Fraction(vlo, scale), Fraction(vhi, scale)
+            if eps <= 0:
+                # only a rational value has an enclosure of width 0
+                raise ValueError("eps must be positive")
             self.base._bisect()
 
     def as_fraction(self) -> Fraction:
@@ -592,6 +598,21 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({list(self.coeffs)}, ~{float(self):.9f})"
+
+
+def _euclid_inverse(a: Sequence[Fraction], modulus: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """u with a * u = 1 mod modulus, by extended Euclid in Q[x], padded to
+    len(modulus) - 1 coefficients."""
+    r0, r1 = _trim(modulus), _trim(a)
+    s0, s1 = (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        if not r1:
+            raise AlgebraicError("element not invertible (modulus not irreducible?)")
+    u = _trim(tuple(x / r1[0] for x in s1))
+    return (u + (Fraction(0),) * len(modulus))[: len(modulus) - 1]
 
 
 def _poly_mul(a, b):
@@ -615,6 +636,25 @@ def _common_denominator(fracs: Sequence[Rational]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator."""
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
+    """Multiplication by s in the basis 1, q, ..., q^(d-1): integer rows
+    over one denominator, in lowest terms. Column j + 1 is q times column
+    j, reduced by the minimal polynomial."""
+    poly = s.base.min_poly
+    lead = poly[-1]
+    col, den = _common_denominator(s.coeffs)
+    cols = [col]
+    for _ in range(len(col) - 1):
+        # q * (col / den') = (lead * shifted - top * poly) / (den' * lead)
+        col = [lead * a - col[-1] * p for a, p in zip([0] + col[:-1], poly)]
+        cols.append(col)
+    last = len(cols) - 1
+    cols = [[c * lead ** (last - j) for c in col] for j, col in enumerate(cols)]
+    den *= lead ** last
+    g = gcd(den, *(c for col in cols for c in col))
+    return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
 
 
 def _interval_eval(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, inf, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from typing import Callable, Optional, Union
 
@@ -24,6 +24,7 @@ from .algebraic import (
     Ordering,
     bonacci_root,
     compare_reals,
+    multiplication_rows,
 )
 from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict
 
@@ -185,24 +186,6 @@ def word_is_applicable(sys: ExpansionSystem, w: Word, x: PointLike) -> bool:
 # the breadth-first orbit walk
 # ---------------------------------------------------------------------------
 
-Level = list[tuple[tuple[int, ...], FieldElement]]  # (path, point), in path order
-
-
-def orbit_step(sys: ExpansionSystem, level: Level) -> tuple[Level, list[tuple[int, ...]]]:
-    """One breadth-first step: take every applicable branch of every entry,
-    children in label order so that the next level stays in path order.
-    Also returns the paths that forked (two or more applicable branches)."""
-    nxt: Level = []
-    forked: list[tuple[int, ...]] = []
-    for path, p in level:
-        labels = sys.applicable(p)
-        if len(labels) >= 2:
-            forked.append(path)
-        for lab in labels:
-            nxt.append((path + (lab,), sys.branch(lab)(p)))
-    return nxt, forked
-
-
 @dataclass(frozen=True)
 class Frontier:
     """The last level of a breadth-first walk: its paths in path order, the
@@ -221,9 +204,11 @@ class Frontier:
 def enumerate_orbits(
     sys: ExpansionSystem, x: PointLike, depth: int, max_cylinders: Optional[int] = None
 ) -> Frontier:
-    """Walk every applicable branch sequence from x for depth steps, as
-    repeated orbit_step calls would. Given max_cylinders, the walk stops,
-    truncated, after the first step whose level holds more paths than that.
+    """Walk every applicable branch sequence from x for depth steps,
+    breadth-first, each point's children in label order so that every level
+    stays in path order; a path forks where two or more branches apply.
+    Given max_cylinders, the walk stops, truncated, after the first step
+    whose level holds more paths than that.
 
     At rational bases the walk runs on integers, elsewhere on the integer
     vectors of the system's lattice kernel. The branches cover the
@@ -360,12 +345,14 @@ class _Lattice:
         # in [lo^j, hi^j]; at q < 2 these are 2^-64 wide
         lo, hi = base.refine_to(Fraction(1, 1 << (_BRACKET_BITS + 2 * d)))
         unit = 1 << _BRACKET_BITS
-        self.brackets = [floor(unit * lo**j) for j in range(d)]
-        self.spread = max(ceil(unit * hi**j) - a for j, a in enumerate(self.brackets))
+        self.brackets = [unit * lo.numerator**j // lo.denominator**j for j in range(d)]
+        self.spread = max(
+            -(-unit * hi.numerator**j // hi.denominator**j) - a for j, a in enumerate(self.brackets)
+        )
         matrices = {}  # slope coefficients -> (integer rows, denominator)
         for m in sys.maps:
             if m.slope.coeffs not in matrices:
-                matrices[m.slope.coeffs] = _multiplication_rows(m.slope)
+                matrices[m.slope.coeffs] = multiplication_rows(m.slope)
         self.base = base
         self.scale = lcm(*(den for _, den in matrices.values()))
         self.offset_den = lcm(*(c.denominator for m in sys.maps for c in m.offset.coeffs))
@@ -439,26 +426,6 @@ def _scaled(end: tuple, den: int) -> tuple:
     """The integer bracket of 2^64 * den * e for an end from _Lattice._end."""
     centre, radius, end_den, value, closed = end
     return (den * (centre - radius)) // end_den, -(-den * (centre + radius) // end_den), value, closed
-
-
-def _multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
-    """Multiplication by s in the basis 1, q, ..., q^(d-1): integer rows
-    over one denominator, in lowest terms. Column j + 1 is q times column
-    j, reduced by the minimal polynomial."""
-    poly = s.base.min_poly
-    lead = poly[-1]
-    den = lcm(*(c.denominator for c in s.coeffs))
-    col = [c.numerator * (den // c.denominator) for c in s.coeffs]
-    cols = [col]
-    for _ in range(len(col) - 1):
-        # q * (col / den') = (lead * shifted - top * poly) / (den' * lead)
-        col = [lead * a - col[-1] * p for a, p in zip([0] + col[:-1], poly)]
-        cols.append(col)
-    last = len(cols) - 1
-    cols = [[c * lead ** (last - j) for c in col] for j, col in enumerate(cols)]
-    den *= lead ** last
-    g = gcd(den, *(c for col in cols for c in col))
-    return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
 
 
 def _lattice_walk(
@@ -604,17 +571,6 @@ def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:
     return UniqueOrbitResult(
         UniqueOrbitStatus.UnknownAtDepth,
         digits=Word(Alphabet.TERNARY, tuple(digits)),
-    )
-
-
-def _field_orbit(sys: ExpansionSystem, p: FieldElement, depth: int) -> UniqueOrbitResult:
-    """The single-orbit walk on field elements: the reference the kernel
-    walks are tested against."""
-    return _single_orbit(
-        p,
-        lambda x: [(label, sys.branch(label)(x)) for label in sys.applicable(x)],
-        lambda x: x,
-        depth,
     )
 
 

@@ -17,7 +17,7 @@ from math import ceil, floor, lcm
 from operator import mul
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, FieldElement
+from .algebraic import AlgebraicNumber, FieldElement, multiplication_rows
 from .dynamics import (
     PointLike,
     enumerate_orbits,
@@ -247,18 +247,15 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     its parts' signs. Each end of a box is compared with y by integer
     brackets, and by FieldElement.sign where they overlap."""
     base = y.base
-    basis = [base.element([0] * j + [1]) for j in range(base.degree)]
-    lows, width = _box_brackets(basis)
-    index: dict = {}  # coefficients of a nonzero part coefficient -> its place in columns
-    columns = []
+    lows, width = _box_brackets(base)
+    index: dict = {}  # coefficients of a nonzero part coefficient -> its place in shared
+    shared = []
     for m in (c for part in parts for c in part):
         if m and m.coeffs not in index:
-            index[m.coeffs] = len(columns)
-            columns.append([(m * e).coeffs for e in basis])
-    scale = lcm(*(c.denominator for cols in columns for col in cols for c in col))
-    matrices = [
-        [[int(col[i] * scale) for col in cols] for i in range(len(basis))] for cols in columns
-    ]
+            index[m.coeffs] = len(shared)
+            shared.append(multiplication_rows(m))
+    scale = lcm(*(den for _, den in shared))
+    matrices = [[[c * (scale // den) for c in row] for row in rows] for rows, den in shared]
     steps = [
         (lab, index[s.coeffs], index.get(o.coeffs), s.sign()) for lab, (s, o) in enumerate(parts)
     ]
@@ -277,7 +274,7 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
             return 1
         return (base.element([Fraction(c, den) for c in v]) - y).sign()
 
-    zero = [0] * len(basis)
+    zero = [0] * base.degree
     frontier = [((), [1] + zero[1:], zero, 1)]
     den = 1
     for _ in range(depth):
@@ -301,11 +298,11 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     return {Word(Alphabet.TERNARY, path) for path, *_ in frontier}
 
 
-def _box_brackets(basis: list[FieldElement]) -> tuple[list[int], int]:
+def _box_brackets(base: AlgebraicNumber) -> tuple[list[int], int]:
     """Integers a_j and w with 2^64 q^j in [a_j, a_j + w], from exact
     enclosures of the basis elements q^j."""
     eps = Fraction(1, 1 << _BOX_BITS)
-    cells = [e.to_interval(eps) for e in basis]
+    cells = [base.element([0] * j + [1]).to_interval(eps) for j in range(base.degree)]
     lows = [floor(lo / eps) for lo, _ in cells]
     return lows, max(ceil(hi / eps) - a for (_, hi), a in zip(cells, lows))
 

@@ -191,9 +191,6 @@ class AqTemplate:
     def free_below(self, k: int) -> tuple[int, ...]:
         return tuple(p for p in self.free_positions if p < k)
 
-    def count(self, k: int) -> int:
-        return 2 ** len(self.free_below(k))
-
     @cached_property
     def value_terms(
         self,
@@ -217,18 +214,6 @@ class AqTemplate:
             suffix.append(suffix[-1] + weights[pos])
         tail_bound = powers[-1] / (g - 1)
         return fixed, tuple(weights), tuple(reversed(suffix)), tail_bound
-
-    def prefixes(self, k: int) -> list[Word]:
-        """All admissible length-k prefixes, in increasing value order of
-        the free bits read most-significant-first."""
-        free = self.free_below(k)
-        out = []
-        for mask in range(2 ** len(free)):
-            symbols = list(self.bits[:k])
-            for idx, pos in enumerate(free):
-                symbols[pos] = (mask >> (len(free) - 1 - idx)) & 1
-            out.append(Word(Alphabet.BINARY, tuple(symbols)))
-        return out
 
 
 def build_aq_prefixes(q: AlgebraicNumber, k: int, margin: int = 16) -> AqTemplate:
@@ -634,11 +619,16 @@ def thickness_lower_bound(gs: GapStructure) -> FieldElement:
     """Worst bridge-to-gap ratio among the enumerated gaps."""
     if not gs.gaps:
         raise ThicknessError("no gaps enumerated")
-    best = gs.gaps[0]
-    for r in gs.gaps[1:]:
+    # many gaps share one (bridge, size) pair, as every aq gap at one free
+    # position does, so each distinct pair is compared once; the first gap
+    # with the least ratio is kept either way
+    best, seen = gs.gaps[0], set()
+    for r in gs.gaps:
+        pair = (r.bridge_lb.coeffs, r.size[1].coeffs)
         # the sizes are positive, so the ratios compare without dividing
-        if r.bridge_lb * best.size[1] < best.bridge_lb * r.size[1]:
+        if pair not in seen and r.bridge_lb * best.size[1] < best.bridge_lb * r.size[1]:
             best = r
+        seen.add(pair)
     return best.bridge_lb / best.size[1]
 
 

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -323,7 +324,116 @@ def test_mul_kernel_matches_rational_reduction(name, data):
 def test_sign_at_matches_rational_evaluation(poly, x):
     # the integer sign that drives bisection, against Horner on fractions
     value = algebraic._eval([Fraction(c) for c in poly], x)
-    assert algebraic._sign_at(poly, x) == (value > 0) - (value < 0)
+    assert algebraic._sign_at(poly, x.numerator, x.denominator) == (value > 0) - (value < 0)
+
+
+# -- fresh-base set-up on integers, against the routes it replaced -----------
+
+SETUP_BASES = {
+    **{f"bonacci:{k}": (tuple(multinacci_poly(k)), 1, 2) for k in range(2, 13)},
+    "two-orbit cubic": ((1, -2, -1, 1), Fraction(3, 2), Fraction(19, 10)),
+    "2x^2 - 3": ((-3, 0, 2), 1, 2),
+    "3x^3 - 3x - 2": ((-2, -3, 0, 3), 1, 2),
+    "2x^2 - 2x - 1": ((-1, -2, 2), 1, 2),
+}
+setup_bases = st.sampled_from(sorted(SETUP_BASES))
+
+
+def _fresh(name):
+    """A new base object, as a caller with a new base has one: every
+    polynomial above is irreducible, with one root in its interval."""
+    poly, lo, hi = SETUP_BASES[name]
+    return AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
+
+
+def _reference_halve(poly, lo, hi):
+    """One halving of the old kind: a Fraction midpoint, and the half on
+    which the polynomial, evaluated on Fractions, changes sign."""
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    mid = (lo + hi) / 2
+    v = value(mid)
+    if v == 0:
+        return mid, mid
+    return (lo, mid) if (value(lo) > 0) != (v > 0) else (mid, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=setup_bases, pre=st.integers(0, 40), bits=st.integers(0, 200), odd=st.integers(1, 9))
+@example(name="bonacci:12", pre=0, bits=200, odd=1)
+@example(name="2x^2 - 2x - 1", pre=7, bits=200, odd=3)
+@example(name="3x^3 - 3x - 2", pre=1, bits=84, odd=1)
+def test_halving_matches_fraction_bisection(name, pre, bits, odd):
+    # pre halvings leave the base partly refined (none: fresh); then eps,
+    # which need not be a power of two, goes down to 2^-200
+    base, (lo, hi) = _fresh(name), _fresh(name).interval
+    poly = base.min_poly
+    base._bisect(pre)
+    for _ in range(pre):
+        lo, hi = _reference_halve(poly, lo, hi)
+    assert base.interval == (lo, hi)
+    eps = Fraction(odd, 1 << bits)
+    while hi - lo > eps:
+        lo, hi = _reference_halve(poly, lo, hi)
+    assert base.refine_to(eps) == (lo, hi)
+    assert base.interval == (lo, hi)
+
+
+def test_refinement_to_a_width_of_zero_is_rejected():
+    # an irrational value has no enclosure of width 0, so no halving ends
+    q = _fresh("bonacci:3")
+    for eps in (0, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            q.refine_to(eps)
+        with pytest.raises(ValueError):
+            q.gen().to_interval(eps)
+        with pytest.raises(ValueError):
+            refine(q.element([1, Fraction(1, 2)]), eps)
+    # a rational value meets eps = 0 exactly
+    r = Fraction(7, 5)
+    assert AlgebraicNumber.from_rational(r).refine_to(0) == (r, r)
+    assert q.element([r]).to_interval(0) == (r, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=setup_bases, c0=mixed_fracs, c1=mixed_fracs.filter(bool))
+@example(name="bonacci:10", c0=Fraction(0), c1=Fraction(1))  # 1/q
+@example(name="bonacci:10", c0=Fraction(-1), c1=Fraction(1))  # 1/(q - 1)
+@example(name="2x^2 - 2x - 1", c0=Fraction(2), c1=Fraction(-1))  # 1/(2 - q)
+def test_linear_inverse_matches_extended_euclid(name, c0, c1):
+    base = _fresh(name)
+    x = base.element([c0, c1])
+    inv = x.inverse()
+    assert inv.coeffs == algebraic._euclid_inverse(x.coeffs, base._frac_poly)
+    assert _reference_mul(base, x.coeffs, inv.coeffs) == (1,) + (0,) * (base.degree - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=setup_bases, data=st.data())
+def test_multiplication_rows_match_field_products(name, data):
+    base = _fresh(name)
+    vec = st.lists(mixed_fracs, min_size=base.degree, max_size=base.degree)
+    s, v = base.element(data.draw(vec)), data.draw(vec)
+    rows, den = algebraic.multiplication_rows(s)
+    # integer rows over one denominator, in lowest terms
+    assert den > 0 and gcd(den, *(c for row in rows for c in row)) == 1
+    product = tuple(sum(r * c for r, c in zip(row, v)) / den for row in rows)
+    assert product == (s * base.element(v)).coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=setup_bases, c=mixed_fracs)
+def test_sign_of_a_rational_value(name, c):
+    base = _fresh(name)
+    x = base.element([c])
+    assert x.sign() == (c > 0) - (c < 0)
+    assert (0 <= x, x <= 1) == (c >= 0, c <= 1)
+    # read off the constant term: the base was not halved
+    assert base.interval == _fresh(name).interval
 
 
 def _poly_product(a, b):

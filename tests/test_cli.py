@@ -66,6 +66,29 @@ def test_slice_oracle_cross_check(capsys):
     assert rec["oracle"]["boxes"] >= len(rec["cylinders"])
 
 
+def test_slice_oracle_not_run_after_truncation(capsys, monkeypatch):
+    # at 3/2, y = 1/2 the walk outgrows the default cap at depth 15, so there
+    # is no frontier at depth 16 to check: the oracle is not run and the run
+    # exits 2, as it cannot stand on a cross-check that was not made
+    from qslice import cli
+
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        return geometric_slice_oracle(*args)
+
+    geometric_slice_oracle = cli.geometric_slice_oracle
+    monkeypatch.setattr(cli, "geometric_slice_oracle", oracle)
+    code, lines = invoke(capsys, ["slice", "--q", "3/2", "--y", "1/2", "--depth", "16", "--oracle"])
+    rec = json.loads(lines[0])
+    assert rec["truncated"] and len(rec["cylinders"][0]) < 16
+    assert rec["oracle"] is None and code == 2 and not calls
+    # a walk that reaches --depth is still checked
+    code, lines = invoke(capsys, ["slice", "--q", "3/2", "--y", "1/2", "--depth", "12", "--oracle"])
+    assert json.loads(lines[0])["oracle"] == {"agrees": True, "boxes": 1237} and len(calls) == 1
+
+
 def test_slice_command_unknown_when_truncated(capsys):
     code, lines = invoke(
         capsys,

@@ -16,11 +16,9 @@ from qslice.dynamics import (
     apply_map,
     apply_word,
     enumerate_orbits,
-    orbit_step,
     tail_is_orbit,
     ternary_branch_system,
     unique_orbit_check,
-    _field_orbit,
 )
 from qslice.words import Alphabet, project_q, tail, word
 
@@ -174,13 +172,27 @@ def test_orbit_tree_boundary_split():
 # -- the integer frontier walk at rational bases ---------------------------------
 
 
+def _orbit_step(sys, level):
+    """One breadth-first step on field elements: every applicable branch of
+    every (path, point) entry, children in label order so that the next
+    level stays in path order. Also returns the paths that forked."""
+    nxt, forked = [], []
+    for path, p in level:
+        labels = sys.applicable(p)
+        if len(labels) >= 2:
+            forked.append(path)
+        for lab in labels:
+            nxt.append((path + (lab,), sys.branch(lab)(p)))
+    return nxt, forked
+
+
 def _reference_walk(sys, x, depth, max_cylinders):
-    """The orbit_step loop on field elements: paths, fork events, truncated
+    """The _orbit_step loop on field elements: paths, fork events, truncated
     flag and points, with the walk's truncation rule."""
     level = [((), sys.lift(x))]
     events = []
     for step in range(depth):
-        level, forked = orbit_step(sys, level)
+        level, forked = _orbit_step(sys, level)
         events.extend((step, path) for path in forked)
         if len(level) > max_cylinders:
             return level, events, True
@@ -249,6 +261,17 @@ def test_lattice_walk_matches_field_walk(label, start, depth, max_cylinders):
     assert walk.points() == [p for _, p in level]
     # every point has a branch, so each level is the set of prefixes of the last
     assert walk.sizes == [len({path[:n] for path in paths}) for n in range(len(walk.sizes))]
+
+
+def _field_orbit(sys, p, depth):
+    """The single-orbit walk on field elements: the reference the kernel
+    walks are tested against."""
+    return dynamics._single_orbit(
+        p,
+        lambda x: [(label, sys.branch(label)(x)) for label in sys.applicable(x)],
+        lambda x: x,
+        depth,
+    )
 
 
 @settings(max_examples=60, deadline=None)

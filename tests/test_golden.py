@@ -23,6 +23,8 @@ GOLDEN = [
      "a53c50672aaec0ddc1c2d9f1959fba5a820cea90d06d18316e2b6ea9575aceba"),
     ("orbit-tree --q algebraic:1,-2,-1,1:3/2:19/10 --y 2/5 --depth 8", 0,
      "d143762ac297213871875bd918bca4683fd8b45f2758f1facdc6fba26107819c"),
+    ("orbit-tree --q algebraic:-1,-2,2:1:2 --y 1/3 --depth 8", 0,
+     "c7de429682eb4d3530a75d7e9d76d29355f73fe9986351e99a10684bab23ed87"),
     ("dimension --q bonacci:3 --y 1/3 --method box --levels 4", 0,
      "a5f5c41cec0f11f01d3d7a82f9a3d1bd9fd381596e34c5689e57cf587c3a6942"),
     ("bonacci verify --k 4 --m 2", 0,

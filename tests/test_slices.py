@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice import dynamics, slices
-from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
+from qslice.algebraic import AlgebraicNumber, FieldElement, algebraic_from_poly, bonacci_root
 from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
     UniqueOrbitStatus,
@@ -151,9 +151,14 @@ def _height(q, y):
     return {"1/q": inv, "1-1/q": 1 - inv}.get(y, y)
 
 
+# 2x^2 - 2x - 1 is not monic: the multiplication matrices the oracle
+# shares with the dynamics have a denominator there
+ORACLE_BASES = {**ALGEBRAIC_BASES, "2x^2-2x-1": lambda: algebraic_from_poly([-1, -2, 2], 1, 2)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(sorted(ALGEBRAIC_BASES)),
+    st.sampled_from(sorted(ORACLE_BASES)),
     st.one_of(heights, st.sampled_from(["1/q", "1-1/q"])),
     st.integers(0, 8),
 )
@@ -161,8 +166,10 @@ def _height(q, y):
 @example("bonacci:7", "1-1/q", 8)
 @example("two-orbit", F(0, 1), 8)
 @example("bonacci:2", F(1, 1), 8)
+@example("2x^2-2x-1", "1/q", 8)
+@example("2x^2-2x-1", F(1, 3), 8)
 def test_lattice_oracle_matches_field_descent(label, y, depth):
-    q = ALGEBRAIC_BASES[label]()
+    q = ORACLE_BASES[label]()
     yv = _height(q, y)
     assert geometric_slice_oracle(q, yv, depth) == _field_boxes(q, yv, depth)
 

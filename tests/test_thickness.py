@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice import thickness
-from qslice.algebraic import AlgebraicNumber, bonacci_root
+from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
 from qslice.certificates import bracket, check, from_json, to_json, verify
 from qslice.slices import ClaimKind
 from qslice.thickness import (
@@ -31,7 +31,7 @@ from qslice.thickness import (
     thickness_lower_bound,
     w2_cover_check,
 )
-from qslice.words import member, run_limited
+from qslice.words import Alphabet, Word, member, run_limited
 
 QBIG = AlgebraicNumber.from_rational(F(1999, 1000))
 
@@ -100,13 +100,25 @@ def test_fixed_expansion_invariant(qf):
         assert (c.symbols[i], c.symbols[i + 1]) in W2
 
 
+def _prefixes(tpl, k):
+    """All admissible length-k prefixes of the template, in increasing
+    value order of the free bits read most-significant-first."""
+    free = tpl.free_below(k)
+    out = []
+    for mask in range(2 ** len(free)):
+        symbols = list(tpl.bits[:k])
+        for idx, pos in enumerate(free):
+            symbols[pos] = (mask >> (len(free) - 1 - idx)) & 1
+        out.append(Word(Alphabet.BINARY, tuple(symbols)))
+    return out
+
+
 def test_template_structure():
     tpl = build_aq_prefixes(QBIG, 40)
     assert tpl.free_below(40) == (11, 13, 18, 21, 25, 29, 31, 34, 37)
-    assert tpl.count(40) == 512
-    assert len(tpl.prefixes(12)) == 2
+    assert len(_prefixes(tpl, 12)) == 2
     spec = run_limited(9)
-    words = tpl.prefixes(40)
+    words = _prefixes(tpl, 40)
     assert len(words) == 512
     assert all(member(spec, w) for w in words)
 
@@ -116,7 +128,7 @@ def test_partner_identity():
     spec = run_limited(9)
     qf = F(1999, 1000)
     cval = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(tpl.c.symbols[:40]))
-    for a in tpl.prefixes(40)[::97]:
+    for a in _prefixes(tpl, 40)[::97]:
         b = shifted_partner(tpl, a)
         assert member(spec, b)
         pa = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(a.symbols))
@@ -425,3 +437,31 @@ def test_aq_gaps_reference_below_nine_bonacci():
         reference_aq_gaps(q, 30)
     with pytest.raises(BaseTooSmall):
         enumerate_gaps(q, GapFamily.AqSet, 30)
+
+
+@pytest.mark.parametrize(
+    "q, family, level",
+    [(QBIG, GapFamily.AqSet, 30), (bonacci_root(12), GapFamily.AqSet, 20), (QBIG, GapFamily.SkSet, 10)],
+    ids=["aq-1999/1000-30", "aq-bonacci:12-20", "sk9-1999/1000-10"],
+)
+def test_thickness_bound_compares_each_pair_once(q, family, level, monkeypatch):
+    gs = enumerate_gaps(q, family, level, k=9)
+    # the reference compares every gap and keeps the first with the least ratio
+    best = gs.gaps[0]
+    for r in gs.gaps[1:]:
+        if r.bridge_lb / r.size[1] < best.bridge_lb / best.size[1]:
+            best = r
+    expected = best.bridge_lb / best.size[1]
+    pairs = {(r.bridge_lb.coeffs, r.size[1].coeffs) for r in gs.gaps}
+    assert len(pairs) < len(gs.gaps)
+    products = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    assert thickness_lower_bound(gs) == expected
+    # two products per distinct pair, and one in the final division
+    assert len(products) == 2 * len(pairs) + 1
