@@ -191,14 +191,15 @@ class AlgebraicNumber:
     interval. The interval only ever narrows, so sharing instances between
     computations is safe."""
 
+    # _ends: the interval as integer numerators over one denominator,
+    # ([lo, hi], den), in lowest terms.
     # _branch_system: the ternary branch system at this base, built once on
     # first use by dynamics.ternary_branch_system
-    __slots__ = ("min_poly", "_lo", "_hi", "_frac_poly", "_red_table", "_branch_system")
+    __slots__ = ("min_poly", "_ends", "_frac_poly", "_red_table", "_branch_system")
 
     def __init__(self, min_poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.min_poly = min_poly
-        self._lo = lo
-        self._hi = hi
+        self._ends = _common_denominator((lo, hi))
         self._frac_poly = tuple(Fraction(c) for c in min_poly)
         self._red_table = None
         self._branch_system = None
@@ -228,17 +229,18 @@ class AlgebraicNumber:
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        (lo, hi), den = self._ends
+        return Fraction(lo, den), Fraction(hi, den)
 
     def _bisect(self, times: int = 1) -> None:
         """Halve the interval `times` times, or until a midpoint is a root.
         The ends are held as integer numerators over one denominator, and
         min_poly keeps its sign at lo through every halving, so that sign
         is read once."""
-        if self._lo == self._hi:
+        (lo, hi), den = self._ends
+        if lo == hi:
             return
         poly = self.min_poly
-        (lo, hi), den = _common_denominator((self._lo, self._hi))
         lo_positive = _sign_at(poly, lo, den) > 0
         for _ in range(times):
             mid, den = lo + hi, 2 * den
@@ -251,19 +253,74 @@ class AlgebraicNumber:
                 lo, hi = 2 * lo, mid
             else:
                 lo, hi = mid, 2 * hi
-        self._lo, self._hi = Fraction(lo, den), Fraction(hi, den)
+        g = gcd(lo, hi, den)
+        self._ends = [lo // g, hi // g], den // g
 
     def refine_to(self, eps: Rational) -> tuple[Fraction, Fraction]:
         eps = Fraction(eps)
-        width = self._hi - self._lo
-        if width > eps:
+        (lo, hi), den = self._ends
+        # width = (hi - lo) / den, compared with eps on integers
+        width, bound = (hi - lo) * eps.denominator, eps.numerator * den
+        if width > bound:
             if eps <= 0:
                 raise ValueError("eps must be positive")
             # each halving halves the width, so the least count k with
             # width / 2^k <= eps is the bit length of ceil(width / eps) - 1
-            ratio = width / eps
-            self._bisect((-(-ratio.numerator // ratio.denominator) - 1).bit_length())
-        return self._lo, self._hi
+            self._bisect((-(-width // bound) - 1).bit_length())
+        return self.interval
+
+    def compare_rational(self, r: Rational) -> Ordering:
+        """Exact trichotomy with a rational, with no halving. An irrational
+        number lies strictly inside its interval [lo, hi], and its minimal
+        polynomial, irreducible of degree >= 2, has no rational root, so for
+        lo < r < hi the number is below r exactly when min_poly changes
+        sign between lo and r."""
+        r = Fraction(r)
+        if self.is_rational:
+            v = self.rational_value
+            return Ordering.Less if v < r else Ordering.Greater if v > r else Ordering.Equal
+        (lo, hi), den = self._ends
+        n, m = r.numerator, r.denominator
+        if n * den <= lo * m:
+            return Ordering.Greater
+        if n * den >= hi * m:
+            return Ordering.Less
+        same = _sign_at(self.min_poly, n, m) == _sign_at(self.min_poly, lo, den)
+        return Ordering.Greater if same else Ordering.Less
+
+    def sign_of(self, nums: Sequence[int]) -> int:
+        """The sign of nums[0] + nums[1] q + ... + nums[d-1] q^(d-1), for
+        integers nums: interval Horner over the integer ends of the
+        interval, halving it until the enclosure excludes 0. With no
+        coefficient past the constant, the constant's sign; otherwise the
+        value is irrational, so the loop ends."""
+        if not any(nums[1:]):
+            c = nums[0]
+            return (c > 0) - (c < 0)
+        while True:
+            vlo, vhi, _ = _interval_eval(nums, *self._ends)
+            if vlo > 0:
+                return 1
+            if vhi < 0:
+                return -1
+            self._bisect()
+
+    def power_brackets(self, bits: int) -> tuple[list[int], int]:
+        """Integers a_j and w with 2^bits q^j in [a_j, a_j + w] for
+        j = 0..d-1, from integer powers of the ends of the interval refined
+        to a width of 2^-(bits + 2d)."""
+        d = self.degree
+        self.refine_to(Fraction(1, 1 << (bits + 2 * d)))
+        (lo, hi), den = self._ends
+        lows, width = [], 0
+        for j in range(d):
+            least, most = sorted((lo**j, hi**j))
+            if lo < 0 < hi and j % 2 == 0:
+                least = 0
+            low = (least << bits) // den**j
+            lows.append(low)
+            width = max(width, -(-(most << bits) // den**j) - low)
+        return lows, width
 
     def __float__(self) -> float:
         lo, hi = enclose(self, 10**20)
@@ -278,8 +335,8 @@ class AlgebraicNumber:
             return False
         if self.is_rational:
             return True
-        lo = min(self._lo, other._lo)
-        hi = max(self._hi, other._hi)
+        (alo, ahi), (blo, bhi) = self.interval, other.interval
+        lo, hi = min(alo, blo), max(ahi, bhi)
         # hull of two isolating intervals holds exactly one root iff same root
         return _count_roots(self._frac_poly, lo, hi) == 1
 
@@ -311,8 +368,8 @@ class AlgebraicNumber:
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > d:
             raise AlgebraicError("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (d - len(cs))
-        return FieldElement(self, tuple(cs))
+        nums, den = _common_denominator(cs + [0] * (d - len(cs)))
+        return FieldElement(self, nums, den)
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -321,7 +378,8 @@ class AlgebraicNumber:
         return self.element([1])
 
     def rational(self, r: Rational) -> "FieldElement":
-        return self.element([Fraction(r)])
+        r = Fraction(r)
+        return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def gen(self) -> "FieldElement":
         """The number itself, as an element of its own field."""
@@ -392,15 +450,26 @@ def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
 
 
 class FieldElement:
-    """An element of Q(q), stored as a coefficient vector modulo the minimal
-    polynomial of q. Supports exact ring arithmetic, division, and total
+    """An element of Q(q): integer numerators over one denominator in the
+    basis 1, q, ..., q^(d-1), reduced modulo the minimal polynomial of q.
+    The form is canonical, den > 0 and gcd(den, *nums) = 1, so equal values
+    have equal fields. Supports exact ring arithmetic, division, and total
     ordering (sign decided by interval refinement, never by floats)."""
 
-    __slots__ = ("base", "coeffs")
+    __slots__ = ("base", "nums", "den")
 
-    def __init__(self, base: AlgebraicNumber, coeffs: tuple[Fraction, ...]):
+    def __init__(self, base: AlgebraicNumber, nums: Sequence[int], den: int = 1):
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
         self.base = base
-        self.coeffs = coeffs
+        self.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, for printing and outside readers."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- coercion ------------------------------------------------------------
 
@@ -419,22 +488,22 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.base, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        nums = [a * db + b * da for a, b in zip(self.nums, o.nums)]
+        return FieldElement(self.base, nums, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.base, tuple(-a for a in self.coeffs))
+        return FieldElement(self.base, [-a for a in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.base, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        nums = [a * db - b * da for a, b in zip(self.nums, o.nums)]
+        return FieldElement(self.base, nums, da * db)
 
     def __rsub__(self, other):
         o = self._lift(other)
@@ -447,12 +516,11 @@ class FieldElement:
         if o is None:
             return NotImplemented
         d = self.base.degree
+        a, b = self.nums, o.nums
         if d == 1:
-            return FieldElement(self.base, (self.coeffs[0] * o.coeffs[0],))
-        # convolve integer numerators, reduce by the integer table, and
-        # divide by the product of the three denominators at the end
-        a, da = _common_denominator(self.coeffs)
-        b, db = _common_denominator(o.coeffs)
+            return FieldElement(self.base, (a[0] * b[0],), self.den * o.den)
+        # convolve the numerators, reduce by the integer table, and divide
+        # by the product of the three denominators at the end
         prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -465,29 +533,37 @@ class FieldElement:
             if c:
                 for k, r in enumerate(rows[j - d]):
                     out[k] += c * r
-        den = da * db * tden
-        return FieldElement(self.base, tuple(Fraction(c, den) for c in out))
+        return FieldElement(self.base, out, self.den * o.den * tden)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        if self.base.degree == 1:
-            return FieldElement(self.base, (1 / self.coeffs[0],))
-        c0, c1 = self.coeffs[:2]
-        if c1 and not any(self.coeffs[2:]):
-            # c0 + c1 q = c1 (q - t) with t = -c0 / c1; synthetic division
-            # gives p(x) = (x - t) h(x) + p(t), so the inverse is
-            # -h(q) / (c1 p(t)), and p(t) != 0 as p is irreducible
+        nums, den = self.nums, self.den
+        if len(nums) == 1:
+            return FieldElement(self.base, (den,), nums[0])
+        n0, n1 = nums[:2]
+        if n1 and not any(nums[2:]):
+            # den / (n0 + n1 q) with t = -n0 / n1: synthetic division gives
+            # p(x) = (x - t) h(x) + p(t), so the inverse is
+            # -den h(q) / (n1 p(t)), and p(t) != 0 as p is irreducible.
+            # Scaled by powers of n1 all is integral: h_k n1^(d-1-k) and
+            # p(t) n1^d, with d the degree
             poly = self.base.min_poly
-            t = -c0 / c1
-            h = [Fraction(poly[-1])]
+            h, scale = [poly[-1]], 1
             for c in reversed(poly[1:-1]):
-                h.append(c + t * h[-1])
-            scale = -1 / (c1 * (poly[0] + t * h[-1]))
-            return FieldElement(self.base, tuple(c * scale for c in reversed(h)))
-        return FieldElement(self.base, _euclid_inverse(self.coeffs, self.base._frac_poly))
+                scale *= n1
+                h.append(c * scale - n0 * h[-1])
+            out, power = [], -den
+            for c in reversed(h):
+                out.append(c * power)
+                power *= n1
+            return FieldElement(self.base, out, poly[0] * scale * n1 - n0 * h[-1])
+        # den / v = den * (1 / v) for the integer vector v
+        inv = _euclid_inverse(tuple(map(Fraction, nums)), self.base._frac_poly)
+        inv_nums, inv_den = _common_denominator(inv)
+        return FieldElement(self.base, [c * den for c in inv_nums], inv_den)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -516,20 +592,10 @@ class FieldElement:
     # -- ordering ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def sign(self) -> int:
-        c = self.coeffs
-        if not any(c[1:]):
-            # a rational value: its constant term
-            return (c[0] > 0) - (c[0] < 0)
-        while True:
-            vlo, vhi, _ = _interval_eval(self.coeffs, *self.base.interval)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            self.base._bisect()
+        return self.base.sign_of(self.nums)
 
     def __eq__(self, other):
         try:
@@ -538,10 +604,10 @@ class FieldElement:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.base, self.coeffs))
+        return hash((self.nums, self.den))
 
     def __lt__(self, other):
         o = self._lift(other)
@@ -576,10 +642,11 @@ class FieldElement:
         """Enclosing interval of width at most eps, exact endpoints."""
         eps = Fraction(eps)
         if self.base.degree == 1:
-            v = self.coeffs[0]
+            v = Fraction(self.nums[0], self.den)
             return v, v
         while True:
-            vlo, vhi, scale = _interval_eval(self.coeffs, *self.base.interval)
+            vlo, vhi, scale = _interval_eval(self.nums, *self.base._ends)
+            scale *= self.den
             if (vhi - vlo) * eps.denominator <= eps.numerator * scale:
                 return Fraction(vlo, scale), Fraction(vhi, scale)
             if eps <= 0:
@@ -590,7 +657,7 @@ class FieldElement:
     def as_fraction(self) -> Fraction:
         if self.base.degree != 1:
             raise AlgebraicError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __float__(self) -> float:
         lo, hi = enclose(self, 10**20)
@@ -644,7 +711,7 @@ def multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
     j, reduced by the minimal polynomial."""
     poly = s.base.min_poly
     lead = poly[-1]
-    col, den = _common_denominator(s.coeffs)
+    col, den = list(s.nums), s.den
     cols = [col]
     for _ in range(len(col) - 1):
         # q * (col / den') = (lead * shifted - top * poly) / (den' * lead)
@@ -657,24 +724,22 @@ def multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
     return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
 
 
-def _interval_eval(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[int, int, int]:
-    """Interval Horner enclosure of the polynomial over [lo, hi], in scaled
-    integers: the enclosure is [vlo / scale, vhi / scale] with scale > 0.
+def _interval_eval(nums: Sequence[int], ends: Sequence[int], den: int) -> tuple[int, int, int]:
+    """Interval Horner enclosure of the integer polynomial nums over the
+    interval [lo, hi] / den, ends = (lo, hi), den > 0, in scaled integers:
+    the enclosure is [vlo / scale, vhi / scale] with scale > 0.
 
     Each step takes the least and greatest of the four endpoint products,
     so the result is exactly the rational interval Horner recurrence."""
-    nums, scale = _common_denominator(coeffs)
-    (l, h), den = _common_denominator((lo, hi))
+    l, h = ends
     vlo = vhi = 0
-    power = 1  # den ** steps; after a step, vlo and vhi carry scale * den ** (steps - 1)
+    power = 1  # den ** steps; after a step, vlo and vhi carry den ** (steps - 1)
     for c in reversed(nums):
         cands = (vlo * l, vlo * h, vhi * l, vhi * h)
         c *= power
         vlo, vhi = min(cands) + c, max(cands) + c
         power *= den
-    return vlo, vhi, scale * power // den
+    return vlo, vhi, power // den
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +794,12 @@ def enclose(x: "AlgebraicNumber | FieldElement", grid: int) -> tuple[Fraction, F
     loop ends. The cell test runs on the enclosure's scaled integers."""
     if isinstance(x, AlgebraicNumber):
         x = x.gen()
-    if x.base.degree == 1 or not any(x.coeffs[1:]):
-        return x.coeffs[0], x.coeffs[0]
+    if not any(x.nums[1:]):
+        v = Fraction(x.nums[0], x.den)
+        return v, v
     while True:
-        vlo, vhi, scale = _interval_eval(x.coeffs, *x.base.interval)
+        vlo, vhi, scale = _interval_eval(x.nums, *x.base._ends)
+        scale *= x.den
         n = vlo * grid // scale
         if vhi * grid <= (n + 1) * scale:
             return Fraction(n, grid), Fraction(n + 1, grid)

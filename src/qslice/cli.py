@@ -274,6 +274,15 @@ def _cmd_thickness(args) -> int:
             "thickness_lower_bound": bound,
         }
     )
+    # many gaps share their size and bridge values, so each distinct value
+    # is enclosed once
+    cells: dict = {}
+
+    def cell(x) -> list[str]:
+        if x not in cells:
+            cells[x] = _interval(x)
+        return cells[x]
+
     for i, gap in enumerate(gs.gaps):
         _emit(
             {
@@ -282,8 +291,8 @@ def _cmd_thickness(args) -> int:
                 "level": gap.level,
                 "left": [_interval(gap.left[0])[0], _interval(gap.left[1])[1]],
                 "right": [_interval(gap.right[0])[0], _interval(gap.right[1])[1]],
-                "size": [_interval(gap.size[0])[0], _interval(gap.size[1])[1]],
-                "bridge_lower_bound": _interval(gap.bridge_lb),
+                "size": [cell(gap.size[0])[0], cell(gap.size[1])[1]],
+                "bridge_lower_bound": cell(gap.bridge_lb),
             }
         )
     return 0

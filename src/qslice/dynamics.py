@@ -120,9 +120,7 @@ class ExpansionSystem:
 
 def check_base(q: AlgebraicNumber) -> None:
     """Raise InvalidBase unless 1 < q < 2."""
-    one = AlgebraicNumber.from_rational(1)
-    two = AlgebraicNumber.from_rational(2)
-    if compare_reals(q, one) != Ordering.Greater or compare_reals(q, two) != Ordering.Less:
+    if q.compare_rational(1) != Ordering.Greater or q.compare_rational(2) != Ordering.Less:
         raise InvalidBase("base must lie strictly between 1 and 2")
 
 
@@ -221,16 +219,18 @@ def enumerate_orbits(
     return _lattice_walk(sys, p, depth, cap)
 
 
-def _first_above(lo: Fraction, closed: bool, den: int) -> int:
-    """Least integer n with n/den > lo, or >= lo when closed."""
-    t = lo.numerator * den
-    return -(-t // lo.denominator) if closed else t // lo.denominator + 1
+def _first_above(lo: tuple[int, int], closed: bool, den: int) -> int:
+    """Least integer n with n/den > lo, or >= lo when closed, for lo given
+    as (numerator, denominator)."""
+    t = lo[0] * den
+    return -(-t // lo[1]) if closed else t // lo[1] + 1
 
 
-def _last_below(hi: Fraction, closed: bool, den: int) -> int:
-    """Greatest integer n with n/den < hi, or <= hi when closed."""
-    t = hi.numerator * den
-    return t // hi.denominator if closed else -(-t // hi.denominator) - 1
+def _last_below(hi: tuple[int, int], closed: bool, den: int) -> int:
+    """Greatest integer n with n/den < hi, or <= hi when closed, for hi
+    given as (numerator, denominator)."""
+    t = hi[0] * den
+    return t // hi[1] if closed else -(-t // hi[1]) - 1
 
 
 class _Rational:
@@ -242,21 +242,20 @@ class _Rational:
     rounded inward, so applicability is two integer comparisons."""
 
     def __init__(self, sys: ExpansionSystem):
-        coeffs = [(m.slope.as_fraction(), m.offset.as_fraction()) for m in sys.maps]
         self.base = sys.base
-        self.scale = lcm(*(c.denominator for pair in coeffs for c in pair))
+        self.scale = lcm(*(e.den for m in sys.maps for e in (m.slope, m.offset)))
         self.maps = [
-            (m.label, int(s * self.scale), int(o * self.scale), m.lo.as_fraction(), m.lo_closed,
-             m.hi.as_fraction(), m.hi_closed)
-            for m, (s, o) in zip(sys.maps, coeffs)
+            (m.label, m.slope.nums[0] * (self.scale // m.slope.den),
+             m.offset.nums[0] * (self.scale // m.offset.den),
+             (m.lo.nums[0], m.lo.den), m.lo_closed, (m.hi.nums[0], m.hi.den), m.hi_closed)
+            for m in sys.maps
         ]
 
     def lift(self, p: FieldElement) -> tuple[int, int]:
-        x = p.as_fraction()
-        return x.numerator, x.denominator
+        return p.nums[0], p.den
 
     def point(self, n: int, den: int) -> FieldElement:
-        return self.base.rational(Fraction(n, den))
+        return FieldElement(self.base, (n,), den)
 
     def branches(self, den: int) -> list:
         """Each branch's slope, its offset over den, and the least and
@@ -335,35 +334,27 @@ class _Lattice:
     enclosures: 2^64 q^j lies in [a_j, a_j + w], so 2^64 * den * x lies
     within w * sum|v_j| of the dot product v.a, and each domain end e has
     a bracket of 2^64 * den * e per den. A test the brackets leave open,
-    equality at an end included, is decided by FieldElement.sign on the
-    exact difference."""
+    equality at an end included, is decided by the base's exact sign of
+    the difference."""
 
     def __init__(self, sys: ExpansionSystem):
         base = sys.base
-        d = base.degree
-        # q > 1, so its isolating interval [lo, hi] is positive and q^j lies
-        # in [lo^j, hi^j]; at q < 2 these are 2^-64 wide
-        lo, hi = base.refine_to(Fraction(1, 1 << (_BRACKET_BITS + 2 * d)))
-        unit = 1 << _BRACKET_BITS
-        self.brackets = [unit * lo.numerator**j // lo.denominator**j for j in range(d)]
-        self.spread = max(
-            -(-unit * hi.numerator**j // hi.denominator**j) - a for j, a in enumerate(self.brackets)
-        )
-        matrices = {}  # slope coefficients -> (integer rows, denominator)
+        self.brackets, self.spread = base.power_brackets(_BRACKET_BITS)
+        matrices = {}  # slope -> (integer rows, denominator)
         for m in sys.maps:
-            if m.slope.coeffs not in matrices:
-                matrices[m.slope.coeffs] = multiplication_rows(m.slope)
+            if m.slope not in matrices:
+                matrices[m.slope] = multiplication_rows(m.slope)
         self.base = base
         self.scale = lcm(*(den for _, den in matrices.values()))
-        self.offset_den = lcm(*(c.denominator for m in sys.maps for c in m.offset.coeffs))
+        self.offset_den = lcm(*(m.offset.den for m in sys.maps))
         self.maps = []
         for m in sys.maps:
-            rows, den = matrices[m.slope.coeffs]
+            rows, den = matrices[m.slope]
             times = self.scale // den
             self.maps.append((
                 m.label,
                 [[c * times for c in row] for row in rows],
-                [int(c * self.offset_den) * self.scale for c in m.offset.coeffs],
+                [c * (self.offset_den // m.offset.den) * self.scale for c in m.offset.nums],
                 self._end(m.lo, m.lo_closed),
                 self._end(m.hi, m.hi_closed),
             ))
@@ -371,17 +362,15 @@ class _Lattice:
     def _end(self, end: FieldElement, closed: bool) -> tuple:
         """A domain end e with the centre and radius of its bracket: 2^64 e
         lies within radius / den of centre / den."""
-        den = lcm(*(c.denominator for c in end.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in end.coeffs]
-        centre = sum(map(mul, nums, self.brackets))
-        return centre, self.spread * sum(map(abs, nums)), den, end, closed
+        centre = sum(map(mul, end.nums, self.brackets))
+        return centre, self.spread * sum(map(abs, end.nums)), end.den, end.nums, closed
 
     def lift(self, p: FieldElement) -> tuple[tuple[int, ...], int]:
-        den = lcm(self.offset_den, *(c.denominator for c in p.coeffs))
-        return tuple(int(c * den) for c in p.coeffs), den
+        den = lcm(self.offset_den, p.den)
+        return tuple(c * (den // p.den) for c in p.nums), den
 
     def point(self, v: tuple[int, ...], den: int) -> FieldElement:
-        return self.base.element([Fraction(c, den) for c in v])
+        return FieldElement(self.base, v, den)
 
     def branches(self, den: int) -> list:
         """Each branch's matrix, its offset over den, and its domain ends
@@ -402,10 +391,10 @@ class _Lattice:
         radius = self.spread * sum(map(abs, v))
         least, most = centre - radius, centre + radius
         out = []
-        for label, rows, off, (lo_a, lo_b, lo, lo_closed), (hi_a, hi_b, hi, hi_closed) in branches:
+        for label, rows, off, (lo_a, lo_b, lo), (hi_a, hi_b, hi) in branches:
             if (
-                (least > lo_b or (most >= lo_a and self._side(v, den, lo, lo_closed, 1)))
-                and (most < hi_a or (least <= hi_b and self._side(v, den, hi, hi_closed, -1)))
+                (least > lo_b or (most >= lo_a and self._side(v, den, lo, 1)))
+                and (most < hi_a or (least <= hi_b and self._side(v, den, hi, -1)))
             ):
                 out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
         return out
@@ -415,17 +404,24 @@ class _Lattice:
         g = gcd(den, *v)
         return tuple(c // g for c in v), den // g
 
-    def _side(self, v: tuple[int, ...], den: int, end: FieldElement, closed: bool, side: int) -> bool:
-        """Whether v / den lies strictly on the given side of end (1 above,
-        -1 below), or on end when closed: the exact fallback."""
-        s = (self.point(v, den) - end).sign()
+    def _side(self, v: tuple[int, ...], den: int, end: tuple, side: int) -> bool:
+        """Whether v / den lies strictly on the given side of the end
+        (end_nums, end_den, closed) (1 above, -1 below), or on it when
+        closed: the exact fallback, the sign of
+        (v * end_den - den * end_nums) / (den * end_den)."""
+        nums, end_den, closed = end
+        s = self.base.sign_of([a * end_den - den * b for a, b in zip(v, nums)])
         return s == side or (closed and s == 0)
 
 
 def _scaled(end: tuple, den: int) -> tuple:
-    """The integer bracket of 2^64 * den * e for an end from _Lattice._end."""
-    centre, radius, end_den, value, closed = end
-    return (den * (centre - radius)) // end_den, -(-den * (centre + radius) // end_den), value, closed
+    """The integer bracket of 2^64 * den * e for an end from _Lattice._end,
+    with the end itself for _Lattice._side."""
+    centre, radius, end_den, nums, closed = end
+    return (
+        (den * (centre - radius)) // end_den, -(-den * (centre + radius) // end_den),
+        (nums, end_den, closed),
+    )
 
 
 def _lattice_walk(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm
+from math import lcm
 from operator import mul
 from typing import Optional
 
@@ -97,16 +97,14 @@ class SliceResult:
 
 
 def _lift_unit_value(q: AlgebraicNumber, y: PointLike) -> FieldElement:
-    g = q.gen()
     if isinstance(y, FieldElement):
-        v = y if (y.base is q or y.base == q) else None
-        if v is None:
+        if not (y.base is q or y.base == q):
             raise SliceInputError("height belongs to a different field")
     else:
-        v = g.base.rational(Fraction(y))
-    if not (0 <= v and v <= 1):
+        y = Fraction(y)
+    if not 0 <= y <= 1:
         raise SliceInputError("height must lie in [0, 1]")
-    return v
+    return y if isinstance(y, FieldElement) else q.rational(y)
 
 
 def _doubling_witness(events) -> Optional[tuple]:
@@ -205,20 +203,19 @@ def geometric_slice_oracle(
     # appending a digit composes on the inside: slope and offset update by
     # (a, b) . (s, o) = (a*s, a*o + b)
     if q.is_rational:
-        return _integer_boxes(parts, yv.as_fraction(), depth)
+        return _integer_boxes(parts, yv, depth)
     return _lattice_boxes(parts, yv, depth)
 
 
-def _integer_boxes(parts, y: Fraction, depth: int) -> set[Word]:
+def _integer_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     """The box descent at a rational base q = a/b, where every vertical
     part is an integer pair over a. A word of length n keeps its slope and
     offset as numerators over a^n, so the test lo <= y <= hi reads
     lo*den(y) <= num(y)*a^n <= hi*den(y)."""
-    fracs = [(s.as_fraction(), o.as_fraction()) for s, o in parts]
-    a = lcm(*(c.denominator for pair in fracs for c in pair))
-    steps = list(enumerate((int(s * a), int(o * a)) for s, o in fracs))
-    yd = y.denominator
-    ya = y.numerator
+    a = lcm(*(c.den for part in parts for c in part))
+    steps = list(enumerate((s.nums[0] * (a // s.den), o.nums[0] * (a // o.den)) for s, o in parts))
+    yd = y.den
+    ya = y.nums[0]
     frontier = [((), 1, 0)]
     for _ in range(depth):
         ya *= a
@@ -245,34 +242,32 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     denominator of those matrices, so a part (s, o) sends (a, b) over den
     to (M_s a, M_o a + L b) over den * L. A slope's sign is the product of
     its parts' signs. Each end of a box is compared with y by integer
-    brackets, and by FieldElement.sign where they overlap."""
+    brackets, and by the base's exact sign where they overlap."""
     base = y.base
-    lows, width = _box_brackets(base)
-    index: dict = {}  # coefficients of a nonzero part coefficient -> its place in shared
+    lows, width = base.power_brackets(_BOX_BITS)
+    index: dict = {}  # a nonzero part coefficient -> its place in shared
     shared = []
     for m in (c for part in parts for c in part):
-        if m and m.coeffs not in index:
-            index[m.coeffs] = len(shared)
+        if m and m not in index:
+            index[m] = len(shared)
             shared.append(multiplication_rows(m))
     scale = lcm(*(den for _, den in shared))
     matrices = [[[c * (scale // den) for c in row] for row in rows] for rows, den in shared]
-    steps = [
-        (lab, index[s.coeffs], index.get(o.coeffs), s.sign()) for lab, (s, o) in enumerate(parts)
-    ]
-    y_den = lcm(*(c.denominator for c in y.coeffs))
-    y_nums = [c.numerator * (y_den // c.denominator) for c in y.coeffs]
+    steps = [(lab, index[s], index.get(o), s.sign()) for lab, (s, o) in enumerate(parts)]
+    y_nums, y_den = y.nums, y.den
     y_centre = sum(map(mul, y_nums, lows))
     y_radius = width * sum(map(abs, y_nums))
 
     def versus_y(v: list[int]) -> int:
-        """The sign of v / den - y, at the current level's den."""
+        """The sign of v / den - y, at the current level's den: exactly,
+        the sign of v * y_den - den * y_nums."""
         centre = sum(map(mul, v, lows))
         radius = width * sum(map(abs, v))
         if centre + radius < y_lo:
             return -1
         if centre - radius > y_hi:
             return 1
-        return (base.element([Fraction(c, den) for c in v]) - y).sign()
+        return base.sign_of([a * y_den - den * b for a, b in zip(v, y_nums)])
 
     zero = [0] * base.degree
     frontier = [((), [1] + zero[1:], zero, 1)]
@@ -296,15 +291,6 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
                     nxt.append((path + (lab,), ca, cb, csign))
         frontier = nxt
     return {Word(Alphabet.TERNARY, path) for path, *_ in frontier}
-
-
-def _box_brackets(base: AlgebraicNumber) -> tuple[list[int], int]:
-    """Integers a_j and w with 2^64 q^j in [a_j, a_j + w], from exact
-    enclosures of the basis elements q^j."""
-    eps = Fraction(1, 1 << _BOX_BITS)
-    cells = [base.element([0] * j + [1]).to_interval(eps) for j in range(base.degree)]
-    lows = [floor(lo / eps) for lo, _ in cells]
-    return lows, max(ceil(hi / eps) - a for (_, hi), a in zip(cells, lows))
 
 
 def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:

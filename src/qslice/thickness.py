@@ -624,7 +624,7 @@ def thickness_lower_bound(gs: GapStructure) -> FieldElement:
     # with the least ratio is kept either way
     best, seen = gs.gaps[0], set()
     for r in gs.gaps:
-        pair = (r.bridge_lb.coeffs, r.size[1].coeffs)
+        pair = (r.bridge_lb, r.size[1])
         # the sizes are positive, so the ratios compare without dividing
         if pair not in seen and r.bridge_lb * best.size[1] < best.bridge_lb * r.size[1]:
             best = r

@@ -286,9 +286,14 @@ KERNEL_BASES = {
 @example(coeffs=[Fraction(-1), Fraction(1, 6), Fraction(0)], lo=Fraction(-19, 10), width=Fraction(1, 3))
 @example(coeffs=[Fraction(7, 4), Fraction(-2, 9)], lo=Fraction(-3, 7), width=Fraction(0))
 def test_interval_kernel_matches_rational_recurrence(coeffs, lo, width):
-    vlo, vhi, scale = algebraic._interval_eval(coeffs, lo, lo + width)
+    # the integer kernel takes numerators over one denominator for both the
+    # polynomial and the interval
+    nums, den = algebraic._common_denominator(coeffs)
+    ends, ends_den = algebraic._common_denominator((lo, lo + width))
+    vlo, vhi, scale = algebraic._interval_eval(nums, ends, ends_den)
     assert scale > 0
-    assert (Fraction(vlo, scale), Fraction(vhi, scale)) == _reference_interval_eval(coeffs, lo, lo + width)
+    expected = _reference_interval_eval(coeffs, lo, lo + width)
+    assert (Fraction(vlo, scale * den), Fraction(vhi, scale * den)) == expected
 
 
 @settings(max_examples=120, deadline=None)
@@ -477,3 +482,171 @@ def test_low_degree_factoring_matches_sympy(p, lo, width):
     if expected is not NonSquareFree:
         prim = algebraic._primitive(p)
         assert sorted(algebraic._irreducible_factors(prim)) == sorted(algebraic._sympy_factors(prim))
+
+
+# -- field elements on integers, against Fraction tuples ---------------------
+
+FIELD_BASES = {
+    **SETUP_BASES,
+    # rational bases, as from_rational builds them
+    "3/2": ((-3, 2), Fraction(3, 2), Fraction(3, 2)),
+    "1999/1000": ((-1999, 1000), Fraction(1999, 1000), Fraction(1999, 1000)),
+}
+field_bases = st.sampled_from(sorted(FIELD_BASES))
+
+
+def _fresh_field(name):
+    poly, lo, hi = FIELD_BASES[name]
+    return AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
+
+
+def _reference_inverse(base, a):
+    """u with a * u = 1, by Gauss-Jordan elimination on the matrix of
+    multiplication by a, built column by column from the schoolbook
+    product: a route that shares nothing with the element's inverse."""
+    d = base.degree
+    units = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+    cols = [_reference_mul(base, a, e) for e in units]
+    rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[-1] for row in rows)
+
+
+def _reference_sign(poly, interval, coeffs):
+    """The sign by the old route: interval Horner on Fractions over the
+    interval, halved one step at a time, until the enclosure excludes 0.
+    Returns the sign and the interval it ended on."""
+    lo, hi = interval
+    if not any(coeffs[1:]):
+        return (coeffs[0] > 0) - (coeffs[0] < 0), (lo, hi)
+    while True:
+        vlo, vhi = _reference_interval_eval(coeffs, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return (1 if vlo > 0 else -1), (lo, hi)
+        lo, hi = _reference_halve(poly, lo, hi)
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == x.base.degree
+
+
+@st.composite
+def field_vectors(draw, degree):
+    """Coefficient vectors of one degree: full, linear (the synthetic
+    division route), rational, or zero."""
+    kind = draw(st.sampled_from(["full", "linear", "rational", "zero"]))
+    size = {"full": degree, "linear": min(2, degree), "rational": 1, "zero": 0}[kind]
+    cs = draw(st.lists(mixed_fracs, min_size=size, max_size=size))
+    return tuple(cs) + (Fraction(0),) * (degree - size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=field_bases, data=st.data())
+@example(name="bonacci:12", data=None)
+@example(name="2x^2 - 2x - 1", data=None)
+@example(name="1999/1000", data=None)
+def test_field_arithmetic_matches_fraction_tuples(name, data):
+    base = _fresh_field(name)
+    d = base.degree
+    if data is None:  # explicit examples: q and 1 - 2/3 q
+        a, b = (0, 1)[:d] + (0,) * (d - 2), (1, Fraction(-2, 3))[:d] + (0,) * (d - 2)
+        a, b = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    else:
+        a, b = data.draw(field_vectors(d)), data.draw(field_vectors(d))
+    x, y = base.element(a), base.element(b)
+    results = {
+        "+": (x + y, tuple(u + v for u, v in zip(a, b))),
+        "-": (x - y, tuple(u - v for u, v in zip(a, b))),
+        "*": (x * y, _reference_mul(base, a, b)),
+        "neg": (-x, tuple(-u for u in a)),
+        "int -": (2 - x, (2 - a[0],) + tuple(-u for u in a[1:])),
+        "fraction +": (x + Fraction(1, 3), (a[0] + Fraction(1, 3),) + a[1:]),
+    }
+    if any(b):
+        inv = _reference_inverse(base, b)
+        results["inverse"] = (y.inverse(), inv)
+        results["/"] = (x / y, _reference_mul(base, a, inv))
+    for op, (got, expected) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == expected, op
+    _assert_canonical(x)
+    assert x.coeffs == a
+    # equal values have equal fields and hashes, whatever route built them
+    same = (x + y) - y
+    assert same == x and (same.nums, same.den) == (x.nums, x.den)
+    assert hash(same) == hash(x)
+    assert (x == y) == (a == b)
+    assert x.is_zero() == (not any(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=field_bases, data=st.data(), pre=st.integers(0, 30))
+@example(name="bonacci:12", data=None, pre=0)
+def test_sign_matches_fraction_bisection(name, data, pre):
+    # sign() and sign_of() halve the shared interval exactly as interval
+    # Horner on Fractions does, from a fresh or partly refined base
+    base = _fresh_field(name)
+    base._bisect(pre)
+    d = base.degree
+    if data is None:  # q - 1 - ... - q^(d-2), small and positive
+        a = (Fraction(-1),) * (d - 1) + (Fraction(1),) if d > 1 else (Fraction(1),)
+    else:
+        a = data.draw(field_vectors(d))
+    sign, interval = _reference_sign(base.min_poly, base.interval, a)
+    assert base.element(a).sign() == sign
+    assert base.interval == interval
+    # sign_of reads integers alone: any positive multiple of a has a's sign
+    nums, den = algebraic._common_denominator(a)
+    scaled = _fresh_field(name)
+    scaled._bisect(pre)
+    assert scaled.sign_of([c * 3 * den for c in nums]) == sign
+    assert scaled.interval == interval
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=field_bases, bits=st.integers(0, 120), pre=st.integers(0, 100))
+@example(name="bonacci:12", bits=64, pre=0)
+@example(name="1999/1000", bits=64, pre=0)
+@example(name="near-zero cubic", bits=0, pre=0)  # the interval straddles 0
+def test_power_brackets_hold_each_power(name, bits, pre):
+    if name == "near-zero cubic":
+        # x^3 + 1000x - 1 has one real root, near 0.001
+        base = AlgebraicNumber((-1, 1000, 0, 1), Fraction(-1, 100), Fraction(1, 64))
+    else:
+        base = _fresh_field(name)
+    base._bisect(pre)
+    lows, width = base.power_brackets(bits)
+    assert len(lows) == base.degree and width >= 0
+    if name == "near-zero cubic" and bits == 0:
+        lo, hi = base.interval
+        assert lo < 0 < hi and lows[2] == 0
+    for j, a in enumerate(lows):
+        # 2^bits q^j lies in [a_j, a_j + w]: an enclosure of q^j decides it
+        lo, hi = base.element([0] * j + [1]).to_interval(Fraction(1, 1 << (bits + 40)))
+        assert a <= lo * (1 << bits) and hi * (1 << bits) <= a + width
+    if name in SETUP_BASES:
+        # q < 2 and the interval is 2^-(bits + 2d) wide: each bracket is tight
+        assert width <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=field_bases, r=mixed_fracs | st.sampled_from([Fraction(1), Fraction(2)]),
+       pre=st.integers(0, 20))
+@example(name="bonacci:2", r=Fraction(1), pre=0)  # r is the interval's end
+@example(name="two-orbit cubic", r=Fraction(17, 10), pre=0)  # inside: one sign decides
+@example(name="3/2", r=Fraction(3, 2), pre=0)
+def test_compare_rational_matches_compare_reals(name, r, pre):
+    base = _fresh_field(name)
+    base._bisect(pre)
+    before = base.interval
+    expected = compare_reals(_fresh_field(name), AlgebraicNumber.from_rational(r))
+    assert base.compare_rational(r) == expected
+    # decided without halving
+    assert base.interval == before

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qslice.cli import MAX_BOX_PATHS, MAX_TREE_DEPTH, MAX_TREE_LEAVES, parse_number, run
-from qslice.algebraic import bonacci_root, compare_reals, Ordering
+from qslice.algebraic import bonacci_root, compare_reals, enclose, Ordering
 
 
 def invoke(capsys, argv):
@@ -151,6 +151,29 @@ def test_thickness_gap_listing(capsys):
         capsys, ["thickness", "--q", "1999/1000", "--set", "nope", "--level", "8"]
     )
     assert code == 1
+
+
+def test_thickness_encloses_each_size_and_bridge_once(capsys, monkeypatch):
+    # at bonacci:12 the 511 aq gaps of level 30 hold 9 distinct (size,
+    # bridge) pairs: only the gap ends are enclosed per gap
+    from qslice import cli
+
+    calls = []
+
+    def counting(x, grid):
+        calls.append(x)
+        return enclose(x, grid)
+
+    monkeypatch.setattr(cli, "enclose", counting)
+    code, lines = invoke(capsys, ["thickness", "--q", "bonacci:12", "--set", "aq", "--level", "30"])
+    assert code == 0
+    gaps = [json.loads(line) for line in lines[1:]]
+    assert len(gaps) == 511
+    distinct = {(g["size"][0], g["size"][1], g["bridge_lower_bound"][0]) for g in gaps}
+    assert len(distinct) == 9
+    # q, the two hull ends and the bound; four ends per gap; at most three
+    # new values per distinct pair
+    assert len(calls) <= 4 + 4 * len(gaps) + 3 * len(distinct)
 
 
 def test_certify_slice3_command(capsys):

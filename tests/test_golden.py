@@ -45,6 +45,8 @@ GOLDEN = [
      "37c5c297e9f5ea98b6f63749e03450c58a79cf5d7d57f2e12eb147ef81c23a6c"),
     ("thickness --q bonacci:12 --set aq --level 30", 0,
      "47f4e303127f3c4eddf3a6ba4e37f446ef6e833bbb1ab1cecdf93d0dd4d84801"),
+    ("thickness --q bonacci:10 --set sk:9 --level 10", 0,
+     "81639c1ee94635ceacaa0dd4f00ada7e0ce70ea78d2ff004349db4cb1e82bd56"),
 ]
 
 
