@@ -114,7 +114,8 @@ def _parse_pair(text: str, sep: str, what: str) -> tuple[Fraction, Fraction]:
 
 def _interval(x) -> list[str]:
     """Rational bound pair for any exact or floating quantity: exact for a
-    rational, the 10^-18 grid cell that holds an irrational."""
+    rational, the 10^-18 grid cell that holds an irrational, and for a
+    float its 10^-15 grid cell widened by one unit on each side."""
     if isinstance(x, float):
         # pad by one grid unit so the pair encloses the true value, not
         # just the float that approximates it

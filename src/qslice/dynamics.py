@@ -188,9 +188,11 @@ def word_is_applicable(sys: ExpansionSystem, w: Word, x: PointLike) -> bool:
 class Frontier:
     """The last level of a breadth-first walk: its paths in path order, the
     number of paths at each depth walked, the (step, path) of every fork on
-    the way, and whether the walk stopped early. points() builds the level's
-    points, in the same order, only when asked: the rational walk never
-    needs them itself."""
+    the way, and whether the walk stopped early. A walk keeps each level as
+    parallel lists, the paths beside their integer points, and hands its
+    last list of paths over as it is. points() builds the level's points as
+    field elements, in the same order, only when asked: the rational walk
+    never needs them itself."""
 
     paths: list[tuple[int, ...]]
     sizes: list[int]
@@ -280,36 +282,39 @@ def _integer_walk(
     sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
     """enumerate_orbits at a rational base, on the rational kernel. A
-    level's points are integers over one denominator den(x)*L^step; the
-    applicability test of the kernel's children is inlined here."""
+    level is two parallel lists, the paths and the numerators of their
+    points, all over one denominator den(x)*L^step; no tuple is built per
+    node. The applicability test of the kernel's children is inlined
+    here."""
     kernel = sys._rational
     n, den = kernel.lift(x)
-    level = [((), n)]
+    paths, nums = [()], [n]
     sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
-        branches = kernel.branches(den)
-        nxt = []
-        for path, n in level:
-            size = len(nxt)
-            for lab, s, od, first, last in branches:
+        # each label as a 1-tuple, so that a child's path is one concatenation
+        branches = [((lab,), *rest) for lab, *rest in kernel.branches(den)]
+        next_paths, next_nums = [], []
+        for path, n in zip(paths, nums):
+            size = len(next_nums)
+            for tail, s, od, first, last in branches:
                 if first <= n <= last:
-                    nxt.append((path + (lab,), s * n + od))
-            kids = len(nxt) - size
+                    next_paths.append(path + tail)
+                    next_nums.append(s * n + od)
+            kids = len(next_nums) - size
             if kids >= 2:
                 events.append((step, path))
             elif not kids:
                 raise ValueError("point escaped the expansion interval")
-        level = nxt
+        paths, nums = next_paths, next_nums
         den *= kernel.scale
-        sizes.append(len(level))
-        if len(level) > cap:
+        sizes.append(len(paths))
+        if len(paths) > cap:
             truncated = True
             break
     return Frontier(
-        [path for path, _ in level], sizes, events, truncated,
-        lambda: [kernel.point(n, den) for _, n in level],
+        paths, sizes, events, truncated, lambda: [kernel.point(n, den) for n in nums],
     )
 
 
@@ -427,40 +432,46 @@ def _scaled(end: tuple, den: int) -> tuple:
 def _lattice_walk(
     sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
-    """enumerate_orbits at a base of degree >= 2, on the lattice kernel.
-    Every path that reaches a point shares one expansion of it: expanded
-    holds the children of each vector met over the current den. Where the
-    kernel's scale is 1, as at the Pisot units, den never changes and each
-    distinct point is expanded once per walk."""
+    """enumerate_orbits at a base of degree >= 2, on the lattice kernel. A
+    level is two parallel lists, the paths and the integer vectors of
+    their points over the level's den. Every path that reaches a point
+    shares one expansion of it: expanded holds, for each vector met over
+    the current den, its children as ((label,), image), so that extending
+    a path is one tuple concatenation. Where the kernel's scale is 1, as
+    at the Pisot units, den never changes and each distinct point is
+    expanded once per walk."""
     lattice = sys._lattice
     v, den = lattice.lift(x)
     branches, expanded = lattice.branches(den), {}
-    level = [((), v)]
+    paths, vecs = [()], [v]
     sizes = [1]
     events: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for step in range(depth):
-        nxt = []
-        for path, v in level:
+        next_paths, next_vecs = [], []
+        for path, v in zip(paths, vecs):
             kids = expanded.get(v)
             if kids is None:
-                kids = expanded[v] = lattice.children(v, den, branches)
+                kids = expanded[v] = [
+                    ((label,), w) for label, w in lattice.children(v, den, branches)
+                ]
             if len(kids) >= 2:
                 events.append((step, path))
             elif not kids:
                 raise ValueError("point escaped the expansion interval")
-            nxt.extend((path + (label,), w) for label, w in kids)
-        level = nxt
+            for tail, w in kids:
+                next_paths.append(path + tail)
+                next_vecs.append(w)
+        paths, vecs = next_paths, next_vecs
         if lattice.scale != 1:
             den *= lattice.scale
             branches, expanded = lattice.branches(den), {}
-        sizes.append(len(level))
-        if len(level) > cap:
+        sizes.append(len(paths))
+        if len(paths) > cap:
             truncated = True
             break
     return Frontier(
-        [path for path, _ in level], sizes, events, truncated,
-        lambda: [lattice.point(v, den) for _, v in level],
+        paths, sizes, events, truncated, lambda: [lattice.point(v, den) for v in vecs],
     )
 
 

@@ -209,26 +209,37 @@ def geometric_slice_oracle(
 
 def _integer_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     """The box descent at a rational base q = a/b, where every vertical
-    part is an integer pair over a. A word of length n keeps its slope and
-    offset as numerators over a^n, so the test lo <= y <= hi reads
-    lo*den(y) <= num(y)*a^n <= hi*den(y)."""
+    part is an integer pair over a. A level is three parallel lists: the
+    words' paths, and their slopes and offsets as numerators over a^n for
+    words of length n. A box's ends lo and hi are then integers, so the
+    test lo <= y <= hi reads lo <= floor(y*a^n) and ceil(y*a^n) <= hi,
+    with both roundings made once per level."""
     a = lcm(*(c.den for part in parts for c in part))
-    steps = list(enumerate((s.nums[0] * (a // s.den), o.nums[0] * (a // o.den)) for s, o in parts))
+    steps = [
+        ((lab,), s.nums[0] * (a // s.den), o.nums[0] * (a // o.den))
+        for lab, (s, o) in enumerate(parts)
+    ]
     yd = y.den
     ya = y.nums[0]
-    frontier = [((), 1, 0)]
+    paths, slopes, offsets = [()], [1], [0]
     for _ in range(depth):
         ya *= a
-        nxt = []
-        for path, sl, off in frontier:
+        y_floor, y_ceil = ya // yd, -(-ya // yd)
+        next_paths, next_slopes, next_offsets = [], [], []
+        for path, sl, off in zip(paths, slopes, offsets):
             off *= a
-            for lab, (s, o) in steps:
+            for tail, s, o in steps:
                 ca, cb = sl * s, sl * o + off
-                lo, hi = (cb, ca + cb) if ca > 0 else (ca + cb, cb)
-                if lo * yd <= ya <= hi * yd:
-                    nxt.append((path + (lab,), ca, cb))
-        frontier = nxt
-    return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+                if ca > 0:
+                    lo, hi = cb, ca + cb
+                else:
+                    lo, hi = ca + cb, cb
+                if lo <= y_floor and y_ceil <= hi:
+                    next_paths.append(path + tail)
+                    next_slopes.append(ca)
+                    next_offsets.append(cb)
+        paths, slopes, offsets = next_paths, next_slopes, next_offsets
+    return {Word(Alphabet.TERNARY, path) for path in paths}
 
 
 _BOX_BITS = 64
@@ -241,8 +252,9 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
     matrix of multiplication by m, scaled by L, the least common
     denominator of those matrices, so a part (s, o) sends (a, b) over den
     to (M_s a, M_o a + L b) over den * L. A slope's sign is the product of
-    its parts' signs. Each end of a box is compared with y by integer
-    brackets, and by the base's exact sign where they overlap."""
+    its parts' signs. A level is four parallel lists: paths, slopes,
+    offsets and slope signs. Each end of a box is compared with y by
+    integer brackets, and by the base's exact sign where they overlap."""
     base = y.base
     lows, width = base.power_brackets(_BOX_BITS)
     index: dict = {}  # a nonzero part coefficient -> its place in shared
@@ -253,7 +265,7 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
             shared.append(multiplication_rows(m))
     scale = lcm(*(den for _, den in shared))
     matrices = [[[c * (scale // den) for c in row] for row in rows] for rows, den in shared]
-    steps = [(lab, index[s], index.get(o), s.sign()) for lab, (s, o) in enumerate(parts)]
+    steps = [((lab,), index[s], index.get(o), s.sign()) for lab, (s, o) in enumerate(parts)]
     y_nums, y_den = y.nums, y.den
     y_centre = sum(map(mul, y_nums, lows))
     y_radius = width * sum(map(abs, y_nums))
@@ -270,27 +282,30 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
         return base.sign_of([a * y_den - den * b for a, b in zip(v, y_nums)])
 
     zero = [0] * base.degree
-    frontier = [((), [1] + zero[1:], zero, 1)]
+    paths, slopes, offsets, signs = [()], [[1] + zero[1:]], [zero], [1]
     den = 1
     for _ in range(depth):
         den *= scale
         # the integer bracket of 2^64 * den * y
         y_lo = den * (y_centre - y_radius) // y_den
         y_hi = -(-den * (y_centre + y_radius) // y_den)
-        nxt = []
-        for path, a, b, sign in frontier:
+        next_paths, next_slopes, next_offsets, next_signs = [], [], [], []
+        for path, a, b, sign in zip(paths, slopes, offsets, signs):
             images = [[sum(map(mul, row, a)) for row in rows] for rows in matrices]
             b = [c * scale for c in b]
-            for lab, si, oi, s_sign in steps:
+            for tail, si, oi, s_sign in steps:
                 ca = images[si]
                 cb = b if oi is None else [u + w for u, w in zip(images[oi], b)]
                 top = [u + w for u, w in zip(ca, cb)]
                 csign = sign * s_sign
                 lo, hi = (cb, top) if csign > 0 else (top, cb)
                 if versus_y(lo) <= 0 and versus_y(hi) >= 0:
-                    nxt.append((path + (lab,), ca, cb, csign))
-        frontier = nxt
-    return {Word(Alphabet.TERNARY, path) for path, *_ in frontier}
+                    next_paths.append(path + tail)
+                    next_slopes.append(ca)
+                    next_offsets.append(cb)
+                    next_signs.append(csign)
+        paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
+    return {Word(Alphabet.TERNARY, path) for path in paths}
 
 
 def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:

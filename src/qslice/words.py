@@ -25,6 +25,9 @@ class Alphabet(Enum):
     TERNARY = (0, 1, 2)
     SIGNED = (-1, 0, 1)
 
+    # members are singletons compared by identity, so they hash by it too
+    __hash__ = object.__hash__
+
     @property
     def symbols(self) -> tuple[int, ...]:
         return self.value
@@ -33,9 +36,10 @@ class Alphabet(Enum):
 _SYMBOL_SETS = {a: frozenset(a.symbols) for a in Alphabet}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
-    """A finite digit string over a fixed alphabet."""
+    """A finite digit string over a fixed alphabet. Equal words have equal
+    symbols, so a word hashes by its symbols alone."""
 
     alphabet: Alphabet
     symbols: tuple[int, ...]
@@ -43,6 +47,9 @@ class Word:
     def __post_init__(self):
         if not _SYMBOL_SETS[self.alphabet].issuperset(self.symbols):
             raise WordSyntaxError(f"symbols outside {self.alphabet.name} alphabet")
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)

@@ -213,15 +213,23 @@ def _reference_walk(sys, x, depth, max_cylinders):
 @example(F(7, 4), F(0, 1), 12, 400)
 @example(F(3, 2), F(1, 2), 12, 3)
 @example(F(6, 5), F(1, 3), 12, 400)
+# the cap edge: at 5/3 and height 1/2 the walk's 12th level holds 205 paths
+# and its 11th 147, so a cap of 205 keeps the walk whole and 204 truncates it
+# at its last step
+@example(F(5, 3), F(1, 2), 12, 205)
+@example(F(5, 3), F(1, 2), 12, 204)
 def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders):
     sys = ternary_branch_system(AlgebraicNumber.from_rational(q))
     x = y / (q - 1)
     level, events, truncated = _reference_walk(sys, x, depth, max_cylinders)
     walk = enumerate_orbits(sys, x, depth, max_cylinders)
-    assert walk.paths == [path for path, _ in level]
+    paths = [path for path, _ in level]
+    assert walk.paths == paths
     assert walk.events == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]
+    # every point has a branch, so each level is the set of prefixes of the last
+    assert walk.sizes == [len({path[:n] for path in paths}) for n in range(len(walk.sizes))]
 
 
 # -- the lattice kernel at algebraic bases ---------------------------------------

@@ -135,6 +135,13 @@ def _field_boxes(q, y, depth):
 @example(F(5, 3), F(3, 5), 8)  # a box corner on the line
 @example(F(5, 3), F(1, 1), 8)
 @example(F(7, 4), F(0, 1), 8)
+# at the sweeps' oracle depth: y * a^n is an integer at every level at 5/3
+# and 3/5 (box ends meet the line there) and at 3/2 and 1/3, and never at
+# 3/2 and 1/2 or 1999/1000 and 1/2, where floor and ceil of y * a^n differ
+@example(F(5, 3), F(3, 5), 12)
+@example(F(3, 2), F(1, 3), 12)
+@example(F(3, 2), F(1, 2), 12)
+@example(F(1999, 1000), F(1, 2), 12)
 def test_integer_oracle_matches_field_descent(qf, y, depth):
     q = AlgebraicNumber.from_rational(qf)
     assert geometric_slice_oracle(q, y, depth) == _field_boxes(q, y, depth)

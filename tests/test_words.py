@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from qslice.algebraic import AlgebraicNumber, algebraic_from_poly
 from qslice.words import (
+    _SYMBOL_SETS,
     Alphabet,
+    Word,
     WordSyntaxError,
     avoids,
     format_word,
@@ -140,6 +142,39 @@ def test_word_successor():
     )
     assert word_successor(word([2, 2], Alphabet.TERNARY)) is None
     assert word_successor(word([0, 1])) == word([1, 0])
+
+
+# -- the Word value --------------------------------------------------------------
+
+
+def test_words_of_different_alphabets_stay_distinct():
+    # a word hashes by its symbols alone, so equal symbols over two
+    # alphabets share a hash and must still compare unequal
+    binary, ternary = Word(Alphabet.BINARY, (0, 1)), Word(Alphabet.TERNARY, (0, 1))
+    assert binary != ternary
+    assert len({binary, ternary}) == 2
+    assert {binary, ternary} - {Word(Alphabet.TERNARY, (0, 1))} == {binary}
+
+
+def test_equal_words_hash_equally():
+    a, b = Word(Alphabet.TERNARY, (0, 2, 1)), word([0, 2, 1])
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert a[1:] == Word(Alphabet.TERNARY, (2, 1)) and hash(a[1:]) == hash(word([2, 1]))
+
+
+def test_word_keeps_its_symbol_check_and_has_no_instance_dict():
+    with pytest.raises(WordSyntaxError):
+        Word(Alphabet.TERNARY, (3,))
+    with pytest.raises(WordSyntaxError):
+        Word(Alphabet.BINARY, (0, 2))
+    assert not hasattr(Word(Alphabet.BINARY, (0, 1)), "__dict__")
+
+
+def test_symbol_sets_resolve_for_every_alphabet():
+    for alphabet in Alphabet:
+        assert _SYMBOL_SETS[alphabet] == frozenset(alphabet.symbols)
+        assert Alphabet(alphabet.value) is alphabet
 
 
 # -- syntax --------------------------------------------------------------------
