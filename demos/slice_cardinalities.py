@@ -42,7 +42,10 @@ y = Fraction(5, 9)
 res = compute_slice(q2, y, 10)
 boxes = geometric_slice_oracle(q2, y, 10)
 print("oracle boxes:", len(boxes), "dynamic words:", len(res.cylinders))
-print("routes agree:", slice_matches_oracle(res, boxes))
+agree = slice_matches_oracle(res, boxes)
+print("routes agree:", agree)
+if not agree:
+    raise SystemExit("the dynamics and the box oracle disagree")
 
 # an algebraic base with an algebraic height works the same way
 q3 = bonacci_root(3)

@@ -9,6 +9,7 @@ touches the dynamics.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -180,11 +181,37 @@ def compute_slice(
 # ---------------------------------------------------------------------------
 
 
+class OracleBoxes(Set):
+    """The boxes geometric_slice_oracle finds: to a reader, a read-only set
+    of ternary Words. It holds the descent's digit tuples, as the frozenset
+    paths, and builds a Word only for a caller that iterates. Set algebra
+    with it (-, |, &) gives a plain set of Words, and it is unhashable, like
+    set."""
+
+    __slots__ = ("paths",)
+
+    def __init__(self, paths: frozenset[tuple[int, ...]]):
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __contains__(self, w) -> bool:
+        return isinstance(w, Word) and w.alphabet is Alphabet.TERNARY and w.symbols in self.paths
+
+    def __iter__(self):
+        return (Word(Alphabet.TERNARY, p) for p in self.paths)
+
+    @classmethod
+    def _from_iterable(cls, words) -> set[Word]:
+        return set(words)
+
+
 def geometric_slice_oracle(
     q: AlgebraicNumber, y: PointLike, depth: int
-) -> set[Word]:
+) -> OracleBoxes:
     """Words whose closed box (depth-fold image of the unit square) meets
-    the horizontal line at y.
+    the horizontal line at y, as a read-only set of ternary Words.
 
     Independent of the branch dynamics: only the three vertical affine
     contractions are iterated, with exact interval endpoints. Because boxes
@@ -203,11 +230,11 @@ def geometric_slice_oracle(
     # appending a digit composes on the inside: slope and offset update by
     # (a, b) . (s, o) = (a*s, a*o + b)
     if q.is_rational:
-        return _integer_boxes(parts, yv, depth)
-    return _lattice_boxes(parts, yv, depth)
+        return OracleBoxes(_integer_boxes(parts, yv, depth))
+    return OracleBoxes(_lattice_boxes(parts, yv, depth))
 
 
-def _integer_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
+def _integer_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
     """The box descent at a rational base q = a/b, where every vertical
     part is an integer pair over a. A level is three parallel lists: the
     words' paths, and their slopes and offsets as numerators over a^n for
@@ -239,13 +266,13 @@ def _integer_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
                     next_slopes.append(ca)
                     next_offsets.append(cb)
         paths, slopes, offsets = next_paths, next_slopes, next_offsets
-    return {Word(Alphabet.TERNARY, path) for path in paths}
+    return frozenset(paths)
 
 
 _BOX_BITS = 64
 
 
-def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
+def _lattice_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
     """The box descent at a base q of degree d >= 2. A word's slope and
     offset are integer vectors in the basis 1, q, ..., q^(d-1) over one
     denominator den. Every nonzero part coefficient m acts by the integer
@@ -305,24 +332,27 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> set[Word]:
                     next_offsets.append(cb)
                     next_signs.append(csign)
         paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
-    return {Word(Alphabet.TERNARY, path) for path in paths}
+    return frozenset(paths)
 
 
-def slice_matches_oracle(result: SliceResult, boxes: set[Word]) -> bool:
+def slice_matches_oracle(result: SliceResult, boxes: Set) -> bool:
     """The exact agreement law between the two routes: every surviving
     sequence has a box, and a box without a surviving sequence is the
     doomed spelling of a corner whose successor spelling survives.
 
-    boxes holds ternary words, as geometric_slice_oracle returns them, so
-    every surviving sequence has a box exactly when as many boxes as
-    sequences survive."""
+    boxes is what geometric_slice_oracle returns, or a plain set of ternary
+    Words; a box of any other kind raises ValueError. Boxes and sequences
+    are then compared as sets of digit tuples: every surviving sequence has
+    a box exactly when the boxes without a surviving sequence leave as many
+    boxes as there are sequences."""
+    if isinstance(boxes, OracleBoxes):
+        paths = boxes.paths
+    else:
+        if not all(isinstance(w, Word) and w.alphabet is Alphabet.TERNARY for w in boxes):
+            raise ValueError("oracle boxes must be ternary words")
+        paths = {w.symbols for w in boxes}
     alive = set(result.paths)
-    boxed = 0
-    for w in boxes:
-        if w.symbols in alive:
-            boxed += 1
-        else:
-            succ = successor(w.symbols, 3)
-            if succ is None or succ not in alive:
-                return False
-    return boxed == len(alive)
+    extra = paths - alive
+    if len(paths) - len(extra) != len(alive):
+        return False
+    return all(successor(p, 3) in alive for p in extra)

@@ -33,6 +33,9 @@ GOLDEN = [
      "985c08bebca38ef15828b962123542e7f1ae2bf0e6171b8cd86812c7a2e8aef3"),
     ("slice --q 3/2 --y 1/2 --depth 12 --oracle", 0,
      "f362003340c046c1aa3931593eb1fcfb86a67bedb7a577164a171b880d1bb979"),
+    # 35 boxes for 34 cylinders: the cross-check accepts a corner spelling
+    ("slice --q 5/3 --y 3/5 --depth 12 --oracle", 0,
+     "e4e103b8c373f1ec473c6e81c91b64bb9c0442017eae08e8d86350a4fc89761c"),
     ("slice --q bonacci:4 --y 3/7 --depth 16 --oracle", 2,
      "ffda259b1b0696f0c18f31549b006730bed47c4f909a59bb733cc4b1fbdafe98"),
     ("slice --q algebraic:1,-2,-1,1:3/2:19/10 --y 2/5 --depth 16 --oracle", 0,

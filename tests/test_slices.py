@@ -19,12 +19,13 @@ from qslice.dynamics import (
 )
 from qslice.slices import (
     ClaimKind,
+    OracleBoxes,
     SliceInputError,
     compute_slice,
     geometric_slice_oracle,
     slice_matches_oracle,
 )
-from qslice.words import Alphabet, Word, reflect, tail, word_successor
+from qslice.words import Alphabet, Word, reflect, successor, tail, word_successor
 
 
 Q53 = AlgebraicNumber.from_rational(F(5, 3))
@@ -79,6 +80,67 @@ def test_corner_height_keeps_one_spelling():
     assert not slice_matches_oracle(r, boxes - {r.cylinders[0]})
     assert not slice_matches_oracle(r, boxes | {top})
     assert not slice_matches_oracle(r, boxes | {stray})
+
+
+def test_cross_check_rejects_boxes_that_are_not_ternary_words():
+    # a box is a ternary word: a binary word with a surviving sequence's
+    # symbols is not its box, and does not count beside it
+    r = compute_slice(Q53, F(3, 5), 10)
+    boxes = set(geometric_slice_oracle(Q53, F(3, 5), 10))
+    survivor = Word(Alphabet.TERNARY, (1,) + (0,) * 9)
+    binary = Word(Alphabet.BINARY, survivor.symbols)
+    assert survivor in boxes and slice_matches_oracle(r, boxes)
+    for bad in (boxes - {survivor} | {binary}, boxes | {binary}, boxes | {survivor.symbols}):
+        with pytest.raises(ValueError):
+            slice_matches_oracle(r, bad)
+
+
+def _reference_matches(result, boxes) -> bool:
+    """The agreement law walked one box at a time: the reference for the
+    set-algebra check."""
+    alive = set(result.paths)
+    boxed = 0
+    for w in boxes:
+        if w.symbols in alive:
+            boxed += 1
+        else:
+            succ = successor(w.symbols, 3)
+            if succ is None or succ not in alive:
+                return False
+    return boxed == len(alive)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(min_value=F(11, 10), max_value=F(19, 10), max_denominator=60),
+    st.fractions(min_value=0, max_value=1, max_denominator=64),
+    st.integers(0, 8),
+    st.data(),
+)
+@example(F(5, 3), F(3, 5), 8, None)  # a doomed corner spelling among the boxes
+@example(F(7, 4), F(5, 9), 8, None)
+def test_cross_check_matches_the_box_loop(qf, y, depth, data):
+    q = AlgebraicNumber.from_rational(qf)
+    r = compute_slice(q, y, depth)
+    view = geometric_slice_oracle(q, y, depth)
+    boxes = set(view)
+    if data is None:  # the explicit examples: fixed mutations
+        dropped, digits = min(view.paths), (1, 0, 2) * 3
+    else:
+        dropped = data.draw(st.sampled_from(sorted(view.paths)))
+        digits = data.draw(st.lists(st.integers(0, 2), min_size=8, max_size=8))
+    mutants = [
+        boxes,
+        boxes - {Word(Alphabet.TERNARY, dropped)},
+        boxes | {Word(Alphabet.TERNARY, (2,) * depth)},
+        boxes | {Word(Alphabet.TERNARY, (1,) * (depth + 1))},
+        boxes | {Word(Alphabet.TERNARY, tuple(digits[:depth]))},
+    ]
+    assert slice_matches_oracle(r, view) == _reference_matches(r, view)
+    for words in mutants:
+        expected = _reference_matches(r, words)
+        assert slice_matches_oracle(r, words) == expected
+        assert slice_matches_oracle(r, OracleBoxes(frozenset(w.symbols for w in words))) == expected
 
 
 def test_oracle_agreement_random_bases():
@@ -192,6 +254,38 @@ def test_coarse_box_brackets_defer_to_the_exact_fallback(label, monkeypatch):
         assert geometric_slice_oracle(q, yv, 6) == _field_boxes(q, yv, 6)
 
 
+@pytest.mark.parametrize("label, y, depth", [("5/3", F(3, 5), 8), ("bonacci:3", "1/q", 6)])
+def test_oracle_boxes_are_a_read_only_set_of_words(label, y, depth):
+    q = AlgebraicNumber.from_rational(F(5, 3)) if label == "5/3" else ALGEBRAIC_BASES[label]()
+    yv = _height(q, y)
+    boxes = geometric_slice_oracle(q, yv, depth)
+    reference = _field_boxes(q, yv, depth)
+    assert isinstance(boxes, OracleBoxes)
+    assert len(boxes) == len(boxes.paths) == len(reference) > 1
+    assert all(type(w) is Word and w.alphabet is Alphabet.TERNARY for w in boxes)
+    assert set(boxes) == reference and boxes.paths == {w.symbols for w in reference}
+    assert boxes == reference and reference == boxes
+    assert boxes == frozenset(reference) and frozenset(reference) == boxes
+    assert boxes != reference - {min(reference, key=lambda w: w.symbols)}
+    # a held path spelled in binary is not a box
+    held = (1,) + (0,) * (depth - 1)
+    assert held in boxes.paths and Word(Alphabet.TERNARY, held) in boxes
+    assert Word(Alphabet.BINARY, held) not in boxes and held not in boxes
+    # set algebra gives plain sets of words
+    first, stray = Word(Alphabet.TERNARY, held), Word(Alphabet.TERNARY, (2,) * (depth + 1))
+    for out, expected in (
+        (boxes - {first}, reference - {first}),
+        ({first} - boxes, set()),
+        (boxes | {stray}, reference | {stray}),
+        ({stray} | boxes, reference | {stray}),
+        (boxes & {first, stray}, {first}),
+        ({first, stray} & boxes, {first}),
+    ):
+        assert type(out) is set and out == expected
+    with pytest.raises(TypeError):
+        hash(boxes)
+
+
 def test_oracle_uses_nothing_from_dynamics():
     # the cross-check is only independent while the oracle, and every
     # slices helper it calls, reads no name that comes from the dynamics
@@ -262,22 +356,27 @@ def test_decision_builds_no_word_per_cylinder(monkeypatch):
         built[0] += 1
         post_init(self)
 
-    # untruncated with 9 leaf probes, and truncated at 100 paths
-    for q, y, cap in ((F(5, 3), F(1, 20), 4096), (F(3, 2), F(1, 2), 100)):
+    # untruncated with 9 leaf probes; untruncated with a doubling pattern,
+    # so with no probe, and 35 boxes for 34 paths, so the cross-check meets
+    # a doomed corner spelling; and truncated at 100 paths
+    shapes = []
+    for q, y, cap in ((F(5, 3), F(1, 20), 4096), (F(5, 3), F(3, 5), 4096), (F(3, 2), F(1, 2), 100)):
         base = AlgebraicNumber.from_rational(q)
-        boxes = geometric_slice_oracle(base, y, 12)
         monkeypatch.setattr(Word, "__post_init__", counted)
         built[0] = 0
         res = compute_slice(base, y, 12, max_cylinders=cap)
+        boxes = geometric_slice_oracle(base, y, 12)
         agrees = slice_matches_oracle(res, boxes)
         monkeypatch.undo()
-        # each leaf probe spells its digits once; the paths stay tuples
+        # each leaf probe spells its digits once; the paths and boxes stay tuples
         assert built[0] == len(res.leaf_probes)
+        shapes.append((len(res.leaf_probes), len(boxes), len(res.paths)))
         assert "cylinders" not in vars(res)
         assert agrees or res.truncated
         assert res.cylinders == tuple(Word(Alphabet.TERNARY, p) for p in res.paths)
         assert res.cylinders is res.cylinders
     assert res.truncated and len(res.paths) > 100
+    assert shapes[0][0] == 9 and shapes[1] == (0, 35, 34)
 
 
 def test_slice_builds_one_system_and_one_kernel(monkeypatch):
