@@ -3,8 +3,15 @@
 Every number the library reasons about is either a rational or a real root
 of an integer polynomial, pinned down by an isolating interval with rational
 endpoints. All decisions (signs, comparisons, domain membership) are made in
-exact rational arithmetic; floating point appears only when a caller asks
-for a printable approximation.
+exact arithmetic; floating point appears only when a caller asks for a
+printable approximation.
+
+Polynomials are integer throughout: root counts, the square-free test and
+rational roots run on integer Sturm chains, intervals are integer
+numerators over one denominator, and field elements are integer vectors
+over one denominator. Fractions appear only at the edges, where values come
+in or go out: `interval`, `coeffs`, `element()`, `to_interval` and
+`enclose`.
 """
 
 from __future__ import annotations
@@ -44,22 +51,8 @@ class Ordering(Enum):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers, coefficients ascending
+# integer polynomials, coefficients ascending
 # ---------------------------------------------------------------------------
-
-
-def _trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    i = len(p)
-    while i > 0 and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _sign_at(p: Sequence[int], n: int, m: int) -> int:
@@ -72,64 +65,62 @@ def _sign_at(p: Sequence[int], n: int, m: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _deriv(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * i for i, c in enumerate(p) if i > 0)
+def _content_free(p: list[int]) -> tuple[int, ...]:
+    """p with trailing zeros dropped, divided by the gcd of its
+    coefficients; the sign is kept."""
+    while p and p[-1] == 0:
+        p.pop()
+    g = gcd(*p)
+    return tuple(p) if g <= 1 else tuple(c // g for c in p)
 
 
-def _divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(_trim(a)) - 1 >= db and _trim(a):
-        a = list(_trim(a))
-        if len(a) - 1 < db:
-            break
-        k = len(a) - 1 - db
-        f = a[-1] / lb
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a = a[:-1]
-    return _trim(q), _trim(a)
-
-
-def _sturm_chain(p: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    chain = [_trim(p), _trim(_deriv(p))]
-    while chain[-1] and len(chain[-1]) > 1:
-        _, r = _divmod(chain[-2], chain[-1])
+def _sturm_chain(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The Sturm chain of an integer polynomial of degree >= 1, each member
+    a positive multiple of the rational chain's: p, p', then minus the
+    remainder of the last two, until a constant or an exact division. So
+    the last member is gcd(p, p') up to a scalar. Each remainder is a
+    pseudo-remainder: before each step the dividend is multiplied by |lead|
+    of the divisor, which keeps it a positive multiple of the true one."""
+    chain = [tuple(p), _content_free([c * i for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        lb = b[-1]
+        scale, sign = abs(lb), 1 if lb > 0 else -1
+        while len(r) >= len(b):
+            f, k = sign * r[-1], len(r) - len(b)
+            r = [c * scale for c in r]
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
         if not r:
             break
-        chain.append(tuple(-c for c in r))
+        chain.append(_content_free([-c for c in r]))
     return chain
 
 
-def _sign_changes(chain: list[tuple[Fraction, ...]], x: Fraction) -> int:
-    signs = []
+def _sign_changes(chain: list[tuple[int, ...]], n: int, m: int) -> int:
+    """Sign changes of the chain at n / m, m > 0, zeros skipped."""
+    changes, last = 0, 0
     for p in chain:
-        v = _eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        s = _sign_at(p, n, m)
+        if s:
+            changes += s == -last
+            last = s
+    return changes
 
 
-def _count_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    # roots in (lo, hi]; callers guarantee p(lo) != 0
+def _count_roots(p: Sequence[int], lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Roots of p in (lo, hi], the ends given as (n, m) for n / m with
+    m > 0; callers guarantee p(lo) != 0."""
     chain = _sturm_chain(p)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    return _sign_changes(chain, *lo) - _sign_changes(chain, *hi)
 
 
 def _primitive(coeffs: Iterable[int]) -> tuple[int, ...]:
-    cs = [int(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
-    if g > 1:
-        cs = [c // g for c in cs]
-    if cs and cs[-1] < 0:
-        cs = [-c for c in cs]
-    return tuple(cs)
+    cs = _content_free(list(coeffs))
+    return tuple(-c for c in cs) if cs and cs[-1] < 0 else cs
 
 
 def _irreducible_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -137,34 +128,42 @@ def _irreducible_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
     if len(coeffs) > 4:
         return _sympy_factors(coeffs)
     # at degree <= 3, what remains after the rational roots is irreducible
-    factors = [(-r.numerator, r.denominator) for r in _rational_roots(coeffs)]
-    rest = tuple(Fraction(c) for c in coeffs)
-    for linear in factors:
-        rest, _ = _divmod(rest, linear)
+    factors = [(-n, m) for n, m in _rational_roots(coeffs)]
+    rest = coeffs
+    for neg_n, m in factors:
+        # rest / (m x - n): the quotient is integral (Gauss's lemma), so
+        # every division, from the top coefficient down, is exact
+        h = [rest[-1] // m]
+        for c in reversed(rest[1:-1]):
+            h.append((c - neg_n * h[-1]) // m)
+        rest = tuple(reversed(h))
     if len(rest) > 1:
-        factors.append(_primitive(_common_denominator(rest)[0]))
+        factors.append(_primitive(rest))
     return factors
 
 
-def _rational_roots(p: tuple[int, ...]) -> list[Fraction]:
-    """Rational roots of a square-free integer polynomial, found without
-    factoring integers. With leading coefficient c, y = c x turns p into a
-    monic integer polynomial whose rational roots are integers; Sturm counts
-    at half-integers, which are never its roots, isolate them."""
+def _rational_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Rational roots n / m of a square-free integer polynomial, as (n, m)
+    in lowest terms with m > 0, found without factoring integers. With
+    leading coefficient c, y = c x turns p into a monic integer polynomial
+    whose rational roots are integers; Sturm counts at half-integers, which
+    are never its roots, isolate them."""
     n, c = len(p) - 1, p[-1]
-    monic = tuple(Fraction(pi * c ** (n - 1 - i)) for i, pi in enumerate(p[:-1])) + (Fraction(1),)
+    monic = tuple(pi * c ** (n - 1 - i) for i, pi in enumerate(p[:-1])) + (1,)
     chain = _sturm_chain(monic)
     bound = 1 + max(abs(m) for m in monic[:-1])  # Cauchy: every root has |y| < bound
+    sign = 1 if c > 0 else -1
     roots, todo = [], [(-bound, bound)]
     while todo:
         a, b = todo.pop()
-        if _sign_changes(chain, a - Fraction(1, 2)) == _sign_changes(chain, b + Fraction(1, 2)):
+        if _sign_changes(chain, 2 * a - 1, 2) == _sign_changes(chain, 2 * b + 1, 2):
             continue
         if a < b:
             m = (a + b) // 2
             todo += [(a, m), (m + 1, b)]
-        elif _eval(monic, Fraction(a)) == 0:
-            roots.append(Fraction(a, c))
+        elif _sign_at(monic, a, 1) == 0:
+            g = gcd(a, c)
+            roots.append((sign * a // g, abs(c) // g))
     return roots
 
 
@@ -195,12 +194,11 @@ class AlgebraicNumber:
     # ([lo, hi], den), in lowest terms.
     # _branch_system: the ternary branch system at this base, built once on
     # first use by dynamics.ternary_branch_system
-    __slots__ = ("min_poly", "_ends", "_frac_poly", "_red_table", "_branch_system")
+    __slots__ = ("min_poly", "_ends", "_red_table", "_branch_system")
 
     def __init__(self, min_poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.min_poly = min_poly
         self._ends = _common_denominator((lo, hi))
-        self._frac_poly = tuple(Fraction(c) for c in min_poly)
         self._red_table = None
         self._branch_system = None
 
@@ -335,10 +333,12 @@ class AlgebraicNumber:
             return False
         if self.is_rational:
             return True
-        (alo, ahi), (blo, bhi) = self.interval, other.interval
-        lo, hi = min(alo, blo), max(ahi, bhi)
+        (alo, ahi), aden = self._ends
+        (blo, bhi), bden = other._ends
+        lo = (alo, aden) if alo * bden <= blo * aden else (blo, bden)
+        hi = (ahi, aden) if ahi * bden >= bhi * aden else (bhi, bden)
         # hull of two isolating intervals holds exactly one root iff same root
-        return _count_roots(self._frac_poly, lo, hi) == 1
+        return _count_roots(self.min_poly, lo, hi) == 1
 
     def __hash__(self) -> int:
         return hash(self.min_poly)
@@ -397,15 +397,15 @@ def algebraic_from_poly(
     owning the root is selected as the stored minimal polynomial, which is
     what makes exact zero tests on field elements sound.
     """
-    p = _primitive(coeffs)
+    p = _primitive(_common_denominator([Fraction(c) for c in coeffs])[0])
     if len(p) < 2:
         raise AlgebraicError("polynomial must have degree at least 1")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise AlgebraicError("empty interval")
 
-    fp = tuple(Fraction(c) for c in p)
-    g = _poly_gcd(fp, _deriv(fp))
+    # the chain ends in gcd(p, p') up to a scalar
+    g = _sturm_chain(p)[-1]
     if len(g) > 1:
         raise NonSquareFree(f"gcd with derivative has degree {len(g) - 1}")
 
@@ -419,9 +419,8 @@ def algebraic_from_poly(
                 total += 1
                 owner, owner_root = fac, r
         else:
-            ffac = tuple(Fraction(c) for c in fac)
             # irreducible of degree >= 2 cannot vanish at rational endpoints
-            n = _count_roots(ffac, lo, hi)
+            n = _count_roots(fac, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
             if n:
                 total += n
                 owner, owner_root = fac, None
@@ -434,14 +433,6 @@ def algebraic_from_poly(
     if owner_root is not None:
         return AlgebraicNumber.from_rational(owner_root)
     return AlgebraicNumber(owner, lo, hi)
-
-
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +551,33 @@ class FieldElement:
                 out.append(c * power)
                 power *= n1
             return FieldElement(self.base, out, poly[0] * scale * n1 - n0 * h[-1])
-        # den / v = den * (1 / v) for the integer vector v
-        inv = _euclid_inverse(tuple(map(Fraction, nums)), self.base._frac_poly)
-        inv_nums, inv_den = _common_denominator(inv)
-        return FieldElement(self.base, [c * den for c in inv_nums], inv_den)
+        # solve M u = mden e0, with M / mden multiplication by self, by
+        # fraction-free elimination (Bareiss): every division is exact, and
+        # the last pivot is det M, so det M * u is integral (Cramer)
+        rows, mden = multiplication_rows(self)
+        d = len(rows)
+        rows = [row + [mden if i == 0 else 0] for i, row in enumerate(rows)]
+        prev = 1
+        for k in range(d):
+            # M is invertible when self != 0 and min_poly is irreducible
+            pivot = next((r for r in range(k, d) if rows[r][k]), None)
+            if pivot is None:
+                raise AlgebraicError("element not invertible (modulus not irreducible?)")
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            top = rows[k]
+            p = top[k]
+            for row in rows[k + 1:]:
+                f = row[k]
+                row[k] = 0
+                for j in range(k + 1, d + 1):
+                    row[j] = (row[j] * p - f * top[j]) // prev
+            prev = p
+        out = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = prev * row[d] - sum(row[j] * out[j] for j in range(i + 1, d))
+            out[i] = acc // row[i]
+        return FieldElement(self.base, out, prev)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -667,38 +681,6 @@ class FieldElement:
         return f"FieldElement({list(self.coeffs)}, ~{float(self):.9f})"
 
 
-def _euclid_inverse(a: Sequence[Fraction], modulus: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """u with a * u = 1 mod modulus, by extended Euclid in Q[x], padded to
-    len(modulus) - 1 coefficients."""
-    r0, r1 = _trim(modulus), _trim(a)
-    s0, s1 = (), (Fraction(1),)
-    while len(r1) > 1:
-        q, r = _divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise AlgebraicError("element not invertible (modulus not irreducible?)")
-    u = _trim(tuple(x / r1[0] for x in s1))
-    return (u + (Fraction(0),) * len(modulus))[: len(modulus) - 1]
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
 def _common_denominator(fracs: Sequence[Rational]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator."""
     den = lcm(*(f.denominator for f in fracs))
@@ -759,11 +741,11 @@ def compare_reals(a: AlgebraicNumber, b: AlgebraicNumber) -> Ordering:
     if a == b:
         return Ordering.Equal
     while True:
-        alo, ahi = a.interval
-        blo, bhi = b.interval
-        if ahi < blo:
+        (alo, ahi), aden = a._ends
+        (blo, bhi), bden = b._ends
+        if ahi * bden < blo * aden:
             return Ordering.Less
-        if bhi < alo:
+        if bhi * aden < alo * bden:
             return Ordering.Greater
         # distinct numbers: intervals must eventually separate
         a._bisect()

@@ -562,8 +562,16 @@ def _enumerate_sk_gaps(
     """Breadth-first walk of the follower-state automaton to the given
     level. A node (state, off, sc) is the copy of the state's set under
     x -> off + sc * x, and its gap is the state's template under the same
-    map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x."""
+    map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x.
+    When max_gap() is not positive no state has a gap, so the walk would
+    find none: the hull is returned without walking, as the record cap
+    does not bound a walk that finds no gaps."""
     shift, scale = _family_map(ana.g, family)
+    hull_lo = shift + scale * ana.vmin(_START)
+    hull_hi = shift + scale * ana.vmax(_START)
+    hull = ((hull_lo, hull_lo), (hull_hi, hull_hi))
+    if not ana.max_gap() > 0:
+        return GapStructure(family, ana.k, level, hull, ())
 
     records = []
     frontier = [(_START, shift, scale, 0)]
@@ -592,11 +600,7 @@ def _enumerate_sk_gaps(
             frontier.append((child, off + child_sc if dig else off, child_sc, d + 1))
 
     records.sort(key=lambda r: (-r.size[0], r.left[0]))
-    hull_lo = shift + scale * ana.vmin(_START)
-    hull_hi = shift + scale * ana.vmax(_START)
-    return GapStructure(
-        family, ana.k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(records)
-    )
+    return GapStructure(family, ana.k, level, hull, tuple(records))
 
 
 def enumerate_gaps(
@@ -608,7 +612,9 @@ def enumerate_gaps(
     """Gaps of one of the three projected digit families, largest first.
 
     Every record carries exact (or bracketed) endpoints, a size enclosure
-    and a sound lower bound on the flanking bridges.
+    and a sound lower bound on the flanking bridges. A shift-set family
+    whose analysis has no gap (max_gap() is 0) returns its hull with no
+    records at once, without walking to the level.
     """
     if family == GapFamily.AqSet:
         return _enumerate_aq_gaps(q, level)

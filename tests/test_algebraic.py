@@ -328,7 +328,7 @@ def test_mul_kernel_matches_rational_reduction(name, data):
 @example(poly=[1, -2, 1], x=Fraction(1))  # a root
 def test_sign_at_matches_rational_evaluation(poly, x):
     # the integer sign that drives bisection, against Horner on fractions
-    value = algebraic._eval([Fraction(c) for c in poly], x)
+    value = _ref_eval([Fraction(c) for c in poly], x)
     assert algebraic._sign_at(poly, x.numerator, x.denominator) == (value > 0) - (value < 0)
 
 
@@ -413,7 +413,7 @@ def test_linear_inverse_matches_extended_euclid(name, c0, c1):
     base = _fresh(name)
     x = base.element([c0, c1])
     inv = x.inverse()
-    assert inv.coeffs == algebraic._euclid_inverse(x.coeffs, base._frac_poly)
+    assert inv.coeffs == _reference_inverse(base, x.coeffs)
     assert _reference_mul(base, x.coeffs, inv.coeffs) == (1,) + (0,) * (base.degree - 1)
 
 
@@ -650,3 +650,307 @@ def test_compare_rational_matches_compare_reals(name, r, pre):
     assert base.compare_rational(r) == expected
     # decided without halving
     assert base.interval == before
+
+
+# -- integer polynomials, against Fraction polynomial arithmetic --------------
+
+
+def _ref_trim(p):
+    i = len(p)
+    while i > 0 and p[i - 1] == 0:
+        i -= 1
+    return tuple(p[:i])
+
+
+def _ref_eval(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_deriv(p):
+    return tuple(c * i for i, c in enumerate(p) if i > 0)
+
+
+def _ref_divmod(a, b):
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    while len(_ref_trim(a)) - 1 >= db and _ref_trim(a):
+        a = list(_ref_trim(a))
+        if len(a) - 1 < db:
+            break
+        k = len(a) - 1 - db
+        f = a[-1] / lb
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a = a[:-1]
+    return _ref_trim(q), _ref_trim(a)
+
+
+def _ref_sturm_chain(p):
+    """Sturm chain by long division over the rationals."""
+    p = tuple(map(Fraction, p))
+    chain = [_ref_trim(p), _ref_trim(_ref_deriv(p))]
+    while chain[-1] and len(chain[-1]) > 1:
+        _, r = _ref_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(tuple(-c for c in r))
+    return chain
+
+
+def _ref_sign_changes(chain, x):
+    signs = []
+    for p in chain:
+        v = _ref_eval(p, x)
+        if v != 0:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_count_roots(p, lo, hi):
+    chain = _ref_sturm_chain(p)
+    return _ref_sign_changes(chain, lo) - _ref_sign_changes(chain, hi)
+
+
+def _ref_gcd(a, b):
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        _, r = _ref_divmod(a, b)
+        a, b = b, r
+    return a
+
+
+def _ref_poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _ref_trim(out)
+
+
+def _ref_poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _ref_trim([x - y for x, y in zip(a, b)])
+
+
+def _ref_euclid_inverse(a, modulus):
+    """u with a * u = 1 mod modulus, by extended Euclid over the rationals,
+    padded to len(modulus) - 1 coefficients."""
+    modulus = tuple(map(Fraction, modulus))
+    r0, r1 = _ref_trim(modulus), _ref_trim(tuple(map(Fraction, a)))
+    s0, s1 = (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = _ref_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ref_poly_sub(s0, _ref_poly_mul(q, s1))
+        assert r1, "not invertible"
+    u = _ref_trim(tuple(x / r1[0] for x in s1))
+    return (u + (Fraction(0),) * len(modulus))[: len(modulus) - 1]
+
+
+def _ref_rational_roots(p):
+    """Rational roots by Sturm counts on the monic transform, over the
+    rationals."""
+    n, c = len(p) - 1, p[-1]
+    monic = tuple(Fraction(pi * c ** (n - 1 - i)) for i, pi in enumerate(p[:-1])) + (Fraction(1),)
+    chain = _ref_sturm_chain(monic)
+    bound = 1 + max(abs(m) for m in monic[:-1])
+    roots, todo = [], [(-bound, bound)]
+    while todo:
+        a, b = todo.pop()
+        if _ref_sign_changes(chain, a - Fraction(1, 2)) == _ref_sign_changes(chain, b + Fraction(1, 2)):
+            continue
+        if a < b:
+            m = (a + b) // 2
+            todo += [(a, m), (m + 1, b)]
+        elif _ref_eval(monic, Fraction(a)) == 0:
+            roots.append(Fraction(a, c))
+    return roots
+
+
+small_polys = st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(lambda p: p[-1] != 0)
+
+
+@st.composite
+def integer_polys(draw):
+    """Integer polynomials of degree 1..7: plain ones, ones with a repeated
+    factor (not square-free) and ones with rational roots, some with large
+    coefficients."""
+    kind = draw(st.sampled_from(["plain", "square", "rooted"]))
+    if kind == "plain":
+        return draw(small_polys)
+    if kind == "square":
+        f = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda p: p[-1] != 0))
+        rest = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda p: p[-1] != 0))
+        return _poly_product(_poly_product(f, f), rest)
+    p = draw(st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=3).filter(lambda p: p[-1] != 0))
+    for _ in range(draw(st.integers(1, 4 - len(p) + 1))):
+        p = _poly_product(p, [-draw(st.integers(-60, 60)), draw(st.integers(1, 30))])
+    return p
+
+
+def _assert_positive_multiple(a, ref):
+    # a == t * ref for some rational t > 0
+    assert len(a) == len(ref)
+    assert (a[-1] > 0) == (ref[-1] > 0)
+    assert all(x * ref[-1] == r * a[-1] for x, r in zip(a, ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=integer_polys(), lo=mixed_fracs, width=mixed_fracs.filter(bool).map(abs))
+@example(p=[-1, -1, 1], lo=Fraction(1), width=Fraction(1))
+@example(p=[-2, 0, 1], lo=Fraction(-2), width=Fraction(4))
+@example(p=[1, 2, 1], lo=Fraction(-3), width=Fraction(2))  # (x + 1)^2
+@example(p=[0, 0, -3, 5], lo=Fraction(-1, 7), width=Fraction(1))  # a root at 0, twice
+def test_sturm_chain_matches_fraction_chain(p, lo, width):
+    # each member is a positive multiple of the rational chain's, so the
+    # sign changes, and so the root counts, are the same
+    chain = algebraic._sturm_chain(p)
+    ref = _ref_sturm_chain(p)
+    assert len(chain) == len(ref)
+    for member, ref_member in zip(chain, ref):
+        assert all(isinstance(c, int) for c in member)
+        _assert_positive_multiple(member, ref_member)
+    hi = lo + width
+    for x in (lo, hi):
+        assert algebraic._sign_changes(chain, x.numerator, x.denominator) == _ref_sign_changes(ref, x)
+    if _ref_eval([Fraction(c) for c in p], lo) != 0:
+        count = algebraic._count_roots(p, (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+        assert count == _ref_count_roots(p, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=integer_polys(), lo=st.integers(-4, 4), width=st.integers(1, 8))
+@example(p=[1, 2, 1], lo=-2, width=2)
+@example(p=_poly_product([2, -3, 1], [2, -3, 1]), lo=0, width=3)  # gcd of degree 2
+def test_square_free_verdict_matches_fraction_gcd(p, lo, width):
+    fp = [Fraction(c) for c in p]
+    degree = len(_ref_gcd(fp, _ref_deriv(fp))) - 1
+    # the chain's last member is gcd(p, p') up to a scalar
+    assert len(algebraic._sturm_chain(p)[-1]) - 1 == degree
+    if degree > 0:
+        with pytest.raises(NonSquareFree, match=f"gcd with derivative has degree {degree}$"):
+            algebraic_from_poly(p, lo, lo + width)
+    elif len(p) <= 4:
+        # no sympy below degree 4: any verdict but NonSquareFree
+        assert _from_poly_outcome(p, lo, lo + width) is not NonSquareFree
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=integer_polys())
+@example(p=[0, 1])  # the root 0
+@example(p=_poly_product([3, -7], [5, 0, -6]))  # 3/7 with a negative lead
+@example(p=[-(10**40 + 3) * 7, 0, 0, 7 * (10**40 + 1)])
+def test_rational_roots_match_fraction_route(p):
+    roots = algebraic._rational_roots(tuple(p))
+    for n, m in roots:
+        assert m > 0 and gcd(n, m) == 1
+    assert [Fraction(n, m) for n, m in roots] == _ref_rational_roots(p)
+
+
+@st.composite
+def inverse_vectors(draw, base):
+    """Coefficient vectors for the general inverse: full, sparse (the
+    constant term often 0, so the elimination swaps rows), and near-singular
+    (N q^j minus its integer part: a value in (0, 1) with large
+    coefficients)."""
+    d = base.degree
+    kind = draw(st.sampled_from(["full", "sparse", "near-singular"]))
+    if kind == "full":
+        return tuple(draw(st.lists(mixed_fracs, min_size=d, max_size=d)))
+    if kind == "sparse":
+        cs = draw(st.lists(st.sampled_from([Fraction(0)]) | mixed_fracs, min_size=d, max_size=d))
+        return tuple(cs)
+    j, n = draw(st.integers(0, d - 1)), draw(st.integers(1, 10**12))
+    x = base.element([0] * j + [n])
+    lo, _ = enclose(x, 1)
+    return (x - lo).coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=field_bases, data=st.data())
+@example(name="bonacci:12", data=None)
+@example(name="two-orbit cubic", data=None)
+def test_general_inverse_matches_extended_euclid(name, data):
+    base = _fresh_field(name)
+    if data is None:  # q^2 - 1, and 2q - 3/5 q^2 with no constant term: a row swap
+        vectors = [(-1, 0, 1), (0, 2, Fraction(-3, 5))]
+    else:
+        vectors = [data.draw(inverse_vectors(base))]
+    for v in vectors:
+        v = tuple(map(Fraction, v)) + (Fraction(0),) * (base.degree - len(v))
+        if not any(v):
+            continue
+        inv = base.element(v).inverse()
+        _assert_canonical(inv)
+        assert inv.coeffs == _ref_euclid_inverse(v, base.min_poly)
+        assert inv.coeffs == _reference_inverse(base, v)
+
+
+def _ref_compare_reals(a, b):
+    """compare_reals reading the interval Fractions, halving both until
+    they separate."""
+    if a == b:
+        return Ordering.Equal
+    while True:
+        (alo, ahi), (blo, bhi) = a.interval, b.interval
+        if ahi < blo:
+            return Ordering.Less
+        if bhi < alo:
+            return Ordering.Greater
+        a._bisect()
+        b._bisect()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a_name=field_bases, b_name=field_bases, a_pre=st.integers(0, 30), b_pre=st.integers(0, 30))
+@example(a_name="bonacci:11", b_name="bonacci:12", a_pre=0, b_pre=0)
+@example(a_name="3/2", b_name="2x^2 - 2x - 1", a_pre=0, b_pre=5)
+def test_compare_reals_matches_interval_fractions(a_name, b_name, a_pre, b_pre):
+    pairs = []
+    for _ in range(2):
+        a, b = _fresh_field(a_name), _fresh_field(b_name)
+        a._bisect(a_pre)
+        b._bisect(b_pre)
+        pairs.append((a, b))
+    (a, b), (ra, rb) = pairs
+    assert compare_reals(a, b) == _ref_compare_reals(ra, rb)
+    # and both halve the same intervals on the way
+    assert (a.interval, b.interval) == (ra.interval, rb.interval)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=setup_bases, a_pre=st.integers(0, 40), b_pre=st.integers(0, 40))
+def test_equality_of_numbers_on_integer_ends(name, a_pre, b_pre):
+    a, b = _fresh(name), _fresh(name)
+    a._bisect(a_pre)
+    b._bisect(b_pre)
+    assert a == b
+    # the hull holds one root, by the Fraction count too
+    (alo, ahi), (blo, bhi) = a.interval, b.interval
+    assert _ref_count_roots(a.min_poly, min(alo, blo), max(ahi, bhi)) == 1
+
+
+def test_equality_tells_roots_of_one_polynomial_apart():
+    poly = (1, -2, -1, 1)  # three real roots, near -1.25, 0.45 and 1.80
+    big = AlgebraicNumber(poly, Fraction(3, 2), Fraction(19, 10))
+    small = AlgebraicNumber(poly, Fraction(0), Fraction(1))
+    assert big != small and big == AlgebraicNumber(poly, Fraction(1), Fraction(2))
+    assert compare_reals(small, big) == Ordering.Less
+
+
+def test_rational_coefficients_are_not_truncated():
+    # 2x^2 - 2x - 3 given with its denominators: the root (1 + sqrt 7) / 2
+    q = algebraic_from_poly([Fraction(-3, 2), -1, 1], 1, 2)
+    assert q.min_poly == (-3, -2, 2)
+    g = q.gen()
+    assert 2 * g * g - 2 * g - 3 == 0
+    assert algebraic_from_poly([Fraction(1, 3), Fraction(-1, 2)], 0, 1).rational_value == Fraction(2, 3)

@@ -33,6 +33,17 @@ def test_parse_number_forms():
     assert g**3 - g**2 - 2 * g + 1 == 0
 
 
+def test_algebraic_literal_clears_rational_denominators(capsys):
+    # 2x^2 - 2x - 3, root (1 + sqrt 7) / 2, written with halves: the
+    # coefficients are scaled to integers, not truncated to x^2 - x - 1
+    assert parse_number("algebraic:-3/2,-1,1:1:2").min_poly == (-3, -2, 2)
+    argv = ["slice", "--y", "1/3", "--depth", "6", "--q"]
+    halves = invoke(capsys, argv + ["algebraic:-3/2,-1,1:1:2"])
+    assert halves == invoke(capsys, argv + ["algebraic:-3,-2,2:1:2"])
+    lo, hi = map(Fraction, json.loads(halves[1][0])["q"])
+    assert Fraction(182, 100) < lo < hi < Fraction(183, 100)
+
+
 def test_parse_number_rejects_garbage():
     from qslice.cli import InputError
 
@@ -151,6 +162,23 @@ def test_thickness_gap_listing(capsys):
         capsys, ["thickness", "--q", "1999/1000", "--set", "nope", "--level", "8"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", ["sk:9", "scaled-sk:9"])
+def test_thickness_without_gaps_does_not_walk(capsys, monkeypatch, spec):
+    # at 19/10 the k = 9 analysis has no gap, so the walk, which would
+    # visit every node to the default level 40, is skipped
+    from qslice.thickness import ShiftSetAnalysis
+
+    def walked(*args):
+        raise AssertionError("the gap walk ran")
+
+    monkeypatch.setattr(ShiftSetAnalysis, "gap_template", walked)
+    code, lines = invoke(capsys, ["thickness", "--q", "19/10", "--set", spec])
+    assert code == 0 and len(lines) == 1
+    head = json.loads(lines[0])
+    assert head["level"] == 40 and head["gap_count"] == 0
+    assert head["thickness_lower_bound"] is None
 
 
 def test_thickness_encloses_each_size_and_bridge_once(capsys, monkeypatch):

@@ -215,6 +215,19 @@ def test_shift_set_extent_matches_gap_walk(q):
     assert gap == (walk.gaps[0].size[1] if walk.gaps else 0)
 
 
+@pytest.mark.parametrize("qf", [F(19, 10), F(3, 2)])
+def test_no_gap_shortcut_matches_the_walk(qf):
+    # no state has a gap at these bases, so the walk to level 12 and the
+    # shortcut both give the bare hull
+    q = AlgebraicNumber.from_rational(qf)
+    g = q.gen()
+    assert ShiftSetAnalysis(q, 9).max_gap() == 0
+    plain = enumerate_gaps(q, GapFamily.SkSet, 12)
+    assert plain == reference_sk_gaps(q, 9, 12) and plain.gaps == ()
+    scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 12)
+    assert scaled == reference_sk_gaps(q, 9, 12, scale=2 - g, shift=g.base.one())
+
+
 def test_newhouse_does_not_walk_the_shift_set(monkeypatch):
     def walk(*args):
         raise AssertionError("the certificate walked the shift-set gaps")
