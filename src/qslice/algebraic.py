@@ -706,6 +706,27 @@ def multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
     return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
 
 
+def times_q(poly: Sequence[int], v: Sequence[int], den: int) -> tuple[list[int], int]:
+    """q * (v / den) for an integer vector v in the basis 1, q, ...,
+    q^(d-1), where poly is the minimal polynomial of q: v shifted up one
+    place and scaled by lead = poly[-1], less v's top coefficient times
+    poly, over den * lead. O(d); the vector and denominator are those of
+    the product with multiplication_rows(q)."""
+    top, lead = v[-1], poly[-1]
+    return [lead * a - top * c for a, c in zip((0, *v), poly[:-1])], den * lead
+
+
+def over_q(poly: Sequence[int], v: Sequence[int], den: int) -> tuple[list[int], int]:
+    """(v / den) / q, the inverse step of times_q: v shifted down one place
+    and scaled by |p_0|, plus v_0 times the coefficients p_1 .. p_d of poly
+    with the sign of -p_0, over den * |p_0|; 1/q = -(p_1 + ... + p_d
+    q^(d-1)) / p_0. O(d); the vector and denominator are those of the
+    product with multiplication_rows(1 / q)."""
+    p0 = poly[0]
+    head = v[0] if p0 < 0 else -v[0]
+    return [abs(p0) * a + head * c for a, c in zip((*v[1:], 0), poly[1:])], den * abs(p0)
+
+
 def _interval_eval(nums: Sequence[int], ends: Sequence[int], den: int) -> tuple[int, int, int]:
     """Interval Horner enclosure of the integer polynomial nums over the
     interval [lo, hi] / den, ends = (lo, hi), den > 0, in scaled integers:

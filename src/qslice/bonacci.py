@@ -31,6 +31,7 @@ from .words import (
     Alphabet,
     Tail,
     Word,
+    format_word,
     member,
     project_q,
     tail,
@@ -57,30 +58,38 @@ class CertificationFailed(BonacciError):
         self.depth = depth
 
 
-def _default_delta(k: int) -> Tail:
+def _check_delta(k: int, delta: Tail) -> None:
+    """Raise DeltaNotInSTilde, with the reason that applies, unless delta
+    lies in the uniformly run-limited shift of run bound k."""
     if k < 3:
-        raise DeltaNotInSTilde(
-            "the uniformly run-limited shift is empty below k = 3"
-        )
-    return tail((), (0, 1), Alphabet.BINARY)
+        raise DeltaNotInSTilde("the uniformly run-limited shift is empty below k = 3")
+    if delta.alphabet != Alphabet.BINARY:
+        raise DeltaNotInSTilde("tail must be a binary word")
+    if member(uniform_run_limited(k), delta):
+        return
+    for cycle in ((0,) + (1,) * (k - 1), (1,) + (0,) * (k - 1)):
+        if delta.ends_with_cycle(cycle):
+            barred = format_word(tail((), cycle, Alphabet.BINARY))
+            raise DeltaNotInSTilde(f"tail must not end in the barred cycle {barred}")
+    raise DeltaNotInSTilde(f"tail must avoid both uniform runs of length k = {k}")
 
 
 def x_m_witness(
     k: int, m: int, delta: Optional[Tail] = None
 ) -> tuple[AlgebraicNumber, FieldElement, Tail]:
     """The height whose binary expansion reads: one, m blocks of k zeros,
-    then a tail from the uniformly run-limited shift.
+    then a tail from the uniformly run-limited shift, (01)^oo unless
+    delta is given.
 
     Each zero block can trade against the identity block of the base, so
     the point carries exactly 2m+1 expansions.
     """
     if m < 0:
         raise BonacciError("block count must be nonnegative")
-    q = bonacci_root(k)
     if delta is None:
-        delta = _default_delta(k)
-    if delta.alphabet != Alphabet.BINARY or not member(uniform_run_limited(k), delta):
-        raise DeltaNotInSTilde("tail must avoid both uniform runs of length k")
+        delta = tail((), (0, 1), Alphabet.BINARY)
+    _check_delta(k, delta)
+    q = bonacci_root(k)
     t = tail(
         (1,) + (0,) * (k * m) + delta.preperiod, delta.period, Alphabet.BINARY
     )

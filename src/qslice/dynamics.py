@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Optional, Union
 
 from .algebraic import (
@@ -24,7 +24,7 @@ from .algebraic import (
     Ordering,
     bonacci_root,
     compare_reals,
-    multiplication_rows,
+    times_q,
 )
 from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict
 
@@ -326,14 +326,23 @@ _BRACKET_BITS = 64
 
 
 class _Lattice:
-    """The branches of a system of degree d >= 2, acting on integer vectors.
+    """The branches of the ternary system at a base q of degree d >= 2,
+    acting on integer vectors.
 
     A point is v / den with v an integer vector in the basis 1, q, ...,
-    q^(d-1). A branch s*x + o sends it to (M v + u*den) / (den*L), where
-    M is multiplication by s scaled by L, the least common denominator of
-    the branch matrices, and u = L*o is integral over any den that holds
-    the offsets' denominators, as every den here does. At Pisot-unit bases
-    L = 1 and den never grows.
+    q^(d-1); every branch sends it to an integer vector over den * L. The
+    scale L is the least common multiple of lead, the leading coefficient
+    of q's minimal polynomial, and the denominators of the middle slope
+    s = -q/(2-q) times each basis vector; L times a branch offset is
+    integral over any den that holds the offsets' denominators, as every
+    den here does. At Pisot-unit bases L = 1 and den never grows.
+
+    Branches 0 and 2 have slope q and keep no matrix: q * v / den is
+    times_q, v shifted up and its top coefficient reduced by the minimal
+    polynomial over den * lead, in O(d), and both images scale that one
+    product by L / lead. The middle branch applies only in the switch
+    region and keeps the integer matrix of s scaled by L, built column by
+    column with times_q, since its column j + 1 is q times column j.
 
     Domain tests read integer brackets rounded outward from exact
     enclosures: 2^64 q^j lies in [a_j, a_j + w], so 2^64 * den * x lies
@@ -345,24 +354,27 @@ class _Lattice:
     def __init__(self, sys: ExpansionSystem):
         base = sys.base
         self.brackets, self.spread = base.power_brackets(_BRACKET_BITS)
-        matrices = {}  # slope -> (integer rows, denominator)
-        for m in sys.maps:
-            if m.slope not in matrices:
-                matrices[m.slope] = multiplication_rows(m.slope)
         self.base = base
-        self.scale = lcm(*(den for _, den in matrices.values()))
+        self.poly = base.min_poly
+        q = sys.q()
+        slope = next(m.slope for m in sys.maps if m.slope != q)
+        cols = [(list(slope.nums), slope.den)]
+        for _ in range(base.degree - 1):
+            cols.append(times_q(self.poly, *cols[-1]))
+        self.scale = lcm(self.poly[-1], *(den // gcd(den, *col) for col, den in cols))
+        self.shift_scale = self.scale // self.poly[-1]
+        rows = [[col[i] * self.scale // den for col, den in cols] for i in range(base.degree)]
         self.offset_den = lcm(*(m.offset.den for m in sys.maps))
-        self.maps = []
-        for m in sys.maps:
-            rows, den = matrices[m.slope]
-            times = self.scale // den
-            self.maps.append((
+        self.maps = [
+            (
                 m.label,
-                [[c * times for c in row] for row in rows],
+                None if m.slope == q else rows,
                 [c * (self.offset_den // m.offset.den) * self.scale for c in m.offset.nums],
                 self._end(m.lo, m.lo_closed),
                 self._end(m.hi, m.hi_closed),
-            ))
+            )
+            for m in sys.maps
+        ]
 
     def _end(self, end: FieldElement, closed: bool) -> tuple:
         """A domain end e with the centre and radius of its bracket: 2^64 e
@@ -378,9 +390,10 @@ class _Lattice:
         return FieldElement(self.base, v, den)
 
     def branches(self, den: int) -> list:
-        """Each branch's matrix, its offset over den, and its domain ends
-        with the integer brackets of 2^64 * den * end. The kernel keeps no
-        table per den: a walk builds one for each den it meets."""
+        """Each branch's matrix (None for slope q), its offset over den,
+        and its domain ends with the integer brackets of 2^64 * den * end.
+        The kernel keeps no table per den: a walk builds one for each den
+        it meets."""
         times = den // self.offset_den
         return [
             (label, rows, [c * times for c in off], _scaled(lo, den), _scaled(hi, den))
@@ -396,12 +409,20 @@ class _Lattice:
         radius = self.spread * sum(map(abs, v))
         least, most = centre - radius, centre + radius
         out = []
+        qv = None  # q * v over den * scale, shared by branches 0 and 2
         for label, rows, off, (lo_a, lo_b, lo), (hi_a, hi_b, hi) in branches:
             if (
                 (least > lo_b or (most >= lo_a and self._side(v, den, lo, 1)))
                 and (most < hi_a or (least <= hi_b and self._side(v, den, hi, -1)))
             ):
-                out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
+                if rows is not None:
+                    out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
+                    continue
+                if qv is None:
+                    qv = times_q(self.poly, v, den)[0]
+                    if self.shift_scale != 1:
+                        qv = [c * self.shift_scale for c in qv]
+                out.append((label, tuple(map(add, qv, off))))
         return out
 
     @staticmethod

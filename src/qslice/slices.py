@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
-from .algebraic import AlgebraicNumber, FieldElement, multiplication_rows
+from .algebraic import AlgebraicNumber, FieldElement, over_q
 from .dynamics import (
     PointLike,
     enumerate_orbits,
@@ -214,38 +213,33 @@ def geometric_slice_oracle(
     the horizontal line at y, as a read-only set of ternary Words.
 
     Independent of the branch dynamics: only the three vertical affine
-    contractions are iterated, with exact interval endpoints. Because boxes
-    are closed, a slice point sitting on a box corner appears under both of
-    its ternary spellings; the dynamics keeps only the lower spelling's
-    successor, so callers comparing against compute_slice should accept a
-    box-only word exactly when its numeric successor survives dynamically.
+    contractions t/q, (1 - 2/q) t + 1/q and t/q + 1 - 1/q are iterated,
+    with exact interval endpoints; the middle one reverses orientation. A
+    word's box height range is its composed map applied to [0, 1], so
+    appending a digit composes on the inside: a word with slope a and
+    offset b has the children (u, b), (a - 2u, u + b) and (u, a - u + b),
+    where u = a/q. Because boxes are closed, a slice point sitting on a box
+    corner appears under both of its ternary spellings; the dynamics keeps
+    only the lower spelling's successor, so callers comparing against
+    compute_slice should accept a box-only word exactly when its numeric
+    successor survives dynamically.
     """
     yv = _lift_unit_value(q, y)
-    g = q.gen()
-    inv = 1 / g
-    flip_scale = 2 * inv - 1  # slope magnitude of the middle contraction
-    # vertical parts as (slope, offset); the middle one reverses orientation
-    parts = ((inv, g.base.zero()), (-flip_scale, inv), (inv, 1 - inv))
-    # a word's box height range is the composed map applied to [0, 1], so
-    # appending a digit composes on the inside: slope and offset update by
-    # (a, b) . (s, o) = (a*s, a*o + b)
     if q.is_rational:
-        return OracleBoxes(_integer_boxes(parts, yv, depth))
-    return OracleBoxes(_lattice_boxes(parts, yv, depth))
+        return OracleBoxes(_integer_boxes(q.rational_value, yv, depth))
+    return OracleBoxes(_lattice_boxes(yv, depth))
 
 
-def _integer_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
-    """The box descent at a rational base q = a/b, where every vertical
-    part is an integer pair over a. A level is three parallel lists: the
-    words' paths, and their slopes and offsets as numerators over a^n for
-    words of length n. A box's ends lo and hi are then integers, so the
-    test lo <= y <= hi reads lo <= floor(y*a^n) and ceil(y*a^n) <= hi,
-    with both roundings made once per level."""
-    a = lcm(*(c.den for part in parts for c in part))
-    steps = [
-        ((lab,), s.nums[0] * (a // s.den), o.nums[0] * (a // o.den))
-        for lab, (s, o) in enumerate(parts)
-    ]
+def _integer_boxes(q: Fraction, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
+    """The box descent at a rational base q = A/B, in lowest terms. The
+    children's slopes and offsets over A are (B, 0), (A - 2B, B) and
+    (B, A - B) times the word's slope, plus its offset. A level is three
+    parallel lists: the words' paths, and their slopes and offsets as
+    numerators over A^n for words of length n. A box's ends lo and hi are
+    then integers, so the test lo <= y <= hi reads lo <= floor(y*A^n) and
+    ceil(y*A^n) <= hi, with both roundings made once per level."""
+    a, b = q.numerator, q.denominator
+    steps = (((0,), b, 0), ((1,), a - 2 * b, b), ((2,), b, a - b))
     yd = y.den
     ya = y.nums[0]
     paths, slopes, offsets = [()], [1], [0]
@@ -272,27 +266,27 @@ def _integer_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, .
 _BOX_BITS = 64
 
 
-def _lattice_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
-    """The box descent at a base q of degree d >= 2. A word's slope and
-    offset are integer vectors in the basis 1, q, ..., q^(d-1) over one
-    denominator den. Every nonzero part coefficient m acts by the integer
-    matrix of multiplication by m, scaled by L, the least common
-    denominator of those matrices, so a part (s, o) sends (a, b) over den
-    to (M_s a, M_o a + L b) over den * L. A slope's sign is the product of
-    its parts' signs. A level is four parallel lists: paths, slopes,
-    offsets and slope signs. Each end of a box is compared with y by
-    integer brackets, and by the base's exact sign where they overlap."""
+def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
+    """The box descent at a base q of degree d >= 2, on integers. A word's
+    slope a and offset b are integer vectors in the basis 1, q, ...,
+    q^(d-1) over one denominator den, and its box runs from b to a + b. No
+    part keeps a matrix: one over_q step per box gives u = a/q over
+    den * |p_0|, p_0 the constant coefficient of q's minimal polynomial,
+    and with a and b scaled by |p_0| the children are (u, b),
+    (a - 2u, u + b) and (u, a - u + b), with slope signs +, -, + times the
+    box's own. A level is four parallel lists: paths, slopes, offsets and
+    slope signs.
+
+    The children cut their box at e1 = u + b and e2 = a - u + b. A box in
+    the level holds y, so y lies between its ends, and only e1 and e2 are
+    compared with y: with s the box's slope sign, child 0 holds y iff
+    s * (e1 - y) >= 0, child 2 iff s * (e2 - y) <= 0, and child 1 iff
+    both. Each comparison reads integer brackets, and the base's exact sign
+    where they overlap."""
     base = y.base
+    poly = base.min_poly
+    scale = abs(poly[0])
     lows, width = base.power_brackets(_BOX_BITS)
-    index: dict = {}  # a nonzero part coefficient -> its place in shared
-    shared = []
-    for m in (c for part in parts for c in part):
-        if m and m not in index:
-            index[m] = len(shared)
-            shared.append(multiplication_rows(m))
-    scale = lcm(*(den for _, den in shared))
-    matrices = [[[c * (scale // den) for c in row] for row in rows] for rows, den in shared]
-    steps = [((lab,), index[s], index.get(o), s.sign()) for lab, (s, o) in enumerate(parts)]
     y_nums, y_den = y.nums, y.den
     y_centre = sum(map(mul, y_nums, lows))
     y_radius = width * sum(map(abs, y_nums))
@@ -312,25 +306,35 @@ def _lattice_boxes(parts, y: FieldElement, depth: int) -> frozenset[tuple[int, .
     paths, slopes, offsets, signs = [()], [[1] + zero[1:]], [zero], [1]
     den = 1
     for _ in range(depth):
-        den *= scale
+        parent_den, den = den, den * scale
         # the integer bracket of 2^64 * den * y
         y_lo = den * (y_centre - y_radius) // y_den
         y_hi = -(-den * (y_centre + y_radius) // y_den)
         next_paths, next_slopes, next_offsets, next_signs = [], [], [], []
         for path, a, b, sign in zip(paths, slopes, offsets, signs):
-            images = [[sum(map(mul, row, a)) for row in rows] for rows in matrices]
-            b = [c * scale for c in b]
-            for tail, si, oi, s_sign in steps:
-                ca = images[si]
-                cb = b if oi is None else [u + w for u, w in zip(images[oi], b)]
-                top = [u + w for u, w in zip(ca, cb)]
-                csign = sign * s_sign
-                lo, hi = (cb, top) if csign > 0 else (top, cb)
-                if versus_y(lo) <= 0 and versus_y(hi) >= 0:
-                    next_paths.append(path + tail)
-                    next_slopes.append(ca)
-                    next_offsets.append(cb)
-                    next_signs.append(csign)
+            u = over_q(poly, a, parent_den)[0]
+            if scale != 1:
+                a = [c * scale for c in a]
+                b = [c * scale for c in b]
+            e1 = list(map(add, u, b))
+            e2 = [c - w + o for c, w, o in zip(a, u, b)]
+            above = sign * versus_y(e1) >= 0
+            below = sign * versus_y(e2) <= 0
+            if above:
+                next_paths.append(path + (0,))
+                next_slopes.append(u)
+                next_offsets.append(b)
+                next_signs.append(sign)
+                if below:
+                    next_paths.append(path + (1,))
+                    next_slopes.append([c - 2 * w for c, w in zip(a, u)])
+                    next_offsets.append(e1)
+                    next_signs.append(-sign)
+            if below:
+                next_paths.append(path + (2,))
+                next_slopes.append(u)
+                next_offsets.append(e2)
+                next_signs.append(sign)
         paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
     return frozenset(paths)
 

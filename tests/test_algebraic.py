@@ -500,6 +500,30 @@ def _fresh_field(name):
     return AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
 
 
+@settings(max_examples=200, deadline=None)
+@given(name=field_bases, data=st.data())
+@example(name="2x^2 - 3", data=None)
+@example(name="3x^3 - 3x - 2", data=None)
+@example(name="2x^2 - 2x - 1", data=None)
+@example(name="3/2", data=None)
+def test_shift_steps_match_multiplication_rows(name, data):
+    # q * v and v / q in O(d) give the vector and the denominator of the
+    # dense product with the matrices of q and 1/q
+    base = _fresh_field(name)
+    d, g = base.degree, base.gen()
+    if data is None:  # explicit examples: every unit vector, over 7
+        cases = [([int(i == j) for i in range(d)], 7) for j in range(d)]
+    else:
+        v = data.draw(st.lists(st.integers(-10**30, 10**30), min_size=d, max_size=d))
+        cases = [(v, data.draw(st.integers(1, 10**12)))]
+    for step, s in ((algebraic.times_q, g), (algebraic.over_q, 1 / g)):
+        rows, mden = algebraic.multiplication_rows(s)
+        for v, den in cases:
+            dense = [sum(r * c for r, c in zip(row, v)) for row in rows]
+            assert step(base.min_poly, v, den) == (dense, den * mden)
+            assert algebraic.FieldElement(base, dense, den * mden) == s * algebraic.FieldElement(base, v, den)
+
+
 def _reference_inverse(base, a):
     """u with a * u = 1, by Gauss-Jordan elimination on the matrix of
     multiplication by a, built column by column from the schoolbook

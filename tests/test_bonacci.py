@@ -29,12 +29,16 @@ def test_x_m_value_closed_form():
 
 
 def test_x_m_rejects_bad_tails():
-    with pytest.raises(DeltaNotInSTilde):
+    with pytest.raises(DeltaNotInSTilde, match="uniform runs of length k = 3"):
         x_m_witness(3, 1, tail((0, 0, 0), (0, 1)))
-    with pytest.raises(DeltaNotInSTilde):
-        x_m_witness(3, 1, tail((), (0, 1, 1)))  # barred cycle
-    with pytest.raises(DeltaNotInSTilde):
-        x_m_witness(2, 1)  # the k=2 shift is empty
+    with pytest.raises(DeltaNotInSTilde, match=r"barred cycle \(011\)\*"):
+        x_m_witness(3, 1, tail((), (0, 1, 1)))
+    with pytest.raises(DeltaNotInSTilde, match=r"barred cycle \(1000\)\*"):
+        x_m_witness(4, 0, tail((1,), (0, 0, 0, 1)))
+    # the k = 2 shift is empty, whether or not a tail is given
+    for delta in (None, tail((), (0, 1)), tail((), (0, 0, 1))):
+        with pytest.raises(DeltaNotInSTilde, match="empty below k = 3"):
+            x_m_witness(2, 1, delta)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])

@@ -386,9 +386,9 @@ _OUT_OF_RANGE = [
     (["certify-slice3", "--q", "1999/1000", "--depth", "-5"], "must be at least"),
     (["bonacci", "null", "--k", "3", "--depth", "-4"], "must be at least"),
     (["bonacci", "verify", "--k", "1"], "must be at least"),
-    # a tail outside the uniformly run-limited shift, which is empty below k = 3
+    # a tail with a uniform run; the uniformly run-limited shift is empty below k = 3
     (["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "0(11)*"], "tail must avoid"),
-    (["bonacci", "verify", "--k", "2", "--m", "1"], "tail must avoid"),
+    (["bonacci", "verify", "--k", "2", "--m", "1"], "empty below k = 3"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"], "must be at least"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"], "must be at least"),
     (["render", "--q", "5/3", "--svg", "-", "--width", "0"], "must be at least"),
@@ -414,6 +414,23 @@ def test_out_of_range_sizes_exit_one(capsys, argv, message):
     code, lines = invoke(capsys, argv)
     assert code == 1
     assert message in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # (01)* avoids 00 and 11, yet no tail lies in the empty k = 2 shift
+        (["bonacci", "verify", "--k", "2", "--m", "0"],
+         "the uniformly run-limited shift is empty below k = 3"),
+        # (011)* has no run of three; it ends in the barred cycle 0 1^(k-1)
+        (["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "(011)*"],
+         "tail must not end in the barred cycle (011)*"),
+    ],
+)
+def test_rejected_tail_names_its_reason(capsys, argv, message):
+    code, lines = invoke(capsys, argv)
+    assert code == 1
+    assert json.loads(lines[0]) == {"error": message}
 
 
 @pytest.mark.parametrize(

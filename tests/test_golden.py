@@ -40,6 +40,10 @@ GOLDEN = [
      "ffda259b1b0696f0c18f31549b006730bed47c4f909a59bb733cc4b1fbdafe98"),
     ("slice --q algebraic:1,-2,-1,1:3/2:19/10 --y 2/5 --depth 16 --oracle", 0,
      "31a6e32b4bb05c29bd73eb8875ef39a5809f1f7146522d0d6e85424c666aee57"),
+    # lead 2 and p_0 = -3: the walk's times_q step carries lead and the
+    # oracle's over_q step |p_0|, so a scaling fault shows here
+    ("slice --q algebraic:-3,-2,2:1:2 --y 1/3 --depth 10 --oracle", 2,
+     "ad19cae37b271a0f602f0f179e3146766853ee619ba0969e1d3693709fd34ede"),
     ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
      "bea2c530172d6bd308beb602b12645edd73b2701cd0202f848796818a68535a3"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,

@@ -2,13 +2,17 @@ import itertools
 import random
 import types
 from fractions import Fraction as F
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice import dynamics, slices
-from qslice.algebraic import AlgebraicNumber, FieldElement, algebraic_from_poly, bonacci_root
+from qslice.algebraic import (
+    AlgebraicNumber, FieldElement, algebraic_from_poly, bonacci_root, multiplication_rows,
+)
 from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
     UniqueOrbitStatus,
@@ -220,8 +224,8 @@ def _height(q, y):
     return {"1/q": inv, "1-1/q": 1 - inv}.get(y, y)
 
 
-# 2x^2 - 2x - 1 is not monic: the multiplication matrices the oracle
-# shares with the dynamics have a denominator there
+# 2x^2 - 2x - 1 is not monic: the kernel's times_q step carries the
+# denominator lead = 2 there (the oracle's over_q step, |p_0| = 1, none)
 ORACLE_BASES = {**ALGEBRAIC_BASES, "2x^2-2x-1": lambda: algebraic_from_poly([-1, -2, 2], 1, 2)}
 
 
@@ -252,6 +256,156 @@ def test_coarse_box_brackets_defer_to_the_exact_fallback(label, monkeypatch):
     for y in ("1/q", F(1, 3), F(4, 7)):
         yv = _height(q, y)
         assert geometric_slice_oracle(q, yv, 6) == _field_boxes(q, yv, 6)
+
+
+# -- the dense routes the shift steps replaced, kept as references -----------
+
+
+class _RefLattice(dynamics._Lattice):
+    """The lattice kernel as it ran on dense d x d matrices: every branch
+    multiplies by the integer matrix of its slope, from multiplication_rows,
+    scaled by the least common denominator of the matrices."""
+
+    def __init__(self, sys):
+        base = sys.base
+        self.brackets, self.spread = base.power_brackets(dynamics._BRACKET_BITS)
+        matrices = {}  # slope -> (integer rows, denominator)
+        for m in sys.maps:
+            if m.slope not in matrices:
+                matrices[m.slope] = multiplication_rows(m.slope)
+        self.base = base
+        self.scale = lcm(*(den for _, den in matrices.values()))
+        self.offset_den = lcm(*(m.offset.den for m in sys.maps))
+        self.maps = []
+        for m in sys.maps:
+            rows, den = matrices[m.slope]
+            times = self.scale // den
+            self.maps.append((
+                m.label,
+                [[c * times for c in row] for row in rows],
+                [c * (self.offset_den // m.offset.den) * self.scale for c in m.offset.nums],
+                self._end(m.lo, m.lo_closed),
+                self._end(m.hi, m.hi_closed),
+            ))
+
+    def children(self, v, den, branches):
+        centre = sum(map(mul, v, self.brackets))
+        radius = self.spread * sum(map(abs, v))
+        least, most = centre - radius, centre + radius
+        out = []
+        for label, rows, off, (lo_a, lo_b, lo), (hi_a, hi_b, hi) in branches:
+            if (
+                (least > lo_b or (most >= lo_a and self._side(v, den, lo, 1)))
+                and (most < hi_a or (least <= hi_b and self._side(v, den, hi, -1)))
+            ):
+                out.append((label, tuple(sum(map(mul, row, v)) + o for row, o in zip(rows, off))))
+        return out
+
+
+def _ref_lattice_boxes(q, y, depth):
+    """The box descent as it ran on dense matrices: every nonzero part
+    coefficient m acts by the integer matrix of multiplication by m, scaled
+    by their least common denominator L, and each child's two ends are
+    compared with y."""
+    g = q.gen()
+    inv = 1 / g
+    parts = ((inv, g.base.zero()), (1 - 2 * inv, inv), (inv, 1 - inv))
+    base = y.base
+    lows, width = base.power_brackets(slices._BOX_BITS)
+    index, shared = {}, []
+    for m in (c for part in parts for c in part):
+        if m and m not in index:
+            index[m] = len(shared)
+            shared.append(multiplication_rows(m))
+    scale = lcm(*(den for _, den in shared))
+    matrices = [[[c * (scale // den) for c in row] for row in rows] for rows, den in shared]
+    steps = [((lab,), index[s], index.get(o), s.sign()) for lab, (s, o) in enumerate(parts)]
+    y_nums, y_den = y.nums, y.den
+    y_centre = sum(map(mul, y_nums, lows))
+    y_radius = width * sum(map(abs, y_nums))
+
+    def versus_y(v):
+        centre = sum(map(mul, v, lows))
+        radius = width * sum(map(abs, v))
+        if centre + radius < y_lo:
+            return -1
+        if centre - radius > y_hi:
+            return 1
+        return base.sign_of([a * y_den - den * b for a, b in zip(v, y_nums)])
+
+    zero = [0] * base.degree
+    paths, slopes, offsets, signs = [()], [[1] + zero[1:]], [zero], [1]
+    den = 1
+    for _ in range(depth):
+        den *= scale
+        y_lo = den * (y_centre - y_radius) // y_den
+        y_hi = -(-den * (y_centre + y_radius) // y_den)
+        next_paths, next_slopes, next_offsets, next_signs = [], [], [], []
+        for path, a, b, sign in zip(paths, slopes, offsets, signs):
+            images = [[sum(map(mul, row, a)) for row in rows] for rows in matrices]
+            b = [c * scale for c in b]
+            for tail_, si, oi, s_sign in steps:
+                ca = images[si]
+                cb = b if oi is None else [u + w for u, w in zip(images[oi], b)]
+                top = [u + w for u, w in zip(ca, cb)]
+                csign = sign * s_sign
+                lo, hi = (cb, top) if csign > 0 else (top, cb)
+                if versus_y(lo) <= 0 and versus_y(hi) >= 0:
+                    next_paths.append(path + tail_)
+                    next_slopes.append(ca)
+                    next_offsets.append(cb)
+                    next_signs.append(csign)
+        paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
+    return frozenset(paths)
+
+
+# lead and |p_0| above 1: every scale of the shift steps is at work
+SHIFT_BASES = {
+    **ORACLE_BASES,
+    "2x^2-3": lambda: algebraic_from_poly([-3, 0, 2], 1, 2),
+    "2x^2-2x-3": lambda: algebraic_from_poly([-3, -2, 2], 1, 2),
+    "3x^3-3x-2": lambda: algebraic_from_poly([-2, -3, 0, 3], 1, 2),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(SHIFT_BASES)),
+    st.one_of(heights, st.sampled_from(["1/q", "1-1/q"])),
+    st.integers(0, 10),
+)
+@example("bonacci:2", F(1, 3), 10)
+@example("bonacci:10", F(1, 2), 10)
+@example("two-orbit", F(2, 5), 10)
+@example("2x^2-2x-3", F(1, 3), 10)  # the golden pin's slice
+@example("3x^3-3x-2", "1/q", 8)
+@example("2x^2-3", "1-1/q", 8)
+def test_shift_steps_match_dense_routes(label, y, depth):
+    # fresh bases, so that the dense kernel and the shift kernel each build
+    # their own brackets on the same interval
+    shared = SHIFT_BASES[label]()
+    q = AlgebraicNumber(shared.min_poly, *shared.interval)
+    yv = slices._lift_unit_value(q, _height(q, y))
+    assert geometric_slice_oracle(q, yv, depth).paths == _ref_lattice_boxes(q, yv, depth)
+
+    sys = ternary_branch_system(q)
+    ref_sys = dynamics._build_ternary_system(q)
+    ref = vars(ref_sys)["_lattice"] = _RefLattice(ref_sys)
+    lattice = sys._lattice
+    assert lattice.scale == ref.scale
+    x = yv * sys.hull_hi
+    walk = enumerate_orbits(sys, x, depth, 300)
+    dense = dynamics._lattice_walk(ref_sys, x, depth, 300)
+    assert (walk.paths, walk.sizes, walk.events, walk.truncated) == (
+        dense.paths, dense.sizes, dense.events, dense.truncated
+    )
+    points = walk.points()
+    assert points == dense.points()
+    for p in points[:20]:
+        v, den = lattice.lift(p)
+        # the same images over the same denominator, branch by branch
+        assert lattice.children(v, den, lattice.branches(den)) == ref.children(v, den, ref.branches(den))
+        assert unique_orbit_check(q, p, depth + 8) == dynamics._kernel_orbit(ref, p, depth + 8)
 
 
 @pytest.mark.parametrize("label, y, depth", [("5/3", F(3, 5), 8), ("bonacci:3", "1/q", 6)])
