@@ -55,14 +55,20 @@ class Ordering(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _sign_at(p: Sequence[int], n: int, m: int) -> int:
-    """The sign of an integer polynomial at n / m, m > 0, read off the
-    integer m^deg * p(n / m)."""
+def _value_at(p: Sequence[int], n: int, m: int) -> int:
+    """The integer m^deg * p(n / m), m > 0, for an integer polynomial p:
+    the value at n / m scaled by a power of m, so it has p's sign there."""
     acc, scale = p[-1], 1
     for c in reversed(p[:-1]):
         scale *= m
         acc = acc * n + c * scale
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(p: Sequence[int], n: int, m: int) -> int:
+    """The sign of an integer polynomial at n / m, m > 0."""
+    v = _value_at(p, n, m)
+    return (v > 0) - (v < 0)
 
 
 def _content_free(p: list[int]) -> tuple[int, ...]:
@@ -192,14 +198,18 @@ class AlgebraicNumber:
 
     # _ends: the interval as integer numerators over one denominator,
     # ([lo, hi], den), in lowest terms.
+    # _brackets: power_brackets' tables, by bits, computed once per object.
     # _branch_system: the ternary branch system at this base, built once on
     # first use by dynamics.ternary_branch_system
-    __slots__ = ("min_poly", "_ends", "_red_table", "_branch_system")
+    # Both are kept on the object, never keyed by value: an equal base
+    # built separately computes its own.
+    __slots__ = ("min_poly", "_ends", "_red_table", "_brackets", "_branch_system")
 
     def __init__(self, min_poly: tuple[int, ...], lo: Fraction, hi: Fraction):
         self.min_poly = min_poly
         self._ends = _common_denominator((lo, hi))
         self._red_table = None
+        self._brackets = {}
         self._branch_system = None
 
     # -- construction ------------------------------------------------------
@@ -239,10 +249,10 @@ class AlgebraicNumber:
         if lo == hi:
             return
         poly = self.min_poly
-        lo_positive = _sign_at(poly, lo, den) > 0
+        lo_positive = _value_at(poly, lo, den) > 0
         for _ in range(times):
             mid, den = lo + hi, 2 * den
-            v = _sign_at(poly, mid, den)
+            v = _value_at(poly, mid, den)
             if v == 0:
                 # only reachable for degree-1 polynomials
                 lo = hi = mid
@@ -255,6 +265,20 @@ class AlgebraicNumber:
         self._ends = [lo // g, hi // g], den // g
 
     def refine_to(self, eps: Rational) -> tuple[Fraction, Fraction]:
+        """Narrow the interval to a width of at most eps and return it.
+
+        The result is the interval that the least number of halvings
+        reaching eps gives, but it is found by quadratic interval
+        refinement (J. Abbott, ISSAC 2006): a jump of k halvings at once,
+        to the one of the 2^k equal parts of the interval that holds the
+        root, costs two evaluations of min_poly where halving costs k. The
+        part is guessed from the secant through the exact values at the
+        ends and accepted when min_poly changes sign across it; then k
+        doubles. A wrong guess costs one halving, and k halves. An
+        irrational number is never a grid point, so the part that holds it
+        is the one halving reaches, and the last jump is cut to the
+        halvings left: the interval is the one `_bisect` gives. A base of
+        degree 1 halves, since its root may be a midpoint."""
         eps = Fraction(eps)
         (lo, hi), den = self._ends
         # width = (hi - lo) / den, compared with eps on integers
@@ -264,8 +288,48 @@ class AlgebraicNumber:
                 raise ValueError("eps must be positive")
             # each halving halves the width, so the least count k with
             # width / 2^k <= eps is the bit length of ceil(width / eps) - 1
-            self._bisect((-(-width // bound) - 1).bit_length())
+            halvings = (-(-width // bound) - 1).bit_length()
+            if self.degree < 2:
+                self._bisect(halvings)
+            else:
+                self._jump(halvings)
         return self.interval
+
+    def _jump(self, halvings: int) -> None:
+        """The interval after `halvings` halvings, by quadratic interval
+        refinement (see refine_to); degree >= 2, so min_poly is nonzero at
+        every rational point. vlo and vhi are min_poly's scaled values at
+        the ends, over the current den: at den * 2^k, a kept end's value
+        is 2^(d k) times its old one."""
+        (lo, hi), den = self._ends
+        poly, d = self.min_poly, self.degree
+        vlo, vhi = _value_at(poly, lo, den), _value_at(poly, hi, den)
+        k = 2
+        while halvings > 0:
+            k = min(k, halvings)
+            parts = 1 << k
+            # the secant's root lies in part i: vlo and vhi have opposite
+            # signs, so vlo / (vlo - vhi) is in (0, 1) and 0 <= i < parts
+            i = parts * vlo // (vlo - vhi)
+            step, sub = hi - lo, den << k
+            a = lo * parts + i * step
+            va = vlo << (d * k) if i == 0 else _value_at(poly, a, sub)
+            vb = vhi << (d * k) if i == parts - 1 else _value_at(poly, a + step, sub)
+            if (va > 0) != (vb > 0):
+                lo, hi, den, vlo, vhi = a, a + step, sub, va, vb
+                halvings -= k
+                k *= 2
+                continue
+            mid, den = lo + hi, 2 * den
+            vmid = _value_at(poly, mid, den)
+            if (vmid > 0) == (vlo > 0):
+                lo, hi, vlo, vhi = mid, 2 * hi, vmid, vhi << d
+            else:
+                lo, hi, vlo, vhi = 2 * lo, mid, vlo << d, vmid
+            halvings -= 1
+            k = max(k // 2, 1)
+        g = gcd(lo, hi, den)
+        self._ends = [lo // g, hi // g], den // g
 
     def compare_rational(self, r: Rational) -> Ordering:
         """Exact trichotomy with a rational, with no halving. An irrational
@@ -303,22 +367,33 @@ class AlgebraicNumber:
                 return -1
             self._bisect()
 
-    def power_brackets(self, bits: int) -> tuple[list[int], int]:
+    def power_brackets(self, bits: int) -> tuple[tuple[int, ...], int]:
         """Integers a_j and w with 2^bits q^j in [a_j, a_j + w] for
         j = 0..d-1, from integer powers of the ends of the interval refined
-        to a width of 2^-(bits + 2d)."""
+        to a width of 2^-(bits + 2d).
+
+        The table is computed once per object and bits, and kept: a
+        bracket of q^j holds however far the interval narrows later. It is
+        kept on this object only, so an equal base built separately
+        refines its own interval and computes its own table."""
+        table = self._brackets.get(bits)
+        if table is not None:
+            return table
         d = self.degree
         self.refine_to(Fraction(1, 1 << (bits + 2 * d)))
         (lo, hi), den = self._ends
         lows, width = [], 0
+        lo_j = hi_j = den_j = 1
         for j in range(d):
-            least, most = sorted((lo**j, hi**j))
+            least, most = (lo_j, hi_j) if lo_j <= hi_j else (hi_j, lo_j)
             if lo < 0 < hi and j % 2 == 0:
                 least = 0
-            low = (least << bits) // den**j
+            low = (least << bits) // den_j
             lows.append(low)
-            width = max(width, -(-(most << bits) // den**j) - low)
-        return lows, width
+            width = max(width, -(-(most << bits) // den_j) - low)
+            lo_j, hi_j, den_j = lo_j * lo, hi_j * hi, den_j * den
+        table = self._brackets[bits] = tuple(lows), width
+        return table
 
     def __float__(self) -> float:
         lo, hi = enclose(self, 10**20)
@@ -372,10 +447,10 @@ class AlgebraicNumber:
         return FieldElement(self, nums, den)
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return FieldElement(self, (0,) * self.degree)
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
 
     def rational(self, r: Rational) -> "FieldElement":
         r = Fraction(r)
@@ -384,8 +459,8 @@ class AlgebraicNumber:
     def gen(self) -> "FieldElement":
         """The number itself, as an element of its own field."""
         if self.is_rational:
-            return self.element([self.rational_value])
-        return self.element([0, 1])
+            return self.rational(self.rational_value)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
 
 def algebraic_from_poly(
@@ -506,10 +581,18 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        d = self.base.degree
         a, b = self.nums, o.nums
-        if d == 1:
+        if len(a) == 1:
+            # its own line: the rational path below gives the same element
+            # 0.35 us later, about 2% of a thickness verdict at rational q
             return FieldElement(self.base, (a[0] * b[0],), self.den * o.den)
+        if not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):
+            # a rational factor b[0] / den scales the other's numerators, O(d)
+            c = b[0]
+            return FieldElement(self.base, [n * c for n in a], self.den * o.den)
+        d = len(a)
         # convolve the numerators, reduce by the integer table, and divide
         # by the product of the three denominators at the end
         prod = [0] * (2 * d - 1)

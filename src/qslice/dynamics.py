@@ -24,6 +24,7 @@ from .algebraic import (
     Ordering,
     bonacci_root,
     compare_reals,
+    over_q,
     times_q,
 )
 from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict
@@ -150,9 +151,11 @@ def _build_ternary_system(q: AlgebraicNumber) -> ExpansionSystem:
     ginv = 1 / g
     top = 1 / (g - 1)
     c = 1 / (2 - g)
-    merge = ginv * top
+    # top / q and -q c by O(d) shift steps, not by dense products
+    merge = FieldElement(q, *over_q(q.min_poly, top.nums, top.den))
+    slope, den = times_q(q.min_poly, c.nums, c.den)
     f0 = BranchMap(0, g, zero, zero, merge, True, False)
-    f1 = BranchMap(1, -g * c, top + c, ginv, merge, False, True)
+    f1 = BranchMap(1, FieldElement(q, [-n for n in slope], den), top + c, ginv, merge, False, True)
     f2 = BranchMap(2, g, -one, ginv, top, True, True)
     return ExpansionSystem(q, (f0, f1, f2), zero, top, ginv, merge)
 

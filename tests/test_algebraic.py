@@ -500,6 +500,15 @@ def _fresh_field(name):
     return AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
 
 
+@pytest.mark.parametrize("name", sorted(FIELD_BASES))
+def test_constants_match_their_coefficient_vectors(name):
+    base = _fresh_field(name)
+    gen = [base.rational_value] if base.is_rational else [0, 1]
+    for got, coeffs in ((base.zero(), []), (base.one(), [1]), (base.gen(), gen)):
+        want = base.element(coeffs)
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=field_bases, data=st.data())
 @example(name="2x^2 - 3", data=None)
@@ -611,6 +620,47 @@ def test_field_arithmetic_matches_fraction_tuples(name, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(name=field_bases, data=st.data(), r=mixed_fracs | st.sampled_from([Fraction(0), Fraction(3, 2)]),
+       top=st.integers(-5, 5))
+@example(name="2x^2 - 2x - 1", data=None, r=Fraction(-6, 5), top=1)
+@example(name="3x^3 - 3x - 2", data=None, r=Fraction(0), top=-2)
+@example(name="3/2", data=None, r=Fraction(3, 2), top=0)
+def test_rational_factor_products_match_convolution(name, data, r, top):
+    # a factor with no coefficient past the constant scales the other's
+    # numerators; the result is the convolution's, in canonical form
+    base = _fresh_field(name)
+    d = base.degree
+    if data is None:  # explicit examples: 2/3 - 4/9 q + ... over 9, to cancel
+        a = tuple(Fraction((-2) ** (i + 1), 3 ** (i + 1)) for i in range(d))
+    else:
+        a = data.draw(field_vectors(d))
+    x = base.element(a)
+    rv = base.rational(r)
+    rvec = (r,) + (Fraction(0),) * (d - 1)
+    cases = {
+        "x * r": (x * r, _reference_mul(base, a, rvec)),
+        "r * x": (r * x, _reference_mul(base, rvec, a)),
+        "x * rv": (x * rv, _reference_mul(base, a, rvec)),
+        "rv * x": (rv * x, _reference_mul(base, rvec, a)),
+        # r times the other's den: the product's numerators share a factor
+        # with its den, which the canonical form divides out
+        "x * den": (x * x.den, _reference_mul(base, a, (Fraction(x.den),) + rvec[1:])),
+    }
+    if r:
+        cases["x / r"] = (x / r, _reference_mul(base, a, (1 / r,) + rvec[1:]))
+    if any(a):
+        cases["r / x"] = (r / x, _reference_mul(base, rvec, _reference_inverse(base, a)))
+    if d > 1:
+        # a constant and a top coefficient alone: convolved unless top is 0
+        yvec = rvec[:-1] + (Fraction(top),)
+        cases["x * (r + top q^(d-1))"] = (x * base.element(yvec), _reference_mul(base, a, yvec))
+    for op, (got, expected) in cases.items():
+        _assert_canonical(got)
+        want = base.element(expected)
+        assert (got.nums, got.den) == (want.nums, want.den), op
+
+
+@settings(max_examples=200, deadline=None)
 @given(name=field_bases, data=st.data(), pre=st.integers(0, 30))
 @example(name="bonacci:12", data=None, pre=0)
 def test_sign_matches_fraction_bisection(name, data, pre):
@@ -639,10 +689,13 @@ def test_sign_matches_fraction_bisection(name, data, pre):
 @example(name="bonacci:12", bits=64, pre=0)
 @example(name="1999/1000", bits=64, pre=0)
 @example(name="near-zero cubic", bits=0, pre=0)  # the interval straddles 0
+@example(name="-cbrt 2", bits=12, pre=0)  # the square reverses the ends
 def test_power_brackets_hold_each_power(name, bits, pre):
     if name == "near-zero cubic":
         # x^3 + 1000x - 1 has one real root, near 0.001
         base = AlgebraicNumber((-1, 1000, 0, 1), Fraction(-1, 100), Fraction(1, 64))
+    elif name == "-cbrt 2":
+        base = AlgebraicNumber((2, 0, 0, 1), Fraction(-2), Fraction(-1))
     else:
         base = _fresh_field(name)
     base._bisect(pre)
@@ -658,6 +711,102 @@ def test_power_brackets_hold_each_power(name, bits, pre):
     if name in SETUP_BASES:
         # q < 2 and the interval is 2^-(bits + 2d) wide: each bracket is tight
         assert width <= 2
+    # the table is kept: it still holds each power after the interval
+    # narrows further, and 8 more bits get a table of their own
+    base.refine_to(Fraction(1, 1 << 300))
+    assert base.power_brackets(bits) == (lows, width)
+    for b in (bits, bits + 8):
+        lows, width = base.power_brackets(b)
+        for j, a in enumerate(lows):
+            lo, hi = base.element([0] * j + [1]).to_interval(Fraction(1, 1 << (b + 40)))
+            assert a <= lo * (1 << b) and hi * (1 << b) <= a + width
+
+
+def _halvings(base, eps):
+    """The least n with width / 2^n <= eps: the halvings refine_to(eps)
+    stands for."""
+    lo, hi = base.interval
+    n = 0
+    while (hi - lo) / (1 << n) > eps:
+        n += 1
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=field_bases, pre=st.integers(0, 40), bits=st.integers(0, 300), odd=st.integers(1, 9))
+@example(name="bonacci:10", pre=0, bits=84, odd=1)  # power_brackets(64) on a fresh base
+@example(name="bonacci:12", pre=0, bits=300, odd=1)
+@example(name="two-orbit cubic", pre=3, bits=150, odd=7)
+@example(name="3x^3 - 3x - 2", pre=40, bits=41, odd=9)  # a single halving left
+def test_jumps_reach_the_halving_interval(name, pre, bits, odd):
+    # quadratic interval refinement ends on the very interval that halving
+    # one step at a time reaches, in lowest terms, from a fresh or partly
+    # refined base
+    jumped, halved = _fresh_field(name), _fresh_field(name)
+    jumped._bisect(pre)
+    halved._bisect(pre)
+    eps = Fraction(odd, 1 << bits)
+    halved._bisect(_halvings(halved, eps))
+    assert jumped.refine_to(eps) == halved.interval
+    assert jumped._ends == halved._ends
+
+
+@pytest.mark.parametrize("root", [Fraction(3, 2), Fraction(13, 8), Fraction(4, 3)])
+def test_degree_one_refinement_stops_on_a_grid_root(root):
+    # a root of a degree-1 polynomial may be a midpoint: there halving
+    # stops with (r, r), and refine_to does the same; off the grid it ends
+    # on the cell that holds r
+    poly = (-root.numerator, root.denominator)
+    base, halved = (AlgebraicNumber(poly, Fraction(1), Fraction(2)) for _ in range(2))
+    halved._bisect(30)
+    assert base.refine_to(Fraction(1, 1 << 30)) == halved.interval
+    lo, hi = halved.interval
+    if root.denominator in (2, 8):
+        assert lo == hi == root
+    else:
+        assert lo < root < hi and hi - lo == Fraction(1, 1 << 30)
+
+
+def _count_evaluations(monkeypatch, poly):
+    """A list that gains an entry each time poly is evaluated at a point."""
+    calls = []
+    value_at = algebraic._value_at
+
+    def counted(p, n, m):
+        if tuple(p) == tuple(poly):
+            calls.append(Fraction(n, m))
+        return value_at(p, n, m)
+
+    monkeypatch.setattr(algebraic, "_value_at", counted)
+    return calls
+
+
+def test_fresh_power_brackets_take_few_evaluations(monkeypatch):
+    # from (1, 2) to a width of 2^-(64 + 20) is 84 halvings, 85 evaluations
+    # of min_poly one step at a time; the jumps take at most 30
+    halved, base = _fresh("bonacci:10"), _fresh("bonacci:10")
+    calls = _count_evaluations(monkeypatch, base.min_poly)
+    halved._bisect(84)
+    assert len(calls) == 85
+    calls.clear()
+    base.power_brackets(64)
+    assert 0 < len(calls) <= 30
+    assert base.interval == halved.interval
+
+
+def test_bracket_table_belongs_to_its_object(monkeypatch):
+    base = _fresh("bonacci:10")
+    table = base.power_brackets(64)
+    calls = _count_evaluations(monkeypatch, base.min_poly)
+    # asked again, the object reads its table and evaluates nothing
+    before = base.interval
+    assert base.power_brackets(64) == table
+    assert calls == [] and base.interval == before
+    # an equal base built separately refines and computes its own
+    twin = _fresh("bonacci:10")
+    twin_table = twin.power_brackets(64)
+    assert calls and twin_table == table and twin_table is not table
+    assert twin.interval == base.interval
 
 
 @settings(max_examples=200, deadline=None)

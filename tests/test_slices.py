@@ -556,6 +556,29 @@ def test_slice_builds_one_system_and_one_kernel(monkeypatch):
     assert built == {"system": 1, "kernel": 1}
 
 
+def test_decision_refines_its_base_once(monkeypatch):
+    # a sweep-style decision, depth 24, depth 12 and the oracle, on a fresh
+    # base: the kernel and the box descent read one bracket table, so the
+    # interval is refined to many bits once; an equal base built separately
+    # pays for its own
+    refinements = []
+    refine_to = AlgebraicNumber.refine_to
+
+    def counted(self, eps):
+        refinements.append(self)
+        return refine_to(self, eps)
+
+    monkeypatch.setattr(AlgebraicNumber, "refine_to", counted)
+    poly = bonacci_root(6).min_poly
+    for _ in range(2):
+        q = AlgebraicNumber(poly, F(1), F(2))
+        compute_slice(q, F(1, 3), 24)
+        check = compute_slice(q, F(1, 3), 12)
+        assert slice_matches_oracle(check, geometric_slice_oracle(q, F(1, 3), 12))
+        assert refinements == [q]
+        refinements.clear()
+
+
 def test_uncountable_pattern_small_base():
     r = compute_slice(AlgebraicNumber.from_rational(F(3, 2)), F(1, 2), 8)
     assert r.claim.kind == ClaimKind.UncountablePattern
