@@ -109,9 +109,9 @@ def verify_odd_cardinality(
     sys = ternary_branch_system(q)
     walk = enumerate_orbits(sys, x, depth)
     expected = 2 * m + 1
-    if len(walk.paths) != expected:
+    if walk.sizes[-1] != expected:
         raise CertificationFailed(
-            f"expected {expected} surviving branches, found {len(walk.paths)}", depth
+            f"expected {expected} surviving branches, found {walk.sizes[-1]}", depth
         )
     routes = []
     for path, point in zip(walk.paths, walk.points()):
@@ -184,7 +184,7 @@ def null_infinite_probe(k: int, depth: int = 30) -> Certificate:
         z = apply_map(sys, 2, z)
     checks.append(exact_check("loop-returns", "le", abs_diff(z, x), 0))
 
-    found = len(enumerate_orbits(sys, x, depth).paths)
+    found = enumerate_orbits(sys, x, depth).sizes[-1]
     expected = (depth - 1) // k + 2
     if found != expected:
         raise CertificationFailed(

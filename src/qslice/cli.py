@@ -58,7 +58,7 @@ from .thickness import (
     newhouse_certify,
     thickness_lower_bound,
 )
-from .words import Tail, WordSyntaxError, format_word, parse_word
+from .words import Tail, WordSyntaxError, format_word, parse_word, ternary_string
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
@@ -169,9 +169,9 @@ def _cmd_slice(args) -> int:
         "q": _interval(q),
         "y": _interval(y),
         "depth": res.depth,
-        "cylinders": ["".join(map(str, path)) for path in res.paths],
+        "cylinders": [ternary_string(code, res.length) for code in res.codes],
         "claim": _claim_record(res.claim),
-        "branch_events": len(res.branch_events),
+        "branch_events": len(res.forks),
         "truncated": res.truncated,
     }
     agree = True
@@ -226,7 +226,7 @@ def _cmd_orbit_tree(args) -> int:
             "q": _interval(q),
             "y": _interval(y),
             "depth": args.depth,
-            "alive": len(walk.paths),
+            "alive": walk.sizes[-1],
             # the branch domains cover the expansion interval and each branch
             # maps into it, so every node has a child: the walk raises if a
             # path ends early
@@ -314,7 +314,7 @@ def _cmd_certify_slice3(args) -> int:
             "witness_interval": list(height),
             "depth": res.depth,
             "claim": _claim_record(res.claim),
-            "cylinders": ["".join(map(str, path)) for path in res.paths],
+            "cylinders": [ternary_string(code, res.length) for code in res.codes],
             "intersection_verified": not failures,
             "failures": failures,
         }

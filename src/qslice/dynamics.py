@@ -27,7 +27,9 @@ from .algebraic import (
     over_q,
     times_q,
 )
-from .words import Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict
+from .words import (
+    Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict, ternary_digits,
+)
 
 PointLike = Union[FieldElement, Fraction, int]
 
@@ -192,16 +194,27 @@ class Frontier:
     """The last level of a breadth-first walk: its paths in path order, the
     number of paths at each depth walked, the (step, path) of every fork on
     the way, and whether the walk stopped early. A walk keeps each level as
-    parallel lists, the paths beside their integer points, and hands its
-    last list of paths over as it is. points() builds the level's points as
-    field elements, in the same order, only when asked: the rational walk
-    never needs them itself."""
+    parallel lists, the paths beside their integer points, and each path as
+    its ternary code (words.ternary_code) at the level's length: codes and
+    forks are the fields, and paths and events are the same as digit
+    tuples, decoded on first read and kept. points() builds the level's
+    points as field elements, in the same order, only when asked: the
+    rational walk never needs them itself."""
 
-    paths: list[tuple[int, ...]]
+    codes: list[int]
     sizes: list[int]
-    events: list[tuple[int, tuple[int, ...]]]
+    forks: list[tuple[int, int]]
     truncated: bool
     points: Callable[[], list[FieldElement]]
+
+    @cached_property
+    def paths(self) -> list[tuple[int, ...]]:
+        length = len(self.sizes) - 1
+        return [ternary_digits(code, length) for code in self.codes]
+
+    @cached_property
+    def events(self) -> list[tuple[int, tuple[int, ...]]]:
+        return [(step, ternary_digits(code, step)) for step, code in self.forks]
 
 
 def enumerate_orbits(
@@ -285,39 +298,46 @@ def _integer_walk(
     sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
     """enumerate_orbits at a rational base, on the rational kernel. A
-    level is two parallel lists, the paths and the numerators of their
-    points, all over one denominator den(x)*L^step; no tuple is built per
-    node. The applicability test of the kernel's children is inlined
-    here."""
+    level is two parallel lists, the paths' codes and the numerators of
+    their points, all over one denominator den(x)*L^step. The kernel's
+    applicability test is inlined here, for the three ternary branches in
+    label order: branches 0 and 2 both have slope q, so they share one
+    product."""
     kernel = sys._rational
     n, den = kernel.lift(x)
-    paths, nums = [()], [n]
+    codes, nums = [0], [n]
     sizes = [1]
-    events: list[tuple[int, tuple[int, ...]]] = []
+    forks: list[tuple[int, int]] = []
     truncated = False
     for step in range(depth):
-        # each label as a 1-tuple, so that a child's path is one concatenation
-        branches = [((lab,), *rest) for lab, *rest in kernel.branches(den)]
-        next_paths, next_nums = [], []
-        for path, n in zip(paths, nums):
-            size = len(next_nums)
-            for tail, s, od, first, last in branches:
-                if first <= n <= last:
-                    next_paths.append(path + tail)
-                    next_nums.append(s * n + od)
-            kids = len(next_nums) - size
+        (_, s, o0, lo0, hi0), (_, s1, o1, lo1, hi1), (_, _, o2, lo2, hi2) = kernel.branches(den)
+        next_codes, next_nums = [], []
+        add_code, add_num = next_codes.append, next_nums.append
+        for code, n in zip(codes, nums):
+            size = len(next_codes)
+            child, sn = 3 * code, s * n
+            if lo0 <= n <= hi0:
+                add_code(child)
+                add_num(sn + o0)
+            if lo1 <= n <= hi1:
+                add_code(child + 1)
+                add_num(s1 * n + o1)
+            if lo2 <= n <= hi2:
+                add_code(child + 2)
+                add_num(sn + o2)
+            kids = len(next_codes) - size
             if kids >= 2:
-                events.append((step, path))
+                forks.append((step, code))
             elif not kids:
                 raise ValueError("point escaped the expansion interval")
-        paths, nums = next_paths, next_nums
+        codes, nums = next_codes, next_nums
         den *= kernel.scale
-        sizes.append(len(paths))
-        if len(paths) > cap:
+        sizes.append(len(codes))
+        if len(codes) > cap:
             truncated = True
             break
     return Frontier(
-        paths, sizes, events, truncated, lambda: [kernel.point(n, den) for n in nums],
+        codes, sizes, forks, truncated, lambda: [kernel.point(n, den) for n in nums],
     )
 
 
@@ -457,45 +477,43 @@ def _lattice_walk(
     sys: ExpansionSystem, x: FieldElement, depth: int, cap: float
 ) -> Frontier:
     """enumerate_orbits at a base of degree >= 2, on the lattice kernel. A
-    level is two parallel lists, the paths and the integer vectors of
-    their points over the level's den. Every path that reaches a point
+    level is two parallel lists, the paths' codes and the integer vectors
+    of their points over the level's den. Every path that reaches a point
     shares one expansion of it: expanded holds, for each vector met over
-    the current den, its children as ((label,), image), so that extending
-    a path is one tuple concatenation. Where the kernel's scale is 1, as
-    at the Pisot units, den never changes and each distinct point is
-    expanded once per walk."""
+    the current den, its children as (label, image). Where the kernel's
+    scale is 1, as at the Pisot units, den never changes and each distinct
+    point is expanded once per walk."""
     lattice = sys._lattice
     v, den = lattice.lift(x)
     branches, expanded = lattice.branches(den), {}
-    paths, vecs = [()], [v]
+    codes, vecs = [0], [v]
     sizes = [1]
-    events: list[tuple[int, tuple[int, ...]]] = []
+    forks: list[tuple[int, int]] = []
     truncated = False
     for step in range(depth):
-        next_paths, next_vecs = [], []
-        for path, v in zip(paths, vecs):
+        next_codes, next_vecs = [], []
+        for code, v in zip(codes, vecs):
             kids = expanded.get(v)
             if kids is None:
-                kids = expanded[v] = [
-                    ((label,), w) for label, w in lattice.children(v, den, branches)
-                ]
+                kids = expanded[v] = lattice.children(v, den, branches)
             if len(kids) >= 2:
-                events.append((step, path))
+                forks.append((step, code))
             elif not kids:
                 raise ValueError("point escaped the expansion interval")
-            for tail, w in kids:
-                next_paths.append(path + tail)
+            child = 3 * code
+            for label, w in kids:
+                next_codes.append(child + label)
                 next_vecs.append(w)
-        paths, vecs = next_paths, next_vecs
+        codes, vecs = next_codes, next_vecs
         if lattice.scale != 1:
             den *= lattice.scale
             branches, expanded = lattice.branches(den), {}
-        sizes.append(len(paths))
-        if len(paths) > cap:
+        sizes.append(len(codes))
+        if len(codes) > cap:
             truncated = True
             break
     return Frontier(
-        paths, sizes, events, truncated, lambda: [lattice.point(v, den) for v in vecs],
+        codes, sizes, forks, truncated, lambda: [lattice.point(v, den) for v in vecs],
     )
 
 

@@ -26,7 +26,7 @@ from .dynamics import (
     UniqueOrbitResult,
     UniqueOrbitStatus,
 )
-from .words import Alphabet, Word, successor
+from .words import Alphabet, Word, ternary_code, ternary_digits
 
 
 class SliceInputError(ValueError):
@@ -77,19 +77,31 @@ def unknown_cardinality() -> CardinalityClaim:
 
 @dataclass(frozen=True)
 class SliceResult:
-    """One slice decision. paths holds the surviving ternary branch
-    sequences as digit tuples, in path order; it is the constructor field.
-    cylinders is the same sequences as ternary Words, built on first
-    access and kept: a decision itself never needs them."""
+    """One slice decision. The surviving ternary branch sequences are held
+    as their ternary codes (words.ternary_code), all of one length, in path
+    order, and the forks of the walk as (step, code of the forking path):
+    codes, length and forks are the constructor fields. paths and
+    branch_events are the same as digit tuples, and cylinders as ternary
+    Words, each built on first access and kept: a decision itself never
+    needs them."""
 
     base: AlgebraicNumber
     y: FieldElement
     depth: int
-    paths: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...]
+    length: int
     claim: CardinalityClaim
-    branch_events: tuple[tuple[int, tuple[int, ...]], ...]
+    forks: tuple[tuple[int, int], ...]
     truncated: bool
     leaf_probes: tuple[UniqueOrbitResult, ...] = ()
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(ternary_digits(code, self.length) for code in self.codes)
+
+    @cached_property
+    def branch_events(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple((step, ternary_digits(code, step)) for step, code in self.forks)
 
     @cached_property
     def cylinders(self) -> tuple[Word, ...]:
@@ -107,23 +119,30 @@ def _lift_unit_value(q: AlgebraicNumber, y: PointLike) -> FieldElement:
     return y if isinstance(y, FieldElement) else q.rational(y)
 
 
-def _doubling_witness(events) -> Optional[tuple]:
-    for s, p in events:
+def _doubling_witness(forks) -> Optional[tuple]:
+    """The first fork, in walk order, with later forks below two of its
+    children: (step, path, the two children's digits), or None. forks are
+    (step, code) pairs, so a fork at s2 > s lies below the one at s when
+    its code's first s digits are the other's code."""
+    for s, p in forks:
         seen_children = set()
-        for s2, p2 in events:
-            if s2 > s and len(p2) > len(p) and p2[: len(p)] == p:
-                seen_children.add(p2[len(p)])
-                if len(seen_children) >= 2:
-                    return (s, p, tuple(sorted(seen_children)))
+        for s2, p2 in forks:
+            if s2 > s:
+                top = p2 // 3 ** (s2 - s - 1)  # the first s + 1 digits
+                if top // 3 == p:
+                    seen_children.add(top % 3)
+                    if len(seen_children) >= 2:
+                        return (s, ternary_digits(p, s), tuple(sorted(seen_children)))
     return None
 
 
-def _adjacency_groups(paths) -> int:
-    """The number of runs of numerically consecutive ternary paths."""
-    if not paths:
+def _adjacency_groups(codes) -> int:
+    """The number of runs of numerically consecutive ternary paths, given
+    their codes at one length."""
+    if not codes:
         return 0
-    ordered = sorted(paths)
-    return 1 + sum(successor(prev, 3) != cur for prev, cur in zip(ordered, ordered[1:]))
+    ordered = sorted(codes)
+    return 1 + sum(prev + 1 != cur for prev, cur in zip(ordered, ordered[1:]))
 
 
 def compute_slice(
@@ -141,23 +160,21 @@ def compute_slice(
     yv = _lift_unit_value(q, y)
     sys = ternary_branch_system(q)
     walk = enumerate_orbits(sys, yv * sys.hull_hi, depth, max_cylinders)  # y / (q - 1)
-    events = tuple(walk.events)
-
-    paths = tuple(walk.paths)
-    witness = _doubling_witness(events)
+    codes, length, forks = tuple(walk.codes), len(walk.sizes) - 1, tuple(walk.forks)
+    witness = _doubling_witness(forks)
 
     if witness is not None:
         claim = uncountable_pattern(witness)
         return SliceResult(
-            q, yv, depth, paths, claim, events, walk.truncated
+            q, yv, depth, codes, length, claim, forks, walk.truncated
         )
     if walk.truncated:
         return SliceResult(
-            q, yv, depth, paths, unknown_cardinality(), events, True
+            q, yv, depth, codes, length, unknown_cardinality(), forks, True
         )
 
-    n = len(paths)
-    groups = _adjacency_groups(paths)
+    n = len(codes)
+    groups = _adjacency_groups(codes)
     probes = tuple(
         unique_orbit_check(q, point, depth) for point in walk.points()
     )
@@ -171,7 +188,7 @@ def compute_slice(
     else:
         claim = exactly(n, certified=False)
     return SliceResult(
-        q, yv, depth, paths, claim, events, False, probes
+        q, yv, depth, codes, length, claim, forks, False, probes
     )
 
 
@@ -182,21 +199,29 @@ def compute_slice(
 
 class OracleBoxes(Set):
     """The boxes geometric_slice_oracle finds: to a reader, a read-only set
-    of ternary Words. It holds the descent's digit tuples, as the frozenset
-    paths, and builds a Word only for a caller that iterates. Set algebra
+    of ternary Words. It holds the descent's ternary codes
+    (words.ternary_code), as the frozenset codes, with their one length;
+    paths is the same frozenset as digit tuples, decoded on first read and
+    kept, and a Word is built only for a caller that iterates. Set algebra
     with it (-, |, &) gives a plain set of Words, and it is unhashable, like
     set."""
 
-    __slots__ = ("paths",)
+    def __init__(self, codes: frozenset[int], length: int):
+        self.codes = codes
+        self.length = length
 
-    def __init__(self, paths: frozenset[tuple[int, ...]]):
-        self.paths = paths
+    @cached_property
+    def paths(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(ternary_digits(code, self.length) for code in self.codes)
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.codes)
 
     def __contains__(self, w) -> bool:
-        return isinstance(w, Word) and w.alphabet is Alphabet.TERNARY and w.symbols in self.paths
+        return (
+            isinstance(w, Word) and w.alphabet is Alphabet.TERNARY and len(w) == self.length
+            and ternary_code(w.symbols) in self.codes
+        )
 
     def __iter__(self):
         return (Word(Alphabet.TERNARY, p) for p in self.paths)
@@ -226,47 +251,55 @@ def geometric_slice_oracle(
     """
     yv = _lift_unit_value(q, y)
     if q.is_rational:
-        return OracleBoxes(_integer_boxes(q.rational_value, yv, depth))
-    return OracleBoxes(_lattice_boxes(yv, depth))
+        return OracleBoxes(_integer_boxes(q.rational_value, yv, depth), depth)
+    return OracleBoxes(_lattice_boxes(yv, depth), depth)
 
 
-def _integer_boxes(q: Fraction, y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
-    """The box descent at a rational base q = A/B, in lowest terms. The
-    children's slopes and offsets over A are (B, 0), (A - 2B, B) and
-    (B, A - B) times the word's slope, plus its offset. A level is three
-    parallel lists: the words' paths, and their slopes and offsets as
-    numerators over A^n for words of length n. A box's ends lo and hi are
-    then integers, so the test lo <= y <= hi reads lo <= floor(y*A^n) and
-    ceil(y*A^n) <= hi, with both roundings made once per level."""
+def _integer_boxes(q: Fraction, y: FieldElement, depth: int) -> frozenset[int]:
+    """The box descent at a rational base q = A/B, in lowest terms, as the
+    codes of the words whose box holds y. A level is three parallel lists:
+    codes, and slopes and offsets as integers over A^n. Over A^(n+1), with
+    a = A * slope, b = A * offset and u = B * slope = a/q, the children are
+    those of _lattice_boxes, and only the cuts e1 = u + b and e2 = a - u + b
+    are compared with y, exactly: e >= y reads e >= ceil(y*A^(n+1)), and
+    e <= y reads e <= floor(y*A^(n+1)), both taken once per level. The
+    slope's sign is the box's own."""
     a, b = q.numerator, q.denominator
-    steps = (((0,), b, 0), ((1,), a - 2 * b, b), ((2,), b, a - b))
     yd = y.den
     ya = y.nums[0]
-    paths, slopes, offsets = [()], [1], [0]
+    codes, slopes, offsets = [0], [1], [0]
     for _ in range(depth):
         ya *= a
         y_floor, y_ceil = ya // yd, -(-ya // yd)
-        next_paths, next_slopes, next_offsets = [], [], []
-        for path, sl, off in zip(paths, slopes, offsets):
-            off *= a
-            for tail, s, o in steps:
-                ca, cb = sl * s, sl * o + off
-                if ca > 0:
-                    lo, hi = cb, ca + cb
-                else:
-                    lo, hi = ca + cb, cb
-                if lo <= y_floor and y_ceil <= hi:
-                    next_paths.append(path + tail)
-                    next_slopes.append(ca)
-                    next_offsets.append(cb)
-        paths, slopes, offsets = next_paths, next_slopes, next_offsets
-    return frozenset(paths)
+        next_codes, next_slopes, next_offsets = [], [], []
+        for code, sl, off in zip(codes, slopes, offsets):
+            code *= 3
+            u, sl, off = sl * b, sl * a, off * a
+            e1, e2 = u + off, sl - u + off
+            if sl > 0:
+                above, below = e1 >= y_ceil, e2 <= y_floor
+            else:
+                above, below = e1 <= y_floor, e2 >= y_ceil
+            if above:
+                next_codes.append(code)
+                next_slopes.append(u)
+                next_offsets.append(off)
+                if below:
+                    next_codes.append(code + 1)
+                    next_slopes.append(sl - 2 * u)
+                    next_offsets.append(e1)
+            if below:
+                next_codes.append(code + 2)
+                next_slopes.append(u)
+                next_offsets.append(e2)
+        codes, slopes, offsets = next_codes, next_slopes, next_offsets
+    return frozenset(codes)
 
 
 _BOX_BITS = 64
 
 
-def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
+def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[int]:
     """The box descent at a base q of degree d >= 2, on integers. A word's
     slope a and offset b are integer vectors in the basis 1, q, ...,
     q^(d-1) over one denominator den, and its box runs from b to a + b. No
@@ -274,8 +307,8 @@ def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
     den * |p_0|, p_0 the constant coefficient of q's minimal polynomial,
     and with a and b scaled by |p_0| the children are (u, b),
     (a - 2u, u + b) and (u, a - u + b), with slope signs +, -, + times the
-    box's own. A level is four parallel lists: paths, slopes, offsets and
-    slope signs.
+    box's own. A level is four parallel lists: the words' ternary codes,
+    slopes, offsets and slope signs.
 
     The children cut their box at e1 = u + b and e2 = a - u + b. A box in
     the level holds y, so y lies between its ends, and only e1 and e2 are
@@ -303,15 +336,16 @@ def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
         return base.sign_of([a * y_den - den * b for a, b in zip(v, y_nums)])
 
     zero = [0] * base.degree
-    paths, slopes, offsets, signs = [()], [[1] + zero[1:]], [zero], [1]
+    codes, slopes, offsets, signs = [0], [[1] + zero[1:]], [zero], [1]
     den = 1
     for _ in range(depth):
         parent_den, den = den, den * scale
         # the integer bracket of 2^64 * den * y
         y_lo = den * (y_centre - y_radius) // y_den
         y_hi = -(-den * (y_centre + y_radius) // y_den)
-        next_paths, next_slopes, next_offsets, next_signs = [], [], [], []
-        for path, a, b, sign in zip(paths, slopes, offsets, signs):
+        next_codes, next_slopes, next_offsets, next_signs = [], [], [], []
+        for code, a, b, sign in zip(codes, slopes, offsets, signs):
+            code *= 3
             u = over_q(poly, a, parent_den)[0]
             if scale != 1:
                 a = [c * scale for c in a]
@@ -321,22 +355,22 @@ def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[tuple[int, ...]]:
             above = sign * versus_y(e1) >= 0
             below = sign * versus_y(e2) <= 0
             if above:
-                next_paths.append(path + (0,))
+                next_codes.append(code)
                 next_slopes.append(u)
                 next_offsets.append(b)
                 next_signs.append(sign)
                 if below:
-                    next_paths.append(path + (1,))
+                    next_codes.append(code + 1)
                     next_slopes.append([c - 2 * w for c, w in zip(a, u)])
                     next_offsets.append(e1)
                     next_signs.append(-sign)
             if below:
-                next_paths.append(path + (2,))
+                next_codes.append(code + 2)
                 next_slopes.append(u)
                 next_offsets.append(e2)
                 next_signs.append(sign)
-        paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
-    return frozenset(paths)
+        codes, slopes, offsets, signs = next_codes, next_slopes, next_offsets, next_signs
+    return frozenset(codes)
 
 
 def slice_matches_oracle(result: SliceResult, boxes: Set) -> bool:
@@ -346,17 +380,24 @@ def slice_matches_oracle(result: SliceResult, boxes: Set) -> bool:
 
     boxes is what geometric_slice_oracle returns, or a plain set of ternary
     Words; a box of any other kind raises ValueError. Boxes and sequences
-    are then compared as sets of digit tuples: every surviving sequence has
-    a box exactly when the boxes without a surviving sequence leave as many
-    boxes as there are sequences."""
+    are then compared as sets of ternary codes, where a code's successor is
+    code + 1: every surviving sequence has a box exactly when the boxes
+    without a surviving sequence leave as many boxes as there are
+    sequences. A code stands for a path only at its length, so a box of
+    another length than the sequences is neither a sequence's box nor the
+    doomed spelling of one."""
     if isinstance(boxes, OracleBoxes):
-        paths = boxes.paths
+        if boxes.length != result.length and boxes.codes:
+            return False
+        codes = boxes.codes
     else:
         if not all(isinstance(w, Word) and w.alphabet is Alphabet.TERNARY for w in boxes):
             raise ValueError("oracle boxes must be ternary words")
-        paths = {w.symbols for w in boxes}
-    alive = set(result.paths)
-    extra = paths - alive
-    if len(paths) - len(extra) != len(alive):
+        if any(len(w) != result.length for w in boxes):
+            return False
+        codes = {ternary_code(w.symbols) for w in boxes}
+    alive = set(result.codes)
+    extra = codes - alive
+    if len(codes) - len(extra) != len(alive):
         return False
-    return all(successor(p, 3) in alive for p in extra)
+    return all(code + 1 in alive for code in extra)

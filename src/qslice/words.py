@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Union
 
 from .algebraic import AlgebraicNumber, FieldElement
@@ -273,6 +274,45 @@ def word_successor(w: Word) -> Word | None:
         raise WordSyntaxError("successor not defined for signed words")
     succ = successor(w.symbols, len(w.alphabet.symbols))
     return None if succ is None else Word(w.alphabet, succ)
+
+
+# ---------------------------------------------------------------------------
+# ternary paths as integers: a path of known length is coded by its base-3
+# value, so a child's code is 3 * code + digit and a successor is code + 1
+# ---------------------------------------------------------------------------
+
+# every digit tuple of length k < 7 by its code, and the same as strings
+_TUPLES = [tuple(product((0, 1, 2), repeat=k)) for k in range(7)]
+_STRINGS = [tuple("".join(map(str, t)) for t in level) for level in _TUPLES]
+
+
+def ternary_code(digits: Iterable[int]) -> int:
+    """The base-3 value of a ternary digit string, most significant first."""
+    code = 0
+    for d in digits:
+        code = 3 * code + d
+    return code
+
+
+def _spell(code: int, length: int, table: list):
+    """The length digits of code from table, six per lookup; a code of
+    3^length or more raises IndexError."""
+    chunks, head = divmod(length, 6)
+    out = table[0][0]
+    for _ in range(chunks):
+        code, low = divmod(code, 729)
+        out = table[6][low] + out
+    return table[head][code] + out
+
+
+def ternary_digits(code: int, length: int) -> tuple[int, ...]:
+    """The inverse of ternary_code, given the length."""
+    return _spell(code, length, _TUPLES)
+
+
+def ternary_string(code: int, length: int) -> str:
+    """The digits of a code as format_word spells them."""
+    return _spell(code, length, _STRINGS)
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,35 @@ def test_main_exits_one_on_a_flagged_pair(tmp_path, monkeypatch):
             "--workload", "w", "--pairs", "1", "--out", str(out)]
     assert bench_pairs.main(argv) == 1
     assert '"pair 1 (seed 1): digests differ"' in out.read_text()
+
+
+def test_runs_write_no_bytecode(monkeypatch):
+    seen = {}
+
+    def run(argv, **kwargs):
+        seen.update(kwargs["env"])
+        return bench_pairs.subprocess.CompletedProcess(argv, 0, stdout="# digest w sha256:a\n{}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = bench_pairs.run_once(Path("."), "w", 1, 1.0)
+    assert seen["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert out["digest"] == "sha256:a" and out["result"] == {}
+
+
+def test_main_refuses_a_checkout_with_cached_bytecode(tmp_path, monkeypatch, capsys):
+    def never(*a):
+        raise AssertionError("ran a checkout with cached bytecode")
+
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "1", "--out", str(tmp_path / "pairs.json")]
+    for cached in (tmp_path / "change" / "src" / "qslice" / "__pycache__",
+                   tmp_path / "parent" / "bench" / "__pycache__"):
+        cached.mkdir(parents=True)
+        assert bench_pairs.main(argv) == 1
+        assert "cached bytecode" in capsys.readouterr().err
+        assert not (tmp_path / "pairs.json").exists()
+        cached.rmdir()

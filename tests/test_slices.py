@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice import dynamics, slices
+from qslice import words as words_module
 from qslice.algebraic import (
     AlgebraicNumber, FieldElement, algebraic_from_poly, bonacci_root, multiplication_rows,
 )
@@ -29,7 +30,9 @@ from qslice.slices import (
     geometric_slice_oracle,
     slice_matches_oracle,
 )
-from qslice.words import Alphabet, Word, reflect, successor, tail, word_successor
+from qslice.words import (
+    Alphabet, Word, reflect, successor, tail, ternary_code, ternary_digits, word_successor,
+)
 
 
 Q53 = AlgebraicNumber.from_rational(F(5, 3))
@@ -144,7 +147,9 @@ def test_cross_check_matches_the_box_loop(qf, y, depth, data):
     for words in mutants:
         expected = _reference_matches(r, words)
         assert slice_matches_oracle(r, words) == expected
-        assert slice_matches_oracle(r, OracleBoxes(frozenset(w.symbols for w in words))) == expected
+        if {len(w) for w in words} == {depth}:  # an OracleBoxes holds codes of one length
+            codes = frozenset(ternary_code(w.symbols) for w in words)
+            assert slice_matches_oracle(r, OracleBoxes(codes, depth)) == expected
 
 
 def test_oracle_agreement_random_bases():
@@ -668,3 +673,152 @@ def test_input_validation():
         compute_slice(Q53, bonacci_root(3).gen() - 1, 4)
 
 
+
+
+# -- ternary codes against the digit-tuple routines they replaced ------------------
+
+
+def _ref_walk(sys, x, depth, cap):
+    """The breadth-first walk on field elements with digit-tuple paths: the
+    last level's paths, the (step, path) forks and the truncated flag."""
+    level, events = [((), sys.lift(x))], []
+    for step in range(depth):
+        nxt = []
+        for path, p in level:
+            labels = sys.applicable(p)
+            if len(labels) >= 2:
+                events.append((step, path))
+            nxt.extend((path + (lab,), sys.branch(lab)(p)) for lab in labels)
+        level = nxt
+        if len(level) > cap:
+            return [path for path, _ in level], events, True
+    return [path for path, _ in level], events, False
+
+
+def _ref_doubling_witness(events):
+    for s, p in events:
+        seen_children = set()
+        for s2, p2 in events:
+            if s2 > s and len(p2) > len(p) and p2[: len(p)] == p:
+                seen_children.add(p2[len(p)])
+                if len(seen_children) >= 2:
+                    return (s, p, tuple(sorted(seen_children)))
+    return None
+
+
+def _ref_adjacency_groups(paths):
+    if not paths:
+        return 0
+    ordered = sorted(paths)
+    return 1 + sum(successor(prev, 3) != cur for prev, cur in zip(ordered, ordered[1:]))
+
+
+def _ref_matches(alive, boxes):
+    """The agreement law on sets of digit tuples."""
+    alive = set(alive)
+    extra = boxes - alive
+    if len(boxes) - len(extra) != len(alive):
+        return False
+    return all(successor(p, 3) in alive for p in extra)
+
+
+code_bases = st.one_of(
+    st.fractions(min_value=F(11, 10), max_value=F(19, 10), max_denominator=60),
+    st.sampled_from(sorted(ALGEBRAIC_BASES)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(code_bases, heights, st.integers(0, 8), st.integers(1, 300), st.integers(0, 8))
+@example(F(3, 2), F(1, 2), 8, 300, 8)  # a doubling pattern
+@example(F(3, 2), F(1, 2), 8, 20, 8)  # a doubling pattern in a truncated walk
+@example(F(5, 3), F(3, 5), 8, 300, 8)  # a doomed corner spelling among the boxes
+@example(F(5, 3), F(1, 2), 8, 40, 8)  # truncated before the oracle's depth
+@example(F(5, 3), F(1, 20), 8, 300, 8)  # exactly n, each point probed
+@example("bonacci:3", F(1, 3), 8, 300, 5)
+@example("two-orbit", F(2, 5), 8, 30, 8)
+def test_codes_match_the_tuple_routines(label, y, depth, cap, box_depth):
+    q = ALGEBRAIC_BASES[label]() if isinstance(label, str) else AlgebraicNumber.from_rational(label)
+    sys = ternary_branch_system(q)
+    paths, events, truncated = _ref_walk(sys, sys.lift(y) * sys.hull_hi, depth, cap)
+    r = compute_slice(q, y, depth, cap)
+    assert r.paths == tuple(paths) and r.length == len(paths[0])
+    assert r.branch_events == tuple(events) and r.truncated == truncated
+    witness, groups = _ref_doubling_witness(events), _ref_adjacency_groups(paths)
+    assert slices._adjacency_groups(r.codes) == groups
+    if witness is not None:
+        expected = slices.uncountable_pattern(witness)
+    elif truncated:
+        expected = slices.unknown_cardinality()
+    elif groups < len(paths) or any(
+        p.status == UniqueOrbitStatus.BranchFoundAt for p in r.leaf_probes
+    ):
+        expected = slices.at_least(groups)
+    else:
+        certified = all(p.status == UniqueOrbitStatus.UniqueCertified for p in r.leaf_probes)
+        expected = slices.exactly(len(paths), certified)
+    assert r.claim == expected
+    # the oracle at the walk's depth and at another, which a truncated walk
+    # also meets: codes of unequal length must compare as tuples do
+    for n in (depth, box_depth):
+        boxes = geometric_slice_oracle(q, y, n)
+        reference = {w.symbols for w in _field_boxes(q, slices._lift_unit_value(q, y), n)}
+        assert boxes.paths == reference and boxes.length == n
+        assert slice_matches_oracle(r, boxes) == _ref_matches(paths, reference)
+        words = set(boxes)
+        assert slice_matches_oracle(r, words) == _ref_matches(paths, reference)
+
+
+def test_cross_check_of_unequal_lengths():
+    # a depth-24 result against depth-12 boxes, and a truncated walk against
+    # boxes at its requested depth: no box is a sequence's, so the law fails,
+    # as it does on digit tuples
+    deep, boxes = compute_slice(Q53, F(3, 5), 24), geometric_slice_oracle(Q53, F(3, 5), 12)
+    cut = compute_slice(Q53, F(1, 2), 12, max_cylinders=40)
+    assert deep.length == 24 and cut.truncated and cut.length < 12
+    # at y = 0 the one path 0^24 and the one box 0^12 have the same code, 0
+    bottom = compute_slice(Q53, 0, 24), geometric_slice_oracle(Q53, 0, 12)
+    assert bottom[0].codes == (0,) and bottom[1].codes == {0}
+    for r, view in ((deep, boxes), (cut, geometric_slice_oracle(Q53, F(1, 2), 12)), bottom):
+        assert not _ref_matches(r.paths, view.paths)
+        assert not slice_matches_oracle(r, view) and not slice_matches_oracle(r, set(view))
+    # one short box among boxes of the right length fails the law too
+    shallow = compute_slice(Q53, F(3, 5), 12)
+    assert slice_matches_oracle(shallow, boxes)
+    stray = Word(Alphabet.TERNARY, shallow.paths[0][:11])
+    assert not slice_matches_oracle(shallow, set(boxes) | {stray})
+    # the last code of a length has no successor of that length: the
+    # all-2s box is not a doomed spelling of any sequence
+    top = Word(Alphabet.TERNARY, (2,) * 12)
+    assert top not in boxes and not slice_matches_oracle(shallow, set(boxes) | {top})
+    # a plain set of words is still checked for ternary words first
+    with pytest.raises(ValueError):
+        slice_matches_oracle(deep, set(boxes) | {Word(Alphabet.BINARY, (0,) * 24)})
+
+
+def test_decisions_build_no_path_tuples(monkeypatch):
+    decoded = []
+
+    def refused(code, length):
+        decoded.append((code, length))
+        raise AssertionError("a decision decoded a path")
+
+    for module in (words_module, dynamics, slices):
+        monkeypatch.setattr(module, "ternary_digits", refused)
+    # exactly n with leaf probes; at least n with a doomed corner spelling
+    # (5 boxes for 4 paths); truncated; and, at an algebraic base, the
+    # lattice walk and descent
+    for q, y, cap in (
+        (Q53, F(1, 20), 4096), (AlgebraicNumber.from_rational(F(9, 5)), F(4, 9), 4096),
+        (Q53, F(1, 20), 3), (bonacci_root(3), F(2, 7), 4096),
+    ):
+        r = compute_slice(q, y, 12, max_cylinders=cap)
+        boxes = geometric_slice_oracle(q, y, 12)
+        assert slice_matches_oracle(r, boxes) != r.truncated
+        assert slice_matches_oracle(r, set()) is False
+        assert r.claim.kind is not ClaimKind.UncountablePattern
+    assert decoded == []
+    # a doubling pattern spells its one witness path, and nothing else
+    with pytest.raises(AssertionError, match="decoded a path"):
+        compute_slice(AlgebraicNumber.from_rational(F(3, 2)), F(1, 2), 8)
+    assert len(decoded) == 1

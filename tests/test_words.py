@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslice.algebraic import AlgebraicNumber, algebraic_from_poly
@@ -22,7 +22,11 @@ from qslice.words import (
     reflect,
     run_limited,
     run_limited_strict,
+    successor,
     tail,
+    ternary_code,
+    ternary_digits,
+    ternary_string,
     uniform_run_limited,
     word,
     word_successor,
@@ -142,6 +146,45 @@ def test_word_successor():
     )
     assert word_successor(word([2, 2], Alphabet.TERNARY)) is None
     assert word_successor(word([0, 1])) == word([1, 0])
+
+
+# -- ternary paths as integer codes -----------------------------------------------
+
+
+def test_ternary_code_examples():
+    assert ternary_code(()) == 0 and ternary_digits(0, 0) == () and ternary_string(0, 0) == ""
+    # leading zeros are kept by the length, not by the code
+    assert ternary_code((0, 0, 1)) == ternary_code((1,)) == 1
+    assert ternary_digits(1, 3) == (0, 0, 1) and ternary_digits(1, 1) == (1,)
+    assert ternary_digits(0, 7) == (0,) * 7 and ternary_string(5, 13) == "0" * 11 + "12"
+    # the all-2s path is the last code of its length: its successor overflows
+    top = (2,) * 12
+    assert ternary_code(top) == 3**12 - 1 and successor(top, 3) is None
+    assert ternary_digits(3**12 - 1, 12) == top
+    with pytest.raises(IndexError):
+        ternary_digits(3**12, 12)
+    with pytest.raises(IndexError):
+        ternary_digits(3, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=40))
+@example([])
+@example([0] * 6 + [1])
+@example([2] * 12)
+@example([1] + [0] * 17)
+def test_ternary_codes_round_trip(digits):
+    path = tuple(digits)
+    code = ternary_code(path)
+    assert 0 <= code < 3 ** len(path)
+    assert ternary_digits(code, len(path)) == path
+    assert ternary_string(code, len(path)) == "".join(map(str, path))
+    # a code's successor is code + 1, and 3^length where the tuple overflows
+    succ = successor(path, 3)
+    if succ is None:
+        assert code + 1 == 3 ** len(path)
+    else:
+        assert ternary_code(succ) == code + 1
 
 
 # -- the Word value --------------------------------------------------------------

@@ -21,6 +21,12 @@ false or failed an operation, or a pair whose two digests differ or that
 lacks a side.
 The file is rewritten after every pair, so a stopped run keeps what it
 measured; the script exits 1 when any pair is flagged.
+
+Each run starts with PYTHONDONTWRITEBYTECODE=1, and the script refuses,
+exiting 1 before the first run, a checkout that holds a __pycache__ under
+src/ or bench/: with the bytecode cached, the short proofs verdicts can end
+before the first sample of bench/refclock.py's reference clock, and the
+run loses them.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     wall_s = perf_counter() - t0
     lines = proc.stdout.splitlines()
@@ -56,6 +63,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = None
     return {"exit": proc.returncode, "digest": digest, "wall_s": round(wall_s, 1),
             "result": result}
+
+
+def cached_bytecode(checkout: Path) -> list[Path]:
+    """The __pycache__ directories under the checkout's src/ and bench/."""
+    return sorted(p for top in ("src", "bench") for p in (checkout / top).rglob("__pycache__"))
 
 
 def quartile_distance(values: list[float]) -> float:
@@ -151,6 +163,12 @@ def main(argv=None) -> int:
     for side, checkout in sides.items():
         if not (checkout / "bench" / "run.py").is_file():
             p.error(f"--{side} {checkout} holds no bench/run.py")
+        cached = cached_bytecode(checkout)
+        if cached:
+            print(f"--{side} {checkout} holds cached bytecode, which lets short verdicts end "
+                  f"before the reference clock's first sample; remove {cached[0]} and any "
+                  f"other __pycache__ under src/ and bench/", file=sys.stderr)
+            return 1
 
     doc = {
         "about": args.about,
