@@ -772,21 +772,14 @@ def _common_denominator(fracs: Sequence[Rational]) -> tuple[list[int], int]:
 
 def multiplication_rows(s: FieldElement) -> tuple[list[list[int]], int]:
     """Multiplication by s in the basis 1, q, ..., q^(d-1): integer rows
-    over one denominator, in lowest terms. Column j + 1 is q times column
-    j, reduced by the minimal polynomial."""
+    over their least common denominator. Column j + 1 is q times column
+    j, by times_q."""
     poly = s.base.min_poly
-    lead = poly[-1]
-    col, den = list(s.nums), s.den
-    cols = [col]
-    for _ in range(len(col) - 1):
-        # q * (col / den') = (lead * shifted - top * poly) / (den' * lead)
-        col = [lead * a - col[-1] * p for a, p in zip([0] + col[:-1], poly)]
-        cols.append(col)
-    last = len(cols) - 1
-    cols = [[c * lead ** (last - j) for c in col] for j, col in enumerate(cols)]
-    den *= lead ** last
-    g = gcd(den, *(c for col in cols for c in col))
-    return [[col[i] // g for col in cols] for i in range(len(cols))], den // g
+    cols = [(list(s.nums), s.den)]
+    for _ in range(len(poly) - 2):
+        cols.append(times_q(poly, *cols[-1]))
+    den = lcm(*(d // gcd(d, *col) for col, d in cols))
+    return [[col[i] * den // d for col, d in cols] for i in range(len(cols))], den
 
 
 def times_q(poly: Sequence[int], v: Sequence[int], den: int) -> tuple[list[int], int]:

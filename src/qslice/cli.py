@@ -17,7 +17,9 @@ import math
 import signal
 import sys
 import traceback
+from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -32,7 +34,7 @@ from .bonacci import (
     null_infinite_probe,
     verify_odd_cardinality,
 )
-from .certificates import Certificate, to_json, verify
+from .certificates import verify
 from .dimension import (
     DimensionError,
     affinity_dimension,
@@ -142,10 +144,6 @@ def _claim_record(claim) -> dict:
         "n": claim.n,
         "certified": claim.certified,
     }
-
-
-def _cert_record(cert: Certificate) -> dict:
-    return json.loads(to_json(cert))
 
 
 def _expansion_point(sys_, y: Fraction):
@@ -277,23 +275,17 @@ def _cmd_thickness(args) -> int:
             "thickness_lower_bound": bound,
         }
     )
-    # many gaps share their size and bridge values, so each distinct value
-    # is enclosed once
-    cells: dict = {}
-
-    def cell(x) -> list[str]:
-        if x not in cells:
-            cells[x] = _interval(x)
-        return cells[x]
-
+    # many gaps share their size and bridge values, and an sk gap stores
+    # each end as (x, x), so each distinct value is enclosed once
+    cell = cache(_interval)
     for i, gap in enumerate(gs.gaps):
         _emit(
             {
                 "command": "thickness",
                 "index": i,
                 "level": gap.level,
-                "left": [_interval(gap.left[0])[0], _interval(gap.left[1])[1]],
-                "right": [_interval(gap.right[0])[0], _interval(gap.right[1])[1]],
+                "left": [cell(gap.left[0])[0], cell(gap.left[1])[1]],
+                "right": [cell(gap.right[0])[0], cell(gap.right[1])[1]],
                 "size": [cell(gap.size[0])[0], cell(gap.size[1])[1]],
                 "bridge_lower_bound": cell(gap.bridge_lb),
             }
@@ -319,7 +311,7 @@ def _cmd_certify_slice3(args) -> int:
             "failures": failures,
         }
     )
-    _emit({"command": "certify-slice3", "certificate": _cert_record(cert)})
+    _emit({"command": "certify-slice3", "certificate": asdict(cert)})
     # exactly-3 at this depth means each orbit was probed one full depth
     # beyond the enumeration without forking; that is the certified claim
     return 0 if three and not failures else 2
@@ -353,7 +345,7 @@ def _cmd_bonacci(args) -> int:
                 "verified": not verify(cert),
             }
         )
-        _emit({"command": "bonacci", "certificate": _cert_record(cert)})
+        _emit({"command": "bonacci", "certificate": asdict(cert)})
         return 0
     if args.mode == "null":
         try:
@@ -370,7 +362,7 @@ def _cmd_bonacci(args) -> int:
                 "verified": not verify(cert),
             }
         )
-        _emit({"command": "bonacci", "certificate": _cert_record(cert)})
+        _emit({"command": "bonacci", "certificate": asdict(cert)})
         return 0
     # c2
     if args.q is None:
@@ -394,7 +386,7 @@ def _cmd_bonacci(args) -> int:
         _emit(
             {
                 "command": "bonacci",
-                "certificate": _cert_record(report.certificate),
+                "certificate": asdict(report.certificate),
                 "verified": ok,
             }
         )

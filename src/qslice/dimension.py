@@ -15,13 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebraic import AlgebraicNumber, FieldElement, enclose
-from .dynamics import (
-    PointLike,
-    apply_word,
-    ternary_branch_system,
-    word_is_applicable,
-)
-from .words import Alphabet, Word, project_ternary
+from .dynamics import OutOfDomain, PointLike, apply_word, ternary_branch_system
+from .words import Alphabet, Word
 
 
 class DimensionError(ValueError):
@@ -63,19 +58,15 @@ def branching_pair_search(
         labels = sys.applicable(z)
         if not labels:
             raise BranchingNotFound("point left the domain of every branch")
+        images = [(l, sys.branch(l)(z)) for l in labels]
         # a child sitting exactly on a fixed endpoint would never fork
         # again, so such forks are walked through instead of used
-        usable = [
-            l
-            for l in labels
-            if sys.branch(l)(z) != sys.hull_lo and sys.branch(l)(z) != sys.hull_hi
-        ]
+        usable = [(l, w) for l, w in images if w != sys.hull_lo and w != sys.hull_hi]
         if len(usable) >= 2:
-            wa = Word(Alphabet.TERNARY, tuple(forced) + (usable[0],))
-            wb = Word(Alphabet.TERNARY, tuple(forced) + (usable[-1],))
+            wa = Word(Alphabet.TERNARY, tuple(forced) + (usable[0][0],))
+            wb = Word(Alphabet.TERNARY, tuple(forced) + (usable[-1][0],))
             return BranchingPair((wa, wb), z, len(forced) + 1)
-        step = usable[0] if usable else labels[0]
-        z = sys.branch(step)(z)
+        step, z = usable[0] if usable else images[0]
         forced.append(step)
     raise BranchingNotFound(f"no fork within {max_len} steps")
 
@@ -153,37 +144,56 @@ class RTree:
         return self.levels[-1]
 
     def validate(self) -> list[str]:
+        """Problems with the tree, as messages naming nodes; [] if none.
+
+        Each node is checked once, against its parent as stored: level 0
+        is one root with the empty address and word; level i has twice as
+        many nodes as level i - 1, and its node j has the address of its
+        parent, node j // 2 of level i - 1, plus the bit j % 2; its word,
+        within the length bound of level i, is the parent's plus an
+        extension, which one apply_word, with domain checks, takes from the
+        parent's value to its own; and the words of two siblings are
+        prefix-incomparable, so no extension is empty. By induction on the
+        level, these edge checks give what the leaves' equal masses rest on:
+
+        1. Every word applies from the root and lands on its node's value.
+        2. One address is a prefix of another exactly when its word is.
+           The addresses of level i are the 2^i binary strings, so a prefix
+           of b's address is an ancestor's, and words extend along edges.
+           Conversely, let a's word be a prefix of b's. A proper ancestor
+           of a has a shorter word, so b is not one; and if a were not an
+           ancestor of b, the two would descend from two siblings, whose
+           words, both prefixes of b's, would be comparable.
+        3. The ternary cylinders [0.w, 0.w + 3^-|w|) of a level are
+           disjoint: two meet only when one word is a prefix of the other,
+           and by 2 the words of two distinct nodes of a level are not."""
         problems = []
         sys = ternary_branch_system(self.base)
-        root = self.levels[0][0]
-        nodes = [n for lvl in self.levels for n in lvl]
-        for n in nodes:
-            if not word_is_applicable(sys, n.word, root.value):
-                problems.append(f"{n.eps}: word not applicable from the root")
-            elif apply_word(sys, n.word, root.value) != n.value:
-                problems.append(f"{n.eps}: stored value does not match its word")
-        for a in nodes:
-            for b in nodes:
-                addr = a.eps == b.eps[: len(a.eps)]
-                wrd = a.word.symbols == b.word.symbols[: len(a.word)]
-                if addr != wrd:
-                    problems.append(f"{a.eps} vs {b.eps}: prefix order disagrees")
-        for lvl in self.levels:
-            spans = []  # each node's ternary cylinder [lo, lo + 3^-len)
-            for n in lvl:
-                lo = project_ternary(n.word)
-                spans.append((lo, lo + Fraction(1, 3 ** len(n.word))))
-            for i, (a, (alo, ahi)) in enumerate(zip(lvl, spans)):
-                for b, (blo, bhi) in zip(lvl[i + 1 :], spans[i + 1 :]):
-                    if min(ahi, bhi) > max(alo, blo):
-                        problems.append(
-                            f"{a.eps} vs {b.eps}: ternary cylinders overlap"
-                        )
-        if self.m_bound is not None:
-            for i, lvl in enumerate(self.levels):
-                for n in lvl:
-                    if len(n.word) > i * self.m_bound:
-                        problems.append(f"{n.eps}: word longer than level allows")
+        root = self.levels[0]
+        if len(root) != 1 or root[0].eps or root[0].word.symbols:
+            problems.append("level 0 is not one root with the empty address and word")
+        for i, (parents, lvl) in enumerate(zip(self.levels, self.levels[1:]), 1):
+            if len(lvl) != 2 * len(parents):
+                problems.append(f"level {i}: {len(lvl)} nodes for {len(parents)} parents")
+            for j, n in enumerate(lvl[: 2 * len(parents)]):
+                p = parents[j // 2]
+                if self.m_bound is not None and len(n.word) > i * self.m_bound:
+                    problems.append(f"{n.eps}: word longer than level allows")
+                if n.eps != p.eps + (j % 2,):
+                    problems.append(f"{n.eps}: address is not its parent's plus one bit")
+                if j % 2:
+                    a, b = lvl[j - 1].word.symbols, n.word.symbols
+                    if a[: len(b)] == b[: len(a)]:
+                        problems.append(f"{lvl[j - 1].eps} vs {n.eps}: ternary cylinders overlap")
+                cut = len(p.word)
+                if n.word.symbols[:cut] != p.word.symbols:
+                    problems.append(f"{p.eps} vs {n.eps}: prefix order disagrees")
+                    continue
+                try:
+                    if apply_word(sys, n.word[cut:], p.value) != n.value:
+                        problems.append(f"{n.eps}: stored value does not match its word")
+                except OutOfDomain:
+                    problems.append(f"{n.eps}: word not applicable from the root")
         if len(self.leaves()) != 2 ** (len(self.levels) - 1):
             problems.append("leaf masses do not sum to 1")
         return problems
@@ -213,9 +223,8 @@ def build_r_tree(
                 raise ConstructionStalled(level, str(e))
             longest = max(longest, pair.length)
             for bit, cont in enumerate(pair.words):
-                w = Word(Alphabet.TERNARY, node.word.symbols + cont.symbols)
-                v = apply_word(sys, cont, node.value)
-                nxt.append(RNode(node.eps + (bit,), w, v))
+                v = sys.branch(cont[-1])(pair.branch_point)
+                nxt.append(RNode(node.eps + (bit,), node.word + cont, v))
         levels.append(tuple(nxt))
     return RTree(q, tuple(levels), m_bound, longest)
 

@@ -24,6 +24,7 @@ from .algebraic import (
     Ordering,
     bonacci_root,
     compare_reals,
+    multiplication_rows,
     over_q,
     times_q,
 )
@@ -364,8 +365,8 @@ class _Lattice:
     times_q, v shifted up and its top coefficient reduced by the minimal
     polynomial over den * lead, in O(d), and both images scale that one
     product by L / lead. The middle branch applies only in the switch
-    region and keeps the integer matrix of s scaled by L, built column by
-    column with times_q, since its column j + 1 is q times column j.
+    region and keeps the integer matrix of s scaled by L, from
+    multiplication_rows.
 
     Domain tests read integer brackets rounded outward from exact
     enclosures: 2^64 q^j lies in [a_j, a_j + w], so 2^64 * den * x lies
@@ -380,13 +381,10 @@ class _Lattice:
         self.base = base
         self.poly = base.min_poly
         q = sys.q()
-        slope = next(m.slope for m in sys.maps if m.slope != q)
-        cols = [(list(slope.nums), slope.den)]
-        for _ in range(base.degree - 1):
-            cols.append(times_q(self.poly, *cols[-1]))
-        self.scale = lcm(self.poly[-1], *(den // gcd(den, *col) for col, den in cols))
+        rows, mden = multiplication_rows(next(m.slope for m in sys.maps if m.slope != q))
+        self.scale = lcm(self.poly[-1], mden)
         self.shift_scale = self.scale // self.poly[-1]
-        rows = [[col[i] * self.scale // den for col, den in cols] for i in range(base.degree)]
+        rows = [[c * (self.scale // mden) for c in row] for row in rows]
         self.offset_den = lcm(*(m.offset.den for m in sys.maps))
         self.maps = [
             (

@@ -3,9 +3,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qslice import dynamics
 from qslice.algebraic import AlgebraicNumber, bonacci_root
 from qslice.dimension import (
     BranchingNotFound,
@@ -19,7 +20,13 @@ from qslice.dimension import (
     dimension_lower_bound,
     estimate_M,
 )
-from qslice.dynamics import enumerate_orbits, ternary_branch_system
+from qslice.dynamics import (
+    apply_word,
+    enumerate_orbits,
+    ternary_branch_system,
+    word_is_applicable,
+)
+from qslice.words import Alphabet, Word, project_ternary
 
 Q32 = AlgebraicNumber.from_rational(Fraction(3, 2))
 
@@ -101,6 +108,166 @@ def test_r_tree_validate_reports_a_copied_word():
     a, b = leaves[0].eps, leaves[1].eps
     assert f"{a}: stored value does not match its word" in problems
     assert f"{a} vs {b}: ternary cylinders overlap" in problems
+
+
+# -- the all-pairs validation the edge checks replaced, kept as reference ----
+
+
+def _ref_validate(tree):
+    """RTree.validate as it checked a tree before the edge checks: every
+    word walked from the root, every pair of nodes compared for prefix
+    order, and every pair of ternary cylinders in a level compared."""
+    problems = []
+    sys = ternary_branch_system(tree.base)
+    root = tree.levels[0][0]
+    nodes = [n for lvl in tree.levels for n in lvl]
+    for n in nodes:
+        if not word_is_applicable(sys, n.word, root.value):
+            problems.append(f"{n.eps}: word not applicable from the root")
+        elif apply_word(sys, n.word, root.value) != n.value:
+            problems.append(f"{n.eps}: stored value does not match its word")
+    for a in nodes:
+        for b in nodes:
+            addr = a.eps == b.eps[: len(a.eps)]
+            wrd = a.word.symbols == b.word.symbols[: len(a.word)]
+            if addr != wrd:
+                problems.append(f"{a.eps} vs {b.eps}: prefix order disagrees")
+    for lvl in tree.levels:
+        spans = []  # each node's ternary cylinder [lo, lo + 3^-len)
+        for n in lvl:
+            lo = project_ternary(n.word)
+            spans.append((lo, lo + Fraction(1, 3 ** len(n.word))))
+        for i, (a, (alo, ahi)) in enumerate(zip(lvl, spans)):
+            for b, (blo, bhi) in zip(lvl[i + 1 :], spans[i + 1 :]):
+                if min(ahi, bhi) > max(alo, blo):
+                    problems.append(f"{a.eps} vs {b.eps}: ternary cylinders overlap")
+    if tree.m_bound is not None:
+        for i, lvl in enumerate(tree.levels):
+            for n in lvl:
+                if len(n.word) > i * tree.m_bound:
+                    problems.append(f"{n.eps}: word longer than level allows")
+    if len(tree.leaves()) != 2 ** (len(tree.levels) - 1):
+        problems.append("leaf masses do not sum to 1")
+    return problems
+
+
+small_rational_bases = st.fractions(
+    min_value=Fraction(13, 12), max_value=Fraction(23, 12), max_denominator=12
+)
+heights = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)
+
+
+def _built(q, y, levels):
+    base = AlgebraicNumber.from_rational(q)
+    x = ternary_branch_system(base).hull_hi * y
+    try:
+        return build_r_tree(base, x, levels)
+    except ConstructionStalled:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rational_bases, heights, st.integers(1, 5))
+def test_edge_checks_pass_every_built_tree(q, y, levels):
+    tree = _built(q, y, levels)
+    assert tree.validate() == []
+    assert _ref_validate(tree) == []
+
+
+def _with_level(tree, i, lvl):
+    return replace(tree, levels=tree.levels[:i] + (tuple(lvl),) + tree.levels[i + 1 :])
+
+
+def _with_node(tree, i, j, node):
+    lvl = tree.levels[i]
+    return _with_level(tree, i, lvl[:j] + (node,) + lvl[j + 1 :])
+
+
+def _mutant(tree, kind, i, j):
+    """The tree with one fault of the given kind at node j (even) of level
+    i >= 1, at its sibling, or at its level."""
+    lvl, node, sib = tree.levels[i], tree.levels[i][j], tree.levels[i][j + 1]
+    parent = tree.levels[i - 1][j // 2]
+    if kind == "copied sibling word":
+        return _with_node(tree, i, j, replace(node, word=sib.word))
+    if kind == "duplicated sibling":
+        return _with_node(tree, i, j, replace(sib, eps=node.eps))
+    if kind == "swapped siblings":
+        return _with_level(tree, i, lvl[:j] + (sib, node) + lvl[j + 2 :])
+    if kind == "altered value":
+        return _with_node(tree, i, j, replace(node, value=node.value + 1))
+    if kind == "altered first digit":
+        first = Word(Alphabet.TERNARY, ((node.word[0] + 1) % 3,))
+        return _with_node(tree, i, j, replace(node, word=first + node.word[1:]))
+    if kind == "empty extension":
+        return _with_node(tree, i, j, replace(node, word=parent.word))
+    if kind == "dropped node":
+        return _with_level(tree, i, lvl[:-1])
+    if kind == "permuted level":
+        return _with_level(tree, i, lvl[j + 1 :] + lvl[: j + 1])
+    if kind == "shifted words":
+        # every word, the root's included, gains a leading 0
+        zero = Word(Alphabet.TERNARY, (0,))
+        return replace(tree, levels=tuple(
+            tuple(replace(n, word=zero + n.word) for n in lvl) for lvl in tree.levels
+        ))
+    assert kind == "word over m_bound"
+    return replace(tree, m_bound=len(node.word) // i - 1)
+
+
+MUTANTS = (
+    "copied sibling word", "duplicated sibling", "swapped siblings", "altered value",
+    "altered first digit", "empty extension", "dropped node", "permuted level",
+    "shifted words", "word over m_bound",
+)
+
+
+@pytest.mark.parametrize("kind", MUTANTS)
+@settings(max_examples=20, deadline=None)
+@given(q=small_rational_bases, y=heights, levels=st.integers(1, 4), data=st.data())
+def test_edge_checks_are_at_least_as_strict_as_the_pairwise_checks(kind, q, y, levels, data):
+    # every mutant is a fault the edge checks report; and wherever the
+    # reference reports a problem, so do they
+    tree = _built(q, y, levels)
+    i = data.draw(st.integers(1, levels))
+    j = 2 * data.draw(st.integers(0, 2 ** (i - 1) - 1))
+    bad = _mutant(tree, kind, i, j)
+    new, ref = bad.validate(), _ref_validate(bad)
+    assert new
+    # the reference sees no fault of node order alone, nor a missing node
+    # above the leaves
+    assert ref or kind in ("swapped siblings", "permuted level") or (
+        kind == "dropped node" and i < levels
+    )
+
+
+def test_r_tree_validate_reports_an_inapplicable_word():
+    # the middle branch does not apply at 1/3, below the switch region
+    tree = build_r_tree(Q32, Fraction(1, 3), 2, m_bound=12)
+    node = tree.levels[1][0]
+    bad = _with_node(tree, 1, 0, replace(node, word=Word(Alphabet.TERNARY, (1, 0, 0))))
+    assert "(0,): word not applicable from the root" in bad.validate()
+    assert "(0,): word not applicable from the root" in _ref_validate(bad)
+
+
+def test_validate_walks_each_edge_once(monkeypatch):
+    # one apply_map per extension digit: no walks from the root and no
+    # pairwise loops
+    tree = build_r_tree(Q32, Fraction(1, 3), 6, m_bound=12)
+    calls = []
+    apply_map = dynamics.apply_map
+
+    def counted(*args):
+        calls.append(args)
+        return apply_map(*args)
+
+    monkeypatch.setattr(dynamics, "apply_map", counted)
+    assert tree.validate() == []
+    # each node below the root extends its parent's word, and each parent
+    # has two children
+    words = sum(len(n.word) for lvl in tree.levels for n in lvl)
+    parents = sum(len(n.word) for lvl in tree.levels[:-1] for n in lvl)
+    assert len(calls) == words - 2 * parents > 0
 
 
 def test_r_tree_stalls_where_expansion_is_unique():

@@ -27,6 +27,13 @@ GOLDEN = [
      "c7de429682eb4d3530a75d7e9d76d29355f73fe9986351e99a10684bab23ed87"),
     ("dimension --q bonacci:3 --y 1/3 --method box --levels 4", 0,
      "a5f5c41cec0f11f01d3d7a82f9a3d1bd9fd381596e34c5689e57cf587c3a6942"),
+    # the mass route: refinement tree built, then validated edge by edge
+    ("dimension --q 3/2 --y 1/3 --method mass", 0,
+     "dfba41b4029b9f4d1ea182ca15b846760150e09ca482f2e29005c3973360a856"),
+    ("dimension --q 7/5 --y 1/2 --method mass --levels 4", 0,
+     "a0aff641068bf056e1960a96c6a9f517e7200091f9d07ce7084d92a765298d48"),
+    ("dimension --q algebraic:-1,-2,2:1:2 --y 1/3 --method mass --levels 4", 0,
+     "08546450220533fd6c154a187d68028bb788e988350bb48debe7dfda1fea4bfa"),
     ("bonacci verify --k 4 --m 2", 0,
      "f1bc08b7439d7e7de16959169284f33c713123179378d802b09dfdbe0476477a"),
     ("bonacci null --k 5 --depth 40", 0,

@@ -31,7 +31,8 @@ from qslice.slices import (
     slice_matches_oracle,
 )
 from qslice.words import (
-    Alphabet, Word, reflect, successor, tail, ternary_code, ternary_digits, word_successor,
+    Alphabet, Word, project_q, reflect, successor, tail, ternary_code, ternary_digits,
+    word_successor,
 )
 
 
@@ -582,6 +583,38 @@ def test_decision_refines_its_base_once(monkeypatch):
         assert slice_matches_oracle(check, geometric_slice_oracle(q, F(1, 3), 12))
         assert refinements == [q]
         refinements.clear()
+
+
+def test_kernel_and_oracle_share_one_bracket_table():
+    # the kernel's dynamics._BRACKET_BITS and the box descent's
+    # slices._BOX_BITS are equal, so one algebraic decision computes one
+    # table of power brackets
+    shared = bonacci_root(6)
+    q = AlgebraicNumber(shared.min_poly, *shared.interval)
+    compute_slice(q, F(1, 3), 24)
+    geometric_slice_oracle(q, F(1, 3), 12)
+    assert len(q._brackets) == 1
+
+
+# Heights x (q - 1) with x of the given base-q expansion, where a fork
+# whose children both fork again is taken for uncountability: the walk
+# counts 9, 11 and 7/16/25 paths at depths 10, 20 and 30, so the first two
+# slices are finite and the third countably infinite (ROADMAP item 1).
+DOUBLING_WITHOUT_PROOF = [
+    (3, "010001101000", "01010"),
+    (4, "11000000010000", "1001"),
+    (3, "001101000", "011"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="pattern claims carry no proof yet")
+@pytest.mark.parametrize("k, pre, per", DOUBLING_WITHOUT_PROOF)
+def test_doubling_fork_alone_claims_no_certified_uncountability(k, pre, per):
+    q = bonacci_root(k)
+    x = project_q(q, tail(map(int, pre), map(int, per)))
+    r = compute_slice(q, x * (q.gen() - 1), 30)
+    if r.claim.kind == ClaimKind.UncountablePattern:
+        assert r.claim.certified is False
 
 
 def test_uncountable_pattern_small_base():
