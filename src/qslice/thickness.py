@@ -215,6 +215,35 @@ class AqTemplate:
         tail_bound = powers[-1] / (g - 1)
         return fixed, tuple(weights), tuple(reversed(suffix)), tail_bound
 
+    @cached_property
+    def hull(self) -> tuple[tuple[FieldElement, FieldElement], tuple[FieldElement, FieldElement]]:
+        """Bracketed ends of the family: (F, F + T) and (F + S_0, F + S_0 + T)."""
+        fixed, _, free_suffix, tail_bound = self.value_terms
+        top = fixed + free_suffix[0]
+        return (fixed, fixed + tail_bound), (top, top + tail_bound)
+
+    def gap_laws(self, level: int):
+        """(p, gap level, size enclosure, bridge bound) for each free
+        position p below the level, in increasing p.
+
+        With F the sum of the fixed one-bits, A the weight of the earlier
+        free one-bits, w_p the weight of p, S the total weight of the free
+        positions after p and T the tail bound (value_terms), the values
+        whose bit at p is 0 span [F + A, F + A + S] and those whose bit is
+        1 span [F + A + w_p, F + A + w_p + S], each end within T. So the
+        gaps at p are translates by A with level p + 2 and size w_p - S -+ T.
+        The next gap at least as large on either side, or else the hull end,
+        lies within T of that side's outer end: the bridge bound is S - T.
+        Free positions lie at least two apart and q exceeds the 9-bonacci
+        root, so each free weight exceeds twice the total weight after it by
+        far more than T: the offsets A increase with the mask, read most
+        significant bit first, and a position's gaps outsize any later one's."""
+        _, weights, free_suffix, tail_bound = self.value_terms
+        for idx, pos in enumerate(self.free_below(level)):
+            gap = weights[pos] - free_suffix[idx + 1]
+            bridge = free_suffix[idx + 1] - tail_bound
+            yield pos, pos + 2, (gap - tail_bound, gap + tail_bound), bridge
+
 
 def build_aq_prefixes(q: AlgebraicNumber, k: int, margin: int = 16) -> AqTemplate:
     """Template for the branching family; needs the base large enough that
@@ -512,48 +541,23 @@ def shift_set_extent(
 
 
 def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
-    """Gaps of the branching family to the given level, as translates of
-    one template per free position.
-
-    A gap opens at each free position p below the level, between the
-    values whose bit at p is 0 and those whose bit is 1, the earlier free
-    bits fixed. With F the sum of the fixed one-bits, A the weight of the
-    earlier free one-bits, w_p the weight of p, S the total weight of the
-    free positions after p and T the tail bound (AqTemplate.value_terms),
-    the bit-0 side is [F + A, F + A + S] and the bit-1 side is
-    [F + A + w_p, F + A + w_p + S], each end bracketed within T. So every
-    gap at p has level p + 2 and size w_p - S -+ T. The next gap of equal
-    or larger size on either side, or else the hull end, is bracketed
-    within T of the outer end of that side, so the bridge bound is S - T.
-    Free positions lie at least two apart and q exceeds the 9-bonacci root,
-    so each free weight exceeds twice the total weight after it by far more
-    than T. Hence the offsets A increase with the mask, read most
-    significant bit first, and a position's gaps are larger than any later
-    one's: the records come largest first, then left to right."""
+    """Gaps of the branching family to the given level: each free
+    position's law (AqTemplate.gap_laws) mapped along the offsets F + A of
+    the earlier free bits, one record per mask, so largest first, then left
+    to right. At offset a the gap spans a + S to a + w_p, each end within T."""
     template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
     fixed, weights, free_suffix, tail_bound = template.value_terms
     records = []
     offsets = [fixed]  # F + A for each mask of the earlier free bits
-    for idx, pos in enumerate(template.free_below(level)):
+    for idx, (pos, gap_level, size, bridge) in enumerate(template.gap_laws(level)):
         w, s = weights[pos], free_suffix[idx + 1]
-        size = (w - s - tail_bound, w - s + tail_bound)
-        bridge = s - tail_bound
         for mask, a in enumerate(offsets):
             left, right = a + s, a + w
-            records.append(
-                GapRecord(
-                    pos + 2,
-                    (left, left + tail_bound),
-                    (right, right + tail_bound),
-                    size,
-                    bridge,
-                    {"free_position": pos, "mask": mask},
-                )
-            )
+            ends = (left, left + tail_bound), (right, right + tail_bound)
+            meta = {"free_position": pos, "mask": mask}
+            records.append(GapRecord(gap_level, *ends, size, bridge, meta))
         offsets = [b for a in offsets for b in (a, a + w)]
-    top = fixed + free_suffix[0]
-    hull = ((fixed, fixed + tail_bound), (top, top + tail_bound))
-    return GapStructure(GapFamily.AqSet, 9, level, hull, tuple(records))
+    return GapStructure(GapFamily.AqSet, 9, level, template.hull, tuple(records))
 
 
 def _enumerate_sk_gaps(
@@ -563,16 +567,15 @@ def _enumerate_sk_gaps(
     level. A node (state, off, sc) is the copy of the state's set under
     x -> off + sc * x, and its gap is the state's template under the same
     map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x.
-    When max_gap() is not positive no state has a gap, so the walk would
-    find none: the hull is returned without walking, as the record cap
-    does not bound a walk that finds no gaps."""
-    shift, scale = _family_map(ana.g, family)
-    hull_lo = shift + scale * ana.vmin(_START)
-    hull_hi = shift + scale * ana.vmax(_START)
+    When the largest gap of shift_set_extent (max_gap() times a positive
+    scale) is 0, no state has a gap: its hull is returned without walking,
+    as the record cap does not bound a walk that finds no gaps."""
+    (hull_lo, hull_hi), largest = shift_set_extent(ana, family)
     hull = ((hull_lo, hull_lo), (hull_hi, hull_hi))
-    if not ana.max_gap() > 0:
+    if not largest > 0:
         return GapStructure(family, ana.k, level, hull, ())
 
+    shift, scale = _family_map(ana.g, family)
     records = []
     frontier = [(_START, shift, scale, 0)]
     for state, off, sc, d in frontier:
@@ -644,27 +647,27 @@ def thickness_lower_bound(gs: GapStructure) -> FieldElement:
 
 
 def interleaving_check(
-    aq: GapStructure,
+    hull: tuple[tuple[FieldElement, FieldElement], tuple[FieldElement, FieldElement]],
     scaled_hull: tuple[FieldElement, FieldElement],
     scaled_gap: FieldElement,
 ) -> list[IntervalCheck]:
     """Neither set can hide in a gap of the other.
 
     The scaled shift set attains both of its hull endpoints, which bracket
-    the branching family's hull; and the branching family's hull is wider
+    the branching family's hull (AqTemplate.hull); and that hull is wider
     than the scaled set's largest gap, so it cannot sink into one. A
     largest gap of 0 means the scaled set has no gap to check against.
     """
     checks = []
     try:
         checks.append(
-            exact_check("hull-left-contained", "le", scaled_hull[0], aq.hull[0][0])
+            exact_check("hull-left-contained", "le", scaled_hull[0], hull[0][0])
         )
         checks.append(
-            exact_check("hull-right-contained", "le", aq.hull[1][1], scaled_hull[1])
+            exact_check("hull-right-contained", "le", hull[1][1], scaled_hull[1])
         )
         if scaled_gap > 0:
-            width = aq.hull[1][0] - aq.hull[0][1]
+            width = hull[1][0] - hull[0][1]
             checks.append(exact_check("hull-wider-than-gap", "lt", scaled_gap, width))
     except CertificateError as e:
         raise NotInterleaved(str(e)) from e
@@ -674,34 +677,28 @@ def interleaving_check(
 def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     """Certificate that the branching family meets the scaled shift set.
 
-    Verifies the gap laws of the branching family to the stated level, the
-    exact thickness bound of the shift projection, interleaving, and the
-    thickness product; the level-independent tail of the gap laws follows
-    from the verified block structure and is recorded as a hypothesis.
+    Verifies the gap law of each free position below the stated level
+    (AqTemplate.gap_laws, on the template enumerate_gaps builds: the 2^n - 1
+    gaps of n free positions obey n laws), the exact thickness bound of the
+    shift projection, interleaving, and the thickness product; the
+    level-independent tail of the gap laws follows from the verified block
+    structure and is recorded as a hypothesis.
     """
-    if compare_reals(q, bonacci_root(9)) != Ordering.Greater:
-        raise BaseTooSmall("base must exceed the 9-bonacci root")
+    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
     g = q.gen()
-    checks = []
+    checks = list(w2_cover_check(q).checks)
 
-    cover = w2_cover_check(q)
-    checks.extend(cover.checks)
-
-    aq = enumerate_gaps(q, GapFamily.AqSet, level)
-    for i, r in enumerate(aq.gaps):
-        k = r.level
+    laws = list(template.gap_laws(level))
+    if not laws:
+        raise ThicknessError("no gaps enumerated")
+    for pos, k, size, bridge in laws:
         try:
-            checks.append(
-                exact_check(f"aq-gap-{i}-below", "lt", r.size[1], g ** (1 - k))
-            )
-            checks.append(
-                exact_check(f"aq-gap-{i}-above", "lt", g ** (-k), r.size[0])
-            )
-            checks.append(
-                exact_check(
-                    f"aq-gap-{i}-bridge", "lt", g ** (-k - 4), r.bridge_lb
-                )
-            )
+            for side, lhs, rhs in (
+                ("below", size[1], g ** (1 - k)),
+                ("above", g ** (-k), size[0]),
+                ("bridge", g ** (-k - 4), bridge),
+            ):
+                checks.append(exact_check(f"aq-position-{pos}-{side}", "lt", lhs, rhs))
         except CertificateError as e:
             raise ThicknessTooSmall(str(e)) from e
 
@@ -717,12 +714,13 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     except CertificateError as e:
         raise ThicknessTooSmall(str(e)) from e
     scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    checks.extend(interleaving_check(aq, scaled_hull, scaled_gap))
+    checks.extend(interleaving_check(template.hull, scaled_hull, scaled_gap))
 
     return Certificate(
         claim="thick-linked-intersection",
         hypotheses=(
             "gap laws verified exactly to the stated level",
+            "the gaps at one free position are translates that share its level, size and bridge",
             "deeper levels obey the same laws by the double-digit block structure",
             "thickness of the branching family is at least q^-5 by the gap laws",
             "affine images preserve thickness",
@@ -731,10 +729,10 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         checks=tuple(checks),
         data={
             "base": bracket(g),
-            "aq-gap-count": len(aq.gaps),
+            "aq-gap-count": 2 ** len(laws) - 1,
             "shift-thickness": bracket(tau_s),
             "shift-thickness-per-state": tau_detail,
-            "aq-thickness-enumerated": bracket(thickness_lower_bound(aq)),
+            "aq-thickness-enumerated": bracket(min(b / s[1] for _, _, s, b in laws)),
         },
     )
 

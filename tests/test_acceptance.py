@@ -127,7 +127,7 @@ def test_criterion_04_three_orbit_pipeline(aq_gaps_level40):
     assert tau_s > g**6
 
     hull, gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    assert all(c.holds() for c in interleaving_check(aq_gaps_level40, hull, gap))
+    assert all(c.holds() for c in interleaving_check(aq_gaps_level40.hull, hull, gap))
 
     assert tau_aq * tau_s > 1
 

@@ -222,6 +222,16 @@ def test_certify_slice3_command(capsys):
     assert {"claim", "hypotheses", "witness_interval", "level", "depth"} <= set(cert)
 
 
+def test_certify_slice3_without_free_position_exits_two(capsys):
+    # the first free position at 1999/1000 is 11: no gap below level 11
+    code, lines = invoke(
+        capsys,
+        ["certify-slice3", "--q", "1999/1000", "--depth", "20", "--level", "11"],
+    )
+    assert code == 2
+    assert lines == ['{"error":"no gaps enumerated"}']
+
+
 def test_bonacci_verify_command(capsys):
     code, lines = invoke(
         capsys,

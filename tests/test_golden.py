@@ -52,11 +52,15 @@ GOLDEN = [
     ("slice --q algebraic:-3,-2,2:1:2 --y 1/3 --depth 10 --oracle", 2,
      "ad19cae37b271a0f602f0f179e3146766853ee619ba0969e1d3693709fd34ede"),
     ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
-     "bea2c530172d6bd308beb602b12645edd73b2701cd0202f848796818a68535a3"),
+     "f66e75a9cb624ba45a39ef15829d994a789c83ae889ff6a66cf8218f2802928d"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,
      "6b4a4193bea98e2ae147483f65e7cba8bbee451ba79f6776254d367b086d0a31"),
     ("certify-slice3 --q bonacci:12 --depth 30 --level 20", 0,
-     "37c5c297e9f5ea98b6f63749e03450c58a79cf5d7d57f2e12eb147ef81c23a6c"),
+     "1571a8999f35129867c497b3585047e71969cd0015bf80131b76d1493ffb4b04"),
+    # the default --level: 27 aq checks, one triple per free position,
+    # stand for the 511 gaps below it
+    ("certify-slice3 --q 1999/1000 --depth 48 --level 40", 0,
+     "1dcf3ceafea2135ae14ac195df39ab883ba1a3f99d3c01ff3f64971dddc2408a"),
     ("thickness --q bonacci:12 --set aq --level 30", 0,
      "47f4e303127f3c4eddf3a6ba4e37f446ef6e833bbb1ab1cecdf93d0dd4d84801"),
     ("thickness --q bonacci:10 --set sk:9 --level 10", 0,

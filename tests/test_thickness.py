@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from qslice import thickness
 from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
-from qslice.certificates import bracket, check, from_json, to_json, verify
+from qslice.certificates import bracket, check, exact_check, from_json, to_json, verify
 from qslice.slices import ClaimKind
 from qslice.thickness import (
     _START,
@@ -196,7 +196,7 @@ def test_scaled_family_is_affine_image():
 def test_interleaving_holds():
     aq = enumerate_gaps(QBIG, GapFamily.AqSet, 28)
     hull, gap = shift_set_extent(ShiftSetAnalysis(QBIG, 9), GapFamily.ScaledShiftedSk)
-    checks = interleaving_check(aq, hull, gap)
+    checks = interleaving_check(aq.hull, hull, gap)
     assert len(checks) == 3
     assert all(c.holds() for c in checks)
 
@@ -478,3 +478,91 @@ def test_thickness_bound_compares_each_pair_once(q, family, level, monkeypatch):
     assert thickness_lower_bound(gs) == expected
     # two products per distinct pair, and one in the final division
     assert len(products) == 2 * len(pairs) + 1
+
+
+def reference_newhouse(q, level):
+    """The certificate as first built: three aq checks per enumerated gap,
+    the count and thickness read off the gap records."""
+    g = q.gen()
+    checks = list(w2_cover_check(q).checks)
+    gs = enumerate_gaps(q, GapFamily.AqSet, level)
+    for i, r in enumerate(gs.gaps):
+        k = r.level
+        checks.append(exact_check(f"aq-gap-{i}-below", "lt", r.size[1], g ** (1 - k)))
+        checks.append(exact_check(f"aq-gap-{i}-above", "lt", g ** (-k), r.size[0]))
+        checks.append(exact_check(f"aq-gap-{i}-bridge", "lt", g ** (-k - 4), r.bridge_lb))
+    ana = ShiftSetAnalysis(q, 9)
+    tau_s, tau_detail = ana.thickness_bound()
+    checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
+    checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
+    checks.append(exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s))
+    scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
+    checks.extend(interleaving_check(gs.hull, scaled_hull, scaled_gap))
+    data = {
+        "base": bracket(g),
+        "aq-gap-count": len(gs.gaps),
+        "shift-thickness": bracket(tau_s),
+        "shift-thickness-per-state": tau_detail,
+        "aq-thickness-enumerated": bracket(thickness_lower_bound(gs)),
+    }
+    return checks, data
+
+
+def _is_aq(c):
+    return c.label.startswith("aq-")
+
+
+@pytest.mark.parametrize(
+    "q, level",
+    [
+        (QBIG, 12), (QBIG, 30), (QBIG, 40),
+        (bonacci_root(10), 12), (bonacci_root(10), 20),
+        (bonacci_root(12), 20),
+    ],
+    ids=[
+        "1999/1000-12", "1999/1000-30", "1999/1000-40",
+        "bonacci:10-12", "bonacci:10-20", "bonacci:12-20",
+    ],
+)
+def test_newhouse_checks_each_position_law_once(q, level):
+    ref_checks, ref_data = reference_newhouse(q, level)
+    cert = newhouse_certify(q, level)
+    free = build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level)
+
+    def triple(c):
+        return c.relation, c.lhs, c.rhs
+
+    aq = [c for c in cert.checks if _is_aq(c)]
+    assert {triple(c) for c in aq} == {triple(c) for c in ref_checks if _is_aq(c)}
+    assert len(aq) == len({triple(c) for c in aq}) == 3 * len(free)
+    assert [c.label for c in aq] == [
+        f"aq-position-{p}-{side}" for p in free for side in ("below", "above", "bridge")
+    ]
+    assert [c for c in cert.checks if not _is_aq(c)] == [
+        c for c in ref_checks if not _is_aq(c)
+    ]
+    assert cert.data == ref_data
+    assert cert.level == level and verify(cert) == []
+
+
+def test_newhouse_builds_no_gap_record(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate enumerated the branching family's gaps")
+
+    monkeypatch.setattr(thickness, "GapRecord", refuse)
+    monkeypatch.setattr(thickness, "enumerate_gaps", refuse)
+    # 25 free positions below level 60: 2^25 - 1 gaps, 75 aq checks
+    cert = newhouse_certify(bonacci_root(10), 60)
+    assert sum(map(_is_aq, cert.checks)) == 75
+    assert cert.data["aq-gap-count"] == 2**25 - 1
+
+
+@pytest.mark.parametrize(
+    "q, level", [(QBIG, 11), (bonacci_root(12), 12)], ids=["1999/1000-11", "bonacci:12-12"]
+)
+def test_newhouse_without_free_position_reports_no_gaps(q, level):
+    # the first free position is 11 at 1999/1000 and 13 at bonacci:12
+    assert build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level) == ()
+    for certify in (newhouse_certify, reference_newhouse):
+        with pytest.raises(ThicknessError, match="no gaps enumerated"):
+            certify(q, level)
