@@ -17,7 +17,9 @@ from typing import Optional
 from .algebraic import (
     AlgebraicNumber,
     FieldElement,
+    Ordering,
     bonacci_root,
+    compare_reals,
 )
 from .certificates import Certificate, bracket, exact_check
 from .dynamics import (
@@ -34,6 +36,8 @@ from .words import (
     format_word,
     member,
     project_q,
+    run_limited,
+    run_limited_strict,
     tail,
     uniform_run_limited,
 )
@@ -272,31 +276,48 @@ def _exhibit_branch_pair(
     return completions[0], completions[1]
 
 
+_SHIFT_CERT_MAX_K = 12
+
+
+def _shift_certificate_k(q: AlgebraicNumber, expansion: Tail) -> Optional[int]:
+    """The smallest k for which the run-limited-shift lemma (Glendinning
+    and Sidorov, Math. Res. Lett. 8, 2001) shows the binary expansion has
+    no sibling: it lies in the k-run-limited shift and q exceeds the
+    k-bonacci root, or equals it and the strict family holds it. The roots
+    increase with k, so the search ends at the first root above q."""
+    for k in range(2, _SHIFT_CERT_MAX_K + 1):
+        rel = compare_reals(q, bonacci_root(k))
+        if rel == Ordering.Less:
+            return None
+        if rel == Ordering.Greater and member(run_limited(k), expansion):
+            return k
+        if rel == Ordering.Equal and member(run_limited_strict(k), expansion):
+            return k
+    return None
+
+
 def c2_probe(q: AlgebraicNumber, depth: int = 64) -> C2Report:
     """Classify whether the reciprocal of the base has exactly two orbits,
     which happens precisely when 1 has a unique one.
 
     A branch in the trajectory of 1 refutes it eternally (both children
-    extend); certification requires the trajectory to close up or the
-    expansion to live in a run-limited shift, which a non-integer rational
-    base can never satisfy."""
+    extend). Certification needs the trajectory to close into an exact
+    cycle outside the overlap region, which a non-integer rational base can
+    never do. Where the cycle's digits spell an expansion that the
+    run-limited-shift lemma covers, the route label also names the lemma's
+    k: "periodic-trajectory+shift-membership(k=K)"."""
     walked = unique_orbit_check(q, 1, depth)
-    g = q.gen()
+    sys = ternary_branch_system(q)
     if walked.status == UniqueOrbitStatus.BranchFoundAt:
-        step = walked.branch_step
-        sys = ternary_branch_system(q)
         z = sys.lift(1)
         for lab in walked.digits:
             z = apply_map(sys, lab, z)
         pair = _exhibit_branch_pair(q, walked.digits, z)
-        return C2Report(
-            C2Outcome.NotTwo, branch_step=step, exhibited_pair=pair
-        )
+        return C2Report(C2Outcome.NotTwo, branch_step=walked.branch_step, exhibited_pair=pair)
     if walked.status != UniqueOrbitStatus.UniqueCertified:
         return C2Report(C2Outcome.Unknown)
 
     # rebuild the certified walk and freeze its exactness
-    sys = ternary_branch_system(q)
     checks = []
     z = sys.lift(1)
     points = [z]
@@ -311,19 +332,16 @@ def c2_probe(q: AlgebraicNumber, depth: int = 64) -> C2Report:
         points.append(z)
     start, length = walked.cycle_start, walked.cycle_length
     checks.append(
-        exact_check(
-            "cycle-closes", "le",
-            abs_diff(points[start], points[start + length]), 0,
-        )
+        exact_check("cycle-closes", "le", abs_diff(points[start], points[start + length]), 0)
     )
 
     route = walked.route
     if all(d in (0, 2) for d in walked.digits):
-        binary = tuple(d // 2 for d in walked.digits)
-        exp = tail(binary[:start], binary[start : start + length], Alphabet.BINARY)
-        via_shift = unique_orbit_check(q, 1, depth, expansion=exp)
-        if via_shift.status == UniqueOrbitStatus.UniqueCertified:
-            route = f"{route}+shift-membership(k={via_shift.shift_k})"
+        # the digits end where the cycle closes: the period is their tail
+        bits = [d // 2 for d in walked.digits]
+        k = _shift_certificate_k(q, tail(bits[:start], bits[start:], Alphabet.BINARY))
+        if k is not None:
+            route = f"{route}+shift-membership(k={k})"
 
     cert = Certificate(
         claim="two-orbit-reciprocal",
@@ -334,7 +352,7 @@ def c2_probe(q: AlgebraicNumber, depth: int = 64) -> C2Report:
         depth=depth,
         checks=tuple(checks),
         data={
-            "base": bracket(g),
+            "base": bracket(q.gen()),
             "digits": list(walked.digits),
             "cycle-start": start,
             "cycle-length": length,

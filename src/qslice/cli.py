@@ -49,6 +49,7 @@ from .slices import (
     ClaimKind,
     SliceInputError,
     compute_slice,
+    expansion_point,
     geometric_slice_oracle,
     slice_matches_oracle,
 )
@@ -146,13 +147,6 @@ def _claim_record(claim) -> dict:
     }
 
 
-def _expansion_point(sys_, y: Fraction):
-    """Height in [0,1] scaled onto the expansion interval [0, 1/(q-1)]."""
-    if not 0 <= y <= 1:
-        raise InputError("height must lie in [0, 1]")
-    return sys_.lift(y) / (sys_.q() - 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -211,7 +205,7 @@ def _cmd_orbit_tree(args) -> int:
     if args.depth > MAX_TREE_DEPTH:
         raise InputError(f"depth capped at {MAX_TREE_DEPTH} for tree output")
     sys_ = ternary_branch_system(q)
-    x0 = _expansion_point(sys_, y)
+    x0 = expansion_point(q, y)
     walk = enumerate_orbits(sys_, x0, args.depth, max_cylinders=MAX_TREE_LEAVES)
     if walk.truncated:
         raise InputError(
@@ -415,8 +409,7 @@ def _cmd_dimension(args) -> int:
         "residual": None,
         "affinity_dimension": _interval(affinity_dimension(q)),
     }
-    sys_ = ternary_branch_system(q)
-    x0 = _expansion_point(sys_, y)
+    x0 = expansion_point(q, y)
     if args.method == "mass":
         levels = args.levels if args.levels is not None else 6
         M = estimate_M(q, grid_resolution=args.grid, max_len=args.max_len)
@@ -439,7 +432,7 @@ def _cmd_dimension(args) -> int:
     if levels < 2:
         raise InputError("box method needs at least two depths")
     depths = list(range(8, 8 + levels))
-    walk = enumerate_orbits(sys_, x0, depths[-1], max_cylinders=MAX_BOX_PATHS)
+    walk = enumerate_orbits(ternary_branch_system(q), x0, depths[-1], max_cylinders=MAX_BOX_PATHS)
     if walk.truncated:
         raise InputError(
             f"box count capped at {MAX_BOX_PATHS} paths; depth {len(walk.sizes) - 1}"

@@ -3,9 +3,9 @@
 A point can carry several digit expansions in a non-integer base because
 inverse branches of x -> qx (mod digits) have overlapping domains. This
 module builds the branch system exactly, walks every branch sequence of a
-point breadth-first, walks single orbits with cycle detection, and
-certifies uniqueness either by exact periodicity outside the overlap region
-or by membership of a known expansion in a run-limited shift.
+point breadth-first, and walks single orbits with cycle detection: an orbit
+that closes into an exact cycle while one branch applies at every step is
+certified unique.
 """
 
 from __future__ import annotations
@@ -22,15 +22,11 @@ from .algebraic import (
     AlgebraicNumber,
     FieldElement,
     Ordering,
-    bonacci_root,
-    compare_reals,
     multiplication_rows,
     over_q,
     times_q,
 )
-from .words import (
-    Alphabet, Tail, Word, member, project_q, run_limited, run_limited_strict, ternary_digits,
-)
+from .words import Alphabet, Tail, Word, ternary_digits
 
 PointLike = Union[FieldElement, Fraction, int]
 
@@ -533,56 +529,20 @@ class UniqueOrbitResult:
     digits: Optional[Word] = None
     cycle_start: Optional[int] = None
     cycle_length: Optional[int] = None
-    route: Optional[str] = None  # "periodic-trajectory" | "shift-membership"
-    shift_k: Optional[int] = None
+    route: Optional[str] = None  # "periodic-trajectory" when certified
 
 
-_SHIFT_CERT_MAX_K = 12
-
-
-def _shift_certificate_k(q: AlgebraicNumber, expansion: Tail) -> Optional[int]:
-    """Smallest k such that the expansion provably has no sibling: the
-    expansion lies in the k-run-limited shift and q exceeds the k-th
-    bonacci root (equality allowed for the strict family)."""
-    for k in range(2, _SHIFT_CERT_MAX_K + 1):
-        rel = compare_reals(q, bonacci_root(k))
-        if rel == Ordering.Greater and member(run_limited(k), expansion):
-            return k
-        if rel == Ordering.Equal and member(run_limited_strict(k), expansion):
-            return k
-    return None
-
-
-def unique_orbit_check(
-    q: AlgebraicNumber,
-    x: PointLike,
-    depth: int,
-    expansion: Optional[Tail] = None,
-) -> UniqueOrbitResult:
+def unique_orbit_check(q: AlgebraicNumber, x: PointLike, depth: int) -> UniqueOrbitResult:
     """Decide whether x has a single branch sequence in the ternary system.
 
-    Certification routes: a known binary expansion of x lying in a
-    run-limited shift below the base (eternal), or an exactly periodic
-    trajectory that never meets the switch region (eternal). Otherwise the
-    walk reports the first branch point or gives up at the depth bound.
+    The walk follows the orbit of x while exactly one branch applies. An
+    orbit that returns exactly to a visited point never meets the switch
+    region: it is certified unique eternally, by route "periodic-trajectory".
+    Otherwise the walk reports the first branch point or gives up at the
+    depth bound.
     """
     sys = ternary_branch_system(q)
-    p = sys.lift(x)
-
-    if expansion is not None:
-        if expansion.alphabet is not Alphabet.BINARY:
-            raise ValueError("expansion must be a binary word")
-        if project_q(q, expansion) != p:
-            raise ValueError("expansion does not evaluate to x")
-        k = _shift_certificate_k(q, expansion)
-        if k is not None:
-            return UniqueOrbitResult(
-                UniqueOrbitStatus.UniqueCertified,
-                route="shift-membership",
-                shift_k=k,
-            )
-
-    return _kernel_orbit(sys._rational if q.is_rational else sys._lattice, p, depth)
+    return _kernel_orbit(sys._rational if q.is_rational else sys._lattice, sys.lift(x), depth)
 
 
 def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:

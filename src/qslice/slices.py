@@ -119,6 +119,12 @@ def _lift_unit_value(q: AlgebraicNumber, y: PointLike) -> FieldElement:
     return y if isinstance(y, FieldElement) else q.rational(y)
 
 
+def expansion_point(q: AlgebraicNumber, y: PointLike) -> FieldElement:
+    """The height y in [0, 1] as the point y / (q - 1) of the expansion
+    interval, whose branch sequences are the slice's cylinders."""
+    return _lift_unit_value(q, y) * ternary_branch_system(q).hull_hi
+
+
 def _doubling_witness(forks) -> Optional[tuple]:
     """The first fork, in walk order, with later forks below two of its
     children: (step, path, the two children's digits), or None. forks are

@@ -40,14 +40,11 @@ _SYMBOL_SETS = {a: frozenset(a.symbols) for a in Alphabet}
 @dataclass(frozen=True, slots=True)
 class Word:
     """A finite digit string over a fixed alphabet. Equal words have equal
-    symbols, so a word hashes by its symbols alone."""
+    symbols, so a word hashes by its symbols alone. The constructor checks
+    nothing: word() and parse_word() check symbols that come from outside."""
 
     alphabet: Alphabet
     symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        if not _SYMBOL_SETS[self.alphabet].issuperset(self.symbols):
-            raise WordSyntaxError(f"symbols outside {self.alphabet.name} alphabet")
 
     def __hash__(self) -> int:
         return hash(self.symbols)
@@ -85,7 +82,10 @@ def _smallest_alphabet(syms: tuple[int, ...]) -> Alphabet:
 
 def word(symbols: Iterable[int], alphabet: Alphabet | None = None) -> Word:
     syms = tuple(int(s) for s in symbols)
-    return Word(alphabet or _smallest_alphabet(syms), syms)
+    alphabet = alphabet or _smallest_alphabet(syms)
+    if not _SYMBOL_SETS[alphabet].issuperset(syms):
+        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
+    return Word(alphabet, syms)
 
 
 def _minimal_period(per: tuple[int, ...]) -> tuple[int, ...]:

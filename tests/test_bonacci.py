@@ -1,8 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from qslice.algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root
+from qslice import bonacci
+from qslice.algebraic import (
+    AlgebraicNumber, Ordering, algebraic_from_poly, bonacci_root, compare_reals,
+)
 from qslice.bonacci import (
     C2Outcome,
     CertificationFailed,
@@ -16,7 +20,7 @@ from qslice.bonacci import (
 )
 from qslice.certificates import check, from_json, to_json, verify
 from qslice.dynamics import tail_is_orbit, ternary_branch_system
-from qslice.words import Alphabet, project_q, tail
+from qslice.words import Alphabet, member, project_q, run_limited, run_limited_strict, tail
 
 
 def test_x_m_value_closed_form():
@@ -123,6 +127,85 @@ def test_c2_certified_at_planted_cubic():
     assert cert.data["cycle-length"] == 2
     assert verify(cert) == []
     assert verify(from_json(to_json(cert))) == []
+
+
+# at q ~ 1.8265, 1 = 11(0110)^oo: certified by its exact cycle, but not in
+# the 2-run-limited shift, and q lies below the 3-bonacci root
+LEMMA_FAILS = (1, -1, -1, 1, -2, 1)
+
+
+def test_c2_route_names_no_lemma_that_fails():
+    q = algebraic_from_poly(list(LEMMA_FAILS), Fraction(101, 100), Fraction(199, 100))
+    r = c2_probe(q)
+    assert r.outcome == C2Outcome.TwoOrbitsCertified
+    assert r.route == "periodic-trajectory"
+    cert = r.certificate
+    assert cert.data["route"] == "periodic-trajectory"
+    assert (cert.data["digits"], cert.data["cycle-start"], cert.data["cycle-length"]) == (
+        [2, 2, 0, 2, 2, 0], 2, 4,
+    )
+    assert verify(cert) == []
+    assert verify(from_json(to_json(cert))) == []
+
+
+def _certified_expansion(cert):
+    """The binary expansion of 1 spelled by a certificate's 0/2 digits."""
+    bits = [d // 2 for d in cert.data["digits"]]
+    start, length = cert.data["cycle-start"], cert.data["cycle-length"]
+    return tail(bits[:start], bits[start : start + length], Alphabet.BINARY)
+
+
+@pytest.mark.parametrize(
+    "coeffs, k",
+    [
+        ((1, -2, -1, 1), 2),  # the two-orbit cubic
+        ((1, 0, -2, -1, 1), 2),
+        ((1, -2, 1, -2, 1), 3),
+        ((-1, -1, 1, 0, -2, 1), 4),
+        (LEMMA_FAILS, None),
+    ],
+)
+def test_c2_route_label_matches_the_lemma(coeffs, k):
+    q = algebraic_from_poly(list(coeffs), Fraction(101, 100), Fraction(199, 100))
+    r = c2_probe(q)
+    assert r.outcome == C2Outcome.TwoOrbitsCertified
+    assert verify(r.certificate) == []
+    assert r.certificate.data["route"] == r.route
+    m = re.fullmatch(r"periodic-trajectory(?:\+shift-membership\(k=(\d+)\))?", r.route)
+    assert m is not None
+    assert (None if m[1] is None else int(m[1])) == k
+    if k is None:
+        return
+    expansion = _certified_expansion(r.certificate)
+    rel = compare_reals(q, bonacci_root(k))
+    if rel == Ordering.Equal:
+        assert member(run_limited_strict(k), expansion)
+    else:
+        assert rel == Ordering.Greater and member(run_limited(k), expansion)
+    assert project_q(q, expansion) == 1
+
+
+def test_shift_lemma_reads_both_families():
+    q3 = bonacci_root(3)
+    # (0011)^oo holds 100, so not 2-run-limited; at the root itself the
+    # strict 3-family holds it, and bars (001)^oo, a shift of (100)^oo
+    assert bonacci._shift_certificate_k(q3, tail((), (0, 0, 1, 1))) == 3
+    assert bonacci._shift_certificate_k(q3, tail((), (0, 0, 1))) is None
+    assert bonacci._shift_certificate_k(q3, tail((), (0, 1))) == 2
+
+
+def test_shift_lemma_stops_at_the_first_root_above_q(monkeypatch):
+    built = []
+
+    def counted(k):
+        built.append(k)
+        return bonacci_root(k)
+
+    monkeypatch.setattr(bonacci, "bonacci_root", counted)
+    # 1999/1000 lies between the 9- and 10-bonacci roots
+    q = AlgebraicNumber.from_rational(Fraction(1999, 1000))
+    assert bonacci._shift_certificate_k(q, tail((), (0,) * 20 + (1,))) is None
+    assert built == list(range(2, 11))
 
 
 @pytest.mark.parametrize("num,den", [(9, 5), (19, 10), (199, 100), (1999, 1000)])

@@ -414,6 +414,10 @@ _OUT_OF_RANGE = [
     (["thickness", "--q", "1999/1000", "--set", "sk:1"], "run bound must be at least 2"),
     (["thickness", "--q", "1999/1000", "--set", "sk:-2"], "run bound must be at least 2"),
     (["thickness", "--q", "1999/1000", "--set", "scaled-sk:1"], "run bound must be at least 2"),
+    # every height must lie in [0, 1]
+    (["orbit-tree", "--q", "3/2", "--y", "2", "--depth", "6"], "height must lie in [0, 1]"),
+    (["dimension", "--q", "3/2", "--y=-1/3", "--method", "mass"], "height must lie in [0, 1]"),
+    (["slice", "--q", "3/2", "--y", "5/4", "--depth", "6"], "height must lie in [0, 1]"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Branch systems: domains, the orbit walk, uniqueness certification."""
 
+import inspect
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslice.algebraic import AlgebraicNumber, algebraic_from_poly, bonacci_root
-from qslice import dynamics
+from qslice import bonacci, dynamics
 from qslice.bonacci import two_orbit_base
 from qslice.dynamics import (
     InvalidBase,
@@ -20,7 +22,7 @@ from qslice.dynamics import (
     ternary_branch_system,
     unique_orbit_check,
 )
-from qslice.words import Alphabet, project_q, tail, word
+from qslice.words import Alphabet, tail, word
 
 Q53 = AlgebraicNumber.from_rational(Fraction(5, 3))
 
@@ -113,19 +115,19 @@ def test_unknown_at_depth_for_wandering_point():
 
 
 def test_shift_membership_route():
+    # the run-limited-shift lemma lives with c2_probe, its one caller
     q = AlgebraicNumber.from_rational(F(1999, 1000))
-    t = tail([], [0] * 8 + [1])
-    x = project_q(q, t)
-    res = unique_orbit_check(q, x, 3, expansion=t)
-    assert res.status == UniqueOrbitStatus.UniqueCertified
-    assert res.route == "shift-membership"
-    assert res.shift_k == 9
+    assert bonacci._shift_certificate_k(q, tail([], [0] * 8 + [1])) == 9
 
 
-def test_expansion_value_mismatch_rejected():
-    q = AlgebraicNumber.from_rational(F(1999, 1000))
-    with pytest.raises(ValueError):
-        unique_orbit_check(q, F(1, 2), 5, expansion=tail([], [0, 1]))
+def test_walk_layer_keeps_no_bonacci_thresholds():
+    for name in (
+        "bonacci_root", "compare_reals", "member", "project_q", "run_limited",
+        "run_limited_strict",
+    ):
+        assert not hasattr(dynamics, name), name
+    assert list(inspect.signature(unique_orbit_check).parameters) == ["q", "x", "depth"]
+    assert "shift_k" not in {f.name for f in fields(dynamics.UniqueOrbitResult)}
 
 
 def test_golden_boundary_point_branches():

@@ -38,6 +38,10 @@ GOLDEN = [
      "f1bc08b7439d7e7de16959169284f33c713123179378d802b09dfdbe0476477a"),
     ("bonacci null --k 5 --depth 40", 0,
      "985c08bebca38ef15828b962123542e7f1ae2bf0e6171b8cd86812c7a2e8aef3"),
+    # certified by its exact cycle alone: 1 = 11(0110)^oo is not 2-run-limited
+    # and q lies below the 3-bonacci root, so the route names no lemma
+    ("bonacci c2 --q algebraic:1,-1,-1,1,-2,1:101/100:199/100", 0,
+     "07f6f58f7e4a07df3d7f990ea72254f9025b8399e304b6c9fef4ef4c63327112"),
     ("slice --q 3/2 --y 1/2 --depth 12 --oracle", 0,
      "f362003340c046c1aa3931593eb1fcfb86a67bedb7a577164a171b880d1bb979"),
     # 35 boxes for 34 cylinders: the cross-check accepts a corner spelling

@@ -27,6 +27,7 @@ from qslice.slices import (
     OracleBoxes,
     SliceInputError,
     compute_slice,
+    expansion_point,
     geometric_slice_oracle,
     slice_matches_oracle,
 )
@@ -510,11 +511,11 @@ def test_rational_kernels_do_no_field_arithmetic_per_node(monkeypatch):
 
 def test_decision_builds_no_word_per_cylinder(monkeypatch):
     built = [0]
-    post_init = Word.__post_init__
+    init = Word.__init__
 
-    def counted(self):
+    def counted(self, *args):
         built[0] += 1
-        post_init(self)
+        init(self, *args)
 
     # untruncated with 9 leaf probes; untruncated with a doubling pattern,
     # so with no probe, and 35 boxes for 34 paths, so the cross-check meets
@@ -522,7 +523,7 @@ def test_decision_builds_no_word_per_cylinder(monkeypatch):
     shapes = []
     for q, y, cap in ((F(5, 3), F(1, 20), 4096), (F(5, 3), F(3, 5), 4096), (F(3, 2), F(1, 2), 100)):
         base = AlgebraicNumber.from_rational(q)
-        monkeypatch.setattr(Word, "__post_init__", counted)
+        monkeypatch.setattr(Word, "__init__", counted)
         built[0] = 0
         res = compute_slice(base, y, 12, max_cylinders=cap)
         boxes = geometric_slice_oracle(base, y, 12)
@@ -704,6 +705,17 @@ def test_input_validation():
         compute_slice(Q53, F(3, 2), 4)
     with pytest.raises(SliceInputError):
         compute_slice(Q53, bonacci_root(3).gen() - 1, 4)
+
+
+def test_expansion_point_scales_the_height():
+    # the y / (q - 1) that the orbit-tree and dimension commands walk from
+    for q in (Q53, bonacci_root(3)):
+        sys = ternary_branch_system(q)
+        assert expansion_point(q, F(1, 3)) == sys.lift(F(1, 3)) / (sys.q() - 1)
+        assert expansion_point(q, 0) == 0 and expansion_point(q, 1) == sys.hull_hi
+        for y in (F(-1, 3), F(5, 4)):
+            with pytest.raises(SliceInputError, match=r"height must lie in \[0, 1\]"):
+                expansion_point(q, y)
 
 
 

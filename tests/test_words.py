@@ -207,10 +207,11 @@ def test_equal_words_hash_equally():
 
 
 def test_word_keeps_its_symbol_check_and_has_no_instance_dict():
+    # word() checks symbols from outside; the program builds Word directly
     with pytest.raises(WordSyntaxError):
-        Word(Alphabet.TERNARY, (3,))
+        word((3,), Alphabet.TERNARY)
     with pytest.raises(WordSyntaxError):
-        Word(Alphabet.BINARY, (0, 2))
+        word((0, 2), Alphabet.BINARY)
     assert not hasattr(Word(Alphabet.BINARY, (0, 1)), "__dict__")
 
 
