@@ -3,7 +3,7 @@ Thickness, linked Cantor sets, and a three-point slice
 ======================================================
 
 For bases close to 2 the library builds two Cantor sets out of digit
-strings, bounds their thickness from the enumerated gap structure, and
+strings, bounds their thickness from their gap laws, and
 certifies that they intersect. Refining inside the intersection produces a
 height whose slice has exactly three points.
 """
@@ -26,13 +26,17 @@ from qslice import (
 q = AlgebraicNumber.from_rational(Fraction(1999, 1000))
 g = q.gen()
 
-# gap structure of the branching family
+# gap laws of the branching family: one per free position, each standing
+# for its translates
 aq = enumerate_gaps(q, GapFamily.AqSet, 24)
-print("branching-family gaps to level 24:", len(aq.gaps))
+print("branching-family gap laws to level 24:", len(aq.gaps), "gaps:", aq.gap_count)
 tau = thickness_lower_bound(aq)
 print("thickness lower bound exceeds q^-5:", tau > g**-5)
 
-# gap structure of the run-limited shift set, via its finite state machine
+# gap laws of the run-limited shift set, one per state of its finite state
+# machine, each standing for its scaled copies
+sk = enumerate_gaps(q, GapFamily.SkSet, 16)
+print("shift-set gap laws to level 16:", len(sk.gaps), "gaps:", sk.gap_count)
 ana = ShiftSetAnalysis(q, 9)
 tau_s, per_state = ana.thickness_bound()
 print("shift-set thickness exceeds q^6:", tau_s > g**6)

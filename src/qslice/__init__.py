@@ -74,7 +74,7 @@ from .certificates import (
 )
 from .thickness import (
     GapFamily,
-    GapRecord,
+    GapLaw,
     GapStructure,
     ShiftSetAnalysis,
     ThicknessError,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import signal
 import sys
 import traceback
 from dataclasses import asdict
 from fractions import Fraction
-from functools import cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -264,26 +264,20 @@ def _cmd_thickness(args) -> int:
             "set": args.set,
             "level": gs.level,
             "k": gs.k,
-            "gap_count": len(gs.gaps),
+            "gap_count": gs.gap_count,
             "hull": [_interval(gs.hull[0][0]), _interval(gs.hull[1][1])],
             "thickness_lower_bound": bound,
         }
     )
-    # many gaps share their size and bridge values, and an sk gap stores
-    # each end as (x, x), so each distinct value is enclosed once
-    cell = cache(_interval)
-    for i, gap in enumerate(gs.gaps):
-        _emit(
-            {
-                "command": "thickness",
-                "index": i,
-                "level": gap.level,
-                "left": [cell(gap.left[0])[0], cell(gap.left[1])[1]],
-                "right": [cell(gap.right[0])[0], cell(gap.right[1])[1]],
-                "size": [cell(gap.size[0])[0], cell(gap.size[1])[1]],
-                "bridge_lower_bound": cell(gap.bridge_lb),
-            }
-        )
+    # one line per law: the ends of its leftmost largest gap give every
+    # other gap of the law by the map README states
+    for law in gs.gaps:
+        rec = {"command": "thickness", **law.meta, "level": law.level, "count": law.count}
+        for key in ("left", "right", "size"):
+            lo, hi = getattr(law, key)
+            rec[key] = [_interval(lo)[0], _interval(hi)[1]]
+        rec["bridge_lower_bound"] = _interval(law.bridge_lb)
+        _emit(rec)
     return 0
 
 
@@ -306,8 +300,9 @@ def _cmd_certify_slice3(args) -> int:
         }
     )
     _emit({"command": "certify-slice3", "certificate": asdict(cert)})
-    # exactly-3 at this depth means each orbit was probed one full depth
-    # beyond the enumeration without forking; that is the certified claim
+    # exit 0 rests on the verified Newhouse certificate plus an ExactlyN(3)
+    # reading at --depth, which may be uncertified: a deeper walk at the
+    # same height can find more orbits
     return 0 if three and not failures else 2
 
 
@@ -476,6 +471,11 @@ def _cmd_render(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "--y -1/3" passes a value, as "--level -2" does, to the range checks
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # argparse would exit 2; bad input should be 1
         raise InputError(message)
 
@@ -522,7 +522,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--depth", type=_NONNEGATIVE, default=12)
     s.set_defaults(fn=_cmd_orbit_tree)
 
-    s = sub.add_parser("thickness", help="enumerate the gaps of a fractal set family")
+    s = sub.add_parser("thickness", help="gap laws and thickness bound of a fractal set family")
     s.add_argument("--q", required=True)
     s.add_argument("--set", required=True, help="aq, sk:<k>, or scaled-sk:<k>")
     s.add_argument("--level", type=_NONNEGATIVE, default=40)
@@ -592,6 +592,9 @@ def main() -> None:
         # a reader that closes the pipe early ends the process quietly, as
         # it would end cat; that is not a fault of the program
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # thickness prints exact gap counts, past level ~14000 over 4300 digits
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .algebraic import (
     AlgebraicNumber,
@@ -33,7 +33,6 @@ from .slices import SliceResult, compute_slice, ClaimKind
 from .words import Alphabet, Tail, Word, project_q, tail
 
 AQ_GAP_MARGIN = 14  # expansion digits of 1 computed past the aq gap level
-SK_GAP_CAP = 4096  # gap records kept from the breadth-first shift-set walk
 WITNESS_BUDGET = 1000  # three-orbit pair-search steps, doubled on each retry
 WITNESS_RETRIES = 5
 
@@ -222,27 +221,27 @@ class AqTemplate:
         top = fixed + free_suffix[0]
         return (fixed, fixed + tail_bound), (top, top + tail_bound)
 
-    def gap_laws(self, level: int):
-        """(p, gap level, size enclosure, bridge bound) for each free
-        position p below the level, in increasing p.
+    def gap_laws(self, level: int) -> Iterator[GapLaw]:
+        """One GapLaw per free position p below the level, in increasing p.
 
         With F the sum of the fixed one-bits, A the weight of the earlier
         free one-bits, w_p the weight of p, S the total weight of the free
         positions after p and T the tail bound (value_terms), the values
         whose bit at p is 0 span [F + A, F + A + S] and those whose bit is
         1 span [F + A + w_p, F + A + w_p + S], each end within T. So the
-        gaps at p are translates by A with level p + 2 and size w_p - S -+ T.
+        2^idx gaps at the idx-th free position are translates by A of the
+        leftmost, F + S to F + w_p, with level p + 2 and size w_p - S -+ T.
         The next gap at least as large on either side, or else the hull end,
         lies within T of that side's outer end: the bridge bound is S - T.
         Free positions lie at least two apart and q exceeds the 9-bonacci
         root, so each free weight exceeds twice the total weight after it by
-        far more than T: the offsets A increase with the mask, read most
-        significant bit first, and a position's gaps outsize any later one's."""
-        _, weights, free_suffix, tail_bound = self.value_terms
+        far more than T: a position's gaps outsize any later one's."""
+        fixed, weights, free_suffix, tail = self.value_terms
         for idx, pos in enumerate(self.free_below(level)):
-            gap = weights[pos] - free_suffix[idx + 1]
-            bridge = free_suffix[idx + 1] - tail_bound
-            yield pos, pos + 2, (gap - tail_bound, gap + tail_bound), bridge
+            w, s = weights[pos], free_suffix[idx + 1]
+            left, right, gap = fixed + s, fixed + w, w - s
+            yield GapLaw({"free_position": pos}, pos + 2, 2**idx, (left, left + tail),
+                         (right, right + tail), (gap - tail, gap + tail), s - tail)
 
 
 def build_aq_prefixes(q: AlgebraicNumber, k: int, margin: int = 16) -> AqTemplate:
@@ -487,7 +486,7 @@ class ShiftSetAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# gap enumeration across the three set families
+# gap laws of the three set families
 # ---------------------------------------------------------------------------
 
 
@@ -498,13 +497,20 @@ class GapFamily(Enum):
 
 
 @dataclass(frozen=True)
-class GapRecord:
+class GapLaw:
+    """The gaps of one free position (aq) or follower state (sk): count
+    of them, the largest first met at level. Left, right, size and
+    bridge_lb describe the leftmost largest gap; every gap of the law is a
+    translate (aq) or a scaled copy (sk) of it, with the same ratio of
+    bridge to size."""
+
+    meta: dict  # {"free_position": p} or {"state": str(state)}
     level: int
+    count: int
     left: tuple[FieldElement, FieldElement]
     right: tuple[FieldElement, FieldElement]
     size: tuple[FieldElement, FieldElement]
     bridge_lb: FieldElement
-    meta: dict
 
 
 @dataclass(frozen=True)
@@ -513,7 +519,11 @@ class GapStructure:
     k: int
     level: int
     hull: tuple[tuple[FieldElement, FieldElement], tuple[FieldElement, FieldElement]]
-    gaps: tuple[GapRecord, ...]
+    gaps: tuple[GapLaw, ...]
+
+    @property
+    def gap_count(self) -> int:
+        return sum(law.count for law in self.gaps)
 
 
 def _family_map(g: FieldElement, family: GapFamily) -> tuple[FieldElement, FieldElement]:
@@ -530,115 +540,74 @@ def shift_set_extent(
     """Hull ends and largest gap of a shift-set family, read off the
     analysis: the images of [vmin, vmax] of the start state and of
     max_gap() under the family's map. At run bound 9 and any level above 9
-    these are the gap walk's hull and gaps[0].size exactly: every state
-    first occurs by depth 9, breadth-first order meets all nodes of depth
-    <= 9 within 2^10 - 1 = 1023 nodes (below SK_GAP_CAP), and deeper copies
-    of a state's gap are smaller by powers of 1/q. The walk finds no gap
-    just when max_gap() is 0."""
+    these are enumerate_gaps' hull and gaps[0].size exactly: every state
+    first occurs by depth 9, where its largest gaps sit. The family has no
+    gap just when max_gap() is 0."""
     shift, scale = _family_map(ana.g, family)
     hull = (shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START))
     return hull, scale * ana.max_gap()
 
 
-def _enumerate_aq_gaps(q: AlgebraicNumber, level: int) -> GapStructure:
-    """Gaps of the branching family to the given level: each free
-    position's law (AqTemplate.gap_laws) mapped along the offsets F + A of
-    the earlier free bits, one record per mask, so largest first, then left
-    to right. At offset a the gap spans a + S to a + w_p, each end within T."""
-    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
-    fixed, weights, free_suffix, tail_bound = template.value_terms
-    records = []
-    offsets = [fixed]  # F + A for each mask of the earlier free bits
-    for idx, (pos, gap_level, size, bridge) in enumerate(template.gap_laws(level)):
-        w, s = weights[pos], free_suffix[idx + 1]
-        for mask, a in enumerate(offsets):
-            left, right = a + s, a + w
-            ends = (left, left + tail_bound), (right, right + tail_bound)
-            meta = {"free_position": pos, "mask": mask}
-            records.append(GapRecord(gap_level, *ends, size, bridge, meta))
-        offsets = [b for a in offsets for b in (a, a + w)]
-    return GapStructure(GapFamily.AqSet, 9, level, template.hull, tuple(records))
-
-
-def _enumerate_sk_gaps(
-    ana: ShiftSetAnalysis, family: GapFamily, level: int
-) -> GapStructure:
-    """Breadth-first walk of the follower-state automaton to the given
-    level. A node (state, off, sc) is the copy of the state's set under
-    x -> off + sc * x, and its gap is the state's template under the same
-    map. The scaled-shifted family starts the walk at x -> 1 + (2 - q) x.
-    When the largest gap of shift_set_extent (max_gap() times a positive
-    scale) is 0, no state has a gap: its hull is returned without walking,
-    as the record cap does not bound a walk that finds no gaps."""
-    (hull_lo, hull_hi), largest = shift_set_extent(ana, family)
-    hull = ((hull_lo, hull_lo), (hull_hi, hull_hi))
-    if not largest > 0:
-        return GapStructure(family, ana.k, level, hull, ())
-
+def _shift_set_laws(ana: ShiftSetAnalysis, family: GapFamily, level: int) -> list[GapLaw]:
+    """One law per state with a gap template that the automaton first
+    reaches below the level. The node reached by digits x_1 ... x_d is the
+    copy of its state's set under x -> off + q^-d x, off = sum x_i q^-i,
+    then the family map; so is its gap. A law's gaps are its state's nodes
+    below the level, the largest at the state's first depth. A state has
+    one node there, the one breadth-first search meets first: its digits
+    are b for an initial run, or 1 - b then b^r for a run of r digits b."""
     shift, scale = _family_map(ana.g, family)
-    records = []
-    frontier = [(_START, shift, scale, 0)]
-    for state, off, sc, d in frontier:
-        if len(records) >= SK_GAP_CAP:
-            break
-        if d >= level:
-            continue
-        template = ana.gap_template(state)
+    first = {_START: (0, ana.g.base.zero())}  # state -> depth and offset of its first node
+    queue = [_START]
+    for s in queue:
+        d, off = first[s]
+        for dig, t in ana.successors(s):
+            if t not in first:
+                first[t] = (d + 1, off + ana.ginv ** (d + 1) if dig else off)
+                queue.append(t)
+    # nodes per state, depth by depth: integers, so no level is too deep
+    nodes, counts = {_START: 1}, dict.fromkeys(first, 0)
+    for _ in range(level):
+        below = dict.fromkeys(first, 0)
+        for s, n in nodes.items():
+            counts[s] += n
+            for _, t in ana.successors(s):
+                below[t] += n
+        nodes = below
+
+    laws = []
+    for s, (d, off) in first.items():
+        template = ana.gap_template(s) if d < level else None
         if template is not None:
             left, right, gap, bridge = template
-            left, right = off + sc * left, off + sc * right
-            size = sc * gap
-            records.append(
-                GapRecord(
-                    level=d,
-                    left=(left, left),
-                    right=(right, right),
-                    size=(size, size),
-                    bridge_lb=sc * bridge,
-                    meta={"state": str(state)},
-                )
-            )
-        child_sc = sc * ana.ginv
-        for dig, child in ana.successors(state):
-            frontier.append((child, off + child_sc if dig else off, child_sc, d + 1))
-
-    records.sort(key=lambda r: (-r.size[0], r.left[0]))
-    return GapStructure(family, ana.k, level, hull, tuple(records))
+            sc, off = scale * ana.ginv**d, shift + scale * off
+            lo, hi, size = off + sc * left, off + sc * right, sc * gap
+            laws.append(GapLaw({"state": str(s)}, d, counts[s], (lo, lo), (hi, hi),
+                               (size, size), sc * bridge))
+    return sorted(laws, key=lambda law: (-law.size[0], law.left[0]))
 
 
-def enumerate_gaps(
-    q: AlgebraicNumber,
-    family: GapFamily,
-    level: int,
-    k: int = 9,
-) -> GapStructure:
-    """Gaps of one of the three projected digit families, largest first.
-
-    Every record carries exact (or bracketed) endpoints, a size enclosure
-    and a sound lower bound on the flanking bridges. A shift-set family
-    whose analysis has no gap (max_gap() is 0) returns its hull with no
-    records at once, without walking to the level.
+def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9) -> GapStructure:
+    """Gap laws of one of the three projected digit families to the given
+    level, largest first: one per free position of the branching family
+    (AqTemplate.gap_laws), one per follower state of a shift-set family.
+    Each law's gap count is exact. A shift-set family whose analysis has no
+    gap (max_gap() is 0) returns its hull with no laws at once.
     """
     if family == GapFamily.AqSet:
-        return _enumerate_aq_gaps(q, level)
-    return _enumerate_sk_gaps(ShiftSetAnalysis(q, k), family, level)
+        template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
+        return GapStructure(family, 9, level, template.hull, tuple(template.gap_laws(level)))
+    ana = ShiftSetAnalysis(q, k)
+    (hull_lo, hull_hi), largest = shift_set_extent(ana, family)
+    laws = _shift_set_laws(ana, family, level) if largest > 0 else ()
+    return GapStructure(family, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(laws))
 
 
 def thickness_lower_bound(gs: GapStructure) -> FieldElement:
-    """Worst bridge-to-gap ratio among the enumerated gaps."""
+    """Least bridge-to-gap ratio of the laws; every gap of a law shares it."""
     if not gs.gaps:
         raise ThicknessError("no gaps enumerated")
-    # many gaps share one (bridge, size) pair, as every aq gap at one free
-    # position does, so each distinct pair is compared once; the first gap
-    # with the least ratio is kept either way
-    best, seen = gs.gaps[0], set()
-    for r in gs.gaps:
-        pair = (r.bridge_lb, r.size[1])
-        # the sizes are positive, so the ratios compare without dividing
-        if pair not in seen and r.bridge_lb * best.size[1] < best.bridge_lb * r.size[1]:
-            best = r
-        seen.add(pair)
-    return best.bridge_lb / best.size[1]
+    return min(law.bridge_lb / law.size[1] for law in gs.gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -678,25 +647,23 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     """Certificate that the branching family meets the scaled shift set.
 
     Verifies the gap law of each free position below the stated level
-    (AqTemplate.gap_laws, on the template enumerate_gaps builds: the 2^n - 1
-    gaps of n free positions obey n laws), the exact thickness bound of the
-    shift projection, interleaving, and the thickness product; the
-    level-independent tail of the gap laws follows from the verified block
-    structure and is recorded as a hypothesis.
+    (enumerate_gaps: the 2^n - 1 gaps of n free positions obey n laws), the
+    exact thickness bound of the shift projection, interleaving, and the
+    thickness product; the level-independent tail of the gap laws follows
+    from the verified block structure and is recorded as a hypothesis.
     """
-    template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
+    aq = enumerate_gaps(q, GapFamily.AqSet, level)
     g = q.gen()
     checks = list(w2_cover_check(q).checks)
 
-    laws = list(template.gap_laws(level))
-    if not laws:
-        raise ThicknessError("no gaps enumerated")
-    for pos, k, size, bridge in laws:
+    tau_aq = thickness_lower_bound(aq)
+    for law in aq.gaps:
+        pos, k, size = law.meta["free_position"], law.level, law.size
         try:
             for side, lhs, rhs in (
                 ("below", size[1], g ** (1 - k)),
                 ("above", g ** (-k), size[0]),
-                ("bridge", g ** (-k - 4), bridge),
+                ("bridge", g ** (-k - 4), law.bridge_lb),
             ):
                 checks.append(exact_check(f"aq-position-{pos}-{side}", "lt", lhs, rhs))
         except CertificateError as e:
@@ -714,7 +681,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     except CertificateError as e:
         raise ThicknessTooSmall(str(e)) from e
     scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    checks.extend(interleaving_check(template.hull, scaled_hull, scaled_gap))
+    checks.extend(interleaving_check(aq.hull, scaled_hull, scaled_gap))
 
     return Certificate(
         claim="thick-linked-intersection",
@@ -729,10 +696,10 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         checks=tuple(checks),
         data={
             "base": bracket(g),
-            "aq-gap-count": 2 ** len(laws) - 1,
+            "aq-gap-count": aq.gap_count,
             "shift-thickness": bracket(tau_s),
             "shift-thickness-per-state": tau_detail,
-            "aq-thickness-enumerated": bracket(min(b / s[1] for _, _, s, b in laws)),
+            "aq-thickness-enumerated": bracket(tau_aq),
         },
     )
 

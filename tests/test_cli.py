@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qslice.cli import MAX_BOX_PATHS, MAX_TREE_DEPTH, MAX_TREE_LEAVES, parse_number, run
-from qslice.algebraic import bonacci_root, compare_reals, enclose, Ordering
+from qslice.algebraic import bonacci_root, compare_reals, Ordering
 
 
 def invoke(capsys, argv):
@@ -145,11 +145,15 @@ def test_thickness_gap_listing(capsys):
     assert code == 0
     head = json.loads(lines[0])
     assert head["set"] == "aq" and head["level"] == 16
-    assert head["gap_count"] == len(lines) - 1
-    assert head["gap_count"] > 0
+    laws = [json.loads(line) for line in lines[1:]]
+    # free positions 11 and 13 lie below level 16: one gap, then two
+    assert [(law["free_position"], law["count"]) for law in laws] == [(11, 1), (13, 2)]
+    assert head["gap_count"] == 3
     assert head["thickness_lower_bound"] is not None
-    gap = json.loads(lines[1])
-    assert set(gap) >= {"level", "left", "right", "size", "bridge_lower_bound"}
+    assert set(laws[0]) == {
+        "command", "free_position", "level", "count", "left", "right", "size",
+        "bridge_lower_bound",
+    }
 
     code, lines = invoke(
         capsys,
@@ -166,12 +170,12 @@ def test_thickness_gap_listing(capsys):
 
 @pytest.mark.parametrize("spec", ["sk:9", "scaled-sk:9"])
 def test_thickness_without_gaps_does_not_walk(capsys, monkeypatch, spec):
-    # at 19/10 the k = 9 analysis has no gap, so the walk, which would
-    # visit every node to the default level 40, is skipped
+    # at 19/10 the k = 9 analysis has no gap, so no state's gap template is
+    # read and no law is built
     from qslice.thickness import ShiftSetAnalysis
 
     def walked(*args):
-        raise AssertionError("the gap walk ran")
+        raise AssertionError("a gap template was read")
 
     monkeypatch.setattr(ShiftSetAnalysis, "gap_template", walked)
     code, lines = invoke(capsys, ["thickness", "--q", "19/10", "--set", spec])
@@ -181,27 +185,21 @@ def test_thickness_without_gaps_does_not_walk(capsys, monkeypatch, spec):
     assert head["thickness_lower_bound"] is None
 
 
-def test_thickness_encloses_each_size_and_bridge_once(capsys, monkeypatch):
-    # at bonacci:12 the 511 aq gaps of level 30 hold 9 distinct (size,
-    # bridge) pairs: only the gap ends are enclosed per gap
-    from qslice import cli
-
-    calls = []
-
-    def counting(x, grid):
-        calls.append(x)
-        return enclose(x, grid)
-
-    monkeypatch.setattr(cli, "enclose", counting)
+def test_thickness_prints_one_line_per_law(capsys):
+    # 9 free positions below level 30 at bonacci:12 stand for 511 gaps
     code, lines = invoke(capsys, ["thickness", "--q", "bonacci:12", "--set", "aq", "--level", "30"])
     assert code == 0
-    gaps = [json.loads(line) for line in lines[1:]]
-    assert len(gaps) == 511
-    distinct = {(g["size"][0], g["size"][1], g["bridge_lower_bound"][0]) for g in gaps}
-    assert len(distinct) == 9
-    # q, the two hull ends and the bound; four ends per gap; at most three
-    # new values per distinct pair
-    assert len(calls) <= 4 + 4 * len(gaps) + 3 * len(distinct)
+    head, laws = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    assert [law["count"] for law in laws] == [2**i for i in range(9)]
+    assert head["gap_count"] == 511
+
+    # 17 of the 19 follower states have a gap; no cap cuts the count
+    code, lines = invoke(capsys, ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "16"])
+    assert code == 0
+    head, laws = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+    assert len(laws) == len({law["state"] for law in laws}) == 17
+    assert head["gap_count"] == sum(law["count"] for law in laws) == 64639
+    assert len("\n".join(lines)) < 20_000
 
 
 def test_certify_slice3_command(capsys):
@@ -418,6 +416,10 @@ _OUT_OF_RANGE = [
     (["orbit-tree", "--q", "3/2", "--y", "2", "--depth", "6"], "height must lie in [0, 1]"),
     (["dimension", "--q", "3/2", "--y=-1/3", "--method", "mass"], "height must lie in [0, 1]"),
     (["slice", "--q", "3/2", "--y", "5/4", "--depth", "6"], "height must lie in [0, 1]"),
+    # a negative fraction is a value, not an option, with or without "="
+    (["slice", "--q", "3/2", "--y", "-1/3", "--depth", "4"], "height must lie in [0, 1]"),
+    (["dimension", "--q", "3/2", "--y", "-1/3", "--method", "mass"], "height must lie in [0, 1]"),
+    (["slice", "--q", "-3/2", "--y", "1/3", "--depth", "4"], "strictly between 1 and 2"),
 ]
 
 
@@ -542,7 +544,8 @@ def test_closed_stdout_ends_the_process_quietly():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "12"]
+    # about 328 kB of output, more than a pipe buffer holds
+    argv = ["orbit-tree", "--q", "3/2", "--y", "1/6", "--depth", "16"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "qslice.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -553,6 +556,21 @@ def test_closed_stdout_ends_the_process_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == -signal.SIGPIPE
     assert b"internal error" not in err
+
+
+def test_thickness_prints_gap_counts_past_the_digit_limit():
+    # at level 15000 the exact sk:9 gap count has over 4300 digits, the
+    # interpreter's default limit for printing an int
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["thickness", "--q", "1999/1000", "--set", "sk:9", "--level", "15000"]
+    out = subprocess.run(
+        [sys.executable, "-m", "qslice.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    head, *laws = out.stdout.decode().splitlines()
+    assert len(laws) == 17 and len(json.loads(head, parse_int=str)["gap_count"]) > 4300
 
 
 def test_sorted_keys(capsys):

@@ -65,10 +65,11 @@ GOLDEN = [
     # stand for the 511 gaps below it
     ("certify-slice3 --q 1999/1000 --depth 48 --level 40", 0,
      "1dcf3ceafea2135ae14ac195df39ab883ba1a3f99d3c01ff3f64971dddc2408a"),
+    # one line per gap law: a law per free position (aq) or per state (sk)
     ("thickness --q bonacci:12 --set aq --level 30", 0,
-     "47f4e303127f3c4eddf3a6ba4e37f446ef6e833bbb1ab1cecdf93d0dd4d84801"),
+     "36de0cca75e1a1b60ed71f4f45847c11ba69dddcdaf0523a83f5c3de6be5e6d6"),
     ("thickness --q bonacci:10 --set sk:9 --level 10", 0,
-     "81639c1ee94635ceacaa0dd4f00ada7e0ce70ea78d2ff004349db4cb1e82bd56"),
+     "02a9f7bb34de12db50d442dfd812e2754cad70186d4db90a17cd6b5c405fd85a"),
 ]
 
 

@@ -1,3 +1,4 @@
+from collections import Counter, namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -5,16 +6,14 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qslice import thickness
-from qslice.algebraic import AlgebraicNumber, FieldElement, bonacci_root
+from qslice.algebraic import AlgebraicNumber, bonacci_root
 from qslice.certificates import bracket, check, exact_check, from_json, to_json, verify
 from qslice.slices import ClaimKind
 from qslice.thickness import (
     _START,
-    SK_GAP_CAP,
     BaseTooSmall,
     GapFamily,
-    GapRecord,
-    GapStructure,
+    GapLaw,
     ShiftSetAnalysis,
     ThicknessError,
     W2,
@@ -34,6 +33,9 @@ from qslice.thickness import (
 from qslice.words import Alphabet, Word, member, run_limited
 
 QBIG = AlgebraicNumber.from_rational(F(1999, 1000))
+
+# one gap of a reference walk, as the gap records of the per-gap walks were
+Gap = namedtuple("Gap", "level left right size bridge_lb meta")
 
 mid_bases = st.fractions(min_value=F(21, 20), max_value=F(39, 20), max_denominator=40)
 
@@ -158,19 +160,15 @@ def test_shift_analysis_exact_extremes():
 def test_aq_gap_laws():
     g = QBIG.gen()
     gs = enumerate_gaps(QBIG, GapFamily.AqSet, 28)
-    by_level = {}
-    for r in gs.gaps:
-        by_level.setdefault(r.level, []).append(r)
-    assert sorted((k, len(v)) for k, v in by_level.items()) == [
+    # one law per free position, standing for 2^idx translates
+    assert [(r.level, r.count) for r in gs.gaps] == [
         (13, 1), (15, 2), (20, 4), (23, 8), (27, 16),
     ]
+    assert gs.gap_count == 31
     for r in gs.gaps:
         assert g ** (-r.level) < r.size[0]
         assert r.size[1] < g ** (1 - r.level)
         assert r.bridge_lb > g ** (-r.level - 4)
-    for rs in by_level.values():
-        sizes = {(rr.size[0].as_fraction(), rr.size[1].as_fraction()) for rr in rs}
-        assert len(sizes) == 1
     assert thickness_lower_bound(gs) > g**-5
 
 
@@ -186,9 +184,11 @@ def test_scaled_family_is_affine_image():
     scaled = enumerate_gaps(QBIG, GapFamily.ScaledShiftedSk, 6)
     assert len(plain.gaps) == len(scaled.gaps)
     for p, s in zip(plain.gaps, scaled.gaps):
+        assert (s.meta, s.level, s.count) == (p.meta, p.level, p.count)
         assert s.left[0] == 1 + (2 - g) * p.left[0]
         assert s.right[0] == 1 + (2 - g) * p.right[0]
         assert s.size[0] == (2 - g) * p.size[0]
+        assert s.bridge_lb == (2 - g) * p.bridge_lb
     assert scaled.hull[0][0] == 1
     assert scaled.hull[1][0] == 1 / (g - 1)
 
@@ -223,16 +223,18 @@ def test_no_gap_shortcut_matches_the_walk(qf):
     g = q.gen()
     assert ShiftSetAnalysis(q, 9).max_gap() == 0
     plain = enumerate_gaps(q, GapFamily.SkSet, 12)
-    assert plain == reference_sk_gaps(q, 9, 12) and plain.gaps == ()
+    hull, records = reference_sk_gaps(q, 9, 12)
+    assert (plain.hull, plain.gaps, records) == (hull, (), [])
     scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 12)
-    assert scaled == reference_sk_gaps(q, 9, 12, scale=2 - g, shift=g.base.one())
+    hull, records = reference_sk_gaps(q, 9, 12, scale=2 - g, shift=g.base.one())
+    assert (scaled.hull, scaled.gaps, records) == (hull, (), [])
 
 
 def test_newhouse_does_not_walk_the_shift_set(monkeypatch):
     def walk(*args):
-        raise AssertionError("the certificate walked the shift-set gaps")
+        raise AssertionError("the certificate built the shift-set gap laws")
 
-    monkeypatch.setattr(thickness, "_enumerate_sk_gaps", walk)
+    monkeypatch.setattr(thickness, "_shift_set_laws", walk)
     assert newhouse_certify(QBIG, level=12).claim == "thick-linked-intersection"
 
 
@@ -257,8 +259,10 @@ def test_find_slice3_witness_shallow():
 
 
 def reference_sk_gaps(q, k, level, scale=None, shift=None):
-    """The shift-set gap walk that divides by q at every node and rescales
-    every record afterwards: the reference for the template walk."""
+    """The shift-set gaps one by one, from a breadth-first walk that divides
+    by q at every node and rescales every gap afterwards: the hull and the
+    gaps, largest first, then left to right. No cap: the reference for the
+    gap laws."""
     ana = ShiftSetAnalysis(q, k)
     g = q.gen()
     one = g.base.one()
@@ -267,52 +271,51 @@ def reference_sk_gaps(q, k, level, scale=None, shift=None):
 
     records = []
     frontier = [(_START, g.base.zero(), one, 0)]
-    while frontier and len(records) < SK_GAP_CAP:
-        state, off, sc, d = frontier.pop(0)
+    for state, off, sc, d in frontier:
         if d >= level:
             continue
         moves = ana.successors(state)
         gap = ana.own_gap(state)
         if gap is not None and len(moves) == 2:
             (_, s0), (_, s1) = moves
-            gl = off + sc * (ana.vmax(s0) / g)
-            gr = off + sc * ((1 + ana.vmin(s1)) / g)
+            gl = shift + scale * (off + sc * (ana.vmax(s0) / g))
+            gr = shift + scale * (off + sc * ((1 + ana.vmin(s1)) / g))
             bridge_l = sc * (ana._clearance(s0, gap * g, False) / g)
             bridge_r = sc * (ana._clearance(s1, gap * g, True) / g)
-            size = sc * gap
-            records.append(
-                GapRecord(
-                    level=d,
-                    left=(gl, gl),
-                    right=(gr, gr),
-                    size=(size, size),
-                    bridge_lb=min(bridge_l, bridge_r),
-                    meta={"state": str(state)},
-                )
-            )
+            size = scale * sc * gap
+            bridge = scale * min(bridge_l, bridge_r)
+            records.append(Gap(d, (gl, gl), (gr, gr), (size, size), bridge, {"state": str(state)}))
         for dig, child in moves:
             frontier.append((child, off + sc * (dig / g), sc / g, d + 1))
 
     hull_lo = shift + scale * ana.vmin(_START)
     hull_hi = shift + scale * ana.vmax(_START)
-    out = []
+    records.sort(key=lambda r: (-r.size[0], r.left[0]))
+    return ((hull_lo, hull_lo), (hull_hi, hull_hi)), records
+
+
+def assert_laws_match_gaps(laws, records, key):
+    """Group the reference gaps by free position or state: each group is one
+    law, its length the law's count, its largest gaps at the law's level
+    with the law's size and bridge, the leftmost of them at the law's ends,
+    and every gap of it with the law's bridge-to-size ratio."""
+    groups = {}
     for r in records:
-        left = shift + scale * r.left[0]
-        right = shift + scale * r.right[0]
-        size = scale * r.size[0]
-        out.append(
-            GapRecord(
-                r.level,
-                (left, left),
-                (right, right),
-                (size, size),
-                scale * r.bridge_lb,
-                r.meta,
-            )
-        )
-    out.sort(key=lambda r: (-r.size[0], r.left[0]))
-    fam = GapFamily.SkSet if scale == 1 and shift == 0 else GapFamily.ScaledShiftedSk
-    return GapStructure(fam, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(out))
+        groups.setdefault(r.meta[key], []).append(r)
+    assert all(law.meta.keys() == {key} for law in laws)
+    assert {law.meta[key] for law in laws} == groups.keys()
+    for law in laws:
+        group = groups[law.meta[key]]
+        assert len(group) == law.count
+        top = min(r.level for r in group)
+        largest = [r for r in group if r.level == top]
+        leftmost = min(largest, key=lambda r: r.left[0])
+        assert top == law.level
+        assert {(r.size, r.bridge_lb) for r in largest} == {(law.size, law.bridge_lb)}
+        assert (leftmost.left, leftmost.right) == (law.left, law.right)
+        ratio = law.bridge_lb / law.size[1]
+        assert all(r.bridge_lb / r.size[1] == ratio for r in group)
+    assert sum(law.count for law in laws) == len(records)
 
 
 def reference_ratios(q, k):
@@ -342,10 +345,27 @@ SK_CASES = [
 def test_sk_walk_matches_reference(q, k, levels):
     g = q.gen()
     for level in levels:
-        plain = enumerate_gaps(q, GapFamily.SkSet, level, k=k)
-        assert plain == reference_sk_gaps(q, k, level)
-        scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, level, k=k)
-        assert scaled == reference_sk_gaps(q, k, level, scale=2 - g, shift=g.base.one())
+        for family, scale, shift in (
+            (GapFamily.SkSet, None, None),
+            (GapFamily.ScaledShiftedSk, 2 - g, g.base.one()),
+        ):
+            gs = enumerate_gaps(q, family, level, k=k)
+            hull, records = reference_sk_gaps(q, k, level, scale=scale, shift=shift)
+            assert gs.hull == hull
+            assert_laws_match_gaps(gs.gaps, records, "state")
+            # a state has one node at its first depth: the law's largest gap
+            firsts = Counter((r.meta["state"], r.level) for r in records)
+            assert all(firsts[law.meta["state"], law.level] == 1 for law in gs.gaps)
+            sizes = [law.size[0] for law in gs.gaps]
+            assert sizes == sorted(sizes, reverse=True)
+
+
+def test_sk_gap_count_past_the_old_record_cap():
+    # the walk kept at most 4096 gap records; the law counts are exact
+    gs = enumerate_gaps(QBIG, GapFamily.SkSet, 13)
+    hull, records = reference_sk_gaps(QBIG, 9, 13)
+    assert gs.gap_count == len(records) > 4096
+    assert_laws_match_gaps(gs.gaps, records, "state")
 
 
 @pytest.mark.parametrize("q, k", [(q, k) for q, k, _ in SK_CASES])
@@ -427,7 +447,7 @@ def reference_aq_gaps(q, level):
         else:
             best = min(best, hull_hi[0] - right[1])
         size = (right[0] - left[1], right[1] - left[0])
-        records.append(GapRecord(lev, left, right, size, best, meta))
+        records.append(Gap(lev, left, right, size, best, meta))
     records.sort(key=lambda r: (-r.size[0], r.left[0]))
     return (hull_lo, hull_hi), records
 
@@ -441,7 +461,10 @@ def test_aq_gaps_match_reference(q, level):
     hull, records = reference_aq_gaps(q, level)
     gs = enumerate_gaps(q, GapFamily.AqSet, level)
     assert gs.hull == hull
-    assert list(gs.gaps) == records
+    assert_laws_match_gaps(gs.gaps, records, "free_position")
+    assert [law.meta["free_position"] for law in gs.gaps] == list(
+        build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level)
+    )
 
 
 def test_aq_gaps_reference_below_nine_bonacci():
@@ -457,36 +480,28 @@ def test_aq_gaps_reference_below_nine_bonacci():
     [(QBIG, GapFamily.AqSet, 30), (bonacci_root(12), GapFamily.AqSet, 20), (QBIG, GapFamily.SkSet, 10)],
     ids=["aq-1999/1000-30", "aq-bonacci:12-20", "sk9-1999/1000-10"],
 )
-def test_thickness_bound_compares_each_pair_once(q, family, level, monkeypatch):
+def test_thickness_bound_is_the_least_law_ratio(q, family, level):
+    # the per-gap bound: the least bridge-to-size ratio over every gap
+    if family == GapFamily.AqSet:
+        _, records = reference_aq_gaps(q, level)
+    else:
+        _, records = reference_sk_gaps(q, 9, level)
+    expected = min(r.bridge_lb / r.size[1] for r in records)
     gs = enumerate_gaps(q, family, level, k=9)
-    # the reference compares every gap and keeps the first with the least ratio
-    best = gs.gaps[0]
-    for r in gs.gaps[1:]:
-        if r.bridge_lb / r.size[1] < best.bridge_lb / best.size[1]:
-            best = r
-    expected = best.bridge_lb / best.size[1]
-    pairs = {(r.bridge_lb.coeffs, r.size[1].coeffs) for r in gs.gaps}
-    assert len(pairs) < len(gs.gaps)
-    products = []
-    mul = FieldElement.__mul__
-
-    def counted(self, other):
-        products.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    assert len(gs.gaps) < len(records)
     assert thickness_lower_bound(gs) == expected
-    # two products per distinct pair, and one in the final division
-    assert len(products) == 2 * len(pairs) + 1
+    assert expected in {law.bridge_lb / law.size[1] for law in gs.gaps}
 
 
 def reference_newhouse(q, level):
-    """The certificate as first built: three aq checks per enumerated gap,
-    the count and thickness read off the gap records."""
+    """The certificate as first built: three aq checks per gap of the
+    reference walk, the count and thickness read off its gaps."""
     g = q.gen()
     checks = list(w2_cover_check(q).checks)
-    gs = enumerate_gaps(q, GapFamily.AqSet, level)
-    for i, r in enumerate(gs.gaps):
+    hull, records = reference_aq_gaps(q, level)
+    if not records:
+        raise ThicknessError("no gaps enumerated")
+    for i, r in enumerate(records):
         k = r.level
         checks.append(exact_check(f"aq-gap-{i}-below", "lt", r.size[1], g ** (1 - k)))
         checks.append(exact_check(f"aq-gap-{i}-above", "lt", g ** (-k), r.size[0]))
@@ -497,13 +512,13 @@ def reference_newhouse(q, level):
     checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
     checks.append(exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s))
     scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    checks.extend(interleaving_check(gs.hull, scaled_hull, scaled_gap))
+    checks.extend(interleaving_check(hull, scaled_hull, scaled_gap))
     data = {
         "base": bracket(g),
-        "aq-gap-count": len(gs.gaps),
+        "aq-gap-count": len(records),
         "shift-thickness": bracket(tau_s),
         "shift-thickness-per-state": tau_detail,
-        "aq-thickness-enumerated": bracket(thickness_lower_bound(gs)),
+        "aq-thickness-enumerated": bracket(min(r.bridge_lb / r.size[1] for r in records)),
     }
     return checks, data
 
@@ -546,13 +561,17 @@ def test_newhouse_checks_each_position_law_once(q, level):
 
 
 def test_newhouse_builds_no_gap_record(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the certificate enumerated the branching family's gaps")
+    built = []
 
-    monkeypatch.setattr(thickness, "GapRecord", refuse)
-    monkeypatch.setattr(thickness, "enumerate_gaps", refuse)
-    # 25 free positions below level 60: 2^25 - 1 gaps, 75 aq checks
+    class Counted(GapLaw):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(thickness, "GapLaw", Counted)
+    # 25 free positions below level 60: 2^25 - 1 gaps, 25 laws, 75 aq checks
     cert = newhouse_certify(bonacci_root(10), 60)
+    assert len(built) == 25
     assert sum(map(_is_aq, cert.checks)) == 75
     assert cert.data["aq-gap-count"] == 2**25 - 1
 
