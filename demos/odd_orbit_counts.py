@@ -3,9 +3,10 @@ Odd orbit counts at multinacci bases
 ====================================
 
 At the k-bonacci base, points of the form 1 (0^k)^m delta have exactly
-2m+1 expansions when delta is a suitable run-limited tail. The count is
-verified by exhausting the orbit tree and certifying each leaf, and the
-certificate replays the exact block-trade recursion behind the count.
+2m+1 expansions when delta is a suitable run-limited tail. The slice
+engine verifies the count at the height y = x(q-1): certified
+ExactlyN(2m+1), each orbit eternally unique and the cylinders separated.
+The certificate replays the exact block-trade recursion behind the count.
 """
 
 from qslice import (

@@ -29,6 +29,7 @@ from .dynamics import (
     ternary_branch_system,
     unique_orbit_check,
 )
+from .slices import compute_slice, exactly
 from .words import (
     Alphabet,
     Tail,
@@ -81,9 +82,9 @@ def _check_delta(k: int, delta: Tail) -> None:
 def x_m_witness(
     k: int, m: int, delta: Optional[Tail] = None
 ) -> tuple[AlgebraicNumber, FieldElement, Tail]:
-    """The height whose binary expansion reads: one, m blocks of k zeros,
-    then a tail from the uniformly run-limited shift, (01)^oo unless
-    delta is given.
+    """The expansion point x whose binary expansion reads: one, m blocks
+    of k zeros, then a tail from the uniformly run-limited shift, (01)^oo
+    unless delta is given. The slice height is y = x(q-1).
 
     Each zero block can trade against the identity block of the base, so
     the point carries exactly 2m+1 expansions.
@@ -103,28 +104,26 @@ def x_m_witness(
 def verify_odd_cardinality(
     k: int, m: int, delta: Optional[Tail] = None, depth: Optional[int] = None
 ) -> Certificate:
-    """Certify that the 2m+1 count is exact: enumerate the orbit tree,
-    certify every surviving branch eternally, and check the block-trade
-    recursion step by step with exact arithmetic."""
+    """Certify that the 2m+1 count is exact: the slice engine must decide
+    the witness's height as certified ExactlyN(2m+1), every orbit eternally
+    unique and the cylinders pairwise separated; then the block-trade
+    recursion is checked step by step with exact arithmetic."""
     q, x, t = x_m_witness(k, m, delta)
     g = q.gen()
     if depth is None:
         depth = k * (m + 2) + 18
-    sys = ternary_branch_system(q)
-    walk = enumerate_orbits(sys, x, depth)
     expected = 2 * m + 1
-    if walk.sizes[-1] != expected:
+    y = x * (g - 1)
+    # every path has a child, so a walk past 2m+1 paths has already failed
+    res = compute_slice(q, y, depth, max_cylinders=expected)
+    if res.claim != exactly(expected, certified=True):
         raise CertificationFailed(
-            f"expected {expected} surviving branches, found {walk.sizes[-1]}", depth
+            f"expected {expected} separated certified orbits, the slice reads "
+            f"{res.claim.kind.value}({res.claim.n}, certified={res.claim.certified})",
+            depth,
         )
-    routes = []
-    for path, point in zip(walk.paths, walk.points()):
-        probe = unique_orbit_check(q, point, 2 * depth)
-        if probe.status != UniqueOrbitStatus.UniqueCertified:
-            raise CertificationFailed(
-                f"branch {path[:8]} not certified unique", depth
-            )
-        routes.append(probe.route)
+    routes = [probe.route for probe in res.leaf_probes]
+    sys = ternary_branch_system(q)
 
     checks = []
     # the leading digit funnels into the previous witness: applying the
@@ -159,7 +158,7 @@ def verify_odd_cardinality(
             "m": m,
             "count": expected,
             "base": bracket(g),
-            "height": bracket(x),
+            "height": bracket(y),
             "leaf-routes": routes,
         },
     )

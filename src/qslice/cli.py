@@ -568,6 +568,9 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # thickness prints exact gap counts, past level ~14000 over 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -592,9 +595,6 @@ def main() -> None:
         # a reader that closes the pipe early ends the process quietly, as
         # it would end cat; that is not a fault of the program
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # thickness prints exact gap counts, past level ~14000 over 4300 digits
-        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -33,8 +33,7 @@ from .slices import SliceResult, compute_slice, ClaimKind
 from .words import Alphabet, Tail, Word, project_q, tail
 
 AQ_GAP_MARGIN = 14  # expansion digits of 1 computed past the aq gap level
-WITNESS_BUDGET = 1000  # three-orbit pair-search steps, doubled on each retry
-WITNESS_RETRIES = 5
+WITNESS_BUDGET = 1000  # three-orbit pair-search steps
 
 
 class ThicknessError(ValueError):
@@ -716,7 +715,8 @@ def find_slice3_witness(
 
     Refines a pair of enclosures, one inside the branching family and one
     inside the scaled shift set, keeping their overlap nonempty; the
-    midpoint, pulled back to a height, is checked by the slice engine.
+    midpoint of the first overlap narrower than q^-(depth+12), pulled back
+    to a height, is decided once by the slice engine.
     """
     g = q.gen()
     template = build_aq_prefixes(q, depth + 40, margin=16)
@@ -732,47 +732,34 @@ def find_slice3_witness(
     free_all = template.free_positions
     target_width = g ** (-(depth + 12))
 
-    for attempt in range(WITNESS_RETRIES):
-        # depth-first over pairs (free-bit assignment, shift-set node),
-        # keeping only pairs with overlapping value enclosures; alo is the
-        # fixed part plus the weight of the free bits set to 1 so far, and
-        # the free positions not yet set can add at most their total weight
-        # plus the tail bound
-        stack = [(fixed, 0, _START, g.base.zero(), g.base.one(), 0)]
-        steps = 0
-        allowance = WITNESS_BUDGET * 2**attempt
-        found = None
-        while stack:
-            alo, na, state, off, sc, nb = stack.pop()
-            steps += 1
-            if steps > allowance:
-                break
-            ahi = alo + free_suffix[na] + tail_bound
-            blo, bhi = b_bracket(state, off, sc)
-            if max(alo, blo) > min(ahi, bhi):
-                continue
-            if ahi - alo < target_width and bhi - blo < target_width:
-                found = (max(alo, blo), min(ahi, bhi))
-                break
-            if (na <= nb or nb >= 200) and na < len(free_all):
-                w = weights[free_all[na]]
-                stack.append((alo + w, na + 1, state, off, sc, nb))
-                stack.append((alo, na + 1, state, off, sc, nb))
-            else:
-                child_sc = sc * ana.ginv
-                for dig, child in reversed(ana.successors(state)):
-                    stack.append(
-                        (alo, na, child, off + child_sc if dig else off, child_sc, nb + 1)
-                    )
-        if found is None:
-            target_width = target_width * g**2
+    # depth-first over pairs (free-bit assignment, shift-set node),
+    # keeping only pairs with overlapping value enclosures; alo is the
+    # fixed part plus the weight of the free bits set to 1 so far, and
+    # the free positions not yet set can add at most their total weight
+    # plus the tail bound
+    stack = [(fixed, 0, _START, g.base.zero(), g.base.one(), 0)]
+    for _ in range(WITNESS_BUDGET):
+        if not stack:
+            break
+        alo, na, state, off, sc, nb = stack.pop()
+        ahi = alo + free_suffix[na] + tail_bound
+        blo, bhi = b_bracket(state, off, sc)
+        if max(alo, blo) > min(ahi, bhi):
             continue
-        lo, hi = found
-        mid = (lo + hi) / 2
-        height = mid * (g - 1) / g
-        result = compute_slice(q, height, depth)
-        if result.claim.kind == ClaimKind.ExactlyN and result.claim.n == 3:
-            hb = bracket(height)
-            return (hb[0], hb[1]), result
-        target_width = target_width * g**-6
+        if ahi - alo < target_width and bhi - blo < target_width:
+            height = (max(alo, blo) + min(ahi, bhi)) / 2 * (g - 1) / g
+            result = compute_slice(q, height, depth)
+            if result.claim.kind == ClaimKind.ExactlyN and result.claim.n == 3:
+                return bracket(height), result
+            break
+        if (na <= nb or nb >= 200) and na < len(free_all):
+            w = weights[free_all[na]]
+            stack.append((alo + w, na + 1, state, off, sc, nb))
+            stack.append((alo, na + 1, state, off, sc, nb))
+        else:
+            child_sc = sc * ana.ginv
+            for dig, child in reversed(ana.successors(state)):
+                stack.append(
+                    (alo, na, child, off + child_sc if dig else off, child_sc, nb + 1)
+                )
     raise RefinementBudgetExceeded("no verified three-orbit height found")

@@ -20,6 +20,7 @@ from qslice.bonacci import (
 )
 from qslice.certificates import check, from_json, to_json, verify
 from qslice.dynamics import tail_is_orbit, ternary_branch_system
+from qslice.slices import compute_slice, exactly
 from qslice.words import Alphabet, member, project_q, run_limited, run_limited_strict, tail
 
 
@@ -51,6 +52,13 @@ def test_odd_cardinality_counts(m):
     assert cert.data["count"] == 2 * m + 1
     assert cert.level == m
     assert verify(cert) == []
+    # the certificate's height is y = x(q-1), not the expansion point x,
+    # and the slice engine reads it as 2m+1 certified, separated points
+    q, x, _ = x_m_witness(3, m)
+    y = x * (q.gen() - 1)
+    lo, hi = cert.data["height"]
+    assert Fraction(lo) <= y <= Fraction(hi)
+    assert compute_slice(q, y, cert.depth).claim == exactly(2 * m + 1, certified=True)
 
 
 def test_odd_cardinality_other_tail():
@@ -240,3 +248,7 @@ def test_base_identity_links_deficit_to_power(k):
 def test_odd_cardinality_depth_too_shallow():
     with pytest.raises(CertificationFailed):
         verify_odd_cardinality(3, 3, depth=4)
+    # seven paths at depth 8, but not yet seven separated cylinders: the
+    # slice reads AtLeastN(4), so the count is not certified
+    with pytest.raises(CertificationFailed, match="AtLeastN"):
+        verify_odd_cardinality(3, 3, depth=8)

@@ -34,8 +34,9 @@ GOLDEN = [
      "a0aff641068bf056e1960a96c6a9f517e7200091f9d07ce7084d92a765298d48"),
     ("dimension --q algebraic:-1,-2,2:1:2 --y 1/3 --method mass --levels 4", 0,
      "08546450220533fd6c154a187d68028bb788e988350bb48debe7dfda1fea4bfa"),
+    # the certificate's height is the slice height y = x(q-1)
     ("bonacci verify --k 4 --m 2", 0,
-     "f1bc08b7439d7e7de16959169284f33c713123179378d802b09dfdbe0476477a"),
+     "79984f6301bb731e80c9b8c14ba013e289ed9b91c54d81c1e85eb67f9f1c3fee"),
     ("bonacci null --k 5 --depth 40", 0,
      "985c08bebca38ef15828b962123542e7f1ae2bf0e6171b8cd86812c7a2e8aef3"),
     # certified by its exact cycle alone: 1 = 11(0110)^oo is not 2-run-limited
@@ -57,6 +58,9 @@ GOLDEN = [
      "ad19cae37b271a0f602f0f179e3146766853ee619ba0969e1d3693709fd34ede"),
     ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
      "f66e75a9cb624ba45a39ef15829d994a789c83ae889ff6a66cf8218f2802928d"),
+    # one height, decided once: its middle orbit forks past depth 48
+    ("certify-slice3 --q bonacci:10 --depth 48 --level 12", 2,
+     "8fedd4696cd3578a246d6a80fbe40008d79fc847e9a4d0f06717d9d07c43c675"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,
      "6b4a4193bea98e2ae147483f65e7cba8bbee451ba79f6776254d367b086d0a31"),
     ("certify-slice3 --q bonacci:12 --depth 30 --level 20", 0,

@@ -14,6 +14,7 @@ from qslice.thickness import (
     BaseTooSmall,
     GapFamily,
     GapLaw,
+    RefinementBudgetExceeded,
     ShiftSetAnalysis,
     ThicknessError,
     W2,
@@ -247,8 +248,19 @@ def test_newhouse_certificate_round_trip():
     assert check(again)
 
 
-def test_find_slice3_witness_shallow():
+def count_slice_decisions(monkeypatch):
+    calls = []
+    engine = thickness.compute_slice
+    monkeypatch.setattr(
+        thickness, "compute_slice", lambda *a, **kw: calls.append(a[1]) or engine(*a, **kw)
+    )
+    return calls
+
+
+def test_find_slice3_witness_shallow(monkeypatch):
+    calls = count_slice_decisions(monkeypatch)
     (ylo, yhi), res = find_slice3_witness(QBIG, depth=30)
+    assert len(calls) == 1  # the slice engine decides one height, once
     assert F(ylo) <= F(yhi)
     assert 0 < F(ylo) and F(yhi) < 1
     assert res.claim.kind == ClaimKind.ExactlyN
@@ -256,6 +268,16 @@ def test_find_slice3_witness_shallow():
     assert len(res.cylinders) == 3
     assert [w.symbols[0] for w in res.cylinders] == [0, 1, 2]
     assert res.branch_events == ((0, ()),)
+
+
+def test_find_slice3_witness_decides_a_failed_height_once(monkeypatch):
+    # at bonacci:10, depth 48, the first narrow overlap's height does not
+    # read three (its middle orbit forks past the depth): one decision,
+    # then the search gives up
+    calls = count_slice_decisions(monkeypatch)
+    with pytest.raises(RefinementBudgetExceeded, match="no verified three-orbit height found"):
+        find_slice3_witness(bonacci_root(10), depth=48)
+    assert len(calls) == 1
 
 
 def reference_sk_gaps(q, k, level, scale=None, shift=None):
