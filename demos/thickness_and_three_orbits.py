@@ -13,7 +13,6 @@ from fractions import Fraction
 from qslice import (
     AlgebraicNumber,
     GapFamily,
-    ShiftSetAnalysis,
     enumerate_gaps,
     find_slice3_witness,
     format_word,
@@ -37,10 +36,9 @@ print("thickness lower bound exceeds q^-5:", tau > g**-5)
 # machine, each standing for its scaled copies
 sk = enumerate_gaps(q, GapFamily.SkSet, 16)
 print("shift-set gap laws to level 16:", len(sk.gaps), "gaps:", sk.gap_count)
-ana = ShiftSetAnalysis(q, 9)
-tau_s, per_state = ana.thickness_bound()
+tau_s = thickness_lower_bound(sk)
 print("shift-set thickness exceeds q^6:", tau_s > g**6)
-print("largest shift-set gap below q^-8:", ana.max_gap() < g**-8)
+print("largest shift-set gap below q^-8:", sk.gaps[0].size[0] < g**-8)
 
 # the product of the two bounds beats 1, so the linked pair must intersect
 print("thickness product beats 1:", tau * tau_s > 1)

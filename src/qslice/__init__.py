@@ -85,7 +85,6 @@ from .thickness import (
     interleaving_check,
     newhouse_certify,
     prefix_run_length,
-    shift_set_extent,
     thickness_lower_bound,
 )
 from .bonacci import (

@@ -63,14 +63,14 @@ def _outward(lo: Fraction, hi: Fraction, grid: int) -> tuple[str, str]:
     return str(glo), str(ghi)
 
 
-def bracket(x, eps: Fraction = Fraction(1, 10**30)) -> tuple[str, str]:
+def bracket(x, eps: Fraction = Fraction(1, 10**40)) -> tuple[str, str]:
     """Rational enclosure of an exact quantity, as strings.
 
-    The grid has denominator 10^40, or eps's denominator when that is
-    finer. An irrational value gets the grid cell that holds it; a rational
-    one is exact, rounded outward onto the grid when its denominator is
-    larger, so that certificates stay readable even when the exact values
-    carry hundreds of digits."""
+    The grid has denominator 10^40, the default eps, or eps's denominator
+    when that is finer. An irrational value gets the grid cell that holds
+    it; a rational one is exact, rounded outward onto the grid when its
+    denominator is larger, so that certificates stay readable even when
+    the exact values carry hundreds of digits."""
     grid = max(10**40, Fraction(eps).denominator)
     if isinstance(x, FieldElement):
         lo, hi = enclose(x, grid)

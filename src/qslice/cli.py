@@ -338,7 +338,7 @@ def _cmd_bonacci(args) -> int:
         return 0
     if args.mode == "null":
         try:
-            cert = null_infinite_probe(args.k, depth=args.depth or 30)
+            cert = null_infinite_probe(args.k, depth=args.depth)
         except CertificationFailed as e:
             _emit({"command": "bonacci", "mode": "null", "error": str(e)})
             return 2
@@ -354,10 +354,8 @@ def _cmd_bonacci(args) -> int:
         _emit({"command": "bonacci", "certificate": asdict(cert)})
         return 0
     # c2
-    if args.q is None:
-        raise InputError("c2 mode needs --q")
     q = parse_number(args.q)
-    report = c2_probe(q, depth=args.depth or 64)
+    report = c2_probe(q, depth=args.depth)
     rec = {
         "command": "bonacci",
         "mode": "c2",
@@ -412,7 +410,7 @@ def _cmd_dimension(args) -> int:
         rec["s_lower"] = _interval(dimension_lower_bound(M))
         problems: list[str] = []
         if levels > 0:
-            tree = build_r_tree(q, x0, levels, m_bound=M)
+            tree = build_r_tree(q, x0, levels, m_bound=M, max_len=args.max_len)
             problems = tree.validate()
             rec["tree"] = {
                 "levels": levels,
@@ -537,21 +535,30 @@ def _build_parser() -> _Parser:
     s.set_defaults(fn=_cmd_certify_slice3)
 
     s = sub.add_parser("bonacci", help="orbit counts at multinacci bases")
-    s.add_argument("mode", choices=["verify", "null", "c2"])
-    s.add_argument("--k", type=_int_from(2), default=3)
-    s.add_argument("--m", type=_NONNEGATIVE, default=1)
-    s.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
-    s.add_argument("--q")
-    s.add_argument("--depth", type=_POSITIVE)
     s.set_defaults(fn=_cmd_bonacci)
+    modes = s.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("verify", help="certify 2m + 1 orbits at the k-bonacci base")
+    m.add_argument("--k", type=_int_from(2), default=3)
+    m.add_argument("--m", type=_NONNEGATIVE, default=1)
+    m.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
+    m.add_argument("--depth", type=_POSITIVE, help="walk depth; default k(m + 2) + 18")
+    m = modes.add_parser("null", help="certify a countably infinite slice at the k-bonacci base")
+    m.add_argument("--k", type=_int_from(2), default=3)
+    m.add_argument("--depth", type=_POSITIVE, default=30)
+    m = modes.add_parser("c2", help="probe whether 1/q has exactly two orbits")
+    m.add_argument("--q", required=True)
+    m.add_argument("--depth", type=_POSITIVE, default=64)
 
     s = sub.add_parser("dimension", help="dimension bounds for slices")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--method", choices=["mass", "box"], default="mass")
     s.add_argument("--levels", type=_NONNEGATIVE)
-    s.add_argument("--grid", type=_int_from(3), default=256)
-    s.add_argument("--max-len", type=_POSITIVE, default=48)
+    s.add_argument("--grid", type=_int_from(3), default=256, help="mass method: cells of M's grid")
+    s.add_argument(
+        "--max-len", type=_POSITIVE, default=48,
+        help="mass method: most maps a fork search walks, for M and the tree alike",
+    )
     s.set_defaults(fn=_cmd_dimension)
 
     s = sub.add_parser("render", help="draw the carrier as SVG")

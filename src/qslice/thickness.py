@@ -332,9 +332,6 @@ class ShiftSetAnalysis:
             moves.append((d, ("run", d, r + 1)))
         return tuple(sorted(moves))
 
-    def states(self) -> list[tuple]:
-        return list(self._depths_from(_START))
-
     # -- extremal tails -----------------------------------------------------
 
     def _extremal_tail(self, state, prefer: int) -> Tail:
@@ -464,25 +461,6 @@ class ShiftSetAnalysis:
             self._template[state] = template
         return self._template[state]
 
-    def thickness_bound(self) -> tuple[FieldElement, dict]:
-        """Certified lower bound for the thickness of the projection: the
-        least bridge-to-gap ratio of the per-state gaps, which every scaled
-        copy shares."""
-        best = None
-        details = {}
-        for s in self.states():
-            template = self.gap_template(s)
-            if template is None:
-                continue
-            _, _, gap, bridge = template
-            ratio = bridge / gap
-            details[str(s)] = bracket(ratio)
-            if best is None or ratio < best:
-                best = ratio
-        if best is None:
-            raise ThicknessError("shift has no gaps; thickness undefined")
-        return best, details
-
 
 # ---------------------------------------------------------------------------
 # gap laws of the three set families
@@ -531,20 +509,6 @@ def _family_map(g: FieldElement, family: GapFamily) -> tuple[FieldElement, Field
     if family == GapFamily.SkSet:
         return g.base.zero(), g.base.one()
     return g.base.one(), 2 - g
-
-
-def shift_set_extent(
-    ana: ShiftSetAnalysis, family: GapFamily
-) -> tuple[tuple[FieldElement, FieldElement], FieldElement]:
-    """Hull ends and largest gap of a shift-set family, read off the
-    analysis: the images of [vmin, vmax] of the start state and of
-    max_gap() under the family's map. At run bound 9 and any level above 9
-    these are enumerate_gaps' hull and gaps[0].size exactly: every state
-    first occurs by depth 9, where its largest gaps sit. The family has no
-    gap just when max_gap() is 0."""
-    shift, scale = _family_map(ana.g, family)
-    hull = (shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START))
-    return hull, scale * ana.max_gap()
 
 
 def _shift_set_laws(ana: ShiftSetAnalysis, family: GapFamily, level: int) -> list[GapLaw]:
@@ -597,9 +561,10 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
         template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
         return GapStructure(family, 9, level, template.hull, tuple(template.gap_laws(level)))
     ana = ShiftSetAnalysis(q, k)
-    (hull_lo, hull_hi), largest = shift_set_extent(ana, family)
-    laws = _shift_set_laws(ana, family, level) if largest > 0 else ()
-    return GapStructure(family, k, level, ((hull_lo, hull_lo), (hull_hi, hull_hi)), tuple(laws))
+    shift, scale = _family_map(ana.g, family)
+    lo, hi = shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START)
+    laws = _shift_set_laws(ana, family, level) if ana.max_gap() > 0 else ()
+    return GapStructure(family, k, level, ((lo, lo), (hi, hi)), tuple(laws))
 
 
 def thickness_lower_bound(gs: GapStructure) -> FieldElement:
@@ -647,9 +612,10 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
 
     Verifies the gap law of each free position below the stated level
     (enumerate_gaps: the 2^n - 1 gaps of n free positions obey n laws), the
-    exact thickness bound of the shift projection, interleaving, and the
-    thickness product; the level-independent tail of the gap laws follows
-    from the verified block structure and is recorded as a hypothesis.
+    thickness, largest gap and hull of the shift projection, read from its
+    gap laws (one per follower state), interleaving, and the thickness
+    product; the level-independent tail of the gap laws follows from the
+    verified block structure and is recorded as a hypothesis.
     """
     aq = enumerate_gaps(q, GapFamily.AqSet, level)
     g = q.gen()
@@ -668,10 +634,16 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         except CertificateError as e:
             raise ThicknessTooSmall(str(e)) from e
 
-    ana = ShiftSetAnalysis(q, 9)
-    tau_s, tau_detail = ana.thickness_bound()
+    # a state with a gap has two successors, and at run bound 9 each such
+    # state is first reached by depth 8: the laws to level 10 are all of
+    # them, whatever the stated level
+    sk = enumerate_gaps(q, GapFamily.SkSet, 10)
+    if not sk.gaps:
+        raise ThicknessError("shift has no gaps; thickness undefined")
+    ratios = {law.meta["state"]: law.bridge_lb / law.size[1] for law in sk.gaps}
+    tau_s, largest = min(ratios.values()), sk.gaps[0].size[0]
     try:
-        checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
+        checks.append(exact_check("sk-largest-gap", "lt", largest, g**-8))
         checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
         # branching-family thickness: bridge > q^(-k-4), gap < q^(-k+1)
         checks.append(
@@ -679,8 +651,9 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         )
     except CertificateError as e:
         raise ThicknessTooSmall(str(e)) from e
-    scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    checks.extend(interleaving_check(aq.hull, scaled_hull, scaled_gap))
+    shift, scale = _family_map(g, GapFamily.ScaledShiftedSk)
+    scaled_hull = (shift + scale * sk.hull[0][0], shift + scale * sk.hull[1][0])
+    checks.extend(interleaving_check(aq.hull, scaled_hull, scale * largest))
 
     return Certificate(
         claim="thick-linked-intersection",
@@ -697,7 +670,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
             "base": bracket(g),
             "aq-gap-count": aq.gap_count,
             "shift-thickness": bracket(tau_s),
-            "shift-thickness-per-state": tau_detail,
+            "shift-thickness-per-state": {s: bracket(r) for s, r in ratios.items()},
             "aq-thickness-enumerated": bracket(tau_aq),
         },
     )

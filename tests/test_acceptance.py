@@ -50,7 +50,6 @@ from qslice.thickness import (
     fixed_expansion_of_one,
     interleaving_check,
     prefix_run_length,
-    shift_set_extent,
     thickness_lower_bound,
 )
 from qslice.words import (
@@ -122,11 +121,12 @@ def test_criterion_04_three_orbit_pipeline(aq_gaps_level40):
     tau_aq = thickness_lower_bound(aq_gaps_level40)
     assert tau_aq > g**-5
 
-    ana = ShiftSetAnalysis(QBIG, 9)
-    tau_s, _ = ana.thickness_bound()
+    # the scaled shift set's gap laws: an affine image keeps the thickness
+    sk = enumerate_gaps(QBIG, GapFamily.ScaledShiftedSk, 10)
+    tau_s = thickness_lower_bound(sk)
     assert tau_s > g**6
 
-    hull, gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
+    hull, gap = (sk.hull[0][0], sk.hull[1][0]), sk.gaps[0].size[0]
     assert all(c.holds() for c in interleaving_check(aq_gaps_level40.hull, hull, gap))
 
     assert tau_aq * tau_s > 1

@@ -292,6 +292,19 @@ def test_dimension_mass_method(capsys):
     assert hi - lo < F(1, 10**13)
 
 
+def test_dimension_max_len_bounds_the_tree(capsys):
+    # at 3/2, y = 1/3 the refinement tree's longest forced walk is 20 maps,
+    # longer than the M = 12 the fork-time bound prints
+    argv = ["dimension", "--q", "3/2", "--y", "1/3", "--method", "mass", "--max-len"]
+    code, lines = invoke(capsys, argv + ["19"])
+    assert code == 2
+    assert json.loads(lines[0]) == {"error": "level 6: no fork within 19 steps"}
+    code, lines = invoke(capsys, argv + ["20"])
+    assert code == 0
+    rec = json.loads(lines[0])
+    assert rec["M"] == 12 and rec["tree"]["max_branch"] == 20 and rec["tree"]["valid"]
+
+
 def test_dimension_box_method(capsys):
     code, lines = invoke(
         capsys,
@@ -420,6 +433,11 @@ _OUT_OF_RANGE = [
     (["slice", "--q", "3/2", "--y", "-1/3", "--depth", "4"], "height must lie in [0, 1]"),
     (["dimension", "--q", "3/2", "--y", "-1/3", "--method", "mass"], "height must lie in [0, 1]"),
     (["slice", "--q", "-3/2", "--y", "1/3", "--depth", "4"], "strictly between 1 and 2"),
+    # each bonacci mode takes only the options it reads
+    (["bonacci", "null", "--k", "3", "--delta", "garbage"], "unrecognized arguments"),
+    (["bonacci", "c2", "--q", "3/2", "--k", "7", "--m", "4", "--delta", "0*"],
+     "unrecognized arguments"),
+    (["bonacci", "verify", "--q", "3/2"], "unrecognized arguments"),
 ]
 
 

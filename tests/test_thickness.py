@@ -26,7 +26,6 @@ from qslice.thickness import (
     interleaving_check,
     newhouse_certify,
     prefix_run_length,
-    shift_set_extent,
     shifted_partner,
     thickness_lower_bound,
     w2_cover_check,
@@ -149,13 +148,14 @@ def test_base_too_small_rejected():
 def test_shift_analysis_exact_extremes():
     ana = ShiftSetAnalysis(QBIG, 9)
     g = QBIG.gen()
-    assert len(ana.states()) == 19
+    assert len(ana._depths_from(_START)) == 19
     assert ana.vmin(("start",)) == 0
     assert ana.vmax(("start",)) == 1 / (g - 1)
     assert ana.max_gap() < g**-8
-    tau, detail = ana.thickness_bound()
-    assert tau > g**6
-    assert detail
+    sk = enumerate_gaps(QBIG, GapFamily.SkSet, 10)
+    assert sk.hull == ((0, 0), (1 / (g - 1), 1 / (g - 1)))
+    assert len(sk.gaps) == 17 and sk.gaps[0].size[0] < g**-8
+    assert thickness_lower_bound(sk) > g**6
 
 
 def test_aq_gap_laws():
@@ -196,8 +196,9 @@ def test_scaled_family_is_affine_image():
 
 def test_interleaving_holds():
     aq = enumerate_gaps(QBIG, GapFamily.AqSet, 28)
-    hull, gap = shift_set_extent(ShiftSetAnalysis(QBIG, 9), GapFamily.ScaledShiftedSk)
-    checks = interleaving_check(aq.hull, hull, gap)
+    scaled = enumerate_gaps(QBIG, GapFamily.ScaledShiftedSk, 10)
+    hull = (scaled.hull[0][0], scaled.hull[1][0])
+    checks = interleaving_check(aq.hull, hull, scaled.gaps[0].size[0])
     assert len(checks) == 3
     assert all(c.holds() for c in checks)
 
@@ -208,12 +209,17 @@ def test_interleaving_holds():
     ids=["1999/1000", "19/10", "bonacci:10", "bonacci:12"],
 )
 def test_shift_set_extent_matches_gap_walk(q):
-    ana = ShiftSetAnalysis(q, 9)
-    (lo, hi), gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    walk = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 12)
-    assert walk.hull == ((lo, lo), (hi, hi))
-    assert gap == (2 - q.gen()) * ana.max_gap()
-    assert gap == (walk.gaps[0].size[1] if walk.gaps else 0)
+    # the largest law is the analysis' largest gap, and the scaled laws'
+    # hull and largest gap are the reference walk's
+    g = q.gen()
+    zero = g.base.zero()
+    largest = ShiftSetAnalysis(q, 9).max_gap()
+    sk = enumerate_gaps(q, GapFamily.SkSet, 10)
+    assert (sk.gaps[0].size if sk.gaps else (zero, zero)) == (largest, largest)
+    scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 10)
+    hull, records = reference_sk_gaps(q, 9, 10, scale=2 - g, shift=g.base.one())
+    assert scaled.hull == hull
+    assert [law.size for law in scaled.gaps[:1]] == [r.size for r in records[:1]]
 
 
 @pytest.mark.parametrize("qf", [F(19, 10), F(3, 2)])
@@ -231,12 +237,27 @@ def test_no_gap_shortcut_matches_the_walk(qf):
     assert (scaled.hull, scaled.gaps, records) == (hull, (), [])
 
 
-def test_newhouse_does_not_walk_the_shift_set(monkeypatch):
-    def walk(*args):
-        raise AssertionError("the certificate built the shift-set gap laws")
+def test_newhouse_reads_the_shift_set_laws_once_at_level_ten(monkeypatch):
+    calls = []
+    laws = thickness._shift_set_laws
+    monkeypatch.setattr(
+        thickness,
+        "_shift_set_laws",
+        lambda ana, family, level: calls.append((family, level)) or laws(ana, family, level),
+    )
 
-    monkeypatch.setattr(thickness, "_shift_set_laws", walk)
-    assert newhouse_certify(QBIG, level=12).claim == "thick-linked-intersection"
+    def sk_part(cert):
+        checks = [c for c in cert.checks if c.label.startswith(("sk-", "product-"))]
+        data = {key: value for key, value in cert.data.items() if key.startswith("shift-")}
+        return checks, data
+
+    parts = []
+    for level in (12, 40):
+        calls.clear()
+        parts.append(sk_part(newhouse_certify(QBIG, level)))
+        assert calls == [(GapFamily.SkSet, 10)]
+    assert parts[0] == parts[1]
+    assert len(parts[0][0]) == 3 and len(parts[0][1]["shift-thickness-per-state"]) == 17
 
 
 def test_newhouse_certificate_round_trip():
@@ -345,7 +366,7 @@ def reference_ratios(q, k):
     ana = ShiftSetAnalysis(q, k)
     g = q.gen()
     ratios = {}
-    for s in ana.states():
+    for s in ana._depths_from(_START):
         gap = ana.own_gap(s)
         if gap is not None:
             (_, s0), (_, s1) = ana.successors(s)
@@ -392,19 +413,15 @@ def test_sk_gap_count_past_the_old_record_cap():
 
 @pytest.mark.parametrize("q, k", [(q, k) for q, k, _ in SK_CASES])
 def test_thickness_bound_matches_reference_ratios(q, k):
+    # every state with a gap is first reached by depth k - 1
     ratios = reference_ratios(q, k)
+    sk = enumerate_gaps(q, GapFamily.SkSet, k + 1, k=k)
     if not ratios:  # the child copies overlap at every state
         with pytest.raises(ThicknessError):
-            ShiftSetAnalysis(q, k).thickness_bound()
+            thickness_lower_bound(sk)
         return
-    tau, details = ShiftSetAnalysis(q, k).thickness_bound()
-    assert tau == min(ratios.values())
-    assert details.keys() == ratios.keys()
-    for s, ratio in ratios.items():
-        lo, hi = details[s]
-        assert F(lo) <= ratio <= F(hi)
-        if q.is_rational:
-            assert details[s] == bracket(ratio)
+    assert thickness_lower_bound(sk) == min(ratios.values())
+    assert {law.meta["state"]: law.bridge_lb / law.size[1] for law in sk.gaps} == ratios
 
 
 def test_newhouse_builds_one_shift_analysis(monkeypatch):
@@ -517,7 +534,9 @@ def test_thickness_bound_is_the_least_law_ratio(q, family, level):
 
 def reference_newhouse(q, level):
     """The certificate as first built: three aq checks per gap of the
-    reference walk, the count and thickness read off its gaps."""
+    reference walk, the count and thickness read off its gaps; the shift
+    set's thickness from the clearance formulas, its largest gap and hull
+    from the analysis."""
     g = q.gen()
     checks = list(w2_cover_check(q).checks)
     hull, records = reference_aq_gaps(q, level)
@@ -528,18 +547,19 @@ def reference_newhouse(q, level):
         checks.append(exact_check(f"aq-gap-{i}-below", "lt", r.size[1], g ** (1 - k)))
         checks.append(exact_check(f"aq-gap-{i}-above", "lt", g ** (-k), r.size[0]))
         checks.append(exact_check(f"aq-gap-{i}-bridge", "lt", g ** (-k - 4), r.bridge_lb))
+    ratios = reference_ratios(q, 9)
+    tau_s = min(ratios.values())
     ana = ShiftSetAnalysis(q, 9)
-    tau_s, tau_detail = ana.thickness_bound()
     checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
     checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
     checks.append(exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s))
-    scaled_hull, scaled_gap = shift_set_extent(ana, GapFamily.ScaledShiftedSk)
-    checks.extend(interleaving_check(hull, scaled_hull, scaled_gap))
+    scaled_hull = (1 + (2 - g) * ana.vmin(_START), 1 + (2 - g) * ana.vmax(_START))
+    checks.extend(interleaving_check(hull, scaled_hull, (2 - g) * ana.max_gap()))
     data = {
         "base": bracket(g),
         "aq-gap-count": len(records),
         "shift-thickness": bracket(tau_s),
-        "shift-thickness-per-state": tau_detail,
+        "shift-thickness-per-state": {s: bracket(r) for s, r in ratios.items()},
         "aq-thickness-enumerated": bracket(min(r.bridge_lb / r.size[1] for r in records)),
     }
     return checks, data
@@ -591,9 +611,10 @@ def test_newhouse_builds_no_gap_record(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(thickness, "GapLaw", Counted)
-    # 25 free positions below level 60: 2^25 - 1 gaps, 25 laws, 75 aq checks
+    # 25 free positions below level 60: 2^25 - 1 gaps, 25 laws, 75 aq checks;
+    # and one law for each of the 17 follower states with a gap
     cert = newhouse_certify(bonacci_root(10), 60)
-    assert len(built) == 25
+    assert len(built) == 25 + 17
     assert sum(map(_is_aq, cert.checks)) == 75
     assert cert.data["aq-gap-count"] == 2**25 - 1
 
