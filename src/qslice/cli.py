@@ -65,7 +65,7 @@ from .words import Tail, WordSyntaxError, format_word, parse_word, ternary_strin
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
-MAX_BOX_PATHS = 65536  # box counting holds every path of its deepest level
+MAX_BOX_PATHS = 65536  # box counting holds every path of a depth, the mass tree each leaf
 
 
 class InputError(ValueError):
@@ -405,7 +405,11 @@ def _cmd_dimension(args) -> int:
     x0 = expansion_point(q, y)
     if args.method == "mass":
         levels = args.levels if args.levels is not None else 6
-        M = estimate_M(q, grid_resolution=args.grid, max_len=args.max_len)
+        if levels >= MAX_BOX_PATHS.bit_length():  # the tree has 2^levels leaves
+            raise InputError(
+                f"mass tree capped at {MAX_BOX_PATHS} leaves; --levels {levels} has 2^{levels}"
+            )
+        M = estimate_M(q, max_len=args.max_len)
         rec["M"] = M
         rec["s_lower"] = _interval(dimension_lower_bound(M))
         problems: list[str] = []
@@ -554,7 +558,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--y", required=True)
     s.add_argument("--method", choices=["mass", "box"], default="mass")
     s.add_argument("--levels", type=_NONNEGATIVE)
-    s.add_argument("--grid", type=_int_from(3), default=256, help="mass method: cells of M's grid")
     s.add_argument(
         "--max-len", type=_POSITIVE, default=48,
         help="mass method: most maps a fork search walks, for M and the tree alike",

@@ -76,12 +76,12 @@ def h_q_interval(q: AlgebraicNumber) -> tuple[FieldElement, FieldElement]:
     return -h, h
 
 
-def w2_cover_check(q: AlgebraicNumber) -> Certificate:
+def w2_cover_check(q: AlgebraicNumber) -> list[IntervalCheck]:
     """Prove that the five double-digit images tile the signed hull.
 
     Each pair w = (i1, i2) maps the hull to (hull + i2 + q*i1)/q^2; the
-    certificate records that consecutive images overlap and the ends match
-    the hull exactly.
+    checks record that consecutive images overlap and the ends match the
+    hull exactly.
     """
     g = q.gen()
     lo, hi = h_q_interval(q)
@@ -105,17 +105,7 @@ def w2_cover_check(q: AlgebraicNumber) -> Certificate:
             )
     except CertificateError as e:
         raise CoverFailure(str(e)) from e
-
-    return Certificate(
-        claim="double-digit-cover",
-        hypotheses=("base strictly between 1 and 2",),
-        checks=tuple(checks),
-        data={
-            "base": bracket(g),
-            "hull": [bracket(lo), bracket(hi)],
-            "pieces": [[bracket(a), bracket(b)] for a, b in pieces],
-        },
-    )
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +282,22 @@ _START = ("start",)
 
 
 class ShiftSetAnalysis:
-    """Exact interval, gap and thickness data for the projection of the
-    run-limited shift (no 01^k, no 10^k) at a fixed base.
+    """Exact interval and gap data for the projection of the run-limited
+    shift (no 01^k, no 10^k) at a fixed base.
 
     The shift has finitely many follower states, so every geometric
     question reduces to finitely many exact computations: min/max tails
     are eventually periodic, and every gap of the projection is a scaled
     copy of one of the per-state gaps.
+
+    One-gap lemma: every state with two successors has the same own gap,
+    or none has one. Its digit-1 child is ("init", 1) or ("run", 1, r),
+    whose least tail starts with 0 into ("run", 0, 1); its digit-0 child is
+    ("init", 0) or ("run", 0, r), whose greatest tail starts with 1 into
+    ("run", 1, 1). So vmin of the 1-child and vmax of the 0-child, and with
+    them the own gap, do not depend on the state, for every base and run
+    bound. A gap inside a child copy is that gap scaled by q^-1 or less,
+    smaller than the state's own: each bridge spans its adjacent child copy.
     """
 
     def __init__(self, q: AlgebraicNumber, k: int):
@@ -310,10 +309,7 @@ class ShiftSetAnalysis:
         self.ginv = 1 / self.g
         self._vmin: dict = {}
         self._vmax: dict = {}
-        self._ecl: dict = {}
-        self._ecr: dict = {}
         self._own_gap: dict = {}
-        self._maxgap: dict = {}
         self._template: dict = {}
 
     # -- automaton ----------------------------------------------------------
@@ -374,90 +370,22 @@ class ShiftSetAnalysis:
             self._own_gap[state] = gap
         return self._own_gap[state]
 
-    # -- largest gap --------------------------------------------------------
-
-    def _depths_from(self, root) -> dict:
-        depth = {root: 0}
-        queue = [root]
-        for s in queue:
-            for _, t in self.successors(s):
-                if t not in depth:
-                    depth[t] = depth[s] + 1
-                    queue.append(t)
-        return depth
-
-    def max_gap(self, state=_START) -> FieldElement:
-        """Exact largest gap of the subtree rooted at a state: the biggest
-        per-state gap discounted by the shallowest occurrence depth."""
-        if state not in self._maxgap:
-            best = self.g.base.zero()
-            for s, d in self._depths_from(state).items():
-                gap = self.own_gap(s)
-                if gap is not None:
-                    cand = gap * self.ginv**d
-                    if cand > best:
-                        best = cand
-            self._maxgap[state] = best
-        return self._maxgap[state]
-
-    # -- edge clearances and thickness --------------------------------------
-
-    def _clearance(self, state, theta: FieldElement, from_left: bool) -> FieldElement:
-        """Distance from one edge of the state's interval to the first gap
-        of size >= theta, or the full diameter when none exists. Treats
-        every child gap as a gap of the union, which can only shorten the
-        answer, keeping thickness bounds on the safe side."""
-        memo = self._ecl if from_left else self._ecr
-        key = (state, theta)
-        if key in memo:
-            return memo[key]
-        if theta > self.max_gap(state):
-            memo[key] = self.diam(state)
-            return memo[key]
-        moves = self.successors(state)
-        g, ginv = self.g, self.ginv
-        if len(moves) == 1:
-            _, child = moves[0]
-            memo[key] = self._clearance(child, theta * g, from_left) * ginv
-            return memo[key]
-        (_, s0), (_, s1) = moves
-        lo0 = self.vmin(s0) * ginv
-        hi0 = self.vmax(s0) * ginv
-        lo1 = (1 + self.vmin(s1)) * ginv
-        hi1 = (1 + self.vmax(s1)) * ginv
-        gap = self.own_gap(state)
-        if from_left:
-            cands = [self._clearance(s0, theta * g, True) * ginv]
-            if gap is not None and gap >= theta:
-                cands.append(hi0 - lo0)
-            cands.append((lo1 - lo0) + self._clearance(s1, theta * g, True) * ginv)
-        else:
-            cands = [self._clearance(s1, theta * g, False) * ginv]
-            if gap is not None and gap >= theta:
-                cands.append(hi1 - lo1)
-            cands.append((hi1 - hi0) + self._clearance(s0, theta * g, False) * ginv)
-        memo[key] = min(cands)
-        return memo[key]
-
     def gap_template(self, state) -> Optional[tuple[FieldElement, ...]]:
         """The state's own gap at unit scale, or None when it has none:
         (left end, right end, size, bridge lower bound). The copy of the
         state's set at offset off and scale sc has this gap mapped by
         x -> off + sc * x, so every gap of the projection is such a copy.
 
-        The flanking bridges are measured inside the adjacent child copies
-        only; any real bridge is at least as long.
+        Every gap inside a child copy is smaller (the one-gap lemma), so
+        the bridge on each side spans at least the adjacent child copy:
+        the bound is the shorter copy's extent.
         """
         if state not in self._template:
-            gap = self.own_gap(state)
-            template = None
+            gap, template = self.own_gap(state), None
             if gap is not None:
-                g, ginv = self.g, self.ginv
                 (_, s0), (_, s1) = self.successors(state)
-                bridge_l = self._clearance(s0, gap * g, False) * ginv
-                bridge_r = self._clearance(s1, gap * g, True) * ginv
-                left, right = self.vmax(s0) * ginv, (1 + self.vmin(s1)) * ginv
-                template = (left, right, gap, min(bridge_l, bridge_r))
+                left, right = self.vmax(s0) * self.ginv, (1 + self.vmin(s1)) * self.ginv
+                template = (left, right, gap, min(self.diam(s0), self.diam(s1)) * self.ginv)
             self._template[state] = template
         return self._template[state]
 
@@ -554,8 +482,9 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
     """Gap laws of one of the three projected digit families to the given
     level, largest first: one per free position of the branching family
     (AqTemplate.gap_laws), one per follower state of a shift-set family.
-    Each law's gap count is exact. A shift-set family whose analysis has no
-    gap (max_gap() is 0) returns its hull with no laws at once.
+    Each law's gap count is exact. A shift-set family whose start state has
+    no own gap has no gap at all (the one-gap lemma of ShiftSetAnalysis), so
+    it returns its hull with no laws at once.
     """
     if family == GapFamily.AqSet:
         template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
@@ -563,7 +492,7 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
     ana = ShiftSetAnalysis(q, k)
     shift, scale = _family_map(ana.g, family)
     lo, hi = shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START)
-    laws = _shift_set_laws(ana, family, level) if ana.max_gap() > 0 else ()
+    laws = _shift_set_laws(ana, family, level) if ana.own_gap(_START) is not None else ()
     return GapStructure(family, k, level, ((lo, lo), (hi, hi)), tuple(laws))
 
 
@@ -619,7 +548,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     """
     aq = enumerate_gaps(q, GapFamily.AqSet, level)
     g = q.gen()
-    checks = list(w2_cover_check(q).checks)
+    checks = w2_cover_check(q)
 
     tau_aq = thickness_lower_bound(aq)
     for law in aq.gaps:

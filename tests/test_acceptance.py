@@ -43,6 +43,7 @@ from qslice.slices import (
     slice_matches_oracle,
 )
 from qslice.thickness import (
+    _START,
     GapFamily,
     ShiftSetAnalysis,
     enumerate_gaps,
@@ -151,7 +152,8 @@ def test_criterion_05_gap_laws(aq_gaps_level40):
         assert g**-k < r.size[0]
         assert r.size[1] < g ** (-k + 1)
         assert r.bridge_lb > g ** (-k - 4)
-    assert ShiftSetAnalysis(QBIG, 9).max_gap() < g**-8
+    # the largest gap: every branching state's own gap is the start state's
+    assert ShiftSetAnalysis(QBIG, 9).own_gap(_START) < g**-8
     _verdict(5, start, None)
 
 

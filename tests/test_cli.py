@@ -275,13 +275,13 @@ def test_dimension_mass_method(capsys):
         capsys,
         [
             "dimension", "--q", "3/2", "--y", "1/6",
-            "--method", "mass", "--levels", "3", "--grid", "64",
+            "--method", "mass", "--levels", "3",
         ],
     )
     assert code == 0
     rec = json.loads(lines[0])
     assert rec["method"] == "mass"
-    assert rec["M"] == 9
+    assert rec["M"] == 12  # the fork-time bound on estimate_M's default grid
     assert rec["s_lower"] is not None
     assert rec["box_estimate"] is None and rec["residual"] is None
     assert rec["tree"]["valid"] and rec["tree"]["leaves"] == 8
@@ -372,7 +372,7 @@ def test_outputs_do_not_depend_on_earlier_refinement(capsys):
 def test_no_bare_floats_in_output(capsys):
     for argv in (
         ["slice", "--q", "5/3", "--y", "3/8", "--depth", "12"],
-        ["dimension", "--q", "3/2", "--y", "1/6", "--levels", "0", "--grid", "16"],
+        ["dimension", "--q", "3/2", "--y", "1/6", "--levels", "0"],
         ["dimension", "--q", "3/2", "--y", "1/6", "--method", "box", "--levels", "3"],
         ["bonacci", "c2", "--q", "bonacci:3"],
         ["orbit-tree", "--q", "3/2", "--y", "1/6", "--depth", "4"],
@@ -411,7 +411,8 @@ _OUT_OF_RANGE = [
     (["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "0(11)*"], "tail must avoid"),
     (["bonacci", "verify", "--k", "2", "--m", "1"], "empty below k = 3"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--levels", "-1"], "must be at least"),
-    (["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"], "must be at least"),
+    # the grid of M's search is not an option: it would set the printed bound
+    (["dimension", "--q", "3/2", "--y", "1/3", "--grid", "2"], "unrecognized arguments"),
     (["render", "--q", "5/3", "--svg", "-", "--width", "0"], "must be at least"),
     # the base of every subcommand must lie in (1, 2)
     (["thickness", "--q", "3", "--set", "sk:9", "--level", "3"], "strictly between 1 and 2"),
@@ -438,6 +439,12 @@ _OUT_OF_RANGE = [
     (["bonacci", "c2", "--q", "3/2", "--k", "7", "--m", "4", "--delta", "0*"],
      "unrecognized arguments"),
     (["bonacci", "verify", "--q", "3/2"], "unrecognized arguments"),
+    # the mass tree has 2^levels leaves; a level count past the cap exits
+    # before any tree is built
+    (["dimension", "--q", "3/2", "--y", "1/3", "--method", "mass", "--levels", "17"],
+     "mass tree capped at 65536 leaves; --levels 17 has 2^17"),
+    (["dimension", "--q", "3/2", "--y", "1/3", "--method", "mass", "--levels", "1000000000"],
+     "mass tree capped at 65536 leaves"),
 ]
 
 

@@ -52,13 +52,15 @@ def test_hull_endpoints():
 @settings(max_examples=25, deadline=None)
 @given(mid_bases)
 def test_cover_certificate_random_bases(qf):
-    cert = w2_cover_check(AlgebraicNumber.from_rational(qf))
-    assert check(cert)
-    assert len(cert.data["pieces"]) == len(W2) == 5
+    # two flush checks at each hull end and one overlap check per pair of
+    # consecutive pieces
+    checks = w2_cover_check(AlgebraicNumber.from_rational(qf))
+    assert len(checks) == 4 + len(W2) - 1 == 8
+    assert all(c.holds() for c in checks)
 
 
 def test_cover_certificate_algebraic_base():
-    assert check(w2_cover_check(bonacci_root(3)))
+    assert all(c.holds() for c in w2_cover_check(bonacci_root(3)))
 
 
 def test_prefix_run_length_table():
@@ -145,17 +147,46 @@ def test_base_too_small_rejected():
         newhouse_certify(AlgebraicNumber.from_rational(F(3, 2)))
 
 
+def reachable(ana):
+    """The follower states reachable from the start, breadth first."""
+    states = [_START]
+    for s in states:
+        for _, t in ana.successors(s):
+            if t not in states:
+                states.append(t)
+    return states
+
+
 def test_shift_analysis_exact_extremes():
     ana = ShiftSetAnalysis(QBIG, 9)
     g = QBIG.gen()
-    assert len(ana._depths_from(_START)) == 19
+    assert len(reachable(ana)) == 19
     assert ana.vmin(("start",)) == 0
     assert ana.vmax(("start",)) == 1 / (g - 1)
-    assert ana.max_gap() < g**-8
+    assert ana.own_gap(_START) < g**-8
     sk = enumerate_gaps(QBIG, GapFamily.SkSet, 10)
     assert sk.hull == ((0, 0), (1 / (g - 1), 1 / (g - 1)))
     assert len(sk.gaps) == 17 and sk.gaps[0].size[0] < g**-8
     assert thickness_lower_bound(sk) > g**6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=F(21, 20), max_value=F(39, 20), max_denominator=60).map(
+        AlgebraicNumber.from_rational
+    ),
+    st.integers(min_value=2, max_value=12),
+)
+@example(bonacci_root(3), 4)
+@example(bonacci_root(10), 9)
+@example(QBIG, 9)
+def test_every_branching_state_has_the_start_gap(q, k):
+    # the one-gap lemma: every 1-child's least tail begins 0 into ("run", 0, 1)
+    # and every 0-child's greatest tail begins 1 into ("run", 1, 1), so the
+    # states that branch split by one gap, or none of them has a gap
+    ana = ShiftSetAnalysis(q, k)
+    branching = [s for s in reachable(ana) if len(ana.successors(s)) == 2]
+    assert all(ana.own_gap(s) == ana.own_gap(_START) for s in branching)
 
 
 def test_aq_gap_laws():
@@ -209,13 +240,12 @@ def test_interleaving_holds():
     ids=["1999/1000", "19/10", "bonacci:10", "bonacci:12"],
 )
 def test_shift_set_extent_matches_gap_walk(q):
-    # the largest law is the analysis' largest gap, and the scaled laws'
-    # hull and largest gap are the reference walk's
+    # the largest law is the reference walk's largest gap, and the scaled
+    # laws' hull and largest gap are the scaled walk's
     g = q.gen()
-    zero = g.base.zero()
-    largest = ShiftSetAnalysis(q, 9).max_gap()
     sk = enumerate_gaps(q, GapFamily.SkSet, 10)
-    assert (sk.gaps[0].size if sk.gaps else (zero, zero)) == (largest, largest)
+    _, records = reference_sk_gaps(q, 9, 10)
+    assert [law.size for law in sk.gaps[:1]] == [r.size for r in records[:1]]
     scaled = enumerate_gaps(q, GapFamily.ScaledShiftedSk, 10)
     hull, records = reference_sk_gaps(q, 9, 10, scale=2 - g, shift=g.base.one())
     assert scaled.hull == hull
@@ -224,11 +254,11 @@ def test_shift_set_extent_matches_gap_walk(q):
 
 @pytest.mark.parametrize("qf", [F(19, 10), F(3, 2)])
 def test_no_gap_shortcut_matches_the_walk(qf):
-    # no state has a gap at these bases, so the walk to level 12 and the
-    # shortcut both give the bare hull
+    # the start state has no gap at these bases, so the walk to level 12 and
+    # the shortcut both give the bare hull
     q = AlgebraicNumber.from_rational(qf)
     g = q.gen()
-    assert ShiftSetAnalysis(q, 9).max_gap() == 0
+    assert ShiftSetAnalysis(q, 9).own_gap(_START) is None
     plain = enumerate_gaps(q, GapFamily.SkSet, 12)
     hull, records = reference_sk_gaps(q, 9, 12)
     assert (plain.hull, plain.gaps, records) == (hull, (), [])
@@ -301,18 +331,48 @@ def test_find_slice3_witness_decides_a_failed_height_once(monkeypatch):
     assert len(calls) == 1
 
 
+def newhouse_bridges(gaps, lo, hi):
+    """The bridge of each of the disjoint gaps (left, right, size), listed in
+    position order inside the hull [lo, hi]: the shorter of the distances to
+    the nearest gap at least as large, or to the hull end, on either side.
+    One sweep keeps the gaps whose right bridge is still open, their sizes
+    strictly decreasing toward the top of the stack."""
+    bridges = [[None, hi - right] for _, right, _ in gaps]
+    open_gaps = []
+    for i, (left, _, size) in enumerate(gaps):
+        last = None
+        while open_gaps and gaps[open_gaps[-1]][2] <= size:
+            last = open_gaps.pop()
+            bridges[last][1] = left - gaps[last][1]
+        if last is None or gaps[last][2] < size:
+            last = open_gaps[-1] if open_gaps else None
+        bridges[i][0] = left - (lo if last is None else gaps[last][1])
+        open_gaps.append(i)
+    return [min(pair) for pair in bridges]
+
+
+def test_newhouse_bridges_reach_the_nearest_gap_as_large():
+    # gaps of sizes 1, 2, 1, 2 in [0, 10]: the last one's left bridge ends at
+    # the equal gap before it, the first one's at the hull end
+    gaps = [(1, 2, 1), (3, 5, 2), (6, 7, 1), (8, 9, 2)]
+    assert newhouse_bridges(gaps, 0, 10) == [1, 3, 1, 1]
+    assert newhouse_bridges(gaps[1:2], 0, 10) == [3]
+
+
 def reference_sk_gaps(q, k, level, scale=None, shift=None):
     """The shift-set gaps one by one, from a breadth-first walk that divides
     by q at every node and rescales every gap afterwards: the hull and the
-    gaps, largest first, then left to right. No cap: the reference for the
-    gap laws."""
+    gaps, largest first, then left to right. Each bridge is read off the
+    walk's own gaps (newhouse_bridges); a gap below the level is smaller
+    than every gap of the walk, so these are the true bridges. No cap: the
+    reference for the gap laws."""
     ana = ShiftSetAnalysis(q, k)
     g = q.gen()
     one = g.base.one()
     scale = one if scale is None else scale
     shift = g.base.zero() if shift is None else shift
 
-    records = []
+    spans = []  # (level, left, right, size, meta) of each gap
     frontier = [(_START, g.base.zero(), one, 0)]
     for state, off, sc, d in frontier:
         if d >= level:
@@ -323,16 +383,18 @@ def reference_sk_gaps(q, k, level, scale=None, shift=None):
             (_, s0), (_, s1) = moves
             gl = shift + scale * (off + sc * (ana.vmax(s0) / g))
             gr = shift + scale * (off + sc * ((1 + ana.vmin(s1)) / g))
-            bridge_l = sc * (ana._clearance(s0, gap * g, False) / g)
-            bridge_r = sc * (ana._clearance(s1, gap * g, True) / g)
-            size = scale * sc * gap
-            bridge = scale * min(bridge_l, bridge_r)
-            records.append(Gap(d, (gl, gl), (gr, gr), (size, size), bridge, {"state": str(state)}))
+            spans.append((d, gl, gr, scale * sc * gap, {"state": str(state)}))
         for dig, child in moves:
             frontier.append((child, off + sc * (dig / g), sc / g, d + 1))
 
     hull_lo = shift + scale * ana.vmin(_START)
     hull_hi = shift + scale * ana.vmax(_START)
+    spans.sort(key=lambda sp: sp[1])
+    bridges = newhouse_bridges([sp[1:4] for sp in spans], hull_lo, hull_hi)
+    records = [
+        Gap(d, (gl, gl), (gr, gr), (size, size), bridge, meta)
+        for (d, gl, gr, size, meta), bridge in zip(spans, bridges)
+    ]
     records.sort(key=lambda r: (-r.size[0], r.left[0]))
     return ((hull_lo, hull_lo), (hull_hi, hull_hi)), records
 
@@ -361,18 +423,12 @@ def assert_laws_match_gaps(laws, records, key):
     assert sum(law.count for law in laws) == len(records)
 
 
-def reference_ratios(q, k):
-    """Per-state bridge-to-gap ratios from the clearance formulas directly."""
-    ana = ShiftSetAnalysis(q, k)
-    g = q.gen()
+def least_ratios(records):
+    """Each state's least bridge-to-gap ratio over the reference gaps."""
     ratios = {}
-    for s in ana._depths_from(_START):
-        gap = ana.own_gap(s)
-        if gap is not None:
-            (_, s0), (_, s1) = ana.successors(s)
-            bridge_l = ana._clearance(s0, gap * g, False) / g
-            bridge_r = ana._clearance(s1, gap * g, True) / g
-            ratios[str(s)] = min(bridge_l, bridge_r) / gap
+    for r in records:
+        state, ratio = r.meta["state"], r.bridge_lb / r.size[1]
+        ratios[state] = min(ratios.get(state, ratio), ratio)
     return ratios
 
 
@@ -387,15 +443,24 @@ SK_CASES = [
 @pytest.mark.parametrize("q, k, levels", SK_CASES)
 def test_sk_walk_matches_reference(q, k, levels):
     g = q.gen()
+    ana = ShiftSetAnalysis(q, k)
+    states = {str(s): s for s in reachable(ana)}
     for level in levels:
         for family, scale, shift in (
-            (GapFamily.SkSet, None, None),
+            (GapFamily.SkSet, g.base.one(), g.base.zero()),
             (GapFamily.ScaledShiftedSk, 2 - g, g.base.one()),
         ):
             gs = enumerate_gaps(q, family, level, k=k)
             hull, records = reference_sk_gaps(q, k, level, scale=scale, shift=shift)
             assert gs.hull == hull
+            # the reference bridges are the true ones, so this also shows each
+            # law's bridge bound sound and attained by every gap of the law
             assert_laws_match_gaps(gs.gaps, records, "state")
+            # the bound is the shorter child copy's extent, scaled to the law
+            for law in gs.gaps:
+                children = [t for _, t in ana.successors(states[law.meta["state"]])]
+                extent = min(ana.vmax(t) - ana.vmin(t) for t in children) / g
+                assert law.bridge_lb == scale * g**-law.level * extent
             # a state has one node at its first depth: the law's largest gap
             firsts = Counter((r.meta["state"], r.level) for r in records)
             assert all(firsts[law.meta["state"], law.level] == 1 for law in gs.gaps)
@@ -414,7 +479,7 @@ def test_sk_gap_count_past_the_old_record_cap():
 @pytest.mark.parametrize("q, k", [(q, k) for q, k, _ in SK_CASES])
 def test_thickness_bound_matches_reference_ratios(q, k):
     # every state with a gap is first reached by depth k - 1
-    ratios = reference_ratios(q, k)
+    ratios = least_ratios(reference_sk_gaps(q, k, k + 1)[1])
     sk = enumerate_gaps(q, GapFamily.SkSet, k + 1, k=k)
     if not ratios:  # the child copies overlap at every state
         with pytest.raises(ThicknessError):
@@ -520,7 +585,8 @@ def test_aq_gaps_reference_below_nine_bonacci():
     ids=["aq-1999/1000-30", "aq-bonacci:12-20", "sk9-1999/1000-10"],
 )
 def test_thickness_bound_is_the_least_law_ratio(q, family, level):
-    # the per-gap bound: the least bridge-to-size ratio over every gap
+    # the per-gap bound: the least bridge-to-size ratio over every gap of the
+    # reference walk (whose sk bridges are the true ones) is the law bound
     if family == GapFamily.AqSet:
         _, records = reference_aq_gaps(q, level)
     else:
@@ -535,10 +601,10 @@ def test_thickness_bound_is_the_least_law_ratio(q, family, level):
 def reference_newhouse(q, level):
     """The certificate as first built: three aq checks per gap of the
     reference walk, the count and thickness read off its gaps; the shift
-    set's thickness from the clearance formulas, its largest gap and hull
-    from the analysis."""
+    set's thickness, largest gap and hull from the reference walk to level
+    10, which meets every state with a gap at run bound 9."""
     g = q.gen()
-    checks = list(w2_cover_check(q).checks)
+    checks = w2_cover_check(q)
     hull, records = reference_aq_gaps(q, level)
     if not records:
         raise ThicknessError("no gaps enumerated")
@@ -547,14 +613,14 @@ def reference_newhouse(q, level):
         checks.append(exact_check(f"aq-gap-{i}-below", "lt", r.size[1], g ** (1 - k)))
         checks.append(exact_check(f"aq-gap-{i}-above", "lt", g ** (-k), r.size[0]))
         checks.append(exact_check(f"aq-gap-{i}-bridge", "lt", g ** (-k - 4), r.bridge_lb))
-    ratios = reference_ratios(q, 9)
-    tau_s = min(ratios.values())
-    ana = ShiftSetAnalysis(q, 9)
-    checks.append(exact_check("sk-largest-gap", "lt", ana.max_gap(), g**-8))
+    (sk_lo, sk_hi), sk_records = reference_sk_gaps(q, 9, 10)
+    ratios = least_ratios(sk_records)
+    tau_s, largest = min(ratios.values()), sk_records[0].size[0]
+    checks.append(exact_check("sk-largest-gap", "lt", largest, g**-8))
     checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
     checks.append(exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s))
-    scaled_hull = (1 + (2 - g) * ana.vmin(_START), 1 + (2 - g) * ana.vmax(_START))
-    checks.extend(interleaving_check(hull, scaled_hull, (2 - g) * ana.max_gap()))
+    scaled_hull = (1 + (2 - g) * sk_lo[0], 1 + (2 - g) * sk_hi[0])
+    checks.extend(interleaving_check(hull, scaled_hull, (2 - g) * largest))
     data = {
         "base": bracket(g),
         "aq-gap-count": len(records),
