@@ -13,6 +13,7 @@ from fractions import Fraction
 from qslice import (
     AlgebraicNumber,
     GapFamily,
+    bracket,
     enumerate_gaps,
     find_slice3_witness,
     format_word,
@@ -49,8 +50,8 @@ print("certificate is plain JSON, first 120 chars:")
 print(" ", to_json(cert)[:120], "...")
 
 # pull a concrete three-orbit height out of the intersection
-(ylo, yhi), res = find_slice3_witness(q, depth=48)
-print("witness height in [%s, %s]" % (ylo, yhi))
+height, res = find_slice3_witness(q, depth=48)
+print("witness height in [%s, %s]" % bracket(height))
 print(
     "slice claim:", res.claim.kind.name, res.claim.n,
     "orbit prefixes:", [format_word(w)[:12] + ".." for w in res.cylinders],

@@ -34,7 +34,7 @@ from .bonacci import (
     null_infinite_probe,
     verify_odd_cardinality,
 )
-from .certificates import verify
+from .certificates import bracket, verify
 from .dimension import (
     DimensionError,
     affinity_dimension,
@@ -291,7 +291,7 @@ def _cmd_certify_slice3(args) -> int:
         {
             "command": "certify-slice3",
             "q": _interval(q),
-            "witness_interval": list(height),
+            "witness_interval": list(bracket(height)),
             "depth": res.depth,
             "claim": _claim_record(res.claim),
             "cylinders": [ternary_string(code, res.length) for code in res.codes],

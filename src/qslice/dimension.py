@@ -18,6 +18,8 @@ from .algebraic import AlgebraicNumber, FieldElement, enclose
 from .dynamics import OutOfDomain, PointLike, apply_word, ternary_branch_system
 from .words import Alphabet, Word
 
+GRID_CELLS = 256  # equal cells of the state interval that estimate_M pushes forward
+
 
 class DimensionError(ValueError):
     pass
@@ -71,9 +73,7 @@ def branching_pair_search(
     raise BranchingNotFound(f"no fork within {max_len} steps")
 
 
-def estimate_M(
-    q: AlgebraicNumber, grid_resolution: int = 256, max_len: int = 24
-) -> int:
+def estimate_M(q: AlgebraicNumber, max_len: int = 24) -> int:
     """Uniform bound on the fork time, valid for every point at once.
 
     Closed subintervals of the state interval are pushed forward exactly;
@@ -81,18 +81,17 @@ def estimate_M(
     a domain boundary is split there. The returned M counts maps applied
     up to and including the fork, maximized over all pieces.
 
-    The two fixed endpoints of the interval never fork, so one grid cell
-    is excluded at each end; points inside the excluded cells fork after
-    an extra delay of about log_q of their distance from the endpoint.
+    The interval is cut into GRID_CELLS cells. Its two fixed endpoints
+    never fork, so one cell is excluded at each end; points inside the
+    excluded cells fork after an extra delay of about log_q of their
+    distance from the endpoint.
     """
-    if grid_resolution < 3:
-        raise DimensionError("grid must have at least three cells")
     sys = ternary_branch_system(q)
     g = sys.q()
     jlo, jhi = sys.switch_lo, sys.switch_hi
     top = sys.hull_hi
     queue: list[tuple[FieldElement, FieldElement, int]] = []
-    cuts = [top * Fraction(i, grid_resolution) for i in range(grid_resolution + 1)]
+    cuts = [top * Fraction(i, GRID_CELLS) for i in range(GRID_CELLS + 1)]
     for a, b in list(zip(cuts, cuts[1:]))[1:-1]:
         queue.append((a, b, 0))
     worst = 0

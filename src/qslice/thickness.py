@@ -40,19 +40,7 @@ class ThicknessError(ValueError):
     pass
 
 
-class CoverFailure(ThicknessError):
-    pass
-
-
 class BaseTooSmall(ThicknessError):
-    pass
-
-
-class NotInterleaved(ThicknessError):
-    pass
-
-
-class ThicknessTooSmall(ThicknessError):
     pass
 
 
@@ -104,7 +92,7 @@ def w2_cover_check(q: AlgebraicNumber) -> list[IntervalCheck]:
                 )
             )
     except CertificateError as e:
-        raise CoverFailure(str(e)) from e
+        raise ThicknessError(str(e)) from e
     return checks
 
 
@@ -167,12 +155,12 @@ def fixed_expansion_of_one(q: AlgebraicNumber, length: int) -> Word:
 
 @dataclass(frozen=True)
 class AqTemplate:
-    """Binary sequences a with a_j = 1 where c_j = 1, a_j = 0 where
-    c_j = -1, prescribed bits at odd-numbered zeros and free bits at
-    even-numbered zeros of c."""
+    """Binary sequences a with a_j = 1 where the canonical expansion c of 1
+    has c_j = 1, a_j = 0 where c_j = -1, prescribed bits at odd-numbered
+    zeros and free bits at even-numbered zeros of c. So a - c is binary
+    too, and its value sits exactly one unit below a's."""
 
     base: AlgebraicNumber
-    c: Word
     bits: tuple[Optional[int], ...]  # None marks a free position
     free_positions: tuple[int, ...]  # 0-indexed
 
@@ -256,22 +244,7 @@ def build_aq_prefixes(q: AlgebraicNumber, k: int, margin: int = 16) -> AqTemplat
                 bits.append(1)
             else:
                 bits.append(0)
-    return AqTemplate(q, c, tuple(bits), tuple(free))
-
-
-def shifted_partner(template: AqTemplate, a: Word) -> Word:
-    """Digitwise difference b = a - c, the run-limited sequence whose value
-    sits exactly one unit below a's."""
-    n = len(a)
-    if n > len(template.c):
-        raise ThicknessError("prefix longer than the stored expansion")
-    out = []
-    for ai, ci in zip(a.symbols, template.c.symbols):
-        bi = ai - ci
-        if bi not in (0, 1):
-            raise ThicknessError("prefix is not admissible for this template")
-        out.append(bi)
-    return Word(Alphabet.BINARY, tuple(out))
+    return AqTemplate(q, tuple(bits), tuple(free))
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +263,15 @@ class ShiftSetAnalysis:
     are eventually periodic, and every gap of the projection is a scaled
     copy of one of the per-state gaps.
 
-    One-gap lemma: every state with two successors has the same own gap,
-    or none has one. Its digit-1 child is ("init", 1) or ("run", 1, r),
-    whose least tail starts with 0 into ("run", 0, 1); its digit-0 child is
-    ("init", 0) or ("run", 0, r), whose greatest tail starts with 1 into
-    ("run", 1, 1). So vmin of the 1-child and vmax of the 0-child, and with
-    them the own gap, do not depend on the state, for every base and run
-    bound. A gap inside a child copy is that gap scaled by q^-1 or less,
-    smaller than the state's own: each bridge spans its adjacent child copy.
+    One-gap lemma: every state with two successors splits its child copies
+    by the same gap, or none has one. Its digit-1 child is ("init", 1) or
+    ("run", 1, r), whose least tail starts with 0 into ("run", 0, 1); its
+    digit-0 child is ("init", 0) or ("run", 0, r), whose greatest tail
+    starts with 1 into ("run", 1, 1). So vmin of the 1-child and vmax of the
+    0-child, and with them the split, do not depend on the state, for every
+    base and run bound: `gap` holds it once. A gap inside a child copy is
+    that gap scaled by q^-1 or less, smaller than the state's own, so each
+    bridge spans its adjacent child copy (`bridge`).
     """
 
     def __init__(self, q: AlgebraicNumber, k: int):
@@ -309,8 +283,6 @@ class ShiftSetAnalysis:
         self.ginv = 1 / self.g
         self._vmin: dict = {}
         self._vmax: dict = {}
-        self._own_gap: dict = {}
-        self._template: dict = {}
 
     # -- automaton ----------------------------------------------------------
 
@@ -356,38 +328,23 @@ class ShiftSetAnalysis:
     def diam(self, state) -> FieldElement:
         return self.vmax(state) - self.vmin(state)
 
-    def own_gap(self, state) -> Optional[FieldElement]:
-        """Width of the split between the digit-0 and digit-1 child copies,
-        None when the state is deterministic or the copies overlap."""
-        if state not in self._own_gap:
-            moves = self.successors(state)
-            gap = None
-            if len(moves) == 2:
-                (_, s0), (_, s1) = moves
-                gap = (1 + self.vmin(s1) - self.vmax(s0)) * self.ginv
-                if not gap > 0:
-                    gap = None
-            self._own_gap[state] = gap
-        return self._own_gap[state]
+    @cached_property
+    def gap(self) -> Optional[tuple[FieldElement, FieldElement, FieldElement]]:
+        """The unit gap (left end, right end, size) that splits the start
+        state's digit-0 and digit-1 child copies, and by the one-gap lemma
+        those of every state with two successors; None when the copies
+        overlap. The copy of a state's set at offset off and scale sc has
+        this gap mapped by x -> off + sc * x, so every gap of the
+        projection is such a copy."""
+        (_, s0), (_, s1) = self.successors(_START)
+        left, right = self.vmax(s0) * self.ginv, (1 + self.vmin(s1)) * self.ginv
+        return (left, right, right - left) if right > left else None
 
-    def gap_template(self, state) -> Optional[tuple[FieldElement, ...]]:
-        """The state's own gap at unit scale, or None when it has none:
-        (left end, right end, size, bridge lower bound). The copy of the
-        state's set at offset off and scale sc has this gap mapped by
-        x -> off + sc * x, so every gap of the projection is such a copy.
-
-        Every gap inside a child copy is smaller (the one-gap lemma), so
-        the bridge on each side spans at least the adjacent child copy:
-        the bound is the shorter copy's extent.
-        """
-        if state not in self._template:
-            gap, template = self.own_gap(state), None
-            if gap is not None:
-                (_, s0), (_, s1) = self.successors(state)
-                left, right = self.vmax(s0) * self.ginv, (1 + self.vmin(s1)) * self.ginv
-                template = (left, right, gap, min(self.diam(s0), self.diam(s1)) * self.ginv)
-            self._template[state] = template
-        return self._template[state]
+    def bridge(self, state) -> FieldElement:
+        """Lower bound on both bridges of a branching state's gap at unit
+        scale: the shorter of its two child copies' extents."""
+        (_, s0), (_, s1) = self.successors(state)
+        return min(self.diam(s0), self.diam(s1)) * self.ginv
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +397,14 @@ def _family_map(g: FieldElement, family: GapFamily) -> tuple[FieldElement, Field
 
 
 def _shift_set_laws(ana: ShiftSetAnalysis, family: GapFamily, level: int) -> list[GapLaw]:
-    """One law per state with a gap template that the automaton first
-    reaches below the level. The node reached by digits x_1 ... x_d is the
-    copy of its state's set under x -> off + q^-d x, off = sum x_i q^-i,
-    then the family map; so is its gap. A law's gaps are its state's nodes
-    below the level, the largest at the state's first depth. A state has
-    one node there, the one breadth-first search meets first: its digits
-    are b for an initial run, or 1 - b then b^r for a run of r digits b."""
+    """One law per state with two successors that the automaton first
+    reaches below the level; the analysis must have a unit gap. The node
+    reached by digits x_1 ... x_d is the copy of its state's set under
+    x -> off + q^-d x, off = sum x_i q^-i, then the family map; so is its
+    gap. A law's gaps are its state's nodes below the level, the largest
+    at the state's first depth. A state has one node there, the one
+    breadth-first search meets first: its digits are b for an initial run,
+    or 1 - b then b^r for a run of r digits b."""
     shift, scale = _family_map(ana.g, family)
     first = {_START: (0, ana.g.base.zero())}  # state -> depth and offset of its first node
     queue = [_START]
@@ -466,15 +424,14 @@ def _shift_set_laws(ana: ShiftSetAnalysis, family: GapFamily, level: int) -> lis
                 below[t] += n
         nodes = below
 
+    left, right, gap = ana.gap
     laws = []
     for s, (d, off) in first.items():
-        template = ana.gap_template(s) if d < level else None
-        if template is not None:
-            left, right, gap, bridge = template
+        if d < level and len(ana.successors(s)) == 2:
             sc, off = scale * ana.ginv**d, shift + scale * off
             lo, hi, size = off + sc * left, off + sc * right, sc * gap
             laws.append(GapLaw({"state": str(s)}, d, counts[s], (lo, lo), (hi, hi),
-                               (size, size), sc * bridge))
+                               (size, size), sc * ana.bridge(s)))
     return sorted(laws, key=lambda law: (-law.size[0], law.left[0]))
 
 
@@ -482,9 +439,9 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
     """Gap laws of one of the three projected digit families to the given
     level, largest first: one per free position of the branching family
     (AqTemplate.gap_laws), one per follower state of a shift-set family.
-    Each law's gap count is exact. A shift-set family whose start state has
-    no own gap has no gap at all (the one-gap lemma of ShiftSetAnalysis), so
-    it returns its hull with no laws at once.
+    Each law's gap count is exact. A shift-set family without a unit gap
+    (ShiftSetAnalysis.gap) has no gap at all, so it returns its hull with
+    no laws at once.
     """
     if family == GapFamily.AqSet:
         template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
@@ -492,7 +449,7 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
     ana = ShiftSetAnalysis(q, k)
     shift, scale = _family_map(ana.g, family)
     lo, hi = shift + scale * ana.vmin(_START), shift + scale * ana.vmax(_START)
-    laws = _shift_set_laws(ana, family, level) if ana.own_gap(_START) is not None else ()
+    laws = _shift_set_laws(ana, family, level) if ana.gap is not None else ()
     return GapStructure(family, k, level, ((lo, lo), (hi, hi)), tuple(laws))
 
 
@@ -532,7 +489,7 @@ def interleaving_check(
             width = hull[1][0] - hull[0][1]
             checks.append(exact_check("hull-wider-than-gap", "lt", scaled_gap, width))
     except CertificateError as e:
-        raise NotInterleaved(str(e)) from e
+        raise ThicknessError(str(e)) from e
     return checks
 
 
@@ -561,7 +518,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
             ):
                 checks.append(exact_check(f"aq-position-{pos}-{side}", "lt", lhs, rhs))
         except CertificateError as e:
-            raise ThicknessTooSmall(str(e)) from e
+            raise ThicknessError(str(e)) from e
 
     # a state with a gap has two successors, and at run bound 9 each such
     # state is first reached by depth 8: the laws to level 10 are all of
@@ -579,7 +536,7 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
             exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s)
         )
     except CertificateError as e:
-        raise ThicknessTooSmall(str(e)) from e
+        raise ThicknessError(str(e)) from e
     shift, scale = _family_map(g, GapFamily.ScaledShiftedSk)
     scaled_hull = (shift + scale * sk.hull[0][0], shift + scale * sk.hull[1][0])
     checks.extend(interleaving_check(aq.hull, scaled_hull, scale * largest))
@@ -612,13 +569,14 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
 
 def find_slice3_witness(
     q: AlgebraicNumber, depth: int = 48
-) -> tuple[tuple[str, str], SliceResult]:
+) -> tuple[FieldElement, SliceResult]:
     """Locate a height whose slice shows exactly three expansion orbits.
 
     Refines a pair of enclosures, one inside the branching family and one
     inside the scaled shift set, keeping their overlap nonempty; the
     midpoint of the first overlap narrower than q^-(depth+12), pulled back
-    to a height, is decided once by the slice engine.
+    to a height, is decided once by the slice engine. Returns that exact
+    height and its slice decision.
     """
     g = q.gen()
     template = build_aq_prefixes(q, depth + 40, margin=16)
@@ -652,7 +610,7 @@ def find_slice3_witness(
             height = (max(alo, blo) + min(ahi, bhi)) / 2 * (g - 1) / g
             result = compute_slice(q, height, depth)
             if result.claim.kind == ClaimKind.ExactlyN and result.claim.n == 3:
-                return bracket(height), result
+                return height, result
             break
         if (na <= nb or nb >= 200) and na < len(free_all):
             w = weights[free_all[na]]

@@ -132,8 +132,8 @@ def test_criterion_04_three_orbit_pipeline(aq_gaps_level40):
 
     assert tau_aq * tau_s > 1
 
-    (ylo, yhi), res = find_slice3_witness(QBIG, depth=48)
-    assert Fraction(ylo) <= Fraction(yhi)
+    height, res = find_slice3_witness(QBIG, depth=48)
+    assert res.y == height and 0 < height < 1
     assert res.claim.kind == ClaimKind.ExactlyN and res.claim.n == 3
     assert res.depth == 48 and len(res.cylinders) == 3
     # a single three-way fork at the root, then straight lines
@@ -152,8 +152,11 @@ def test_criterion_05_gap_laws(aq_gaps_level40):
         assert g**-k < r.size[0]
         assert r.size[1] < g ** (-k + 1)
         assert r.bridge_lb > g ** (-k - 4)
-    # the largest gap: every branching state's own gap is the start state's
-    assert ShiftSetAnalysis(QBIG, 9).own_gap(_START) < g**-8
+    # the largest gap: every branching state splits its child copies by the
+    # start state's split
+    ana = ShiftSetAnalysis(QBIG, 9)
+    (_, s0), (_, s1) = ana.successors(_START)
+    assert (1 + ana.vmin(s1) - ana.vmax(s0)) / g < g**-8
     _verdict(5, start, None)
 
 

@@ -170,14 +170,14 @@ def test_thickness_gap_listing(capsys):
 
 @pytest.mark.parametrize("spec", ["sk:9", "scaled-sk:9"])
 def test_thickness_without_gaps_does_not_walk(capsys, monkeypatch, spec):
-    # at 19/10 the k = 9 analysis has no gap, so no state's gap template is
-    # read and no law is built
+    # at 19/10 the k = 9 analysis has no gap, so no state's bridge is read
+    # and no law is built
     from qslice.thickness import ShiftSetAnalysis
 
     def walked(*args):
-        raise AssertionError("a gap template was read")
+        raise AssertionError("a bridge was read")
 
-    monkeypatch.setattr(ShiftSetAnalysis, "gap_template", walked)
+    monkeypatch.setattr(ShiftSetAnalysis, "bridge", walked)
     code, lines = invoke(capsys, ["thickness", "--q", "19/10", "--set", spec])
     assert code == 0 and len(lines) == 1
     head = json.loads(lines[0])

@@ -53,16 +53,13 @@ def test_branching_not_found_above_golden():
 
 
 def test_estimate_m_frozen_values():
-    assert estimate_M(Q32, grid_resolution=256, max_len=40) == 12
-    assert estimate_M(Q32, grid_resolution=64, max_len=40) == 9
-    assert estimate_M(AlgebraicNumber.from_rational(Fraction(7, 5)), 256, 40) == 14
+    assert estimate_M(Q32, max_len=40) == 12
+    assert estimate_M(AlgebraicNumber.from_rational(Fraction(7, 5)), max_len=40) == 14
 
 
 def test_estimate_m_input_errors():
-    with pytest.raises(DimensionError):
-        estimate_M(Q32, grid_resolution=2)
     with pytest.raises(BranchingNotFound):
-        estimate_M(Q32, grid_resolution=256, max_len=5)
+        estimate_M(Q32, max_len=5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,7 +319,7 @@ def test_box_fit_bracket_encloses_the_true_slope():
 
 
 def test_dimension_chain_is_consistent():
-    M = estimate_M(Q32, grid_resolution=64, max_len=40)
+    M = estimate_M(Q32, max_len=40)
     sys = ternary_branch_system(Q32)
     x0 = sys.lift(Fraction(1, 3))
     depths = list(range(8, 15))

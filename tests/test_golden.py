@@ -74,6 +74,12 @@ GOLDEN = [
      "36de0cca75e1a1b60ed71f4f45847c11ba69dddcdaf0523a83f5c3de6be5e6d6"),
     ("thickness --q bonacci:10 --set sk:9 --level 10", 0,
      "02a9f7bb34de12db50d442dfd812e2754cad70186d4db90a17cd6b5c405fd85a"),
+    # per-state laws of the scaled family, mapped by x -> 1 + (2 - q) x, and
+    # of a short run bound
+    ("thickness --q 1999/1000 --set scaled-sk:9 --level 8", 0,
+     "d81acf3242fb01aebcd17f06804cdda2270e03ae729608804a499528adf3a7cc"),
+    ("thickness --q 19/10 --set sk:3 --level 9", 0,
+     "4178d7342a8d3d3cbe13b9e88d309bed53ff3aecc6de4d0dc5569264239da25e"),
 ]
 
 

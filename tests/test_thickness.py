@@ -26,7 +26,6 @@ from qslice.thickness import (
     interleaving_check,
     newhouse_certify,
     prefix_run_length,
-    shifted_partner,
     thickness_lower_bound,
     w2_cover_check,
 )
@@ -128,12 +127,16 @@ def test_template_structure():
 
 
 def test_partner_identity():
+    # b = a - c is binary, run-limited and one unit below a, for c the
+    # canonical expansion of 1
     tpl = build_aq_prefixes(QBIG, 40)
+    c = fixed_expansion_of_one(QBIG, 40).symbols
     spec = run_limited(9)
     qf = F(1999, 1000)
-    cval = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(tpl.c.symbols[:40]))
+    cval = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(c))
     for a in _prefixes(tpl, 40)[::97]:
-        b = shifted_partner(tpl, a)
+        b = Word(Alphabet.BINARY, tuple(ai - ci for ai, ci in zip(a.symbols, c)))
+        assert set(b.symbols) <= {0, 1}
         assert member(spec, b)
         pa = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(a.symbols))
         pb = sum(F(s) * (1 / qf) ** (i + 1) for i, s in enumerate(b.symbols))
@@ -157,13 +160,26 @@ def reachable(ana):
     return states
 
 
+def own_gap(ana, state):
+    """A state's own gap (left end, right end, size) at unit scale, read off
+    its children's extremes: the split between its digit-0 and digit-1
+    child copies, or None when it has one successor or they overlap."""
+    moves = ana.successors(state)
+    if len(moves) != 2:
+        return None
+    (_, s0), (_, s1) = moves
+    g = ana.q.gen()
+    left, right = ana.vmax(s0) / g, (1 + ana.vmin(s1)) / g
+    return (left, right, right - left) if right > left else None
+
+
 def test_shift_analysis_exact_extremes():
     ana = ShiftSetAnalysis(QBIG, 9)
     g = QBIG.gen()
     assert len(reachable(ana)) == 19
     assert ana.vmin(("start",)) == 0
     assert ana.vmax(("start",)) == 1 / (g - 1)
-    assert ana.own_gap(_START) < g**-8
+    assert own_gap(ana, _START)[2] < g**-8
     sk = enumerate_gaps(QBIG, GapFamily.SkSet, 10)
     assert sk.hull == ((0, 0), (1 / (g - 1), 1 / (g - 1)))
     assert len(sk.gaps) == 17 and sk.gaps[0].size[0] < g**-8
@@ -183,10 +199,14 @@ def test_shift_analysis_exact_extremes():
 def test_every_branching_state_has_the_start_gap(q, k):
     # the one-gap lemma: every 1-child's least tail begins 0 into ("run", 0, 1)
     # and every 0-child's greatest tail begins 1 into ("run", 1, 1), so the
-    # states that branch split by one gap, or none of them has a gap
+    # states that branch split by one gap, the analysis's unit gap, or none
+    # of them has a gap
     ana = ShiftSetAnalysis(q, k)
     branching = [s for s in reachable(ana) if len(ana.successors(s)) == 2]
-    assert all(ana.own_gap(s) == ana.own_gap(_START) for s in branching)
+    if ana.gap is None:
+        assert all(own_gap(ana, s) is None for s in branching)
+    else:
+        assert all(own_gap(ana, s) == ana.gap for s in branching)
 
 
 def test_aq_gap_laws():
@@ -258,7 +278,7 @@ def test_no_gap_shortcut_matches_the_walk(qf):
     # the shortcut both give the bare hull
     q = AlgebraicNumber.from_rational(qf)
     g = q.gen()
-    assert ShiftSetAnalysis(q, 9).own_gap(_START) is None
+    assert own_gap(ShiftSetAnalysis(q, 9), _START) is None
     plain = enumerate_gaps(q, GapFamily.SkSet, 12)
     hull, records = reference_sk_gaps(q, 9, 12)
     assert (plain.hull, plain.gaps, records) == (hull, (), [])
@@ -310,10 +330,9 @@ def count_slice_decisions(monkeypatch):
 
 def test_find_slice3_witness_shallow(monkeypatch):
     calls = count_slice_decisions(monkeypatch)
-    (ylo, yhi), res = find_slice3_witness(QBIG, depth=30)
-    assert len(calls) == 1  # the slice engine decides one height, once
-    assert F(ylo) <= F(yhi)
-    assert 0 < F(ylo) and F(yhi) < 1
+    height, res = find_slice3_witness(QBIG, depth=30)
+    assert calls == [height]  # the slice engine decides one height, once
+    assert res.y == height and 0 < height < 1
     assert res.claim.kind == ClaimKind.ExactlyN
     assert res.claim.n == 3 and res.claim.certified is False
     assert len(res.cylinders) == 3
@@ -377,14 +396,13 @@ def reference_sk_gaps(q, k, level, scale=None, shift=None):
     for state, off, sc, d in frontier:
         if d >= level:
             continue
-        moves = ana.successors(state)
-        gap = ana.own_gap(state)
-        if gap is not None and len(moves) == 2:
-            (_, s0), (_, s1) = moves
-            gl = shift + scale * (off + sc * (ana.vmax(s0) / g))
-            gr = shift + scale * (off + sc * ((1 + ana.vmin(s1)) / g))
-            spans.append((d, gl, gr, scale * sc * gap, {"state": str(state)}))
-        for dig, child in moves:
+        gap = own_gap(ana, state)
+        if gap is not None:
+            left, right, size = gap
+            gl = shift + scale * (off + sc * left)
+            gr = shift + scale * (off + sc * right)
+            spans.append((d, gl, gr, scale * sc * size, {"state": str(state)}))
+        for dig, child in ana.successors(state):
             frontier.append((child, off + sc * (dig / g), sc / g, d + 1))
 
     hull_lo = shift + scale * ana.vmin(_START)
