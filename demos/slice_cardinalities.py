@@ -26,7 +26,6 @@ for y in (Fraction(3, 8), Fraction(1, 2), Fraction(0)):
     c = res.claim
     print(
         "y =", y, "->", c.kind.name, c.n,
-        "(certified)" if c.certified else "",
         "cylinders:", [format_word(w) for w in res.cylinders[:4]],
     )
 

@@ -49,7 +49,8 @@ print("certificate checks:", len(cert.checks), "failures:", verify(cert))
 print("certificate is plain JSON, first 120 chars:")
 print(" ", to_json(cert)[:120], "...")
 
-# pull a concrete three-orbit height out of the intersection
+# locate a height near the intersection: it follows the three designed
+# orbits for only about depth + 12 steps, so its slice reads AtLeastN(3)
 height, res = find_slice3_witness(q, depth=48)
 print("witness height in [%s, %s]" % bracket(height))
 print(

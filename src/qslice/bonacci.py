@@ -105,9 +105,9 @@ def verify_odd_cardinality(
     k: int, m: int, delta: Optional[Tail] = None, depth: Optional[int] = None
 ) -> Certificate:
     """Certify that the 2m+1 count is exact: the slice engine must decide
-    the witness's height as certified ExactlyN(2m+1), every orbit eternally
-    unique and the cylinders pairwise separated; then the block-trade
-    recursion is checked step by step with exact arithmetic."""
+    the witness's height as ExactlyN(2m+1), every orbit eternally unique
+    and the cylinders pairwise separated; then the block-trade recursion
+    is checked step by step with exact arithmetic."""
     q, x, t = x_m_witness(k, m, delta)
     g = q.gen()
     if depth is None:
@@ -116,10 +116,10 @@ def verify_odd_cardinality(
     y = x * (g - 1)
     # every path has a child, so a walk past 2m+1 paths has already failed
     res = compute_slice(q, y, depth, max_cylinders=expected)
-    if res.claim != exactly(expected, certified=True):
+    if res.claim != exactly(expected):
         raise CertificationFailed(
             f"expected {expected} separated certified orbits, the slice reads "
-            f"{res.claim.kind.value}({res.claim.n}, certified={res.claim.certified})",
+            f"{res.claim.kind.value}({res.claim.n})",
             depth,
         )
     routes = [probe.route for probe in res.leaf_probes]

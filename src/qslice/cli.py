@@ -286,7 +286,6 @@ def _cmd_certify_slice3(args) -> int:
     cert = newhouse_certify(q, level=args.level)
     failures = verify(cert)
     height, res = find_slice3_witness(q, depth=args.depth)
-    three = res.claim.kind == ClaimKind.ExactlyN and res.claim.n == 3
     _emit(
         {
             "command": "certify-slice3",
@@ -300,10 +299,10 @@ def _cmd_certify_slice3(args) -> int:
         }
     )
     _emit({"command": "certify-slice3", "certificate": asdict(cert)})
-    # exit 0 rests on the verified Newhouse certificate plus an ExactlyN(3)
-    # reading at --depth, which may be uncertified: a deeper walk at the
-    # same height can find more orbits
-    return 0 if three and not failures else 2
+    # exit 0 rests on the verified Newhouse certificate, the proof that
+    # some height has exactly three points; the witness only locates one,
+    # and n == 3 says its walk keeps three separated groups to --depth
+    return 0 if res.claim.n == 3 and not failures else 2
 
 
 def _parse_delta(text: str) -> Tail:

@@ -44,23 +44,26 @@ class ClaimKind(Enum):
 class CardinalityClaim:
     """What the enumeration proves about the number of slice points.
 
-    ExactlyN with certified=True: every surviving orbit carries an eternal
-    uniqueness certificate and the cylinders are pairwise non-adjacent, so
-    the slice has exactly n points. certified=False weakens the last step
-    to "single branch through the probe horizon": exactly n points at this
-    resolution. AtLeastN counts pairwise-disjoint groups of cylinders, each
-    guaranteed to hold a point. UncountablePattern reports an observed
-    doubling pattern (two disjoint subtrees that both branch again).
+    ExactlyN: every surviving orbit carries an eternal uniqueness
+    certificate and the cylinders are pairwise non-adjacent, so the slice
+    has exactly n points; certified reads True. AtLeastN counts
+    pairwise-disjoint groups of cylinders, each guaranteed to hold a point.
+    UncountablePattern reports an observed doubling pattern (two disjoint
+    subtrees that both branch again). certified reads None on every kind
+    but ExactlyN.
     """
 
     kind: ClaimKind
     n: Optional[int] = None
-    certified: Optional[bool] = None
     witness: Optional[tuple] = None
 
+    @property
+    def certified(self) -> Optional[bool]:
+        return True if self.kind == ClaimKind.ExactlyN else None
 
-def exactly(n: int, certified: bool) -> CardinalityClaim:
-    return CardinalityClaim(ClaimKind.ExactlyN, n=n, certified=certified)
+
+def exactly(n: int) -> CardinalityClaim:
+    return CardinalityClaim(ClaimKind.ExactlyN, n=n)
 
 
 def at_least(n: int) -> CardinalityClaim:
@@ -179,20 +182,12 @@ def compute_slice(
             q, yv, depth, codes, length, unknown_cardinality(), forks, True
         )
 
-    n = len(codes)
     groups = _adjacency_groups(codes)
     probes = tuple(
         unique_orbit_check(q, point, depth) for point in walk.points()
     )
-    branched = any(
-        r.status == UniqueOrbitStatus.BranchFoundAt for r in probes
-    )
-    if branched or groups < n:
-        claim = at_least(groups)
-    elif all(r.status == UniqueOrbitStatus.UniqueCertified for r in probes):
-        claim = exactly(n, certified=True)
-    else:
-        claim = exactly(n, certified=False)
+    certified = all(r.status == UniqueOrbitStatus.UniqueCertified for r in probes)
+    claim = exactly(groups) if certified and groups == len(codes) else at_least(groups)
     return SliceResult(
         q, yv, depth, codes, length, claim, forks, False, probes
     )

@@ -207,9 +207,12 @@ def test_certify_slice3_command(capsys):
         capsys,
         ["certify-slice3", "--q", "1999/1000", "--depth", "48", "--level", "30"],
     )
+    # exit 0 rests on the verified certificate; the witness height's walk
+    # keeps three separated groups, which proves at least three points
     assert code == 0
     head = json.loads(lines[0])
-    assert head["claim"]["type"] == "ExactlyN" and head["claim"]["n"] == 3
+    assert head["claim"] == {"type": "AtLeastN", "n": 3, "certified": None}
+    assert head["intersection_verified"] is True and head["failures"] == []
     assert len(head["cylinders"]) == 3
     lo, hi = head["witness_interval"]
     from fractions import Fraction as F
@@ -218,6 +221,34 @@ def test_certify_slice3_command(capsys):
     cert = json.loads(lines[1])["certificate"]
     assert cert["claim"] == "thick-linked-intersection"
     assert {"claim", "hypotheses", "witness_interval", "level", "depth"} <= set(cert)
+
+
+@pytest.mark.parametrize("fault", ["certificate", "witness"])
+def test_certify_slice3_exit_needs_certificate_and_three_groups(capsys, monkeypatch, fault):
+    # exit 0 needs both a verified certificate and a witness reading n = 3
+    from dataclasses import replace
+
+    from qslice import cli
+    from qslice.slices import at_least
+
+    if fault == "certificate":
+        monkeypatch.setattr(cli, "verify", lambda cert: ["a check fails"])
+    else:
+        search = cli.find_slice3_witness
+
+        def two_groups(q, depth):
+            height, res = search(q, depth=depth)
+            return height, replace(res, claim=at_least(2))
+
+        monkeypatch.setattr(cli, "find_slice3_witness", two_groups)
+    code, lines = invoke(
+        capsys,
+        ["certify-slice3", "--q", "1999/1000", "--depth", "30", "--level", "12"],
+    )
+    head = json.loads(lines[0])
+    assert code == 2
+    assert head["intersection_verified"] is (fault != "certificate")
+    assert head["claim"]["n"] == (2 if fault == "witness" else 3)
 
 
 def test_certify_slice3_without_free_position_exits_two(capsys):

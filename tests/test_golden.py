@@ -48,27 +48,31 @@ GOLDEN = [
     # 35 boxes for 34 cylinders: the cross-check accepts a corner spelling
     ("slice --q 5/3 --y 3/5 --depth 12 --oracle", 0,
      "e4e103b8c373f1ec473c6e81c91b64bb9c0442017eae08e8d86350a4fc89761c"),
+    # three separated cylinders whose probes certify nothing: AtLeastN(3)
     ("slice --q bonacci:4 --y 3/7 --depth 16 --oracle", 2,
-     "ffda259b1b0696f0c18f31549b006730bed47c4f909a59bb733cc4b1fbdafe98"),
+     "1f18d4a091e26d4097b6da162d5bf9b985943695116e4f0295721cc0666a4b9e"),
     ("slice --q algebraic:1,-2,-1,1:3/2:19/10 --y 2/5 --depth 16 --oracle", 0,
      "31a6e32b4bb05c29bd73eb8875ef39a5809f1f7146522d0d6e85424c666aee57"),
     # lead 2 and p_0 = -3: the walk's times_q step carries lead and the
     # oracle's over_q step |p_0|, so a scaling fault shows here
     ("slice --q algebraic:-3,-2,2:1:2 --y 1/3 --depth 10 --oracle", 2,
      "ad19cae37b271a0f602f0f179e3146766853ee619ba0969e1d3693709fd34ede"),
+    # exit 0 rests on the verified certificate; the witness height reads
+    # AtLeastN(3), three separated cylinders with uncertified probes
     ("certify-slice3 --q bonacci:10 --depth 30 --level 12", 0,
-     "f66e75a9cb624ba45a39ef15829d994a789c83ae889ff6a66cf8218f2802928d"),
-    # one height, decided once: its middle orbit forks past depth 48
-    ("certify-slice3 --q bonacci:10 --depth 48 --level 12", 2,
-     "8fedd4696cd3578a246d6a80fbe40008d79fc847e9a4d0f06717d9d07c43c675"),
+     "617ffd037bcea7faeb642be635f4d9ddfb3ac05504614e491a93fa1a7716cacf"),
+    # one height, decided once: its middle orbit's probe finds a branch,
+    # so the walk proves only three separated groups, AtLeastN(3)
+    ("certify-slice3 --q bonacci:10 --depth 48 --level 12", 0,
+     "8d2c39b939c11a19cf01f6a69b60fbe34a8462a728de4e73c1456938c2521467"),
     ("certify-slice3 --q 19/10 --depth 30 --level 12", 2,
      "6b4a4193bea98e2ae147483f65e7cba8bbee451ba79f6776254d367b086d0a31"),
     ("certify-slice3 --q bonacci:12 --depth 30 --level 20", 0,
-     "1571a8999f35129867c497b3585047e71969cd0015bf80131b76d1493ffb4b04"),
+     "224dfbd8fe2f0c3786dc23286d8829cfbca36e22ba4cb746d1367382dad81281"),
     # the default --level: 27 aq checks, one triple per free position,
     # stand for the 511 gaps below it
     ("certify-slice3 --q 1999/1000 --depth 48 --level 40", 0,
-     "1dcf3ceafea2135ae14ac195df39ab883ba1a3f99d3c01ff3f64971dddc2408a"),
+     "304fc7b99c79aad5245f17c961ffd347611943ffc253c8da4d793bf2b7b043df"),
     # one line per gap law: a law per free position (aq) or per state (sk)
     ("thickness --q bonacci:12 --set aq --level 30", 0,
      "36de0cca75e1a1b60ed71f4f45847c11ba69dddcdaf0523a83f5c3de6be5e6d6"),

@@ -597,10 +597,53 @@ def test_kernel_and_oracle_share_one_bracket_table():
     assert len(q._brackets) == 1
 
 
+GATE_BASES = {
+    "3/2": lambda: AlgebraicNumber.from_rational(F(3, 2)),
+    "5/3": lambda: Q53,
+    "19/10": lambda: AlgebraicNumber.from_rational(F(19, 10)),
+    "bonacci:3": lambda: bonacci_root(3),
+    "bonacci:4": lambda: bonacci_root(4),
+}
+
+
+def test_exact_claims_survive_deeper_independent_decisions():
+    # every height a/D in (0, 1) with D <= 40 at depth 24: an ExactlyN(n)
+    # is certified, has odd n (for 0 < y < 1 Okamoto's function crosses y an
+    # odd number of times, so an even count needs a tangent point), reads the
+    # same at depth 96, and the oracle's depth-48 boxes form n separated
+    # groups
+    exact = {}
+    for label, base in GATE_BASES.items():
+        q = base()
+        for den in range(2, 41):
+            for num in range(1, den):
+                y = F(num, den)
+                if y.denominator != den:
+                    continue
+                claim = compute_slice(q, y, 24).claim
+                if claim.kind != ClaimKind.ExactlyN:
+                    continue
+                exact[label, y] = claim.n
+                assert claim.certified is True and claim.n % 2 == 1
+                assert compute_slice(q, y, 96).claim == claim
+                boxes = geometric_slice_oracle(q, y, 48)
+                assert slices._adjacency_groups(boxes.codes) == claim.n
+    # the heights known to certify at depth 24 were checked, so the gate is
+    # not vacuous
+    assert {
+        ("5/3", F(3, 8)), ("5/3", F(5, 8)), ("5/3", F(9, 40)), ("5/3", F(31, 40)),
+        ("19/10", F(10, 29)), ("19/10", F(19, 29)),
+    } <= set(exact)
+    # separated cylinders whose probes certify nothing claim only AtLeastN:
+    # 9/19 and 10/19 at 19/10 show two, which parity rules out
+    for label, y in (("bonacci:4", F(1, 10)), ("19/10", F(9, 19)), ("19/10", F(10, 19))):
+        assert (label, y) not in exact
+
+
 # Heights x (q - 1) with x of the given base-q expansion, where a fork
 # whose children both fork again is taken for uncountability: the walk
 # counts 9, 11 and 7/16/25 paths at depths 10, 20 and 30, so the first two
-# slices are finite and the third countably infinite (ROADMAP item 1).
+# slices are finite and the third countably infinite (ROADMAP item 2).
 DOUBLING_WITHOUT_PROOF = [
     (3, "010001101000", "01010"),
     (4, "11000000010000", "1001"),
@@ -778,8 +821,9 @@ code_bases = st.one_of(
 @example(F(3, 2), F(1, 2), 8, 300, 8)  # a doubling pattern
 @example(F(3, 2), F(1, 2), 8, 20, 8)  # a doubling pattern in a truncated walk
 @example(F(5, 3), F(3, 5), 8, 300, 8)  # a doomed corner spelling among the boxes
+@example(F(5, 3), F(3, 8), 8, 300, 8)  # exactly n, each point certified
 @example(F(5, 3), F(1, 2), 8, 40, 8)  # truncated before the oracle's depth
-@example(F(5, 3), F(1, 20), 8, 300, 8)  # exactly n, each point probed
+@example(F(5, 3), F(1, 20), 8, 300, 8)  # at least n, each point probed
 @example("bonacci:3", F(1, 3), 8, 300, 5)
 @example("two-orbit", F(2, 5), 8, 30, 8)
 def test_codes_match_the_tuple_routines(label, y, depth, cap, box_depth):
@@ -795,13 +839,12 @@ def test_codes_match_the_tuple_routines(label, y, depth, cap, box_depth):
         expected = slices.uncountable_pattern(witness)
     elif truncated:
         expected = slices.unknown_cardinality()
-    elif groups < len(paths) or any(
-        p.status == UniqueOrbitStatus.BranchFoundAt for p in r.leaf_probes
+    elif groups == len(paths) and all(
+        p.status == UniqueOrbitStatus.UniqueCertified for p in r.leaf_probes
     ):
-        expected = slices.at_least(groups)
+        expected = slices.exactly(len(paths))
     else:
-        certified = all(p.status == UniqueOrbitStatus.UniqueCertified for p in r.leaf_probes)
-        expected = slices.exactly(len(paths), certified)
+        expected = slices.at_least(groups)
     assert r.claim == expected
     # the oracle at the walk's depth and at another, which a truncated walk
     # also meets: codes of unequal length must compare as tuples do
@@ -850,7 +893,7 @@ def test_decisions_build_no_path_tuples(monkeypatch):
 
     for module in (words_module, dynamics, slices):
         monkeypatch.setattr(module, "ternary_digits", refused)
-    # exactly n with leaf probes; at least n with a doomed corner spelling
+    # at least n with leaf probes; at least n with a doomed corner spelling
     # (5 boxes for 4 paths); truncated; and, at an algebraic base, the
     # lattice walk and descent
     for q, y, cap in (

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from qslice import thickness
 from qslice.algebraic import AlgebraicNumber, bonacci_root
 from qslice.certificates import bracket, check, exact_check, from_json, to_json, verify
-from qslice.slices import ClaimKind
+from qslice.slices import at_least, compute_slice
 from qslice.thickness import (
     _START,
     BaseTooSmall,
@@ -333,21 +333,40 @@ def test_find_slice3_witness_shallow(monkeypatch):
     height, res = find_slice3_witness(QBIG, depth=30)
     assert calls == [height]  # the slice engine decides one height, once
     assert res.y == height and 0 < height < 1
-    assert res.claim.kind == ClaimKind.ExactlyN
-    assert res.claim.n == 3 and res.claim.certified is False
+    assert res.claim == at_least(3)
     assert len(res.cylinders) == 3
     assert [w.symbols[0] for w in res.cylinders] == [0, 1, 2]
     assert res.branch_events == ((0, ()),)
 
 
 def test_find_slice3_witness_decides_a_failed_height_once(monkeypatch):
-    # at bonacci:10, depth 48, the first narrow overlap's height does not
-    # read three (its middle orbit forks past the depth): one decision,
-    # then the search gives up
+    # at bonacci:10, depth 48, the first narrow overlap's height is decided
+    # once and returned as it reads: its middle orbit's probe finds a
+    # branch, so the walk proves only three separated groups
     calls = count_slice_decisions(monkeypatch)
-    with pytest.raises(RefinementBudgetExceeded, match="no verified three-orbit height found"):
-        find_slice3_witness(bonacci_root(10), depth=48)
-    assert len(calls) == 1
+    height, res = find_slice3_witness(bonacci_root(10), depth=48)
+    assert calls == [height] and res.y == height
+    assert res.claim == at_least(3)
+    assert [p.status.value for p in res.leaf_probes].count("BranchFoundAt") == 1
+
+
+def test_find_slice3_witness_raises_when_no_overlap_narrows(monkeypatch):
+    # the pair search needs more than 20 steps to narrow an overlap to the
+    # target width, so a budget of 20 decides no height
+    calls = count_slice_decisions(monkeypatch)
+    monkeypatch.setattr(thickness, "WITNESS_BUDGET", 20)
+    with pytest.raises(RefinementBudgetExceeded, match="no overlap narrowed to a witness height"):
+        find_slice3_witness(QBIG, depth=30)
+    assert calls == []
+
+
+def test_slice3_witness_height_is_not_three_points():
+    # the 1999/1000 witness at depth 48 is the midpoint of an overlap, not a
+    # point of the intersection: a deeper walk at that exact height finds
+    # 49 cylinders in 45 separated groups
+    height, _ = find_slice3_witness(QBIG, depth=48)
+    deep = compute_slice(QBIG, height, 128)
+    assert deep.claim == at_least(45) and len(deep.codes) == 49
 
 
 def newhouse_bridges(gaps, lo, hi):
