@@ -6,19 +6,21 @@ endpoints. All decisions (signs, comparisons, domain membership) are made in
 exact arithmetic; floating point appears only when a caller asks for a
 printable approximation.
 
-Polynomials are integer throughout: root counts, the square-free test and
-rational roots run on integer Sturm chains, intervals are integer
-numerators over one denominator, and field elements are integer vectors
-over one denominator. Fractions appear only at the edges, where values come
-in or go out: `interval`, `coeffs`, `element()`, `to_interval` and
-`enclose`.
+Polynomials are integer throughout: root counts and the square-free test
+run on integer Sturm chains, factoring runs modulo a prime and its powers
+(Zassenhaus's algorithm), intervals are integer numerators over one
+denominator, and field elements are integer vectors over one denominator.
+Fractions appear only at the edges, where values come in or go out:
+`interval`, `coeffs`, `element()`, `to_interval` and `enclose`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations, zip_longest
+from math import gcd, isqrt, lcm
+from random import Random
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -71,12 +73,17 @@ def _sign_at(p: Sequence[int], n: int, m: int) -> int:
     return (v > 0) - (v < 0)
 
 
+def _trim(a: list[int]) -> list[int]:
+    """a with its trailing zeros dropped, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def _content_free(p: list[int]) -> tuple[int, ...]:
     """p with trailing zeros dropped, divided by the gcd of its
     coefficients; the sign is kept."""
-    while p and p[-1] == 0:
-        p.pop()
-    g = gcd(*p)
+    g = gcd(*_trim(p))
     return tuple(p) if g <= 1 else tuple(c // g for c in p)
 
 
@@ -98,8 +105,7 @@ def _sturm_chain(p: Sequence[int]) -> list[tuple[int, ...]]:
             for i, c in enumerate(b):
                 r[k + i] -= f * c
             r.pop()
-            while r and r[-1] == 0:
-                r.pop()
+            _trim(r)
         if not r:
             break
         chain.append(_content_free([-c for c in r]))
@@ -129,61 +135,178 @@ def _primitive(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(-c for c in cs) if cs and cs[-1] < 0 else cs
 
 
-def _irreducible_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Irreducible factors of a primitive square-free integer polynomial."""
-    if len(coeffs) > 4:
-        return _sympy_factors(coeffs)
-    # at degree <= 3, what remains after the rational roots is irreducible
-    factors = [(-n, m) for n, m in _rational_roots(coeffs)]
-    rest = coeffs
-    for neg_n, m in factors:
-        # rest / (m x - n): the quotient is integral (Gauss's lemma), so
-        # every division, from the top coefficient down, is exact
-        h = [rest[-1] // m]
-        for c in reversed(rest[1:-1]):
-            h.append((c - neg_n * h[-1]) // m)
-        rest = tuple(reversed(h))
-    if len(rest) > 1:
-        factors.append(_primitive(rest))
-    return factors
+def _irreducible_factors(f: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The irreducible factors of a primitive square-free integer polynomial
+    with positive lead, each primitive with positive lead, by Zassenhaus's
+    algorithm (J. Number Theory 1, 1969): factor modulo a small prime p,
+    lift the factors to p^k, then recombine them by exact trial division."""
+    n, p = len(f) - 1, 3
+    # the least odd prime that divides no lead and leaves f square-free
+    while not (
+        f[-1] % p
+        and all(p % d for d in range(3, isqrt(p) + 1, 2))
+        and len(_gcd_mod([c % p for c in f], _trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1
+    ):
+        p += 2
+    factors = _factor_mod(f, p)
+    if len(factors) == 1:
+        return [f]
+    # Mignotte: a factor of f, scaled to f's lead, has coefficients of size
+    # below bound = lead * 2^n * ||f||_2, and p^k > 2 bound; compared squared
+    pk = p
+    while pk * pk <= 4 * f[-1] ** 2 * 4**n * sum(c * c for c in f):
+        pk *= p
+    lifts = _hensel_lift(f, factors, p, pk)
+    out, s = [], 1
+    while 2 * s <= len(lifts):
+        # each product of s lifts times the lead, in the symmetric range
+        # mod p^k, is tried; the first to divide is irreducible, since every
+        # product of fewer lifts failed
+        for subset in combinations(range(len(lifts)), s):
+            g = [f[-1]]
+            for i in subset:
+                g = _mul_mod(g, lifts[i], pk)
+            g = _primitive(c - pk if 2 * c > pk else c for c in g)
+            quotient = _exact_quotient(f, g)
+            if quotient is not None:
+                out.append(g)
+                f = quotient
+                lifts = [u for i, u in enumerate(lifts) if i not in subset]
+                break
+        else:
+            s += 1
+    return out + [f]
 
 
-def _rational_roots(p: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Rational roots n / m of a square-free integer polynomial, as (n, m)
-    in lowest terms with m > 0, found without factoring integers. With
-    leading coefficient c, y = c x turns p into a monic integer polynomial
-    whose rational roots are integers; Sturm counts at half-integers, which
-    are never its roots, isolate them."""
-    n, c = len(p) - 1, p[-1]
-    monic = tuple(pi * c ** (n - 1 - i) for i, pi in enumerate(p[:-1])) + (1,)
-    chain = _sturm_chain(monic)
-    bound = 1 + max(abs(m) for m in monic[:-1])  # Cauchy: every root has |y| < bound
-    sign = 1 if c > 0 else -1
-    roots, todo = [], [(-bound, bound)]
-    while todo:
-        a, b = todo.pop()
-        if _sign_changes(chain, 2 * a - 1, 2) == _sign_changes(chain, 2 * b + 1, 2):
-            continue
-        if a < b:
-            m = (a + b) // 2
-            todo += [(a, m), (m + 1, b)]
-        elif _sign_at(monic, a, 1) == 0:
-            g = gcd(a, c)
-            roots.append((sign * a // g, abs(c) // g))
-    return roots
+def _exact_quotient(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...] | None:
+    """f / g if g divides f over the integers, else None."""
+    # the constant terms first: a cheap test that most non-factors fail
+    if f[0] % g[0] if g[0] else f[0]:
+        return None
+    r, q = list(f), []
+    for k in range(len(f) - len(g), -1, -1):
+        c, rest = divmod(r[k + len(g) - 1], g[-1])
+        if rest:
+            return None
+        q.append(c)
+        for i, gi in enumerate(g):
+            r[k + i] -= c * gi
+    return None if any(r) else tuple(reversed(q))
 
 
-def _sympy_factors(coeffs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    import sympy
+def _hensel_lift(f: Sequence[int], factors: list[list[int]], p: int, pk: int) -> list[list[int]]:
+    """Monic lifts U_i of the monic factors u_i of f / lead modulo p, with
+    f = lead * prod U_i modulo pk, a power of p, lifted one power at a time.
+    With sum a_i prod_{j != i} u_j = 1 modulo p (partial fractions), the
+    error e at q = p^j is cancelled by adding q (a_i e mod u_i) to each U_i."""
+    inv = pow(f[-1], -1, pk)
+    monic = [c * inv % pk for c in f]
+    cofactors = [
+        _inverse_mod(_divmod_mod([c % p for c in monic], u, p)[0], u, p) for u in factors
+    ]
+    lifts, q = [list(u) for u in factors], p
+    while q < pk:
+        product = [1]
+        for u in lifts:
+            product = _mul_mod(product, u, q * p)
+        # monic minus product is 0 mod q, and of degree below n
+        e = _trim([(a - b) % (q * p) // q for a, b in zip(monic, product)])
+        for u, a, lift in zip(factors, cofactors, lifts):
+            for i, c in enumerate(_divmod_mod(_mul_mod(a, e, p), u, p)[1]):
+                lift[i] += q * c
+        q *= p
+    return lifts
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, _mult in factors:
-        cs = [int(c) for c in reversed(fac.all_coeffs())]
-        out.append(_primitive(cs))
+
+# polynomials modulo a prime p (or, for _mul_mod, any modulus m):
+# coefficient lists in [0, p), no trailing zeros
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _sub_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _divmod_mod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, b nonzero."""
+    inv, r, q = pow(b[-1], -1, p), list(a), []
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + len(b) - 1] * inv % p
+        q.append(c)
+        for i, bi in enumerate(b):
+            r[k + i] = (r[k + i] - c * bi) % p
+    return _trim(q[::-1]), _trim(r[: len(b) - 1])
+
+
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """The monic gcd of a and b, a nonzero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _inverse_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """s with s a = 1 modulo m, for a prime to m, by the extended Euclidean
+    algorithm: each remainder r is kept with an s such that r = s a
+    modulo m, until r is a constant."""
+    r0, r1, s0, s1 = list(m), _divmod_mod(a, m, p)[1], [], [1]
+    while len(r1) > 1:
+        quotient, r = _divmod_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _sub_mod(s0, _mul_mod(quotient, s1, p), p)
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _pow_mod(a: list[int], e: int, m: Sequence[int], p: int) -> list[int]:
+    """a^e modulo m, by squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, a, p), m, p)[1]
+        a, e = _divmod_mod(_mul_mod(a, a, p), m, p)[1], e >> 1
     return out
+
+
+def _factor_mod(f: Sequence[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors of f / lead modulo p, for f square-free
+    modulo p. Distinct-degree splitting takes out the product of the factors
+    of each degree d as gcd(g, x^(p^d) - x); equal-degree splitting
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981) splits it with random
+    elements from a generator seeded by p, so every run draws the same."""
+    inv, rng = pow(f[-1], -1, p), Random(p)
+    g, h, d, out = [c * inv % p for c in f], [0, 1], 0, []
+    # g is irreducible once it has no room for two factors of degree > d
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(h, p, g, p)
+        u = _gcd_mod(g, _sub_mod(h, [0, 1], p), p)
+        if len(u) > 1:
+            out += _split_equal(u, d, p, rng)
+            g = _divmod_mod(g, u, p)[0]
+            h = _divmod_mod(h, g, p)[1]
+    return out + [g] if len(g) > 1 else out
+
+
+def _split_equal(u: list[int], d: int, p: int, rng: Random) -> list[list[int]]:
+    """The monic factors of u, a product of irreducibles of degree d: for a
+    random a, gcd(u, a^((p^d - 1) / 2) - 1) is a proper factor about half
+    the time."""
+    if len(u) - 1 == d:
+        return [u]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(u) - 1)])
+        w = _gcd_mod(u, _sub_mod(_pow_mod(a, (p**d - 1) // 2, u, p), [1], p), p)
+        if 1 < len(w) < len(u):
+            v = _divmod_mod(u, w, p)[0]
+            return _split_equal(w, d, p, rng) + _split_equal(v, d, p, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class InputError(ValueError):
 def parse_number(text: str) -> AlgebraicNumber:
     """The base of every --q: "3/2", "1.8", "bonacci:3", or
     "algebraic:c0,c1,...,cn:lo:hi" for the root of a polynomial given by
-    ascending coefficients, isolated in [lo, hi]. The coefficients may be
+    ascending coefficients, isolated in the open interval (lo, hi). The coefficients may be
     rationals ("-3/2"); their denominators are cleared, so the literal names
     the root of the integer polynomial with the same roots. The base must
     lie strictly between 1 and 2."""

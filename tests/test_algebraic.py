@@ -6,7 +6,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qslice import algebraic
@@ -469,19 +469,62 @@ def _from_poly_outcome(p, lo, hi):
     return a.min_poly, a.interval
 
 
+def _sympy_factors(coeffs):
+    """The reference factoring: sympy's factor_list, each factor primitive
+    with positive lead."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coeffs)), x, domain="ZZ").factor_list()
+    return [algebraic._primitive(int(c) for c in reversed(f.all_coeffs())) for f, _ in factors]
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=low_degree_products(), lo=st.integers(-4, 4), width=st.integers(1, 8))
 @example(p=[-(10**40 + 3) * 7, 0, 0, 7 * (10**40 + 1)], lo=0, width=2)
 @example(p=[6, -2, -3, 1], lo=1, width=1)
 @example(p=_poly_product([-3, 7], [1, -2, 5]), lo=0, width=1)
 def test_low_degree_factoring_matches_sympy(p, lo, width):
-    # degree <= 3 factors by a rational-root test; sympy is the reference
-    with mock.patch.object(algebraic, "_irreducible_factors", algebraic._sympy_factors):
+    # every degree factors on one path; sympy is the reference
+    with mock.patch.object(algebraic, "_irreducible_factors", _sympy_factors):
         expected = _from_poly_outcome(p, lo, lo + width)
     assert _from_poly_outcome(p, lo, lo + width) == expected
     if expected is not NonSquareFree:
         prim = algebraic._primitive(p)
-        assert sorted(algebraic._irreducible_factors(prim)) == sorted(algebraic._sympy_factors(prim))
+        assert sorted(algebraic._irreducible_factors(prim)) == sorted(_sympy_factors(prim))
+
+
+@st.composite
+def square_free_products(draw):
+    """Primitive square-free integer polynomials of degree 1..12 with
+    positive lead, as products of factors of degree 1..4 with small or
+    10^30-sized coefficients."""
+    coef = st.integers(-12, 12) | st.integers(-(10**30), 10**30)
+    degree = draw(st.integers(1, 12))
+    p = [1]
+    while len(p) - 1 < degree:
+        k = draw(st.integers(1, min(4, degree - len(p) + 1)))
+        p = _poly_product(p, draw(st.lists(coef, min_size=k, max_size=k)) + [draw(coef.filter(bool))])
+    p = algebraic._primitive(p)
+    assume(len(algebraic._sturm_chain(p)[-1]) == 1)
+    return p
+
+
+def _examples(*ps):
+    """An @example for each polynomial in ps."""
+    return lambda test: functools.reduce(lambda t, p: example(p=p)(t), ps, test)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=square_free_products())
+@example(p=(1, 0, -10, 0, 1))  # irreducible, but it splits modulo every prime
+@example(p=algebraic._primitive(_poly_product(_poly_product([-2, 0, 1], [-3, 0, 1]), [-5, 0, 1])))
+@example(p=algebraic._primitive(_poly_product([-1, 1, 1], [2, 0, 105])))  # lead 105 = 3 * 5 * 7
+@example(p=(1, -1, -1, 1, -2, 1))  # the degree-5 golden base, irreducible
+@example(p=(-(10**40 + 3), 0, 0, 10**40 + 1))
+@_examples(*(tuple(multinacci_poly(k)) for k in range(2, 13)))
+def test_irreducible_factors_match_sympy(p):
+    assert sorted(algebraic._irreducible_factors(p)) == sorted(_sympy_factors(p))
 
 
 # -- field elements on integers, against Fraction tuples ---------------------
@@ -1012,8 +1055,7 @@ def test_square_free_verdict_matches_fraction_gcd(p, lo, width):
     if degree > 0:
         with pytest.raises(NonSquareFree, match=f"gcd with derivative has degree {degree}$"):
             algebraic_from_poly(p, lo, lo + width)
-    elif len(p) <= 4:
-        # no sympy below degree 4: any verdict but NonSquareFree
+    else:
         assert _from_poly_outcome(p, lo, lo + width) is not NonSquareFree
 
 
@@ -1023,10 +1065,14 @@ def test_square_free_verdict_matches_fraction_gcd(p, lo, width):
 @example(p=_poly_product([3, -7], [5, 0, -6]))  # 3/7 with a negative lead
 @example(p=[-(10**40 + 3) * 7, 0, 0, 7 * (10**40 + 1)])
 def test_rational_roots_match_fraction_route(p):
-    roots = algebraic._rational_roots(tuple(p))
+    # the rational roots are the linear factors of p's square-free part
+    fp = [Fraction(c) for c in p]
+    square_free, _ = _ref_divmod(fp, _ref_gcd(fp, _ref_deriv(fp)))
+    prim = algebraic._primitive(algebraic._common_denominator(square_free)[0])
+    roots = [(-f[0], f[1]) for f in algebraic._irreducible_factors(prim) if len(f) == 2]
     for n, m in roots:
         assert m > 0 and gcd(n, m) == 1
-    assert [Fraction(n, m) for n, m in roots] == _ref_rational_roots(p)
+    assert sorted(Fraction(n, m) for n, m in roots) == sorted(_ref_rational_roots(p))
 
 
 @st.composite

@@ -120,7 +120,8 @@ def test_c2_tribonacci_pair_values():
 
 def test_c2_certified_at_planted_cubic():
     qs = two_orbit_base()
-    # built without factoring; sympy agrees the cubic is irreducible
+    # built without factoring; algebraic_from_poly's factoring agrees the
+    # cubic is irreducible
     assert qs == algebraic_from_poly([1, -2, -1, 1], Fraction(3, 2), Fraction(19, 10))
     g = qs.gen()
     # the defining cubic makes the third step close the two-cycle

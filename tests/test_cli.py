@@ -644,18 +644,21 @@ def test_sorted_keys(capsys):
 
 
 def test_common_commands_load_neither_numpy_nor_sympy():
-    # sympy only factors an algebraic: literal of degree >= 4; a fresh interpreter
-    # shows what these commands really import
+    # a fresh interpreter shows what these commands really import, factoring
+    # a degree-5 algebraic: literal and a degree-10 polynomial included
     runs = [
         ["bonacci", "null", "--k", "3"],
         ["thickness", "--q", "1999/1000", "--set", "aq", "--level", "12"],
         ["dimension", "--q", "3/2", "--y", "1/6", "--method", "box", "--levels", "3"],
         ["bonacci", "c2", "--q", "algebraic:1,-2,-1,1:3/2:19/10"],
+        ["bonacci", "c2", "--q", "algebraic:1,-1,-1,1,-2,1:101/100:199/100"],
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (
         f"import sys; sys.path.insert(0, {src!r}); from qslice.cli import run\n"
-        f"assert [run(argv) for argv in {runs!r}] == [0, 0, 0, 0]\n"
+        f"assert [run(argv) for argv in {runs!r}] == [0, 0, 0, 0, 0]\n"
+        "from qslice.algebraic import algebraic_from_poly\n"
+        "assert algebraic_from_poly([-1] * 10 + [1], 1, 2).degree == 10\n"
         "print(sorted({'numpy', 'sympy'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)

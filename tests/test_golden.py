@@ -96,3 +96,17 @@ def test_cli_output_matches_golden(command, code, digest):
         capture_output=True, env=env, timeout=120,
     )
     assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == (code, digest)
+
+
+def test_degree_five_golden_without_sympy():
+    # the literal's polynomial is factored in-house, so the command prints
+    # its pinned bytes with sympy unimportable
+    command = "bonacci c2 --q algebraic:1,-1,-1,1,-2,1:101/100:199/100"
+    [(code, digest)] = [(c, d) for g, c, d in GOLDEN if g == command]
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); sys.modules['sympy'] = None\n"
+        "from qslice.cli import run\n"
+        f"sys.exit(run({command.split()!r}))"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+    assert (out.returncode, hashlib.sha256(out.stdout).hexdigest()) == (code, digest)
