@@ -26,6 +26,7 @@ from .dynamics import (
     UniqueOrbitStatus,
     apply_map,
     enumerate_orbits,
+    tail_is_orbit,
     ternary_branch_system,
     unique_orbit_check,
 )
@@ -72,7 +73,7 @@ def _check_delta(k: int, delta: Tail) -> None:
         raise DeltaNotInSTilde("tail must be a binary word")
     if member(uniform_run_limited(k), delta):
         return
-    for cycle in ((0,) + (1,) * (k - 1), (1,) + (0,) * (k - 1)):
+    for cycle in uniform_run_limited(k).barred:
         if delta.ends_with_cycle(cycle):
             barred = format_word(tail((), cycle, Alphabet.BINARY))
             raise DeltaNotInSTilde(f"tail must not end in the barred cycle {barred}")
@@ -321,12 +322,12 @@ def c2_probe(q: AlgebraicNumber, depth: int = 64) -> C2Report:
     z = sys.lift(1)
     points = [z]
     for i, lab in enumerate(walked.digits):
-        if sys.in_switch_region(z):
-            raise CertificationFailed(f"walk entered the overlap at step {i}", i)
         if z < sys.switch_lo:
             checks.append(exact_check(f"step-{i}-left-of-overlap", "lt", z, sys.switch_lo))
-        else:
+        elif sys.switch_hi < z:
             checks.append(exact_check(f"step-{i}-right-of-overlap", "lt", sys.switch_hi, z))
+        else:
+            raise CertificationFailed(f"walk entered the overlap at step {i}", i)
         z = apply_map(sys, lab, z)
         points.append(z)
     start, length = walked.cycle_start, walked.cycle_length
@@ -366,19 +367,14 @@ def periodic_expansions_of_one(
 ) -> list[tuple[Word, bool]]:
     """Purely periodic binary candidates u^inf with value 1, each flagged
     by whether the corresponding orbit is admissible (stays forced)."""
-    from .dynamics import tail_is_orbit
-
-    g = q.gen()
     sys = ternary_branch_system(q)
     out = []
     for p in range(1, max_period + 1):
         for bits in range(2 ** (p - 1), 2**p):
             u = tuple((bits >> (p - 1 - i)) & 1 for i in range(p))
-            if any(p % d == 0 and u == u[:d] * (p // d) for d in range(1, p)):
-                continue
-            total = sum((g ** (p - 1 - i) * u[i] for i in range(p)), g.base.zero())
-            if total == g**p - 1:
-                t = tail((), tuple(2 * b for b in u), Alphabet.TERNARY)
-                ok = tail_is_orbit(sys, t, sys.lift(1))
-                out.append((Word(Alphabet.BINARY, u), ok))
+            t = tail((), u, Alphabet.BINARY)
+            # tail() cuts u to its primitive root, so a shorter period repeats
+            if len(t.period) == p and project_q(q, t) == 1:
+                orbit = tail((), tuple(2 * b for b in u), Alphabet.TERNARY)
+                out.append((Word(Alphabet.BINARY, u), tail_is_orbit(sys, orbit, 1)))
     return out

@@ -61,7 +61,7 @@ from .thickness import (
     newhouse_certify,
     thickness_lower_bound,
 )
-from .words import Tail, WordSyntaxError, format_word, parse_word, ternary_string
+from .words import MAX_RUN_BOUND, Tail, WordSyntaxError, format_word, parse_word, ternary_string
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
@@ -70,6 +70,15 @@ MAX_BOX_PATHS = 65536  # box counting holds every path of a depth, the mass tree
 
 class InputError(ValueError):
     pass
+
+
+def _run_bound(k: int, what: str) -> int:
+    """The k of bonacci:<k>, sk:<k> or scaled-sk:<k>, held to the bound that
+    --k has too: the work grows with k, and a k far past the bound runs on
+    for minutes or cannot be built at all."""
+    if k > MAX_RUN_BOUND:
+        raise InputError(f"{what} must be at most {MAX_RUN_BOUND}, got {k}")
+    return k
 
 
 def parse_number(text: str) -> AlgebraicNumber:
@@ -82,7 +91,7 @@ def parse_number(text: str) -> AlgebraicNumber:
     text = text.strip()
     try:
         if text.startswith("bonacci:"):
-            q = bonacci_root(int(text.split(":", 1)[1]))
+            q = bonacci_root(_run_bound(int(text.split(":", 1)[1]), "bonacci index"))
         elif text.startswith("algebraic:"):
             parts = text.split(":")
             if len(parts) != 4:
@@ -238,7 +247,7 @@ def _parse_set(text: str) -> tuple[GapFamily, Optional[int]]:
             k = int(t[len(prefix):])
             if k < 2:
                 raise InputError(f"run bound must be at least 2, got {k}")
-            return family, k
+            return family, _run_bound(k, "run bound")
     raise InputError(
         f"unknown set {text!r}; expected aq, sk:<k>, or scaled-sk:<k>"
     )
@@ -481,8 +490,8 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _int_from(least: int):
-    """argparse type of the integer options: an integer no smaller than least."""
+def _int_from(least: int, most: float = math.inf):
+    """argparse type of the integer options: an integer from least to most."""
 
     def parse(text: str) -> int:
         try:
@@ -491,6 +500,8 @@ def _int_from(least: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if n < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        if n > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
         return n
 
     return parse
@@ -541,12 +552,12 @@ def _build_parser() -> _Parser:
     s.set_defaults(fn=_cmd_bonacci)
     modes = s.add_subparsers(dest="mode", required=True)
     m = modes.add_parser("verify", help="certify 2m + 1 orbits at the k-bonacci base")
-    m.add_argument("--k", type=_int_from(2), default=3)
+    m.add_argument("--k", type=_int_from(2, MAX_RUN_BOUND), default=3)
     m.add_argument("--m", type=_NONNEGATIVE, default=1)
     m.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
     m.add_argument("--depth", type=_POSITIVE, help="walk depth; default k(m + 2) + 18")
     m = modes.add_parser("null", help="certify a countably infinite slice at the k-bonacci base")
-    m.add_argument("--k", type=_int_from(2), default=3)
+    m.add_argument("--k", type=_int_from(2, MAX_RUN_BOUND), default=3)
     m.add_argument("--depth", type=_POSITIVE, default=30)
     m = modes.add_parser("c2", help="probe whether 1/q has exactly two orbits")
     m.add_argument("--q", required=True)

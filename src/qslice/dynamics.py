@@ -103,10 +103,6 @@ class ExpansionSystem:
         p = self.lift(x)
         return [m.label for m in self.maps if m.contains(p)]
 
-    def in_switch_region(self, x: PointLike) -> bool:
-        p = self.lift(x)
-        return self.switch_lo <= p <= self.switch_hi
-
     @cached_property
     def _rational(self) -> "_Rational":
         """The integer kernel of the orbit walks at rational bases."""
@@ -190,7 +186,10 @@ def word_is_applicable(sys: ExpansionSystem, w: Word, x: PointLike) -> bool:
 class Frontier:
     """The last level of a breadth-first walk: its paths in path order, the
     number of paths at each depth walked, the (step, path) of every fork on
-    the way, and whether the walk stopped early. A walk keeps each level as
+    the way, and whether the walk stopped early. Path order is strictly
+    ascending code order: a level's children come parent by parent, each
+    in label order, and a child 3 * c + label of code c stays below the
+    next parent's children, from 3 * (c + 1). A walk keeps each level as
     parallel lists, the paths beside their integer points, and each path as
     its ternary code (words.ternary_code) at the level's length: codes and
     forks are the fields, and paths and events are the same as digit
@@ -603,16 +602,11 @@ def tail_is_orbit(sys: ExpansionSystem, t: Tail, x: PointLike) -> bool:
     """Check exactly whether the infinite digit string t is an applicable
     branch sequence at x: walk the preperiod, then confirm the period closes
     into an exact cycle."""
-    p = sys.lift(x)
+    period = Word(t.alphabet, t.period)
     try:
-        for i in range(len(t.preperiod)):
-            p = apply_map(sys, t.symbol_at(i), p)
-        first = p
+        first = p = apply_word(sys, Word(t.alphabet, t.preperiod), x)
         while True:
-            for j in range(len(t.period)):
-                p = apply_map(
-                    sys, t.symbol_at(len(t.preperiod) + j), p
-                )
+            p = apply_word(sys, period, p)
             if p == first:
                 return True
             # expanding maps push any non-closing trajectory out of the

@@ -147,11 +147,11 @@ def _doubling_witness(forks) -> Optional[tuple]:
 
 def _adjacency_groups(codes) -> int:
     """The number of runs of numerically consecutive ternary paths, given
-    their codes at one length."""
+    their codes at one length in strictly ascending order, the order in
+    which both walks yield them (dynamics.Frontier)."""
     if not codes:
         return 0
-    ordered = sorted(codes)
-    return 1 + sum(prev + 1 != cur for prev, cur in zip(ordered, ordered[1:]))
+    return 1 + sum(prev + 1 != cur for prev, cur in zip(codes, codes[1:]))
 
 
 def compute_slice(

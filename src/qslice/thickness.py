@@ -30,7 +30,7 @@ from .certificates import (
     exact_check,
 )
 from .slices import SliceResult, compute_slice
-from .words import Alphabet, Tail, Word, project_q, tail
+from .words import MAX_RUN_BOUND, Alphabet, Tail, Word, project_q, tail
 
 AQ_GAP_MARGIN = 14  # expansion digits of 1 computed past the aq gap level
 WITNESS_BUDGET = 1000  # three-orbit pair-search steps
@@ -112,7 +112,7 @@ def prefix_run_length(q: AlgebraicNumber) -> int:
     k = 2
     while compare_reals(q, bonacci_root(k + 1)) == Ordering.Greater:
         k += 1
-        if k > 64:
+        if k > MAX_RUN_BOUND:
             raise ThicknessError("base too close to 2 for the prefix table")
     return k
 

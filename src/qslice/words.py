@@ -72,20 +72,24 @@ class Word:
         return f"Word({self.alphabet.name}, {''.join(map(str, self.symbols))!r})"
 
 
-def _smallest_alphabet(syms: tuple[int, ...]) -> Alphabet:
-    if any(s < 0 for s in syms):
-        return Alphabet.SIGNED
-    if any(s > 1 for s in syms):
-        return Alphabet.TERNARY
-    return Alphabet.BINARY
+def _checked_alphabet(syms: tuple[int, ...], alphabet: Alphabet | None) -> Alphabet:
+    """The alphabet of a word or tail built from outside: the given one, or
+    the smallest that could hold syms, once checked to hold them."""
+    if alphabet is None:
+        if any(s < 0 for s in syms):
+            alphabet = Alphabet.SIGNED
+        elif any(s > 1 for s in syms):
+            alphabet = Alphabet.TERNARY
+        else:
+            alphabet = Alphabet.BINARY
+    if not _SYMBOL_SETS[alphabet].issuperset(syms):
+        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
+    return alphabet
 
 
 def word(symbols: Iterable[int], alphabet: Alphabet | None = None) -> Word:
     syms = tuple(int(s) for s in symbols)
-    alphabet = alphabet or _smallest_alphabet(syms)
-    if not _SYMBOL_SETS[alphabet].issuperset(syms):
-        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
-    return Word(alphabet, syms)
+    return Word(_checked_alphabet(syms, alphabet), syms)
 
 
 def _minimal_period(per: tuple[int, ...]) -> tuple[int, ...]:
@@ -140,9 +144,7 @@ def tail(
     per = tuple(int(s) for s in period)
     if not per:
         raise WordSyntaxError("period must be nonempty")
-    alphabet = alphabet or _smallest_alphabet(pre + per)
-    if not _SYMBOL_SETS[alphabet].issuperset(pre + per):
-        raise WordSyntaxError(f"symbols outside {alphabet.name} alphabet")
+    alphabet = _checked_alphabet(pre + per, alphabet)
     per = _minimal_period(per)
     while pre and pre[-1] == per[-1]:
         per = per[-1:] + per[:-1]
@@ -173,66 +175,68 @@ def avoids(w: WordLike, factor: Word) -> bool:
     return all(window[i : i + len(f)] != f for i in range(len(window) - len(f) + 1))
 
 
-class ShiftFamily(Enum):
-    # binary sequences without 01^k or 10^k: a run bounded by k-1 whenever
-    # it follows the opposite symbol
-    RUN_LIMITED = "run-limited"
-    # additionally bars the extremal alternating tails (01^(k-1))* / (10^(k-1))*
-    RUN_LIMITED_STRICT = "run-limited-strict"
-    # bars 0^k and 1^k outright (all runs short), plus the extremal tails
-    UNIFORM_RUN_LIMITED = "uniform-run-limited"
+# the largest run bound k, and k-bonacci index, that the command line takes;
+# prefix_run_length looks no further along the k-bonacci roots
+MAX_RUN_BOUND = 64
 
 
 @dataclass(frozen=True)
 class SubshiftSpec:
-    family: ShiftFamily
-    k: int
+    """A binary shift as data: the sequences in which no forbidden factor
+    occurs and which do not end by repeating a barred cycle forever. Three
+    families are built, each at a run bound k >= 2:
+    - run_limited(k) forbids 01^k and 10^k and bars no tail;
+    - run_limited_strict(k) forbids 01^k and 10^k and bars the extremal
+      tails (01^(k-1))^oo and (10^(k-1))^oo;
+    - uniform_run_limited(k) forbids 0^k and 1^k and bars the same tails."""
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise WordSyntaxError("run bound k must be at least 2")
+    forbidden: tuple[Word, ...]
+    barred: tuple[Word, ...]
+
+
+def _with_reflection(symbols: tuple[int, ...]) -> tuple[Word, Word]:
+    w = Word(Alphabet.BINARY, symbols)
+    return w, reflect(w)
+
+
+def _check_run_bound(k: int) -> None:
+    if k < 2:
+        raise WordSyntaxError("run bound k must be at least 2")
 
 
 def run_limited(k: int) -> SubshiftSpec:
-    return SubshiftSpec(ShiftFamily.RUN_LIMITED, k)
+    """Forbids 01^k and 10^k, so a run that follows the opposite symbol is
+    at most k - 1 long; no tail is barred."""
+    _check_run_bound(k)
+    return SubshiftSpec(_with_reflection((0,) + (1,) * k), ())
 
 
 def run_limited_strict(k: int) -> SubshiftSpec:
-    return SubshiftSpec(ShiftFamily.RUN_LIMITED_STRICT, k)
+    """Forbids 01^k and 10^k, as run_limited does, and bars the extremal
+    tails (01^(k-1))^oo and (10^(k-1))^oo."""
+    _check_run_bound(k)
+    return SubshiftSpec(
+        _with_reflection((0,) + (1,) * k), _with_reflection((0,) + (1,) * (k - 1))
+    )
 
 
 def uniform_run_limited(k: int) -> SubshiftSpec:
-    return SubshiftSpec(ShiftFamily.UNIFORM_RUN_LIMITED, k)
-
-
-def _forbidden_factors(spec: SubshiftSpec) -> list[Word]:
-    k = spec.k
-    if spec.family is ShiftFamily.UNIFORM_RUN_LIMITED:
-        return [word((0,) * k), word((1,) * k)]
-    return [word((0,) + (1,) * k), word((1,) + (0,) * k)]
-
-
-def _barred_cycles(spec: SubshiftSpec) -> list[tuple[int, ...]]:
-    if spec.family is ShiftFamily.RUN_LIMITED:
-        return []
-    k = spec.k
-    return [(0,) + (1,) * (k - 1), (1,) + (0,) * (k - 1)]
+    """Forbids 0^k and 1^k, so every run is at most k - 1 long, and bars the
+    extremal tails (01^(k-1))^oo and (10^(k-1))^oo."""
+    _check_run_bound(k)
+    return SubshiftSpec(
+        _with_reflection((0,) * k), _with_reflection((0,) + (1,) * (k - 1))
+    )
 
 
 def member(spec: SubshiftSpec, t: WordLike) -> bool:
     """Membership for infinite words; finite words are tested for
     extendability (factor avoidance alone decides it for these shifts)."""
-    if isinstance(t, Word) and t.alphabet is not Alphabet.BINARY and len(t) > 0:
+    if t.alphabet is not Alphabet.BINARY and (isinstance(t, Tail) or len(t) > 0):
         raise WordSyntaxError("shift membership is for binary words")
-    if isinstance(t, Tail) and t.alphabet is not Alphabet.BINARY:
-        raise WordSyntaxError("shift membership is for binary words")
-    if not all(avoids(t, f) for f in _forbidden_factors(spec)):
-        return False
-    if isinstance(t, Tail):
-        for cyc in _barred_cycles(spec):
-            if t.ends_with_cycle(cyc):
-                return False
-    return True
+    return all(avoids(t, f) for f in spec.forbidden) and (
+        isinstance(t, Word) or not any(t.ends_with_cycle(c) for c in spec.barred)
+    )
 
 
 def reflect(w: WordLike) -> WordLike:
@@ -320,42 +324,29 @@ def ternary_string(code: int, length: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _horner(t: WordLike, zero, r):
+    """Sum of s_i r^i, i from 1, over the digits of t, for |r| < 1: the
+    period's sum over 1 - r^p is the value of the repeating tail."""
+
+    def fold(digits: tuple[int, ...], acc):
+        for s in reversed(digits):
+            acc = (acc + s) * r
+        return acc
+
+    if isinstance(t, Word):
+        return fold(t.symbols, zero)
+    return fold(t.preperiod, fold(t.period, zero) / (1 - r ** len(t.period)))
+
+
 def project_ternary(t: WordLike) -> Fraction:
     """Value of a ternary digit string: sum of s_i / 3^i, i from 1."""
-    if isinstance(t, Word):
-        acc = Fraction(0)
-        for s in reversed(t.symbols):
-            acc = (acc + s) / 3
-        return acc
-    pre, per = t.preperiod, t.period
-    per_val = Fraction(0)
-    for s in reversed(per):
-        per_val = (per_val + s) / 3
-    tail_val = per_val * Fraction(3 ** len(per), 3 ** len(per) - 1)
-    acc = tail_val
-    for s in reversed(pre):
-        acc = (acc + s) / 3
-    return acc
+    return _horner(t, Fraction(0), Fraction(1, 3))
 
 
 def project_q(q: AlgebraicNumber | FieldElement, t: WordLike) -> FieldElement:
     """Value of a digit string in base q: sum of s_i q^(-i), exact."""
     g = q.gen() if isinstance(q, AlgebraicNumber) else q
-    ginv = g.inverse()
-    if isinstance(t, Word):
-        acc = g.base.zero()
-        for s in reversed(t.symbols):
-            acc = (acc + s) * ginv
-        return acc
-    pre, per = t.preperiod, t.period
-    per_val = g.base.zero()
-    for s in reversed(per):
-        per_val = (per_val + s) * ginv
-    tail_val = per_val / (1 - ginv ** len(per))
-    acc = tail_val
-    for s in reversed(pre):
-        acc = (acc + s) * ginv
-    return acc
+    return _horner(t, g.base.zero(), g.inverse())
 
 
 # ---------------------------------------------------------------------------

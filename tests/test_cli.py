@@ -476,6 +476,16 @@ _OUT_OF_RANGE = [
      "mass tree capped at 65536 leaves; --levels 17 has 2^17"),
     (["dimension", "--q", "3/2", "--y", "1/3", "--method", "mass", "--levels", "1000000000"],
      "mass tree capped at 65536 leaves"),
+    # every k the command line reads is at most 64, checked before any work
+    (["slice", "--q", "bonacci:99999999999999999999999", "--y", "1/3"],
+     "bonacci index must be at most 64, got 99999999999999999999999"),
+    (["certify-slice3", "--q", "bonacci:65"], "bonacci index must be at most 64, got 65"),
+    (["thickness", "--q", "1999/1000", "--set", "sk:65", "--level", "3"],
+     "run bound must be at most 64, got 65"),
+    (["thickness", "--q", "1999/1000", "--set", "scaled-sk:99999999999999999999999"],
+     "run bound must be at most 64"),
+    (["bonacci", "verify", "--k", "65"], "argument --k: must be at most 64, got 65"),
+    (["bonacci", "null", "--k", "99999999999999999999999"], "argument --k: must be at most 64"),
 ]
 
 
@@ -497,6 +507,8 @@ def test_out_of_range_sizes_exit_one(capsys, argv, message):
         # (011)* has no run of three; it ends in the barred cycle 0 1^(k-1)
         (["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "(011)*"],
          "tail must not end in the barred cycle (011)*"),
+        # the shift is binary, so a digit 2 anywhere rules the tail out
+        (["bonacci", "verify", "--delta", "(012)*"], "tail must be a binary word"),
     ],
 )
 def test_rejected_tail_names_its_reason(capsys, argv, message):

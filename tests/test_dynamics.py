@@ -227,6 +227,8 @@ def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders):
     walk = enumerate_orbits(sys, x, depth, max_cylinders)
     paths = [path for path, _ in level]
     assert walk.paths == paths
+    # path order is strictly ascending code order, which slices reads unsorted
+    assert all(a < b for a, b in zip(walk.codes, walk.codes[1:]))
     assert walk.events == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]
@@ -266,6 +268,8 @@ def test_lattice_walk_matches_field_walk(label, start, depth, max_cylinders):
     walk = enumerate_orbits(sys, x, depth, max_cylinders)
     paths = [path for path, _ in level]
     assert walk.paths == paths
+    # path order is strictly ascending code order, which slices reads unsorted
+    assert all(a < b for a, b in zip(walk.codes, walk.codes[1:]))
     assert walk.events == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]

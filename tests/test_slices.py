@@ -627,7 +627,7 @@ def test_exact_claims_survive_deeper_independent_decisions():
                 assert claim.certified is True and claim.n % 2 == 1
                 assert compute_slice(q, y, 96).claim == claim
                 boxes = geometric_slice_oracle(q, y, 48)
-                assert slices._adjacency_groups(boxes.codes) == claim.n
+                assert slices._adjacency_groups(sorted(boxes.codes)) == claim.n
     # the heights known to certify at depth 24 were checked, so the gate is
     # not vacuous
     assert {

@@ -1,5 +1,6 @@
 from collections import Counter, namedtuple
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,6 +149,25 @@ def test_base_too_small_rejected():
         build_aq_prefixes(bonacci_root(9), 20)
     with pytest.raises(BaseTooSmall):
         newhouse_certify(AlgebraicNumber.from_rational(F(3, 2)))
+
+
+def test_follower_states_accept_the_run_limited_words():
+    # the run-limited shift has two homes, the follower states that the gap
+    # walks use and the forbidden factors that member reads: every binary
+    # word up to length 12 is accepted by both or by neither
+    for k in range(2, 7):
+        ana = ShiftSetAnalysis(QBIG, k)
+        level, accepted = [((), _START)], set()
+        for _ in range(13):
+            accepted.update(w for w, _ in level)
+            level = [(w + (d,), t) for w, s in level for d, t in ana.successors(s)]
+        spec = run_limited(k)
+        assert accepted == {
+            w
+            for n in range(13)
+            for w in product((0, 1), repeat=n)
+            if member(spec, Word(Alphabet.BINARY, w))
+        }
 
 
 def reachable(ana):

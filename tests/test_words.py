@@ -1,6 +1,8 @@
 """Words, canonical tails, run-limited shifts, parsing, projections."""
 
 from fractions import Fraction
+from itertools import groupby
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +111,64 @@ def test_families_closed_under_reflection(pre, per, k):
         assert member(spec, t) == member(spec, reflect(t))
 
 
+def _ref_member(family, k, pre, per=None):
+    """Membership read off the definitions, on runs: run_limited bars a run
+    of k or more after the opposite symbol, that is every run but the
+    first; uniform bars every run of k or more; strict and uniform also bar
+    each tail that ends in (01^(k-1))^oo or (10^(k-1))^oo. An infinite word
+    pre per^oo is read on a prefix long enough to hold each of its finite
+    runs whole and an endless run past length k."""
+    if per is None:
+        prefix = list(pre)
+    else:
+        n = len(pre) + 3 * len(per) + 2 * k
+        prefix = (list(pre) + list(per) * n)[:n]
+    runs = [len(list(g)) for _, g in groupby(prefix)]
+    if any(r >= k for r in (runs if family == "uniform" else runs[1:])):
+        return False
+    if per is None or family == "plain":
+        return True
+    # the periodic part from len(pre) on is some rotation of cycle^oo
+    span = lcm(len(per), k)
+    for cycle in ((0,) + (1,) * (k - 1), (1,) + (0,) * (k - 1)):
+        for r in range(k):
+            if all(per[i % len(per)] == cycle[(i + r) % k] for i in range(span)):
+                return False
+    return True
+
+
+FAMILIES = {"plain": run_limited, "strict": run_limited_strict, "uniform": uniform_run_limited}
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), k=st.integers(2, 6), pre=bits, per=bits1)
+@example("strict", 2, [], [1, 0])  # the extremal tail at k = 2
+@example("uniform", 3, [1, 1], [0, 1, 1])  # a barred tail behind a short run
+@example("plain", 3, [0], [1])  # an endless run after a switch
+@example("plain", 3, [], [1])  # an endless first run
+def test_membership_matches_definitions_on_tails(family, k, pre, per):
+    assert member(FAMILIES[family](k), tail(pre, per)) == _ref_member(family, k, pre, per)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    k=st.integers(2, 6),
+    symbols=st.lists(st.integers(0, 1), max_size=14),
+)
+@example("plain", 2, [1, 1, 0])  # a long first run is allowed
+@example("uniform", 2, [1, 1, 0])
+def test_membership_matches_definitions_on_words(family, k, symbols):
+    got = member(FAMILIES[family](k), word(symbols, Alphabet.BINARY))
+    assert got == _ref_member(family, k, symbols)
+
+
+@pytest.mark.parametrize("build", [run_limited, run_limited_strict, uniform_run_limited])
+def test_families_need_run_bound_two(build):
+    with pytest.raises(WordSyntaxError, match="^run bound k must be at least 2$"):
+        build(1)
+
+
 def test_reflect_alphabets():
     assert reflect(word([0, 1, 2])) == word([2, 1, 0])
     assert reflect(word([-1, 0, 1])) == word([1, 0, -1])
@@ -116,8 +176,11 @@ def test_reflect_alphabets():
 
 
 def test_member_rejects_nonbinary():
-    with pytest.raises(WordSyntaxError):
-        member(run_limited(2), word([0, 2, 1]))
+    for t in (word([0, 2, 1]), tail([0], [2, 1])):
+        with pytest.raises(WordSyntaxError, match="^shift membership is for binary words$"):
+            member(run_limited(2), t)
+    # the empty word holds no symbol, so its alphabet does not matter
+    assert member(run_limited(2), word([], Alphabet.TERNARY))
 
 
 # -- lexicographic successor --------------------------------------------------
