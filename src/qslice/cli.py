@@ -34,8 +34,9 @@ from .bonacci import (
     null_infinite_probe,
     verify_odd_cardinality,
 )
-from .certificates import bracket, verify
+from .certificates import CertificateError, bracket, verify
 from .dimension import (
+    MAX_FORK_WALK,
     DimensionError,
     affinity_dimension,
     box_dimension_estimate,
@@ -61,9 +62,19 @@ from .thickness import (
     newhouse_certify,
     thickness_lower_bound,
 )
-from .words import MAX_RUN_BOUND, Tail, WordSyntaxError, format_word, parse_word, ternary_string
+from .words import (
+    MAX_RUN_BOUND,
+    Tail,
+    WordSyntaxError,
+    check_run_bound,
+    format_word,
+    parse_word,
+    ternary_string,
+)
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
+MAX_DEPTH = 500  # every other --depth: the walks, probes and witness searches grow with it
+MAX_BLOCKS = 5  # bonacci verify --m: its witness has k*m zero digits, and k may be 64
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
 MAX_BOX_PATHS = 65536  # box counting holds every path of a depth, the mass tree each leaf
 
@@ -211,8 +222,6 @@ def _node_record(sys_, path: tuple[int, ...], point, leaves: list[tuple[int, ...
 def _cmd_orbit_tree(args) -> int:
     q = parse_number(args.q)
     y = parse_height(args.y)
-    if args.depth > MAX_TREE_DEPTH:
-        raise InputError(f"depth capped at {MAX_TREE_DEPTH} for tree output")
     sys_ = ternary_branch_system(q)
     x0 = expansion_point(q, y)
     walk = enumerate_orbits(sys_, x0, args.depth, max_cylinders=MAX_TREE_LEAVES)
@@ -244,10 +253,11 @@ def _parse_set(text: str) -> tuple[GapFamily, Optional[int]]:
         return GapFamily.AqSet, None
     for prefix, family in (("sk:", GapFamily.SkSet), ("scaled-sk:", GapFamily.ScaledShiftedSk)):
         if t.startswith(prefix):
-            k = int(t[len(prefix):])
-            if k < 2:
-                raise InputError(f"run bound must be at least 2, got {k}")
-            return family, _run_bound(k, "run bound")
+            try:
+                k = int(t[len(prefix):])
+            except ValueError as e:
+                raise InputError(f"bad set spec {text!r}: {e}")
+            return family, _run_bound(check_run_bound(k), "run bound")
     raise InputError(
         f"unknown set {text!r}; expected aq, sk:<k>, or scaled-sk:<k>"
     )
@@ -255,12 +265,7 @@ def _parse_set(text: str) -> tuple[GapFamily, Optional[int]]:
 
 def _cmd_thickness(args) -> int:
     q = parse_number(args.q)
-    try:
-        family, k = _parse_set(args.set)
-    except ValueError as e:
-        if isinstance(e, InputError):
-            raise
-        raise InputError(f"bad set spec {args.set!r}: {e}")
+    family, k = _parse_set(args.set)
     gs = enumerate_gaps(q, family, args.level, k=k if k is not None else 9)
     try:
         bound = _interval(thickness_lower_bound(gs))
@@ -331,6 +336,7 @@ def _cmd_bonacci(args) -> int:
         except CertificationFailed as e:
             _emit({"command": "bonacci", "mode": "verify", "error": str(e)})
             return 2
+        failures = verify(cert)
         _emit(
             {
                 "command": "bonacci",
@@ -339,28 +345,29 @@ def _cmd_bonacci(args) -> int:
                 "m": args.m,
                 "delta": format_word(delta),
                 "count": cert.data["count"],
-                "verified": not verify(cert),
+                "verified": not failures,
             }
         )
         _emit({"command": "bonacci", "certificate": asdict(cert)})
-        return 0
+        return 2 if failures else 0
     if args.mode == "null":
         try:
             cert = null_infinite_probe(args.k, depth=args.depth)
         except CertificationFailed as e:
             _emit({"command": "bonacci", "mode": "null", "error": str(e)})
             return 2
+        failures = verify(cert)
         _emit(
             {
                 "command": "bonacci",
                 "mode": "null",
                 "k": args.k,
                 "branches_at_depth": cert.data["branches-at-depth"],
-                "verified": not verify(cert),
+                "verified": not failures,
             }
         )
         _emit({"command": "bonacci", "certificate": asdict(cert)})
-        return 0
+        return 2 if failures else 0
     # c2
     q = parse_number(args.q)
     report = c2_probe(q, depth=args.depth)
@@ -509,6 +516,7 @@ def _int_from(least: int, most: float = math.inf):
 
 _NONNEGATIVE = _int_from(0)
 _POSITIVE = _int_from(1)
+_DEPTH = _int_from(0, MAX_DEPTH)
 
 
 def _build_parser() -> _Parser:
@@ -518,7 +526,7 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("slice", help="enumerate the expansion orbits at a height")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
-    s.add_argument("--depth", type=_NONNEGATIVE, default=48)
+    s.add_argument("--depth", type=_DEPTH, default=48)
     s.add_argument("--max-cylinders", type=_POSITIVE, default=4096)
     s.add_argument(
         "--oracle",
@@ -531,7 +539,7 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("orbit-tree", help="expand the branch tree at a height")
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
-    s.add_argument("--depth", type=_NONNEGATIVE, default=12)
+    s.add_argument("--depth", type=_int_from(0, MAX_TREE_DEPTH), default=12)
     s.set_defaults(fn=_cmd_orbit_tree)
 
     s = sub.add_parser("thickness", help="gap laws and thickness bound of a fractal set family")
@@ -544,7 +552,7 @@ def _build_parser() -> _Parser:
         "certify-slice3", help="locate and certify a three-orbit height"
     )
     s.add_argument("--q", required=True)
-    s.add_argument("--depth", type=_NONNEGATIVE, default=48)
+    s.add_argument("--depth", type=_DEPTH, default=48)
     s.add_argument("--level", type=_NONNEGATIVE, default=40)
     s.set_defaults(fn=_cmd_certify_slice3)
 
@@ -553,15 +561,15 @@ def _build_parser() -> _Parser:
     modes = s.add_subparsers(dest="mode", required=True)
     m = modes.add_parser("verify", help="certify 2m + 1 orbits at the k-bonacci base")
     m.add_argument("--k", type=_int_from(2, MAX_RUN_BOUND), default=3)
-    m.add_argument("--m", type=_NONNEGATIVE, default=1)
+    m.add_argument("--m", type=_int_from(0, MAX_BLOCKS), default=1)
     m.add_argument("--delta", default="(01)*", help="tail pattern, e.g. \"(01)*\"")
-    m.add_argument("--depth", type=_POSITIVE, help="walk depth; default k(m + 2) + 18")
+    m.add_argument("--depth", type=_int_from(1, MAX_DEPTH), help="walk depth; default k(m + 2) + 18")
     m = modes.add_parser("null", help="certify a countably infinite slice at the k-bonacci base")
     m.add_argument("--k", type=_int_from(2, MAX_RUN_BOUND), default=3)
-    m.add_argument("--depth", type=_POSITIVE, default=30)
+    m.add_argument("--depth", type=_int_from(1, MAX_DEPTH), default=30)
     m = modes.add_parser("c2", help="probe whether 1/q has exactly two orbits")
     m.add_argument("--q", required=True)
-    m.add_argument("--depth", type=_POSITIVE, default=64)
+    m.add_argument("--depth", type=_int_from(1, MAX_DEPTH), default=64)
 
     s = sub.add_parser("dimension", help="dimension bounds for slices")
     s.add_argument("--q", required=True)
@@ -569,7 +577,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--method", choices=["mass", "box"], default="mass")
     s.add_argument("--levels", type=_NONNEGATIVE)
     s.add_argument(
-        "--max-len", type=_POSITIVE, default=48,
+        "--max-len", type=_POSITIVE, default=MAX_FORK_WALK,
         help="mass method: most maps a fork search walks, for M and the tree alike",
     )
     s.set_defaults(fn=_cmd_dimension)
@@ -600,7 +608,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     ) as e:
         _emit({"error": str(e)})
         return 1
-    except (BonacciError, DimensionError, ThicknessError) as e:
+    except (BonacciError, CertificateError, DimensionError, ThicknessError) as e:
         _emit({"error": str(e)})
         return 2
     except Exception:

@@ -18,7 +18,8 @@ from .algebraic import AlgebraicNumber, FieldElement, enclose
 from .dynamics import OutOfDomain, PointLike, apply_word, ternary_branch_system
 from .words import Alphabet, Word
 
-GRID_CELLS = 256  # equal cells of the state interval that estimate_M pushes forward
+END_MARGIN = Fraction(1, 256)  # share of the state interval estimate_M leaves out at each end
+MAX_FORK_WALK = 48  # most maps a fork search walks, for M and the refinement tree alike
 
 
 class DimensionError(ValueError):
@@ -49,7 +50,7 @@ class BranchingPair:
 
 
 def branching_pair_search(
-    q: AlgebraicNumber, x: PointLike, max_len: int = 48
+    q: AlgebraicNumber, x: PointLike, max_len: int = MAX_FORK_WALK
 ) -> BranchingPair:
     """Follow the forced branch from x until at least two maps apply,
     then return the two extremal continuations."""
@@ -73,27 +74,27 @@ def branching_pair_search(
     raise BranchingNotFound(f"no fork within {max_len} steps")
 
 
-def estimate_M(q: AlgebraicNumber, max_len: int = 24) -> int:
+def estimate_M(q: AlgebraicNumber, max_len: int = MAX_FORK_WALK) -> int:
     """Uniform bound on the fork time, valid for every point at once.
 
-    Closed subintervals of the state interval are pushed forward exactly;
-    a piece inside the overlap region forks wholesale, a piece straddling
-    a domain boundary is split there. The returned M counts maps applied
-    up to and including the fork, maximized over all pieces.
+    One closed piece, the state interval less an END_MARGIN share at each
+    end, is pushed forward exactly: a piece inside the switch region forks
+    wholesale, a piece on one side of it goes through branch 0 or 2, and a
+    piece straddling a region end is split there. The returned M counts
+    maps applied up to and including the fork, maximized over all pieces.
 
-    The interval is cut into GRID_CELLS cells. Its two fixed endpoints
-    never fork, so one cell is excluded at each end; points inside the
-    excluded cells fork after an extra delay of about log_q of their
-    distance from the endpoint.
+    The branches are increasing affine maps, so a cut anywhere else would
+    leave every point's fate, and M, as they are: only the end margins set
+    M. The two fixed endpoints never fork, so they must be left out;
+    points inside the margins fork after an extra delay of about log_q of
+    their distance from the endpoint, and a narrower margin gives a
+    larger M.
     """
     sys = ternary_branch_system(q)
-    g = sys.q()
     jlo, jhi = sys.switch_lo, sys.switch_hi
-    top = sys.hull_hi
-    queue: list[tuple[FieldElement, FieldElement, int]] = []
-    cuts = [top * Fraction(i, GRID_CELLS) for i in range(GRID_CELLS + 1)]
-    for a, b in list(zip(cuts, cuts[1:]))[1:-1]:
-        queue.append((a, b, 0))
+    left, right = sys.branch(0), sys.branch(2)
+    margin = sys.hull_hi * END_MARGIN
+    queue = [(margin, sys.hull_hi - margin, 0)]
     worst = 0
     while queue:
         lo, hi, t = queue.pop()
@@ -102,16 +103,12 @@ def estimate_M(q: AlgebraicNumber, max_len: int = 24) -> int:
         if jlo <= lo and hi <= jhi:
             worst = max(worst, t + 1)
         elif hi <= jlo:
-            queue.append((g * lo, g * hi, t + 1))
+            queue.append((left(lo), left(hi), t + 1))
         elif lo >= jhi:
-            queue.append((g * lo - 1, g * hi - 1, t + 1))
+            queue.append((right(lo), right(hi), t + 1))
         else:
-            if lo < jlo < hi:
-                queue.append((lo, jlo, t))
-                queue.append((jlo, hi, t))
-            else:  # straddles only the upper boundary
-                queue.append((lo, jhi, t))
-                queue.append((jhi, hi, t))
+            cut = jlo if lo < jlo else jhi
+            queue += [(lo, cut, t), (cut, hi, t)]
     return worst
 
 
@@ -203,7 +200,7 @@ def build_r_tree(
     x: PointLike,
     k_levels: int,
     m_bound: Optional[int] = None,
-    max_len: int = 48,
+    max_len: int = MAX_FORK_WALK,
 ) -> RTree:
     if k_levels < 1:
         raise DimensionError("need at least one level")

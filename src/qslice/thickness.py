@@ -22,15 +22,9 @@ from .algebraic import (
     bonacci_root,
     compare_reals,
 )
-from .certificates import (
-    Certificate,
-    CertificateError,
-    IntervalCheck,
-    bracket,
-    exact_check,
-)
+from .certificates import Certificate, IntervalCheck, bracket, exact_check
 from .slices import SliceResult, compute_slice
-from .words import MAX_RUN_BOUND, Alphabet, Tail, Word, project_q, tail
+from .words import MAX_RUN_BOUND, Alphabet, Tail, Word, check_run_bound, project_q, tail
 
 AQ_GAP_MARGIN = 14  # expansion digits of 1 computed past the aq gap level
 WITNESS_BUDGET = 1000  # three-orbit pair-search steps
@@ -79,20 +73,16 @@ def w2_cover_check(q: AlgebraicNumber) -> list[IntervalCheck]:
         shift = i2 + g * i1
         pieces.append(((lo + shift) / qq, (hi + shift) / qq))
 
-    checks = []
-    try:
-        checks.append(exact_check("left-end-flush", "le", pieces[0][0] - lo, 0))
-        checks.append(exact_check("left-end-flush-rev", "le", lo - pieces[0][0], 0))
-        checks.append(exact_check("right-end-flush", "le", pieces[-1][1] - hi, 0))
-        checks.append(exact_check("right-end-flush-rev", "le", hi - pieces[-1][1], 0))
-        for i in range(len(pieces) - 1):
-            checks.append(
-                exact_check(
-                    f"overlap-{i}-{i + 1}", "le", pieces[i + 1][0] - pieces[i][1], 0
-                )
-            )
-    except CertificateError as e:
-        raise ThicknessError(str(e)) from e
+    checks = [
+        exact_check("left-end-flush", "le", pieces[0][0] - lo, 0),
+        exact_check("left-end-flush-rev", "le", lo - pieces[0][0], 0),
+        exact_check("right-end-flush", "le", pieces[-1][1] - hi, 0),
+        exact_check("right-end-flush-rev", "le", hi - pieces[-1][1], 0),
+    ]
+    for i in range(len(pieces) - 1):
+        checks.append(
+            exact_check(f"overlap-{i}-{i + 1}", "le", pieces[i + 1][0] - pieces[i][1], 0)
+        )
     return checks
 
 
@@ -275,10 +265,8 @@ class ShiftSetAnalysis:
     """
 
     def __init__(self, q: AlgebraicNumber, k: int):
-        if k < 2:
-            raise ThicknessError("run bound must be at least 2")
         self.q = q
-        self.k = k
+        self.k = check_run_bound(k)
         self.g = q.gen()
         self.ginv = 1 / self.g
         self._vmin: dict = {}
@@ -477,19 +465,13 @@ def interleaving_check(
     than the scaled set's largest gap, so it cannot sink into one. A
     largest gap of 0 means the scaled set has no gap to check against.
     """
-    checks = []
-    try:
-        checks.append(
-            exact_check("hull-left-contained", "le", scaled_hull[0], hull[0][0])
-        )
-        checks.append(
-            exact_check("hull-right-contained", "le", hull[1][1], scaled_hull[1])
-        )
-        if scaled_gap > 0:
-            width = hull[1][0] - hull[0][1]
-            checks.append(exact_check("hull-wider-than-gap", "lt", scaled_gap, width))
-    except CertificateError as e:
-        raise ThicknessError(str(e)) from e
+    checks = [
+        exact_check("hull-left-contained", "le", scaled_hull[0], hull[0][0]),
+        exact_check("hull-right-contained", "le", hull[1][1], scaled_hull[1]),
+    ]
+    if scaled_gap > 0:
+        width = hull[1][0] - hull[0][1]
+        checks.append(exact_check("hull-wider-than-gap", "lt", scaled_gap, width))
     return checks
 
 
@@ -501,7 +483,8 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     thickness, largest gap and hull of the shift projection, read from its
     gap laws (one per follower state), interleaving, and the thickness
     product; the level-independent tail of the gap laws follows from the
-    verified block structure and is recorded as a hypothesis.
+    verified block structure and is recorded as a hypothesis. A check that
+    fails raises CertificateError.
     """
     aq = enumerate_gaps(q, GapFamily.AqSet, level)
     g = q.gen()
@@ -510,15 +493,12 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
     tau_aq = thickness_lower_bound(aq)
     for law in aq.gaps:
         pos, k, size = law.meta["free_position"], law.level, law.size
-        try:
-            for side, lhs, rhs in (
-                ("below", size[1], g ** (1 - k)),
-                ("above", g ** (-k), size[0]),
-                ("bridge", g ** (-k - 4), law.bridge_lb),
-            ):
-                checks.append(exact_check(f"aq-position-{pos}-{side}", "lt", lhs, rhs))
-        except CertificateError as e:
-            raise ThicknessError(str(e)) from e
+        for side, lhs, rhs in (
+            ("below", size[1], g ** (1 - k)),
+            ("above", g ** (-k), size[0]),
+            ("bridge", g ** (-k - 4), law.bridge_lb),
+        ):
+            checks.append(exact_check(f"aq-position-{pos}-{side}", "lt", lhs, rhs))
 
     # a state with a gap has two successors, and at run bound 9 each such
     # state is first reached by depth 8: the laws to level 10 are all of
@@ -528,15 +508,10 @@ def newhouse_certify(q: AlgebraicNumber, level: int = 40) -> Certificate:
         raise ThicknessError("shift has no gaps; thickness undefined")
     ratios = {law.meta["state"]: law.bridge_lb / law.size[1] for law in sk.gaps}
     tau_s, largest = min(ratios.values()), sk.gaps[0].size[0]
-    try:
-        checks.append(exact_check("sk-largest-gap", "lt", largest, g**-8))
-        checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
-        # branching-family thickness: bridge > q^(-k-4), gap < q^(-k+1)
-        checks.append(
-            exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s)
-        )
-    except CertificateError as e:
-        raise ThicknessError(str(e)) from e
+    checks.append(exact_check("sk-largest-gap", "lt", largest, g**-8))
+    checks.append(exact_check("sk-thickness", "lt", g**6, tau_s))
+    # branching-family thickness: bridge > q^(-k-4), gap < q^(-k+1)
+    checks.append(exact_check("product-exceeds-one", "lt", 1, g**-5 * tau_s))
     shift, scale = _family_map(g, GapFamily.ScaledShiftedSk)
     scaled_hull = (shift + scale * sk.hull[0][0], shift + scale * sk.hull[1][0])
     checks.extend(interleaving_check(aq.hull, scaled_hull, scale * largest))

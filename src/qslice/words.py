@@ -199,22 +199,24 @@ def _with_reflection(symbols: tuple[int, ...]) -> tuple[Word, Word]:
     return w, reflect(w)
 
 
-def _check_run_bound(k: int) -> None:
+def check_run_bound(k: int) -> int:
+    """k, once it is a run bound: every run-limited shift needs k >= 2."""
     if k < 2:
-        raise WordSyntaxError("run bound k must be at least 2")
+        raise WordSyntaxError(f"run bound must be at least 2, got {k}")
+    return k
 
 
 def run_limited(k: int) -> SubshiftSpec:
     """Forbids 01^k and 10^k, so a run that follows the opposite symbol is
     at most k - 1 long; no tail is barred."""
-    _check_run_bound(k)
+    check_run_bound(k)
     return SubshiftSpec(_with_reflection((0,) + (1,) * k), ())
 
 
 def run_limited_strict(k: int) -> SubshiftSpec:
     """Forbids 01^k and 10^k, as run_limited does, and bars the extremal
     tails (01^(k-1))^oo and (10^(k-1))^oo."""
-    _check_run_bound(k)
+    check_run_bound(k)
     return SubshiftSpec(
         _with_reflection((0,) + (1,) * k), _with_reflection((0,) + (1,) * (k - 1))
     )
@@ -223,7 +225,7 @@ def run_limited_strict(k: int) -> SubshiftSpec:
 def uniform_run_limited(k: int) -> SubshiftSpec:
     """Forbids 0^k and 1^k, so every run is at most k - 1 long, and bars the
     extremal tails (01^(k-1))^oo and (10^(k-1))^oo."""
-    _check_run_bound(k)
+    check_run_bound(k)
     return SubshiftSpec(
         _with_reflection((0,) * k), _with_reflection((0,) + (1,) * (k - 1))
     )

@@ -277,6 +277,76 @@ def test_bonacci_verify_command(capsys):
     assert cert["claim"] == "odd-orbit-count"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bonacci", "verify", "--k", "3", "--m", "1"], ["bonacci", "null", "--k", "3"]],
+    ids=["verify", "null"],
+)
+def test_bonacci_exit_needs_a_verified_certificate(capsys, monkeypatch, argv):
+    # exit 0 rests on the certificate re-verifying, as for c2 and certify-slice3
+    from qslice import cli
+
+    monkeypatch.setattr(cli, "verify", lambda cert: ["a check fails"])
+    code, lines = invoke(capsys, argv)
+    assert code == 2
+    assert json.loads(lines[0])["verified"] is False
+
+
+def _failing_exact_check(label, relation, lhs, rhs):
+    from qslice.certificates import exact_check
+
+    return exact_check(label, "lt", 1, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bonacci", "verify", "--k", "3", "--m", "1"],
+        ["bonacci", "null", "--k", "3"],
+        ["bonacci", "c2", "--q", "algebraic:1,-2,-1,1:3/2:19/10"],
+    ],
+    ids=["verify", "null", "c2"],
+)
+def test_failed_bonacci_check_exits_two(capsys, monkeypatch, argv):
+    # a failed exact check is a verdict the program could not reach, not a
+    # fault of the program
+    from qslice import bonacci
+
+    monkeypatch.setattr(bonacci, "exact_check", _failing_exact_check)
+    code, lines = invoke(capsys, argv)
+    assert code == 2
+    assert json.loads(lines[0])["error"].startswith("inequality ")
+
+
+@pytest.mark.parametrize(
+    "label", ["left-end-flush", "aq-position-11-below", "product-exceeds-one", "hull-left-contained"]
+)
+def test_failed_newhouse_check_exits_two_with_its_message(capsys, monkeypatch, label):
+    # one check from each part of the certificate: the cover, the aq laws,
+    # the thickness product and the interleaving
+    from qslice import thickness
+    from qslice.certificates import CertificateError, exact_check
+
+    raised = []
+
+    def fails_at_label(name, relation, lhs, rhs):
+        if name != label:
+            return exact_check(name, relation, lhs, rhs)
+        try:
+            return _failing_exact_check(name, relation, lhs, rhs)
+        except CertificateError as e:
+            raised.append(str(e))
+            raise
+
+    monkeypatch.setattr(thickness, "exact_check", fails_at_label)
+    code, lines = invoke(
+        capsys, ["certify-slice3", "--q", "1999/1000", "--depth", "30", "--level", "12"]
+    )
+    assert code == 2
+    assert records(lines) == [{"error": raised[0]}]
+    assert raised[0].startswith(f"inequality {label} failed")
+
+
 def test_bonacci_verify_rejects_finite_delta(capsys):
     code, lines = invoke(
         capsys, ["bonacci", "verify", "--k", "3", "--m", "1", "--delta", "0101"]
@@ -486,6 +556,22 @@ _OUT_OF_RANGE = [
      "run bound must be at most 64"),
     (["bonacci", "verify", "--k", "65"], "argument --k: must be at most 64, got 65"),
     (["bonacci", "null", "--k", "99999999999999999999999"], "argument --k: must be at most 64"),
+    # every --depth and the block count m are bounded too, checked before any work
+    (["bonacci", "verify", "--k", "64", "--m", "6"], "argument --m: must be at most 5, got 6"),
+    (["bonacci", "verify", "--k", "64", "--m", "100000"], "argument --m: must be at most 5"),
+    (["bonacci", "verify", "--k", "3", "--depth", "501"],
+     "argument --depth: must be at most 500, got 501"),
+    (["bonacci", "null", "--k", "3", "--depth", "100000000"],
+     "argument --depth: must be at most 500"),
+    (["bonacci", "c2", "--q", "3/2", "--depth", "501"], "argument --depth: must be at most 500"),
+    (["slice", "--q", "5/3", "--y", "1/2", "--depth", "501"],
+     "argument --depth: must be at most 500"),
+    (["certify-slice3", "--q", "1999/1000", "--depth", "501"],
+     "argument --depth: must be at most 500"),
+    (["orbit-tree", "--q", "5/3", "--y", "1/2", "--depth", "401"],
+     "argument --depth: must be at most 400, got 401"),
+    # a run bound that is no integer
+    (["thickness", "--q", "1999/1000", "--set", "sk:x"], "bad set spec 'sk:x': invalid literal"),
 ]
 
 

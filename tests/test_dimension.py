@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qslice import dynamics
 from qslice.algebraic import AlgebraicNumber, bonacci_root
+from qslice.bonacci import two_orbit_base
 from qslice.dimension import (
     BranchingNotFound,
     ConstructionStalled,
@@ -62,11 +63,67 @@ def test_estimate_m_input_errors():
         estimate_M(Q32, max_len=5)
 
 
+def _grid_M(q, max_len):
+    """The fork-time bound as a push of 256 equal cells, less one at each
+    end, with the two branches written out: the reference for estimate_M."""
+    sys = ternary_branch_system(q)
+    g = sys.q()
+    jlo, jhi = sys.switch_lo, sys.switch_hi
+    cuts = [sys.hull_hi * Fraction(i, 256) for i in range(257)]
+    queue = [(a, b, 0) for a, b in list(zip(cuts, cuts[1:]))[1:-1]]
+    worst = 0
+    while queue:
+        lo, hi, t = queue.pop()
+        if t >= max_len:
+            raise BranchingNotFound(f"some piece has no fork within {max_len} steps")
+        if jlo <= lo and hi <= jhi:
+            worst = max(worst, t + 1)
+        elif hi <= jlo:
+            queue.append((g * lo, g * hi, t + 1))
+        elif lo >= jhi:
+            queue.append((g * lo - 1, g * hi - 1, t + 1))
+        elif lo < jlo < hi:
+            queue += [(lo, jlo, t), (jlo, hi, t)]
+        else:  # straddles only the upper end
+            queue += [(lo, jhi, t), (jhi, hi, t)]
+    return worst
+
+
+def _M_or_raise(estimate, q, max_len):
+    try:
+        return estimate(q, max_len)
+    except BranchingNotFound as e:
+        return str(e)
+
+
+_M_BASES = st.one_of(
+    st.integers(2, 40).flatmap(
+        lambda b: st.integers(b + 1, 2 * b - 1).map(lambda a: ("rational", Fraction(a, b)))
+    ),
+    st.integers(2, 10).map(lambda k: ("bonacci", k)),
+    st.just(("two-orbit", None)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_M_BASES, st.sampled_from([24, 48]))
+def test_estimate_m_matches_the_grid_push(base, max_len):
+    # interior cuts change no point's fate: one piece gives the grid's M,
+    # or the same raise
+    kind, v = base
+    make = {
+        "rational": lambda: AlgebraicNumber.from_rational(v),
+        "bonacci": lambda: bonacci_root(v),
+        "two-orbit": two_orbit_base,
+    }[kind]
+    assert _M_or_raise(estimate_M, make(), max_len) == _M_or_raise(_grid_M, make(), max_len)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.fractions(min_value=Fraction(1, 64), max_value=Fraction(127, 64)))
 def test_estimate_m_bounds_every_interior_fork(x):
-    # any point inside the non-excluded cells forks at least as fast as
-    # the piece containing it
+    # any point between the end margins forks at least as fast as the
+    # piece containing it
     bp = branching_pair_search(Q32, x)
     assert bp.length <= 12
 

@@ -30,7 +30,7 @@ from qslice.thickness import (
     thickness_lower_bound,
     w2_cover_check,
 )
-from qslice.words import Alphabet, Word, member, run_limited
+from qslice.words import Alphabet, Word, WordSyntaxError, member, run_limited
 
 QBIG = AlgebraicNumber.from_rational(F(1999, 1000))
 
@@ -149,6 +149,13 @@ def test_base_too_small_rejected():
         build_aq_prefixes(bonacci_root(9), 20)
     with pytest.raises(BaseTooSmall):
         newhouse_certify(AlgebraicNumber.from_rational(F(3, 2)))
+
+
+def test_shift_analysis_checks_the_run_bound_in_words():
+    # one home for the run bound's lower limit: the follower states take
+    # the check the run-limited families take
+    with pytest.raises(WordSyntaxError, match="^run bound must be at least 2, got 1$"):
+        ShiftSetAnalysis(QBIG, 1)
 
 
 def test_follower_states_accept_the_run_limited_words():

@@ -165,7 +165,7 @@ def test_membership_matches_definitions_on_words(family, k, symbols):
 
 @pytest.mark.parametrize("build", [run_limited, run_limited_strict, uniform_run_limited])
 def test_families_need_run_bound_two(build):
-    with pytest.raises(WordSyntaxError, match="^run bound k must be at least 2$"):
+    with pytest.raises(WordSyntaxError, match="^run bound must be at least 2, got 1$"):
         build(1)
 
 
