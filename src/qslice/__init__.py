@@ -14,6 +14,7 @@ from .algebraic import (
     MixedField,
     Ordering,
     algebraic_from_poly,
+    bonacci_orderings,
     bonacci_root,
     compare_reals,
     enclose,

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations, count, zip_longest
 from math import gcd, isqrt, lcm
 from random import Random
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -1023,3 +1023,23 @@ def bonacci_root(k: int) -> AlgebraicNumber:
 
 
 _BONACCI_CACHE: dict[int, AlgebraicNumber] = {}
+
+
+def bonacci_orderings(q: AlgebraicNumber) -> Iterator[tuple[int, Ordering]]:
+    """(k, how q lies against bonacci_root(k)) for k = 2, 3, ... in turn.
+    Every root lies in (1, 2), so a base outside that interval lies on one
+    side of them all. For x > 1, (x - 1)(x^k - x^(k-1) - ... - 1) =
+    x^k (x - 2) + 1, so a base 1 < q < 2 exceeds the k-bonacci root exactly
+    when q^k (2 - q) < 1, and equals it when the product is 1: one sign in
+    q's own field, and one times_q step takes the product from k to k + 1,
+    so no root of another field is built or refined."""
+    outside = (Ordering.Less if q.compare_rational(1) != Ordering.Greater
+               else Ordering.Greater if q.compare_rational(2) != Ordering.Less else None)
+    if outside is not None:
+        yield from ((k, outside) for k in count(2))
+    e = q.gen() ** 2 * (2 - q.gen())
+    nums, den = list(e.nums), e.den
+    for k in count(2):
+        s = q.sign_of([den - nums[0]] + [-c for c in nums[1:]])  # 1 - q^k (2 - q)
+        yield k, Ordering.Greater if s > 0 else Ordering.Less if s < 0 else Ordering.Equal
+        nums, den = times_q(q.min_poly, nums, den)

@@ -18,8 +18,8 @@ from .algebraic import (
     AlgebraicNumber,
     FieldElement,
     Ordering,
+    bonacci_orderings,
     bonacci_root,
-    compare_reals,
 )
 from .certificates import Certificate, bracket, exact_check
 from .dynamics import (
@@ -285,15 +285,13 @@ def _shift_certificate_k(q: AlgebraicNumber, expansion: Tail) -> Optional[int]:
     no sibling: it lies in the k-run-limited shift and q exceeds the
     k-bonacci root, or equals it and the strict family holds it. The roots
     increase with k, so the search ends at the first root above q."""
-    for k in range(2, _SHIFT_CERT_MAX_K + 1):
-        rel = compare_reals(q, bonacci_root(k))
-        if rel == Ordering.Less:
+    for k, rel in bonacci_orderings(q):
+        if k > _SHIFT_CERT_MAX_K or rel == Ordering.Less:
             return None
         if rel == Ordering.Greater and member(run_limited(k), expansion):
             return k
         if rel == Ordering.Equal and member(run_limited_strict(k), expansion):
             return k
-    return None
 
 
 def c2_probe(q: AlgebraicNumber, depth: int = 64) -> C2Report:

@@ -73,10 +73,10 @@ from .words import (
 )
 
 MAX_TREE_DEPTH = 400  # JSON nesting for orbit-tree is one level per step
-MAX_DEPTH = 500  # every other --depth: the walks, probes and witness searches grow with it
+MAX_DEPTH = 500  # every other --depth, and --max-len: walks, probes and searches grow with them
 MAX_BLOCKS = 5  # bonacci verify --m: its witness has k*m zero digits, and k may be 64
 MAX_TREE_LEAVES = 4096  # orbit-tree output grows with its leaf count
-MAX_BOX_PATHS = 65536  # box counting holds every path of a depth, the mass tree each leaf
+MAX_BOX_PATHS = 65536  # paths held at once: box counting, the mass tree and --max-cylinders
 
 
 class InputError(ValueError):
@@ -527,7 +527,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--q", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--depth", type=_DEPTH, default=48)
-    s.add_argument("--max-cylinders", type=_POSITIVE, default=4096)
+    s.add_argument("--max-cylinders", type=_int_from(1, MAX_BOX_PATHS), default=4096)
     s.add_argument(
         "--oracle",
         action="store_true",
@@ -577,7 +577,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--method", choices=["mass", "box"], default="mass")
     s.add_argument("--levels", type=_NONNEGATIVE)
     s.add_argument(
-        "--max-len", type=_POSITIVE, default=MAX_FORK_WALK,
+        "--max-len", type=_int_from(1, MAX_DEPTH), default=MAX_FORK_WALK,
         help="mass method: most maps a fork search walks, for M and the tree alike",
     )
     s.set_defaults(fn=_cmd_dimension)

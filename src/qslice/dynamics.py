@@ -408,8 +408,8 @@ class _Lattice:
     def branches(self, den: int) -> list:
         """Each branch's matrix (None for slope q), its offset over den,
         and its domain ends with the integer brackets of 2^64 * den * end.
-        The kernel keeps no table per den: a walk builds one for each den
-        it meets."""
+        The kernel keeps no table per den: a walk or a probe builds one
+        for each den it meets."""
         times = den // self.offset_den
         return [
             (label, rows, [c * times for c in off], _scaled(lo, den), _scaled(hi, den))
@@ -583,7 +583,15 @@ def _single_orbit(p, children, key, depth: int) -> UniqueOrbitResult:
 def _kernel_orbit(kernel, p: FieldElement, depth: int) -> UniqueOrbitResult:
     """The single-orbit walk on an integer kernel, rational or lattice. A
     point is a (numerators, den) pair, keyed by its reduced form so that
-    equal values meet."""
+    equal values meet. Where the kernel's scale is 1, as at the Pisot
+    units, den never changes: a point is then its numerators over p's
+    lifted den, and equal values have equal numerators, so they are the
+    key."""
+    v, den = kernel.lift(p)
+    if kernel.scale == 1:
+        branches = kernel.branches(den)
+        return _single_orbit(v, lambda v: kernel.children(v, den, branches), lambda v: v, depth)
+
     tables: dict = {}  # den -> kernel.branches(den), for the dens this orbit meets
 
     def children(point):
@@ -595,7 +603,7 @@ def _kernel_orbit(kernel, p: FieldElement, depth: int) -> UniqueOrbitResult:
             for label, w in kernel.children(v, den, tables[den])
         ]
 
-    return _single_orbit(kernel.lift(p), children, lambda point: kernel.key(*point), depth)
+    return _single_orbit((v, den), children, lambda point: kernel.key(*point), depth)
 
 
 def tail_is_orbit(sys: ExpansionSystem, t: Tail, x: PointLike) -> bool:

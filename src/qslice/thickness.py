@@ -19,6 +19,7 @@ from .algebraic import (
     AlgebraicNumber,
     FieldElement,
     Ordering,
+    bonacci_orderings,
     bonacci_root,
     compare_reals,
 )
@@ -95,16 +96,14 @@ def prefix_run_length(q: AlgebraicNumber) -> int:
     """Length of the leading run of ones in the canonical expansion of 1.
 
     Zero up to the golden ratio, then constant k between consecutive
-    k-bonacci roots. Resolved by exact root comparisons, never by floats.
+    k-bonacci roots: the largest k >= 2 with q above the k-bonacci root, or
+    0 when there is none. Resolved by exact signs, never by floats.
     """
-    if compare_reals(q, bonacci_root(2)) != Ordering.Greater:
-        return 0
-    k = 2
-    while compare_reals(q, bonacci_root(k + 1)) == Ordering.Greater:
-        k += 1
+    for k, rel in bonacci_orderings(q):
+        if rel != Ordering.Greater:
+            return 0 if k == 2 else k - 1
         if k > MAX_RUN_BOUND:
             raise ThicknessError("base too close to 2 for the prefix table")
-    return k
 
 
 def fixed_expansion_of_one(q: AlgebraicNumber, length: int) -> Word:

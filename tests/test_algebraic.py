@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: root isolation, field ops, comparisons."""
 
 import functools
+from itertools import islice
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -19,6 +20,7 @@ from qslice.algebraic import (
     NonSquareFree,
     Ordering,
     algebraic_from_poly,
+    bonacci_orderings,
     bonacci_root,
     compare,
     compare_reals,
@@ -134,6 +136,74 @@ def test_compare_reals_locates_rational_between_roots():
     assert compare_reals(q, q9) == Ordering.Greater
     assert compare_reals(q, q10) == Ordering.Less
     assert compare_reals(q, AlgebraicNumber.from_rational(Fraction(1999, 1000))) == Ordering.Equal
+
+
+def _ordering(q: AlgebraicNumber, k: int) -> Ordering:
+    """How q lies against the k-bonacci root, by bonacci_orderings."""
+    return next(rel for j, rel in bonacci_orderings(q) if j == k)
+
+
+bonacci_indices = st.integers(2, 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 2), max_value=3, max_denominator=10**9), bonacci_indices)
+@example(Fraction(3, 2), 2)
+@example(Fraction(1999, 1000), 9)
+@example(Fraction(1999, 1000), 10)
+@example(Fraction(1, 2), 2)  # below 1, where q^k (2 - q) < 1 at every k
+@example(Fraction(1), 64)
+@example(Fraction(2), 2)
+@example(Fraction(3), 64)
+def test_bonacci_orderings_match_compare_reals_at_rationals(r, k):
+    # mostly in (1, 2), and past both of its ends
+    q = AlgebraicNumber.from_rational(r)
+    assert _ordering(q, k) == compare_reals(q, bonacci_root(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bonacci_indices, st.integers(-1, 1), st.integers(-3 * 2**20, 3 * 2**20))
+@example(64, 0, 0)
+@example(64, -1, -3 * 2**20)
+@example(2, 0, 1)
+def test_bonacci_orderings_match_compare_reals_near_each_root(j, dk, t):
+    # a rational within 2^-60 of the j-bonacci root, against that root and
+    # its neighbours
+    lo, hi = bonacci_root(j).refine_to(Fraction(1, 2**62))
+    r = (lo + hi) / 2 + Fraction(t, 2**82)
+    assume(r < 2)
+    k = min(max(j + dk, 2), 64)
+    q = AlgebraicNumber.from_rational(r)
+    assert _ordering(q, k) == compare_reals(q, bonacci_root(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bonacci_indices, bonacci_indices)
+@example(64, 63)
+@example(63, 64)
+@example(64, 64)
+def test_bonacci_orderings_match_compare_reals_at_each_root(j, k):
+    q = bonacci_root(j)
+    assert _ordering(q, k) == compare_reals(q, bonacci_root(k))
+
+
+def test_bonacci_orderings_place_bases_outside_one_to_two():
+    # every k-bonacci root lies in (1, 2)
+    sqrt2, sqrt5 = algebraic_from_poly([-2, 0, 1], 1, 2), algebraic_from_poly([-5, 0, 1], 2, 3)
+    half_sqrt2 = algebraic_from_poly([-1, 0, 2], 0, 1)
+    for q, side in ((half_sqrt2, Ordering.Less), (sqrt5, Ordering.Greater)):
+        got = list(islice(bonacci_orderings(q), 63))
+        assert got == [(k, side) for k in range(2, 65)]
+        assert all(compare_reals(q, bonacci_root(k)) == side for k in (2, 3, 10))
+    assert next(bonacci_orderings(sqrt2)) == (2, Ordering.Less)
+
+
+def test_bonacci_orderings_place_each_root():
+    # the k-bonacci roots increase with k, so bonacci:j lies above the
+    # roots before it, on its own and below the rest
+    for j in range(2, 65):
+        got = [rel for _, rel in islice(bonacci_orderings(bonacci_root(j)), 63)]
+        assert got == [Ordering.Greater] * (j - 2) + [Ordering.Equal] + [Ordering.Less] * (64 - j)
 
 
 def test_mixed_field_rejected():

@@ -204,17 +204,19 @@ def test_shift_lemma_reads_both_families():
 
 
 def test_shift_lemma_stops_at_the_first_root_above_q(monkeypatch):
-    built = []
+    read = []
+    orderings = bonacci.bonacci_orderings
 
-    def counted(k):
-        built.append(k)
-        return bonacci_root(k)
+    def counted(q):
+        for k, rel in orderings(q):
+            read.append(k)
+            yield k, rel
 
-    monkeypatch.setattr(bonacci, "bonacci_root", counted)
+    monkeypatch.setattr(bonacci, "bonacci_orderings", counted)
     # 1999/1000 lies between the 9- and 10-bonacci roots
     q = AlgebraicNumber.from_rational(Fraction(1999, 1000))
     assert bonacci._shift_certificate_k(q, tail((), (0,) * 20 + (1,))) is None
-    assert built == list(range(2, 11))
+    assert read == list(range(2, 11))
 
 
 @pytest.mark.parametrize("num,den", [(9, 5), (19, 10), (199, 100), (1999, 1000)])

@@ -572,6 +572,15 @@ _OUT_OF_RANGE = [
      "argument --depth: must be at most 400, got 401"),
     # a run bound that is no integer
     (["thickness", "--q", "1999/1000", "--set", "sk:x"], "bad set spec 'sk:x': invalid literal"),
+    # the fork-search length and the slice walk's path cap are bounded too
+    (["dimension", "--q", "3/2", "--y", "1/3", "--max-len", "501"],
+     "argument --max-len: must be at most 500, got 501"),
+    (["dimension", "--q", "3/2", "--y", "1/3", "--method", "mass", "--max-len", "100000"],
+     "argument --max-len: must be at most 500"),
+    (["slice", "--q", "5/3", "--y", "1/2", "--max-cylinders", "65537"],
+     "argument --max-cylinders: must be at most 65536, got 65537"),
+    (["slice", "--q", "bonacci:3", "--y", "1/3", "--max-cylinders", "10000000000"],
+     "argument --max-cylinders: must be at most 65536"),
 ]
 
 

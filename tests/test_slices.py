@@ -415,6 +415,63 @@ def test_shift_steps_match_dense_routes(label, y, depth):
         assert unique_orbit_check(q, p, depth + 8) == dynamics._kernel_orbit(ref, p, depth + 8)
 
 
+# the scale-1 lattices, two lattices whose scale is not 1, and a rational base
+PROBE_BASES = {
+    **ALGEBRAIC_BASES,
+    "2x^2-3": SHIFT_BASES["2x^2-3"],
+    "3x^3-3x-2": SHIFT_BASES["3x^3-3x-2"],
+    "5/3": lambda: Q53,
+}
+
+
+def _field_probes(sys, points, depth):
+    """The single-orbit walk of each point on field elements, the reference
+    of the kernels' probes."""
+    return tuple(
+        dynamics._single_orbit(
+            p,
+            lambda x: [(label, sys.branch(label)(x)) for label in sys.applicable(x)],
+            lambda x: x,
+            depth,
+        )
+        for p in points
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PROBE_BASES)), heights, st.integers(1, 16))
+@example("bonacci:3", F(1, 3), 16)
+@example("bonacci:10", F(1, 2), 16)
+@example("two-orbit", F(2, 5), 16)
+@example("2x^2-3", F(1, 3), 10)
+@example("3x^3-3x-2", F(1, 2), 10)
+@example("2x^2-3", F(1), 10)  # the fixed point 1/(q-1) closes a 1-cycle
+@example("5/3", F(3, 8), 16)
+def test_leaf_probes_match_field_orbits(label, y, depth):
+    q = PROBE_BASES[label]()
+    res = compute_slice(q, y, depth, max_cylinders=300)
+    sys = ternary_branch_system(q)
+    points = enumerate_orbits(sys, expansion_point(q, y), depth, 300).points()
+    probes = tuple(unique_orbit_check(q, p, depth) for p in points)
+    assert probes == _field_probes(sys, points, depth)
+    assert res.leaf_probes in ((), probes)
+
+
+@pytest.mark.parametrize("label", ["bonacci:3", "bonacci:5", "two-orbit"])
+@pytest.mark.parametrize("other", [F(3, 7), F(1, 5)], ids=["same-den", "other-den"])
+def test_probe_after_a_walk_at_another_height(label, other):
+    # the kernel lives as long as its base, so a walk at another height,
+    # over the same den or another, must not change a later probe
+    q = ALGEBRAIC_BASES[label]()
+    sys = ternary_branch_system(q)
+    points = enumerate_orbits(sys, expansion_point(q, F(1, 7)), 12).points()
+    enumerate_orbits(sys, expansion_point(q, other), 12)
+    dens = {sys._lattice.lift(expansion_point(q, y))[1] for y in (F(1, 7), other)}
+    assert (len(dens) == 1) == (other == F(3, 7))
+    probes = tuple(unique_orbit_check(q, p, 20) for p in points)
+    assert probes == _field_probes(sys, points, 20)
+
+
 @pytest.mark.parametrize("label, y, depth", [("5/3", F(3, 5), 8), ("bonacci:3", "1/q", 6)])
 def test_oracle_boxes_are_a_read_only_set_of_words(label, y, depth):
     q = AlgebraicNumber.from_rational(F(5, 3)) if label == "5/3" else ALGEBRAIC_BASES[label]()

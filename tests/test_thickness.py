@@ -71,6 +71,9 @@ def test_prefix_run_length_table():
         (bonacci_root(3), 2),
         (AlgebraicNumber.from_rational(F(19, 10)), 3),
         (QBIG, 9),
+        (AlgebraicNumber.from_rational(F(1, 2)), 0),
+        # within 2^-64 of 2, and placed by one exact sign per root
+        (bonacci_root(64), 63),
     ]
     for q, expected in cases:
         assert prefix_run_length(q) == expected
