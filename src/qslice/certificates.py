@@ -82,20 +82,30 @@ def bracket(x, eps: Fraction = Fraction(1, 10**40)) -> tuple[str, str]:
 def exact_check(label: str, relation: str, lhs, rhs) -> IntervalCheck:
     """Record a comparison, evaluating both sides to rational brackets.
 
-    Raises immediately if the recorded brackets do not witness the claimed
-    relation, so a certificate can never be built from a failed inequality.
+    The relation is decided exactly first, by the sign of lhs - rhs, and a
+    false one raises CertificateError, so a certificate can never be built
+    from a failed inequality. The brackets then sit on the grid 10^-40, or
+    on the first of 10^-60, 10^-80, ... that witnesses the relation: the
+    cells of an irrational side narrow with the grid, and a rational side
+    is exact once the grid holds its denominator. Only a "le" or "eq" that
+    holds as an equality of irrational values has no witness on any grid;
+    it raises too.
     """
+    diff = lhs - rhs
+    sign = diff.sign() if isinstance(diff, FieldElement) else (diff > 0) - (diff < 0)
     c = IntervalCheck(label, relation, bracket(lhs), bracket(rhs))
-    if not c.holds():
-        # brackets may simply be too loose: tighten and retry once
-        c = IntervalCheck(
-            label,
-            relation,
-            bracket(lhs, Fraction(1, 10**60)),
-            bracket(rhs, Fraction(1, 10**60)),
-        )
-    if not c.holds():
+    if not {"lt": sign < 0, "le": sign <= 0, "eq": sign == 0}.get(relation, False):
         raise CertificateError(f"inequality {label} failed: {c}")
+    if sign == 0 and isinstance(lhs, FieldElement) and any(lhs.nums[1:]):
+        raise CertificateError(
+            f"inequality {label} holds only as an equality of irrational values,"
+            " which no bracket witnesses"
+        )
+    digits = 40
+    while not c.holds():
+        digits += 20
+        eps = Fraction(1, 10**digits)
+        c = IntervalCheck(label, relation, bracket(lhs, eps), bracket(rhs, eps))
     return c
 
 

@@ -328,46 +328,38 @@ def _parse_delta(text: str) -> Tail:
     return w
 
 
+def _certified_bonacci(mode: str, certify, head) -> int:
+    """Run one bonacci certification and print its verdict: an error
+    record with exit 2 when it cannot be built; otherwise the head record,
+    which head builds from the certificate, with whether it verifies, then
+    the certificate itself, and exit 2 on any failure."""
+    try:
+        cert = certify()
+    except CertificationFailed as e:
+        _emit({"command": "bonacci", "mode": mode, "error": str(e)})
+        return 2
+    failures = verify(cert)
+    _emit({"command": "bonacci", "mode": mode, **head(cert), "verified": not failures})
+    _emit({"command": "bonacci", "certificate": asdict(cert)})
+    return 2 if failures else 0
+
+
 def _cmd_bonacci(args) -> int:
     if args.mode == "verify":
         delta = _parse_delta(args.delta)
-        try:
-            cert = verify_odd_cardinality(args.k, args.m, delta=delta, depth=args.depth)
-        except CertificationFailed as e:
-            _emit({"command": "bonacci", "mode": "verify", "error": str(e)})
-            return 2
-        failures = verify(cert)
-        _emit(
-            {
-                "command": "bonacci",
-                "mode": "verify",
-                "k": args.k,
-                "m": args.m,
-                "delta": format_word(delta),
-                "count": cert.data["count"],
-                "verified": not failures,
-            }
+        return _certified_bonacci(
+            "verify",
+            lambda: verify_odd_cardinality(args.k, args.m, delta=delta, depth=args.depth),
+            lambda cert: {
+                "k": args.k, "m": args.m, "delta": format_word(delta), "count": cert.data["count"],
+            },
         )
-        _emit({"command": "bonacci", "certificate": asdict(cert)})
-        return 2 if failures else 0
     if args.mode == "null":
-        try:
-            cert = null_infinite_probe(args.k, depth=args.depth)
-        except CertificationFailed as e:
-            _emit({"command": "bonacci", "mode": "null", "error": str(e)})
-            return 2
-        failures = verify(cert)
-        _emit(
-            {
-                "command": "bonacci",
-                "mode": "null",
-                "k": args.k,
-                "branches_at_depth": cert.data["branches-at-depth"],
-                "verified": not failures,
-            }
+        return _certified_bonacci(
+            "null",
+            lambda: null_infinite_probe(args.k, depth=args.depth),
+            lambda cert: {"k": args.k, "branches_at_depth": cert.data["branches-at-depth"]},
         )
-        _emit({"command": "bonacci", "certificate": asdict(cert)})
-        return 2 if failures else 0
     # c2
     q = parse_number(args.q)
     report = c2_probe(q, depth=args.depth)

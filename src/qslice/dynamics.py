@@ -192,10 +192,10 @@ class Frontier:
     next parent's children, from 3 * (c + 1). A walk keeps each level as
     parallel lists, the paths beside their integer points, and each path as
     its ternary code (words.ternary_code) at the level's length: codes and
-    forks are the fields, and paths and events are the same as digit
-    tuples, decoded on first read and kept. points() builds the level's
-    points as field elements, in the same order, only when asked: the
-    rational walk never needs them itself."""
+    forks are the fields, and paths is the same as digit tuples, decoded on
+    first read and kept. points() builds the level's points as field
+    elements, in the same order, only when asked: the rational walk never
+    needs them itself."""
 
     codes: list[int]
     sizes: list[int]
@@ -207,10 +207,6 @@ class Frontier:
     def paths(self) -> list[tuple[int, ...]]:
         length = len(self.sizes) - 1
         return [ternary_digits(code, length) for code in self.codes]
-
-    @cached_property
-    def events(self) -> list[tuple[int, tuple[int, ...]]]:
-        return [(step, ternary_digits(code, step)) for step, code in self.forks]
 
 
 def enumerate_orbits(

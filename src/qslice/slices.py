@@ -9,7 +9,6 @@ touches the dynamics.
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .dynamics import (
     UniqueOrbitResult,
     UniqueOrbitStatus,
 )
-from .words import Alphabet, Word, ternary_code, ternary_digits
+from .words import Alphabet, Word, ternary_digits
 
 
 class SliceInputError(ValueError):
@@ -83,10 +82,9 @@ class SliceResult:
     """One slice decision. The surviving ternary branch sequences are held
     as their ternary codes (words.ternary_code), all of one length, in path
     order, and the forks of the walk as (step, code of the forking path):
-    codes, length and forks are the constructor fields. paths and
-    branch_events are the same as digit tuples, and cylinders as ternary
-    Words, each built on first access and kept: a decision itself never
-    needs them."""
+    codes, length and forks are the constructor fields. paths is the same
+    as digit tuples, and cylinders as ternary Words, each built on first
+    access and kept: a decision itself never needs them."""
 
     base: AlgebraicNumber
     y: FieldElement
@@ -101,10 +99,6 @@ class SliceResult:
     @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
         return tuple(ternary_digits(code, self.length) for code in self.codes)
-
-    @cached_property
-    def branch_events(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        return tuple((step, ternary_digits(code, step)) for step, code in self.forks)
 
     @cached_property
     def cylinders(self) -> tuple[Word, ...]:
@@ -198,45 +192,27 @@ def compute_slice(
 # ---------------------------------------------------------------------------
 
 
-class OracleBoxes(Set):
-    """The boxes geometric_slice_oracle finds: to a reader, a read-only set
-    of ternary Words. It holds the descent's ternary codes
-    (words.ternary_code), as the frozenset codes, with their one length;
-    paths is the same frozenset as digit tuples, decoded on first read and
-    kept, and a Word is built only for a caller that iterates. Set algebra
-    with it (-, |, &) gives a plain set of Words, and it is unhashable, like
-    set."""
+@dataclass(frozen=True)
+class OracleBoxes:
+    """The boxes geometric_slice_oracle finds, as the ternary codes
+    (words.ternary_code) of their words, all of one length. Iterating
+    yields the ternary Words, each decoded when it is reached."""
 
-    def __init__(self, codes: frozenset[int], length: int):
-        self.codes = codes
-        self.length = length
-
-    @cached_property
-    def paths(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(ternary_digits(code, self.length) for code in self.codes)
+    codes: frozenset[int]
+    length: int
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __contains__(self, w) -> bool:
-        return (
-            isinstance(w, Word) and w.alphabet is Alphabet.TERNARY and len(w) == self.length
-            and ternary_code(w.symbols) in self.codes
-        )
-
     def __iter__(self):
-        return (Word(Alphabet.TERNARY, p) for p in self.paths)
-
-    @classmethod
-    def _from_iterable(cls, words) -> set[Word]:
-        return set(words)
+        return (Word(Alphabet.TERNARY, ternary_digits(code, self.length)) for code in self.codes)
 
 
 def geometric_slice_oracle(
     q: AlgebraicNumber, y: PointLike, depth: int
 ) -> OracleBoxes:
     """Words whose closed box (depth-fold image of the unit square) meets
-    the horizontal line at y, as a read-only set of ternary Words.
+    the horizontal line at y, as their ternary codes at length depth.
 
     Independent of the branch dynamics: only the three vertical affine
     contractions t/q, (1 - 2/q) t + 1/q and t/q + 1 - 1/q are iterated,
@@ -374,31 +350,20 @@ def _lattice_boxes(y: FieldElement, depth: int) -> frozenset[int]:
     return frozenset(codes)
 
 
-def slice_matches_oracle(result: SliceResult, boxes: Set) -> bool:
+def slice_matches_oracle(result: SliceResult, boxes: OracleBoxes) -> bool:
     """The exact agreement law between the two routes: every surviving
     sequence has a box, and a box without a surviving sequence is the
     doomed spelling of a corner whose successor spelling survives.
 
-    boxes is what geometric_slice_oracle returns, or a plain set of ternary
-    Words; a box of any other kind raises ValueError. Boxes and sequences
-    are then compared as sets of ternary codes, where a code's successor is
-    code + 1: every surviving sequence has a box exactly when the boxes
-    without a surviving sequence leave as many boxes as there are
-    sequences. A code stands for a path only at its length, so a box of
-    another length than the sequences is neither a sequence's box nor the
-    doomed spelling of one."""
-    if isinstance(boxes, OracleBoxes):
-        if boxes.length != result.length and boxes.codes:
-            return False
-        codes = boxes.codes
-    else:
-        if not all(isinstance(w, Word) and w.alphabet is Alphabet.TERNARY for w in boxes):
-            raise ValueError("oracle boxes must be ternary words")
-        if any(len(w) != result.length for w in boxes):
-            return False
-        codes = {ternary_code(w.symbols) for w in boxes}
+    Boxes and sequences are compared as sets of ternary codes, where a
+    code's successor is code + 1: every surviving sequence has a box
+    exactly when the boxes without a surviving sequence leave as many boxes
+    as there are sequences. A code stands for a path only at its length, so
+    boxes of another length than the sequences never agree with them."""
+    if boxes.length != result.length:
+        return False
     alive = set(result.codes)
-    extra = codes - alive
-    if len(codes) - len(extra) != len(alive):
+    extra = boxes.codes - alive
+    if len(boxes.codes) - len(extra) != len(alive):
         return False
     return all(code + 1 in alive for code in extra)

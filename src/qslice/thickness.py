@@ -210,12 +210,13 @@ class AqTemplate:
                          (right, right + tail), (gap - tail, gap + tail), s - tail)
 
 
-def build_aq_prefixes(q: AlgebraicNumber, k: int, margin: int = 16) -> AqTemplate:
-    """Template for the branching family; needs the base large enough that
-    the family avoids both forbidden runs of length 9."""
+def build_aq_prefixes(q: AlgebraicNumber, k: int) -> AqTemplate:
+    """Template for the branching family, read off the first
+    k + AQ_GAP_MARGIN expansion digits of 1; needs the base large enough
+    that the family avoids both forbidden runs of length 9."""
     if compare_reals(q, bonacci_root(9)) != Ordering.Greater:
         raise BaseTooSmall("base must exceed the 9-bonacci root")
-    c = fixed_expansion_of_one(q, k + margin)
+    c = fixed_expansion_of_one(q, k + AQ_GAP_MARGIN)
     bits: list[Optional[int]] = []
     free: list[int] = []
     zeros = 0
@@ -431,7 +432,7 @@ def enumerate_gaps(q: AlgebraicNumber, family: GapFamily, level: int, k: int = 9
     no laws at once.
     """
     if family == GapFamily.AqSet:
-        template = build_aq_prefixes(q, level, margin=AQ_GAP_MARGIN)
+        template = build_aq_prefixes(q, level)
         return GapStructure(family, 9, level, template.hull, tuple(template.gap_laws(level)))
     ana = ShiftSetAnalysis(q, k)
     shift, scale = _family_map(ana.g, family)
@@ -557,7 +558,7 @@ def find_slice3_witness(
     WITNESS_BUDGET steps.
     """
     g = q.gen()
-    template = build_aq_prefixes(q, depth + 40, margin=16)
+    template = build_aq_prefixes(q, depth + 42)
     ana = ShiftSetAnalysis(q, 9)
     shift, scale = _family_map(g, GapFamily.ScaledShiftedSk)
 

@@ -179,6 +179,11 @@ def avoids(w: WordLike, factor: Word) -> bool:
 # prefix_run_length looks no further along the k-bonacci roots
 MAX_RUN_BOUND = 64
 
+# the longest word a power may expand to in parse_word: a bonacci verify
+# tail of 1000 symbols runs 1.7 s at --k 64 --m 1 and 6 s at --k 64 --m 5
+# --depth 500, and one of 4000 runs 12 s at --m 1 (2-vCPU host)
+MAX_WORD_LENGTH = 1000
+
 
 @dataclass(frozen=True)
 class SubshiftSpec:
@@ -361,10 +366,13 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
 
     Examples: "102", "1(0^3)^2", "1(0^3)^2(01)*", "10*".
     A starred unit (infinite repetition) must end the string and yields a
-    Tail; otherwise the result is a finite Word.
+    Tail; otherwise the result is a finite Word. A power is at least 1, and
+    none may make the word longer than MAX_WORD_LENGTH symbols: both are
+    checked before the power is expanded.
     """
     pos = 0
     items: list[list[int]] = []
+    size = 0  # the symbols in items
     star: list[int] | None = None
 
     def read_int() -> int:
@@ -375,6 +383,15 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
         if start == pos:
             raise WordSyntaxError(f"expected integer at position {start} in {s!r}")
         return int(s[start:pos])
+
+    def power(unit: list[int], before: int) -> list[int]:
+        """unit to the power read next, in a word with before other symbols."""
+        n = read_int()
+        if n < 1:
+            raise WordSyntaxError("power must be positive")
+        if before + len(unit) * n > MAX_WORD_LENGTH:
+            raise WordSyntaxError(f"word longer than {MAX_WORD_LENGTH} symbols")
+        return unit * n
 
     while pos < len(s):
         ch = s[pos]
@@ -393,8 +410,8 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
                     if not depth_unit:
                         raise WordSyntaxError(f"misplaced ^ in {s!r}")
                     pos += 1
-                    n = read_int()
-                    depth_unit = depth_unit[:-1] + [depth_unit[-1]] * n
+                    head = depth_unit[:-1]
+                    depth_unit = head + power(depth_unit[-1:], size + len(head))
                 else:
                     raise WordSyntaxError(f"unexpected {c!r} in group in {s!r}")
             if pos >= len(s):
@@ -407,10 +424,7 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
             raise WordSyntaxError(f"unexpected {ch!r} in {s!r}")
         if pos < len(s) and s[pos] == "^":
             pos += 1
-            n = read_int()
-            if n < 1:
-                raise WordSyntaxError("power must be positive")
-            unit = unit * n
+            unit = power(unit, size)
         if pos < len(s) and s[pos] == "*":
             pos += 1
             if pos != len(s):
@@ -418,6 +432,7 @@ def parse_word(s: str, alphabet: Alphabet | None = None) -> WordLike:
             star = unit
             break
         items.append(unit)
+        size += len(unit)
 
     flat = [x for unit in items for x in unit]
     if star is not None:

@@ -61,6 +61,7 @@ from qslice.words import (
     project_q,
     run_limited,
     tail,
+    ternary_digits,
     word,
 )
 
@@ -137,7 +138,7 @@ def test_criterion_04_three_orbit_pipeline(aq_gaps_level40):
     assert res.claim == at_least(3)
     assert res.depth == 48 and len(res.cylinders) == 3
     # a single three-way fork at the root, then straight lines
-    assert res.branch_events == ((0, ()),)
+    assert [(step, ternary_digits(code, step)) for step, code in res.forks] == [(0, ())]
     _verdict(4, start, 300.0)
 
 

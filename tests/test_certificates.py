@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qslice.algebraic import bonacci_root
+from qslice.algebraic import AlgebraicNumber, bonacci_root
 from qslice.thickness import newhouse_certify
 from qslice.certificates import (
     Certificate,
@@ -36,6 +36,36 @@ def test_exact_check_builds_or_raises():
         exact_check("golden-above-two", "lt", F(2), g)
     # 10^-45 rounds to [0, 10^-40] at first; the retry's grid follows eps
     assert exact_check("tiny", "lt", 0, F(1, 10**45)).rhs == (str(F(1, 10**45)),) * 2
+
+
+def test_exact_check_refines_its_grid_until_the_brackets_witness():
+    # g^-300 is about 10^-63: no cell of 10^-40 or 10^-60 separates it
+    # from its double, and a finer grid does
+    g = bonacci_root(2).gen()
+    c = exact_check("tiny", "lt", g**-300, 2 * g**-300)
+    assert c.holds() and F(c.lhs[1]) < F(c.rhs[0]) < F(1, 10**60)
+    with pytest.raises(CertificateError, match="^inequality tiny-reversed failed"):
+        exact_check("tiny-reversed", "lt", 2 * g**-300, g**-300)
+    # equal rationals are witnessed once the grid holds their denominator
+    third = F(1, 3**200)
+    c = exact_check("equal", "le", third, third)
+    assert c.lhs == c.rhs == (str(third),) * 2 and c.holds()
+    # an equality of irrational values has no witness on any grid
+    for relation in ("le", "eq"):
+        with pytest.raises(CertificateError, match="equality of irrational values"):
+            exact_check("golden", relation, g, 1 + 1 / g)
+
+
+def test_newhouse_certificate_verifies_past_the_fixed_grids():
+    # at level 200 the aq checks from position 193 compare values near
+    # q^-190, which no 10^-60 grid separates: they sit on the 10^-80 grid
+    cert = newhouse_certify(AlgebraicNumber.from_rational(F(1999, 1000)), level=200)
+    assert verify(cert) == []
+    fine = {
+        c.label for c in cert.checks
+        if max(F(end).denominator for end in c.lhs + c.rhs) > 10**60
+    }
+    assert "aq-position-193-bridge" in fine
 
 
 def test_bracket_rounds_outward():

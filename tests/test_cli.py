@@ -581,6 +581,13 @@ _OUT_OF_RANGE = [
      "argument --max-cylinders: must be at most 65536, got 65537"),
     (["slice", "--q", "bonacci:3", "--y", "1/3", "--max-cylinders", "10000000000"],
      "argument --max-cylinders: must be at most 65536"),
+    # a tail's powers are at least 1 and expand to at most 1000 symbols
+    (["bonacci", "verify", "--k", "3", "--delta", "(01)^99999999999999999999*"],
+     "word longer than 1000 symbols"),
+    (["bonacci", "verify", "--k", "64", "--delta", "(0011)^1000(01)*"],
+     "word longer than 1000 symbols"),
+    (["bonacci", "verify", "--k", "3", "--delta", "(10^0)(01)*"], "power must be positive"),
+    (["bonacci", "verify", "--k", "3", "--delta", "1^0(01)*"], "power must be positive"),
 ]
 
 

@@ -22,7 +22,7 @@ from qslice.dynamics import (
     ternary_branch_system,
     unique_orbit_check,
 )
-from qslice.words import Alphabet, tail, word
+from qslice.words import Alphabet, tail, ternary_digits, word
 
 Q53 = AlgebraicNumber.from_rational(Fraction(5, 3))
 
@@ -188,6 +188,11 @@ def _orbit_step(sys, level):
     return nxt, forked
 
 
+def _fork_paths(walk):
+    """The walk's forks as (step, path), path the forking prefix's digits."""
+    return [(step, ternary_digits(code, step)) for step, code in walk.forks]
+
+
 def _reference_walk(sys, x, depth, max_cylinders):
     """The _orbit_step loop on field elements: paths, fork events, truncated
     flag and points, with the walk's truncation rule."""
@@ -229,7 +234,7 @@ def test_integer_walk_matches_field_walk(q, y, depth, max_cylinders):
     assert walk.paths == paths
     # path order is strictly ascending code order, which slices reads unsorted
     assert all(a < b for a, b in zip(walk.codes, walk.codes[1:]))
-    assert walk.events == events
+    assert _fork_paths(walk) == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]
     # every point has a branch, so each level is the set of prefixes of the last
@@ -270,7 +275,7 @@ def test_lattice_walk_matches_field_walk(label, start, depth, max_cylinders):
     assert walk.paths == paths
     # path order is strictly ascending code order, which slices reads unsorted
     assert all(a < b for a, b in zip(walk.codes, walk.codes[1:]))
-    assert walk.events == events
+    assert _fork_paths(walk) == events
     assert walk.truncated == truncated
     assert walk.points() == [p for _, p in level]
     # every point has a branch, so each level is the set of prefixes of the last
@@ -353,7 +358,7 @@ def test_coarse_brackets_defer_to_the_exact_fallback(label, monkeypatch):
         x = _start(sys, start)
         level, events, truncated = _reference_walk(sys, x, 8, 60)
         walk = enumerate_orbits(sys, x, 8, 60)
-        assert (walk.paths, walk.events, walk.truncated) == ([p for p, _ in level], events, truncated)
+        assert (walk.paths, _fork_paths(walk), walk.truncated) == ([p for p, _ in level], events, truncated)
         assert unique_orbit_check(q, x, 16) == _field_orbit(sys, x, 16)
 
 
@@ -367,7 +372,7 @@ def test_lattice_kernel_at_a_non_unit_base():
         x = _start(sys, start)
         level, events, truncated = _reference_walk(sys, x, 8, 200)
         walk = enumerate_orbits(sys, x, 8, 200)
-        assert (walk.paths, walk.events, walk.truncated) == ([p for p, _ in level], events, truncated)
+        assert (walk.paths, _fork_paths(walk), walk.truncated) == ([p for p, _ in level], events, truncated)
         assert walk.points() == [p for _, p in level]
         assert unique_orbit_check(q, x, 16) == _field_orbit(sys, x, 16)
     # the fixed points 0 and 1/(q-1) close a cycle of length 1

@@ -51,7 +51,7 @@ def test_single_point_slice_certified():
     # the unique point is 1/4, whose ternary expansion repeats 02
     limit = tail((), (0, 2), Alphabet.TERNARY)
     assert r.cylinders[0] == limit.prefix(24)
-    assert r.branch_events == ()
+    assert r.forks == ()
     assert not r.truncated
 
 
@@ -76,7 +76,7 @@ def test_corner_height_keeps_one_spelling():
     # ternary spellings of 1/3 but the dynamics keeps only 10^k
     r = compute_slice(Q53, F(3, 5), 10)
     boxes = geometric_slice_oracle(Q53, F(3, 5), 10)
-    extra = boxes - set(r.cylinders)
+    extra = set(boxes) - set(r.cylinders)
     assert extra == {Word(Alphabet.TERNARY, (0,) + (2,) * 9)}
     doomed = next(iter(extra))
     assert word_successor(doomed) in set(r.cylinders)
@@ -84,24 +84,10 @@ def test_corner_height_keeps_one_spelling():
     assert slice_matches_oracle(r, boxes)
     # the law fails when a surviving sequence has no box, or when a box
     # without one is not the doomed spelling of a surviving successor
-    top, stray = Word(Alphabet.TERNARY, (2,) * 10), Word(Alphabet.TERNARY, (0,) * 10)
-    assert {top, stray, word_successor(stray)}.isdisjoint(r.cylinders)
-    assert not slice_matches_oracle(r, boxes - {r.cylinders[0]})
-    assert not slice_matches_oracle(r, boxes | {top})
-    assert not slice_matches_oracle(r, boxes | {stray})
-
-
-def test_cross_check_rejects_boxes_that_are_not_ternary_words():
-    # a box is a ternary word: a binary word with a surviving sequence's
-    # symbols is not its box, and does not count beside it
-    r = compute_slice(Q53, F(3, 5), 10)
-    boxes = set(geometric_slice_oracle(Q53, F(3, 5), 10))
-    survivor = Word(Alphabet.TERNARY, (1,) + (0,) * 9)
-    binary = Word(Alphabet.BINARY, survivor.symbols)
-    assert survivor in boxes and slice_matches_oracle(r, boxes)
-    for bad in (boxes - {survivor} | {binary}, boxes | {binary}, boxes | {survivor.symbols}):
-        with pytest.raises(ValueError):
-            slice_matches_oracle(r, bad)
+    top, stray = ternary_code((2,) * 10), ternary_code((0,) * 10)
+    assert {top, stray, stray + 1}.isdisjoint(r.codes)
+    for codes in (boxes.codes - {r.codes[0]}, boxes.codes | {top}, boxes.codes | {stray}):
+        assert not slice_matches_oracle(r, OracleBoxes(codes, 10))
 
 
 def _reference_matches(result, boxes) -> bool:
@@ -132,26 +118,20 @@ def test_cross_check_matches_the_box_loop(qf, y, depth, data):
     q = AlgebraicNumber.from_rational(qf)
     r = compute_slice(q, y, depth)
     view = geometric_slice_oracle(q, y, depth)
-    boxes = set(view)
+    codes = view.codes
     if data is None:  # the explicit examples: fixed mutations
-        dropped, digits = min(view.paths), (1, 0, 2) * 3
+        dropped, digits = min(codes), (1, 0, 2) * 3
     else:
-        dropped = data.draw(st.sampled_from(sorted(view.paths)))
+        dropped = data.draw(st.sampled_from(sorted(codes)))
         digits = data.draw(st.lists(st.integers(0, 2), min_size=8, max_size=8))
     mutants = [
-        boxes,
-        boxes - {Word(Alphabet.TERNARY, dropped)},
-        boxes | {Word(Alphabet.TERNARY, (2,) * depth)},
-        boxes | {Word(Alphabet.TERNARY, (1,) * (depth + 1))},
-        boxes | {Word(Alphabet.TERNARY, tuple(digits[:depth]))},
+        OracleBoxes(codes - {dropped}, depth),
+        OracleBoxes(codes | {ternary_code((2,) * depth)}, depth),
+        OracleBoxes(codes | {ternary_code(digits[:depth])}, depth),
+        OracleBoxes(codes, depth + 1),  # the same codes, one digit longer
     ]
-    assert slice_matches_oracle(r, view) == _reference_matches(r, view)
-    for words in mutants:
-        expected = _reference_matches(r, words)
-        assert slice_matches_oracle(r, words) == expected
-        if {len(w) for w in words} == {depth}:  # an OracleBoxes holds codes of one length
-            codes = frozenset(ternary_code(w.symbols) for w in words)
-            assert slice_matches_oracle(r, OracleBoxes(codes, depth)) == expected
+    for boxes in (view, *mutants):
+        assert slice_matches_oracle(r, boxes) == _reference_matches(r, boxes)
 
 
 def test_oracle_agreement_random_bases():
@@ -177,12 +157,13 @@ def test_oracle_reflection_symmetry(qf, y):
     q = AlgebraicNumber.from_rational(qf)
     left = geometric_slice_oracle(q, y, 5)
     right = geometric_slice_oracle(q, 1 - y, 5)
-    assert right == {reflect(w) for w in left}
+    assert set(right) == {reflect(w) for w in left}
 
 
 def _field_boxes(q, y, depth):
     """The box descent on field elements, as the oracle runs it at
-    algebraic bases: the reference for its integer descent."""
+    algebraic bases: the reference for its integer descent, as the codes
+    of the words found."""
     g = q.gen()
     inv = 1 / g
     parts = ((inv, g.base.zero()), (1 - 2 * inv, inv), (inv, 1 - inv))
@@ -196,7 +177,7 @@ def _field_boxes(q, y, depth):
                 if lo <= y <= hi:
                     nxt.append((path + (lab,), ca, cb))
         frontier = nxt
-    return {Word(Alphabet.TERNARY, path) for path, _, _ in frontier}
+    return OracleBoxes(frozenset(ternary_code(path) for path, _, _ in frontier), depth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,7 +344,7 @@ def _ref_lattice_boxes(q, y, depth):
                     next_offsets.append(cb)
                     next_signs.append(csign)
         paths, slopes, offsets, signs = next_paths, next_slopes, next_offsets, next_signs
-    return frozenset(paths)
+    return OracleBoxes(frozenset(map(ternary_code, paths)), depth)
 
 
 # lead and |p_0| above 1: every scale of the shift steps is at work
@@ -393,7 +374,7 @@ def test_shift_steps_match_dense_routes(label, y, depth):
     shared = SHIFT_BASES[label]()
     q = AlgebraicNumber(shared.min_poly, *shared.interval)
     yv = slices._lift_unit_value(q, _height(q, y))
-    assert geometric_slice_oracle(q, yv, depth).paths == _ref_lattice_boxes(q, yv, depth)
+    assert geometric_slice_oracle(q, yv, depth) == _ref_lattice_boxes(q, yv, depth)
 
     sys = ternary_branch_system(q)
     ref_sys = dynamics._build_ternary_system(q)
@@ -403,8 +384,8 @@ def test_shift_steps_match_dense_routes(label, y, depth):
     x = yv * sys.hull_hi
     walk = enumerate_orbits(sys, x, depth, 300)
     dense = dynamics._lattice_walk(ref_sys, x, depth, 300)
-    assert (walk.paths, walk.sizes, walk.events, walk.truncated) == (
-        dense.paths, dense.sizes, dense.events, dense.truncated
+    assert (walk.paths, walk.sizes, walk.forks, walk.truncated) == (
+        dense.paths, dense.sizes, dense.forks, dense.truncated
     )
     points = walk.points()
     assert points == dense.points()
@@ -473,35 +454,19 @@ def test_probe_after_a_walk_at_another_height(label, other):
 
 
 @pytest.mark.parametrize("label, y, depth", [("5/3", F(3, 5), 8), ("bonacci:3", "1/q", 6)])
-def test_oracle_boxes_are_a_read_only_set_of_words(label, y, depth):
-    q = AlgebraicNumber.from_rational(F(5, 3)) if label == "5/3" else ALGEBRAIC_BASES[label]()
+def test_oracle_boxes_are_codes_of_one_length(label, y, depth):
+    q = Q53 if label == "5/3" else ALGEBRAIC_BASES[label]()
     yv = _height(q, y)
     boxes = geometric_slice_oracle(q, yv, depth)
-    reference = _field_boxes(q, yv, depth)
-    assert isinstance(boxes, OracleBoxes)
-    assert len(boxes) == len(boxes.paths) == len(reference) > 1
-    assert all(type(w) is Word and w.alphabet is Alphabet.TERNARY for w in boxes)
-    assert set(boxes) == reference and boxes.paths == {w.symbols for w in reference}
-    assert boxes == reference and reference == boxes
-    assert boxes == frozenset(reference) and frozenset(reference) == boxes
-    assert boxes != reference - {min(reference, key=lambda w: w.symbols)}
-    # a held path spelled in binary is not a box
-    held = (1,) + (0,) * (depth - 1)
-    assert held in boxes.paths and Word(Alphabet.TERNARY, held) in boxes
-    assert Word(Alphabet.BINARY, held) not in boxes and held not in boxes
-    # set algebra gives plain sets of words
-    first, stray = Word(Alphabet.TERNARY, held), Word(Alphabet.TERNARY, (2,) * (depth + 1))
-    for out, expected in (
-        (boxes - {first}, reference - {first}),
-        ({first} - boxes, set()),
-        (boxes | {stray}, reference | {stray}),
-        ({stray} | boxes, reference | {stray}),
-        (boxes & {first, stray}, {first}),
-        ({first, stray} & boxes, {first}),
-    ):
-        assert type(out) is set and out == expected
-    with pytest.raises(TypeError):
-        hash(boxes)
+    assert boxes == _field_boxes(q, yv, depth)
+    assert boxes.length == depth and type(boxes.codes) is frozenset
+    # len counts the boxes; iterating decodes each code to a ternary word
+    words = list(boxes)
+    assert len(boxes) == len(words) == len(boxes.codes) > 1
+    assert all(type(w) is Word and w.alphabet is Alphabet.TERNARY and len(w) == depth for w in words)
+    assert {ternary_code(w.symbols) for w in words} == boxes.codes
+    with pytest.raises(AttributeError):
+        boxes.length = depth + 1
 
 
 def test_oracle_uses_nothing_from_dynamics():
@@ -787,7 +752,7 @@ def test_walks_match_brute_force(qf, y, depth, max_cylinders):
     r = compute_slice(q, y, depth, max_cylinders)
     assert [c.symbols for c in r.cylinders] == words[stop]
     assert r.truncated == bool(over)
-    assert list(r.branch_events) == forks
+    assert [(step, ternary_digits(code, step)) for step, code in r.forks] == forks
 
     walk = enumerate_orbits(sys, x0, depth)
     assert walk.sizes == [len(ws) for ws in words]
@@ -889,7 +854,8 @@ def test_codes_match_the_tuple_routines(label, y, depth, cap, box_depth):
     paths, events, truncated = _ref_walk(sys, sys.lift(y) * sys.hull_hi, depth, cap)
     r = compute_slice(q, y, depth, cap)
     assert r.paths == tuple(paths) and r.length == len(paths[0])
-    assert r.branch_events == tuple(events) and r.truncated == truncated
+    assert [(step, ternary_digits(code, step)) for step, code in r.forks] == events
+    assert r.truncated == truncated
     witness, groups = _ref_doubling_witness(events), _ref_adjacency_groups(paths)
     assert slices._adjacency_groups(r.codes) == groups
     if witness is not None:
@@ -907,11 +873,9 @@ def test_codes_match_the_tuple_routines(label, y, depth, cap, box_depth):
     # also meets: codes of unequal length must compare as tuples do
     for n in (depth, box_depth):
         boxes = geometric_slice_oracle(q, y, n)
-        reference = {w.symbols for w in _field_boxes(q, slices._lift_unit_value(q, y), n)}
-        assert boxes.paths == reference and boxes.length == n
+        assert boxes == _field_boxes(q, slices._lift_unit_value(q, y), n)
+        reference = {w.symbols for w in boxes}
         assert slice_matches_oracle(r, boxes) == _ref_matches(paths, reference)
-        words = set(boxes)
-        assert slice_matches_oracle(r, words) == _ref_matches(paths, reference)
 
 
 def test_cross_check_of_unequal_lengths():
@@ -925,20 +889,15 @@ def test_cross_check_of_unequal_lengths():
     bottom = compute_slice(Q53, 0, 24), geometric_slice_oracle(Q53, 0, 12)
     assert bottom[0].codes == (0,) and bottom[1].codes == {0}
     for r, view in ((deep, boxes), (cut, geometric_slice_oracle(Q53, F(1, 2), 12)), bottom):
-        assert not _ref_matches(r.paths, view.paths)
-        assert not slice_matches_oracle(r, view) and not slice_matches_oracle(r, set(view))
-    # one short box among boxes of the right length fails the law too
-    shallow = compute_slice(Q53, F(3, 5), 12)
-    assert slice_matches_oracle(shallow, boxes)
-    stray = Word(Alphabet.TERNARY, shallow.paths[0][:11])
-    assert not slice_matches_oracle(shallow, set(boxes) | {stray})
+        assert not _ref_matches(r.paths, {w.symbols for w in view})
+        assert not slice_matches_oracle(r, view)
     # the last code of a length has no successor of that length: the
     # all-2s box is not a doomed spelling of any sequence
-    top = Word(Alphabet.TERNARY, (2,) * 12)
-    assert top not in boxes and not slice_matches_oracle(shallow, set(boxes) | {top})
-    # a plain set of words is still checked for ternary words first
-    with pytest.raises(ValueError):
-        slice_matches_oracle(deep, set(boxes) | {Word(Alphabet.BINARY, (0,) * 24)})
+    shallow = compute_slice(Q53, F(3, 5), 12)
+    assert slice_matches_oracle(shallow, boxes)
+    top = ternary_code((2,) * 12)
+    assert top not in boxes.codes
+    assert not slice_matches_oracle(shallow, OracleBoxes(boxes.codes | {top}, 12))
 
 
 def test_decisions_build_no_path_tuples(monkeypatch):
@@ -960,7 +919,7 @@ def test_decisions_build_no_path_tuples(monkeypatch):
         r = compute_slice(q, y, 12, max_cylinders=cap)
         boxes = geometric_slice_oracle(q, y, 12)
         assert slice_matches_oracle(r, boxes) != r.truncated
-        assert slice_matches_oracle(r, set()) is False
+        assert slice_matches_oracle(r, OracleBoxes(frozenset(), 12)) is False
         assert r.claim.kind is not ClaimKind.UncountablePattern
     assert decoded == []
     # a doubling pattern spells its one witness path, and nothing else

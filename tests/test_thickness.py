@@ -30,7 +30,7 @@ from qslice.thickness import (
     thickness_lower_bound,
     w2_cover_check,
 )
-from qslice.words import Alphabet, Word, WordSyntaxError, member, run_limited
+from qslice.words import Alphabet, Word, WordSyntaxError, member, run_limited, ternary_digits
 
 QBIG = AlgebraicNumber.from_rational(F(1999, 1000))
 
@@ -366,7 +366,7 @@ def test_find_slice3_witness_shallow(monkeypatch):
     assert res.claim == at_least(3)
     assert len(res.cylinders) == 3
     assert [w.symbols[0] for w in res.cylinders] == [0, 1, 2]
-    assert res.branch_events == ((0, ()),)
+    assert [(step, ternary_digits(code, step)) for step, code in res.forks] == [(0, ())]
 
 
 def test_find_slice3_witness_decides_a_failed_height_once(monkeypatch):
@@ -587,7 +587,7 @@ def reference_aq_gaps(q, level):
     """The branching family's gaps built one by one: each gap end from its
     own Horner bracket, each bridge from a scan for the nearest gap of
     equal or larger size, then sorted largest first."""
-    template = build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN)
+    template = build_aq_prefixes(q, level)
     free = template.free_below(level)
     spans = []  # (level, left, right, meta) of each gap
     for idx, pos in enumerate(free):
@@ -634,7 +634,7 @@ def test_aq_gaps_match_reference(q, level):
     assert gs.hull == hull
     assert_laws_match_gaps(gs.gaps, records, "free_position")
     assert [law.meta["free_position"] for law in gs.gaps] == list(
-        build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level)
+        build_aq_prefixes(q, level).free_below(level)
     )
 
 
@@ -717,7 +717,7 @@ def _is_aq(c):
 def test_newhouse_checks_each_position_law_once(q, level):
     ref_checks, ref_data = reference_newhouse(q, level)
     cert = newhouse_certify(q, level)
-    free = build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level)
+    free = build_aq_prefixes(q, level).free_below(level)
 
     def triple(c):
         return c.relation, c.lhs, c.rhs
@@ -757,7 +757,7 @@ def test_newhouse_builds_no_gap_record(monkeypatch):
 )
 def test_newhouse_without_free_position_reports_no_gaps(q, level):
     # the first free position is 11 at 1999/1000 and 13 at bonacci:12
-    assert build_aq_prefixes(q, level, margin=thickness.AQ_GAP_MARGIN).free_below(level) == ()
+    assert build_aq_prefixes(q, level).free_below(level) == ()
     for certify in (newhouse_certify, reference_newhouse):
         with pytest.raises(ThicknessError, match="no gaps enumerated"):
             certify(q, level)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qslice.algebraic import AlgebraicNumber, algebraic_from_poly
 from qslice.words import (
     _SYMBOL_SETS,
+    MAX_WORD_LENGTH,
     Alphabet,
     Word,
     WordSyntaxError,
@@ -295,11 +296,29 @@ def test_parse_examples():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1(", "(01", "^3", "(01)*0", "()", "1**", "3", "1(0*)"]
+    "bad",
+    # a power of 0, in a group or outside it, would drop its unit silently
+    ["1(", "(01", "^3", "(01)*0", "()", "1**", "3", "1(0*)", "1^0", "(10^0)", "(01)^0*"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(WordSyntaxError):
         parse_word(bad)
+
+
+def test_parse_bounds_the_expanded_length():
+    n = MAX_WORD_LENGTH
+    assert len(parse_word(f"(0^{n})")) == n
+    assert len(parse_word(f"(01)^{n // 2}")) == n
+    # a starred unit is part of the word
+    assert parse_word(f"(0^{n - 2})(01)^1*").preperiod == (0,) * (n - 2)
+    # each over-long power is refused before it is expanded, however large
+    for bad in (
+        f"(0^{n + 1})", f"(01)^{n // 2 + 1}", f"1(0^{n})", f"1(01)^{n // 2}",
+        f"(0^{n // 2})^3", f"(0^{n - 2})(01)^2*", "(01)^99999999999999999999*",
+        "(0^99999999999999999999)",
+    ):
+        with pytest.raises(WordSyntaxError, match=f"^word longer than {n} symbols$"):
+            parse_word(bad)
 
 
 @settings(max_examples=100, deadline=None)
